@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .embeddings import EmbeddingVector
 
-
-def _as_matrix(vectors: Sequence) -> np.ndarray:
-    rows = [
-        v.values if isinstance(v, EmbeddingVector) else np.asarray(v, dtype=np.float64)
-        for v in vectors
-    ]
-    if not rows:
+def _as_matrix(vectors) -> np.ndarray:
+    try:
+        matrix = np.asarray(vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError("vector dimension mismatch") from exc
+    if matrix.shape[:1] == (0,):
         raise ValueError("vector list must be nonempty")
-    dim = rows[0].shape
-    if any(r.shape != dim for r in rows):
+    if matrix.ndim != 2:
         raise ValueError("vector dimension mismatch")
-    return np.asarray(rows, dtype=np.float64)
+    return matrix
 
 
 def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -29,25 +24,14 @@ def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    va = a.values if isinstance(a, EmbeddingVector) else np.asarray(a, dtype=np.float64)
-    vb = b.values if isinstance(b, EmbeddingVector) else np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"vector dimension mismatch: {va.shape} vs {vb.shape}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("zero-norm vector")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
-def classify(doc_vecs: Sequence, def_vecs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def classify(doc_vecs, def_vecs) -> tuple[np.ndarray, np.ndarray]:
     """Assign each document the category with the most similar definition.
 
-    Returns the full n-by-k similarity matrix (kept for metric reuse) and the
-    predicted category index per document. Ties break to the lowest index.
-    All arithmetic is double precision so the argmax is stable near ties.
+    Both inputs are array-likes of row vectors, an (n, d) array or a list of
+    d-vectors, and are unit-normalised here. Returns the n-by-k cosine score
+    matrix and the predicted category index per document. Ties break to the
+    lowest index. All arithmetic is double precision so the argmax is stable
+    near ties.
     """
     docs = _as_matrix(doc_vecs)
     defs = _as_matrix(def_vecs)

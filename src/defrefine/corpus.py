@@ -6,6 +6,7 @@ import csv
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -59,6 +60,15 @@ class Dataset:
     @property
     def category_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.categories)}
+
+    @cached_property
+    def strata(self) -> dict[tuple[str, str | None], tuple[Document, ...]]:
+        """Documents by (split, label) and by (split, None), in dataset order."""
+        strata: dict[tuple[str, str | None], list[Document]] = {}
+        for doc in self.documents:
+            strata.setdefault((doc.split, None), []).append(doc)
+            strata.setdefault((doc.split, doc.label), []).append(doc)
+        return {key: tuple(docs) for key, docs in strata.items()}
 
 
 def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
@@ -153,7 +163,7 @@ def split_view(dataset: Dataset, split: str) -> list[Document]:
     """Documents of one split, in dataset insertion order."""
     if split not in SPLITS:
         raise DataError(f"unknown split {split!r}")
-    return [d for d in dataset.documents if d.split == split]
+    return list(dataset.strata.get((split, None), ()))
 
 
 def sample_instance(
@@ -169,11 +179,7 @@ def sample_instance(
     """
     if rng is None:
         raise ValueError("sample_instance requires a seeded rng")
-    stratum = [
-        d
-        for d in dataset.documents
-        if d.split == split and (category is None or d.label == category)
-    ]
+    stratum = dataset.strata.get((split, category), ())
     if not stratum:
         raise DataError(f"empty stratum: split={split!r} category={category!r}")
     u = rng.random()

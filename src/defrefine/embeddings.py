@@ -64,14 +64,6 @@ class EmbedderConfig:
         raise ValueError(f"unknown role {role!r}")
 
 
-@dataclass
-class EmbeddingVector:
-    """A d-dimensional embedding tagged with the model that produced it."""
-
-    values: np.ndarray
-    model_id: str
-
-
 def apply_prefix(text: str, role: str, cfg: EmbedderConfig) -> str:
     """Prepend the role's instruction prefix and cap the combined length."""
     return (cfg.prefix_for(role) + text)[: cfg.max_input_chars]
@@ -219,8 +211,11 @@ class HttpEmbeddingProvider:
             data = payload["data"]
             rows: list[list[float] | None] = [None] * expected
             for item in data:
-                rows[item["index"]] = item["embedding"]
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+                index = item["index"]
+                if type(index) is not int or not 0 <= index < expected or rows[index] is not None:
+                    raise ProviderError(f"embedding response has a bad or repeated index {index!r}")
+                rows[index] = item["embedding"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}") from exc
         if any(r is None for r in rows):
             raise ProviderError("embedding response missing indices")
@@ -261,8 +256,8 @@ class EmbeddingGateway:
             raise ProviderError(f"embedding dimension mismatch: {arr.size} != {self._dim}")
         return arr
 
-    def embed_texts(self, texts: Sequence[str], role: str) -> list[EmbeddingVector]:
-        """Embed texts under the given role, index-aligned with the input."""
+    def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
+        """Embed texts under the given role as an (n, d) array; row i is input i."""
         if not texts:
             raise ValueError("texts must be nonempty")
         cfg = self._cfg
@@ -274,38 +269,41 @@ class EmbeddingGateway:
         for key, payload in zip(keys, payloads):
             if self._cache.get(key) is None and key not in pending:
                 pending[key] = payload
-
         if pending:
-            items = list(pending.items())
-            batches = [items[i : i + cfg.max_batch] for i in range(0, len(items), cfg.max_batch)]
+            # A helper, so the provider's replies are freed before np.stack below
+            # allocates the output: this keeps the peak memory of a cold embed down.
+            self._fetch(list(pending.items()))
 
-            def run(batch):
-                return self._provider.embed_batch([p for _, p in batch])
-
-            if len(batches) == 1 or cfg.concurrency <= 1:
-                results = [run(b) for b in batches]
-            else:
-                workers = min(cfg.concurrency, len(batches))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run, batches))
-            for batch, vectors in zip(batches, results):
-                if len(vectors) != len(batch):
-                    raise ProviderError("provider returned wrong number of embeddings")
-                for (key, _), vector in zip(batch, vectors):
-                    self._cache.put(key, self._admit(vector))
-
-        out = []
+        rows = []
         for key in keys:
             vector = self._cache.get(key)
             if vector is None:
                 raise ProviderError("embedding missing after fetch")
-            out.append(EmbeddingVector(self._admit(vector), cfg.model_id))
-        return out
+            rows.append(self._admit(vector))
+        return np.stack(rows)
 
-    def embed_definitions(
-        self, definitions: Mapping[str, str], categories: Sequence[str]
-    ) -> list[EmbeddingVector]:
-        """One vector per category, in category index order."""
+    def _fetch(self, items: list[tuple[str, str]]) -> None:
+        """Embed (key, payload) misses in batches and admit them to the cache."""
+        cfg = self._cfg
+        batches = [items[i : i + cfg.max_batch] for i in range(0, len(items), cfg.max_batch)]
+
+        def run(batch):
+            return self._provider.embed_batch([p for _, p in batch])
+
+        if len(batches) == 1 or cfg.concurrency <= 1:
+            results = [run(b) for b in batches]
+        else:
+            workers = min(cfg.concurrency, len(batches))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, batches))
+        for batch, vectors in zip(batches, results):
+            if len(vectors) != len(batch):
+                raise ProviderError("provider returned wrong number of embeddings")
+            for (key, _), vector in zip(batch, vectors):
+                self._cache.put(key, self._admit(vector))
+
+    def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:
+        """A (k, d) array with one row per category, in category index order."""
         missing = [c for c in categories if c not in definitions]
         if missing:
             raise ValueError(f"definitions missing categories: {', '.join(missing)}")

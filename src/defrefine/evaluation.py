@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from . import classifier
+from .embeddings import EmbeddingGateway
 
 
 @dataclass
@@ -90,6 +93,24 @@ def top_k_confused_pairs(cm: ConfusionMatrix, k_pairs: int) -> list[ConfusedPair
                 pairs.append(ConfusedPair(a, b, total))
     pairs.sort(key=lambda p: (-p.confusion_count, p.class_a, p.class_b))
     return pairs[:k_pairs]
+
+
+def score(
+    gateway: EmbeddingGateway,
+    definitions: Mapping[str, str],
+    categories: Sequence[str],
+    docs,
+    gold,
+) -> tuple[MetricsReport, ConfusionMatrix]:
+    """Classify the embedded documents under a definition set and score them.
+
+    `docs` is the split's (n, d) document matrix and `gold` its category
+    indices; the definitions are embedded through `gateway`.
+    """
+    def_vecs = gateway.embed_definitions(definitions, categories)
+    _, preds = classifier.classify(docs, def_vecs)
+    cm = confusion_matrix(gold, preds, categories)
+    return macro_f1(cm), cm
 
 
 def confusion_to_csv(cm: ConfusionMatrix, path: str | Path) -> None:

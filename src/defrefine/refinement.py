@@ -21,18 +21,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import classify
 from .corpus import Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
-from .evaluation import (
-    ConfusedPair,
-    ConfusionMatrix,
-    MetricsReport,
-    confusion_matrix,
-    macro_f1,
-    top_k_confused_pairs,
-)
+from .evaluation import ConfusedPair, ConfusionMatrix, MetricsReport, score, top_k_confused_pairs
 from .seeding import make_rng, rng_state_from_json, rng_state_to_json
 
 log = logging.getLogger(__name__)
@@ -391,16 +383,17 @@ def refine(
     on_initial: Callable[[dict, LoopCheckpoint], None] | None = None,
     on_iteration: Callable[[dict, LoopCheckpoint], None] | None = None,
     resume: LoopCheckpoint | None = None,
-    evaluate_test: bool = True,
 ) -> RefinementResult:
     """Run the refinement loop for up to t_max iterations.
 
-    Per iteration: classify the train split under the current definitions,
-    assemble strategy feedback from the resulting confusion matrix, ask the
-    LLM for a revised definition set, score it, apply the acceptance rule,
-    update the best-so-far, append accepted states to the bounded history,
-    and record dev macro-F1 for tracking. A proposal whose replies never
-    parse is treated as rejected with no state change.
+    Per iteration: assemble strategy feedback from the train confusion matrix
+    of the current definitions, ask the LLM for a revised definition set,
+    score it, apply the acceptance rule, update the best-so-far, append
+    accepted states to the bounded history, and record dev macro-F1 for
+    tracking. A proposal whose replies never parse is treated as rejected
+    with no state change. Each definition set is scored once per split: the
+    current set's train confusion matrix and dev metrics are kept until a
+    proposal replaces it.
 
     `on_iteration` receives the trace record and a checkpoint that fully
     determines the rest of the run, so callers can persist crash-safe state.
@@ -422,11 +415,12 @@ def refine(
     train_vecs = gateway.embed_texts([d.text for d in train_docs], ROLE_DOCUMENT)
     dev_vecs = gateway.embed_texts([d.text for d in dev_docs], ROLE_DOCUMENT)
 
-    def evaluate(defs: Mapping[str, str], doc_vecs, gold) -> tuple[float, ConfusionMatrix]:
-        def_vecs = gateway.embed_definitions(defs, categories)
-        _, preds = classify(doc_vecs, def_vecs)
-        cm = confusion_matrix(gold, preds, categories)
-        return macro_f1(cm).macro_f1, cm
+    def score_train(defs: Mapping[str, str]) -> tuple[float, ConfusionMatrix]:
+        report, cm = score(gateway, defs, categories, train_vecs, gold_train)
+        return report.macro_f1, cm
+
+    def score_dev(defs: Mapping[str, str]) -> MetricsReport:
+        return score(gateway, defs, categories, dev_vecs, gold_dev)[0]
 
     trace: list[dict] = []
     initial_info: dict | None = None
@@ -442,6 +436,8 @@ def refine(
         accept_rng = rng_state_from_json(resume.accept_rng_state)
         llm_calls = resume.llm_calls
         start_t = resume.iteration + 1
+        _, cm_cur = score_train(current)
+        dev_cur = score_dev(current)
     else:
         if initial is not None:
             validate_definitions(initial, categories)
@@ -453,8 +449,8 @@ def refine(
                 llm_calls += getattr(llm, "calls") - before
         else:
             current = initial_definitions(categories, init_mode)
-        phi_cur, _ = evaluate(current, train_vecs, gold_train)
-        phi_dev0, _ = evaluate(current, dev_vecs, gold_dev)
+        phi_cur, cm_cur = score_train(current)
+        dev_cur = score_dev(current)
         best = dict(current)
         phi_best = phi_cur
         history = [HistoryEntry(dict(current), phi_cur)]
@@ -464,7 +460,7 @@ def refine(
         initial_info = {
             "iteration": 0,
             "phi_train": phi_cur,
-            "phi_dev": phi_dev0,
+            "phi_dev": dev_cur.macro_f1,
             "definitions": dict(current),
             "definitions_hash": definitions_hash(current),
         }
@@ -473,13 +469,14 @@ def refine(
                 initial_info,
                 _checkpoint(0, current, phi_cur, best, phi_best, history, sample_rng, accept_rng, llm_calls),
             )
+    # Dev metrics of `best`, known whenever best is the current set.
+    dev_best = dev_cur if best == current else None
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
 
     for t in range(start_t, t_max + 1):
-        phi_now, cm = evaluate(current, train_vecs, gold_train)
-        feedback = _assemble_feedback(strategy, dataset, cm, history, sample_rng)
-        prompt = build_prompt(strategy, categories, current, phi_now, feedback, sample_char_cap)
+        feedback = _assemble_feedback(strategy, dataset, cm_cur, history, sample_rng)
+        prompt = build_prompt(strategy, categories, current, phi_cur, feedback, sample_char_cap)
         proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries)
         llm_calls += calls
         temp = temperature(t, schedule)
@@ -488,20 +485,21 @@ def refine(
         delta_e: float | None = None
         accepted = False
         if proposal is not None:
-            phi_prop, _ = evaluate(proposal, train_vecs, gold_train)
+            phi_prop, cm_prop = score_train(proposal)
             delta_e = energy_drop(phi_best, phi_prop)
             accepted = accept(delta_e, temp, accept_rng) if metropolis else True
-        if accepted and proposal is not None:
-            current = proposal
-            phi_cur = phi_prop
-        if phi_cur > phi_best:
-            phi_best = phi_cur
-            best = dict(current)
-        if accepted and proposal is not None:
+        if accepted:
+            current, phi_cur, cm_cur = proposal, phi_prop, cm_prop
+            dev_cur = score_dev(current)
+            # phi_cur <= phi_best holds between iterations, so only an
+            # accepted proposal can raise the best.
+            if phi_cur > phi_best:
+                phi_best = phi_cur
+                best = dict(current)
+                dev_best = dev_cur
             history.append(HistoryEntry(dict(current), phi_cur))
             del history[: max(0, len(history) - strategy.m_history)]
 
-        phi_dev, _ = evaluate(current, dev_vecs, gold_dev)
         record = {
             "iteration": t,
             "strategy": strategy.strategy,
@@ -512,7 +510,7 @@ def refine(
             "phi_train_proposed": phi_prop,
             "delta_e": delta_e,
             "accepted": accepted,
-            "phi_dev": phi_dev,
+            "phi_dev": dev_cur.macro_f1,
             "definitions_hash": definitions_hash(current),
             "llm_latency_ms": latency_ms,
         }
@@ -523,16 +521,14 @@ def refine(
                 _checkpoint(t, current, phi_cur, best, phi_best, history, sample_rng, accept_rng, llm_calls),
             )
 
-    dev_phi, dev_cm = evaluate(best, dev_vecs, gold_dev)
-    dev_metrics = macro_f1(dev_cm)
+    dev_metrics = dev_best if dev_best is not None else score_dev(best)
     test_docs = split_view(dataset, "test")
     test_metrics = None
     test_cm = None
-    if evaluate_test and test_docs:
+    if test_docs:
         test_vecs = gateway.embed_texts([d.text for d in test_docs], ROLE_DOCUMENT)
         gold_test = np.array([cat_index[d.label] for d in test_docs])
-        _, test_cm = evaluate_with(gateway, best, categories, test_vecs, gold_test)
-        test_metrics = macro_f1(test_cm)
+        test_metrics, test_cm = score(gateway, best, categories, test_vecs, gold_test)
 
     return RefinementResult(
         best_definitions=dict(best),
@@ -543,20 +539,6 @@ def refine(
         test_metrics=test_metrics,
         test_confusion=test_cm,
     )
-
-
-def evaluate_with(
-    gateway: EmbeddingGateway,
-    definitions: Mapping[str, str],
-    categories: Sequence[str],
-    doc_vecs,
-    gold,
-) -> tuple[float, ConfusionMatrix]:
-    """Score a definition set against pre-embedded documents."""
-    def_vecs = gateway.embed_definitions(definitions, categories)
-    _, preds = classify(doc_vecs, def_vecs)
-    cm = confusion_matrix(gold, preds, categories)
-    return macro_f1(cm).macro_f1, cm
 
 
 def _checkpoint(

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classifier import classify
 from .corpus import Dataset, load_dataset, split_view
 from .embeddings import (
     EmbedderConfig,
@@ -29,7 +28,7 @@ from .embeddings import (
     MockEmbeddingProvider,
 )
 from .errors import ConfigError, DataError, DefinitionParseError, DefRefineError, ProviderError
-from .evaluation import confusion_matrix, confusion_to_csv, macro_f1, metrics_to_dict
+from .evaluation import confusion_to_csv, metrics_to_dict, score
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .refinement import (
     AnnealingSchedule,
@@ -192,15 +191,20 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(raw, path.parent.resolve())
+        return cls.from_dict(_read_config_json(path), path.parent.resolve())
+
+
+def _read_config_json(path: Path) -> dict:
+    """The JSON object in a config file; ConfigError if it is missing or not an object."""
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
 
 
 def _slug(text: str) -> str:
@@ -331,11 +335,8 @@ def cmd_baseline(cfg: RunConfig):
     if not test_docs:
         raise DataError("baseline evaluation requires a nonempty test split")
     doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
-    def_vecs = gateway.embed_definitions(definitions, dataset.categories)
-    _, preds = classify(doc_vecs, def_vecs)
     gold = [dataset.category_index[d.label] for d in test_docs]
-    cm = confusion_matrix(gold, preds, dataset.categories)
-    report = macro_f1(cm)
+    report, cm = score(gateway, definitions, dataset.categories, doc_vecs, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -387,8 +388,11 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         if hasattr(llm, "advance"):
             llm.advance(checkpoint.llm_calls)
 
-    trace_handle = open(trace_path, "a", encoding="utf-8")
-    defs_handle = open(defs_log_path, "a", encoding="utf-8")
+    # Without a checkpoint the run starts over, replacing what a run killed
+    # before its first checkpoint left behind.
+    mode = "a" if checkpoint is not None else "w"
+    trace_handle = open(trace_path, mode, encoding="utf-8")
+    defs_handle = open(defs_log_path, mode, encoding="utf-8")
 
     def save_state(ck: LoopCheckpoint) -> None:
         _atomic_write_json(state_path, ck.to_dict())
@@ -555,9 +559,8 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     test_docs = split_view(dataset, "test")
     if test_docs:
         doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
-        _, preds = classify(doc_vecs, def_vecs)
         gold = [dataset.category_index[d.label] for d in test_docs]
-        cm = confusion_matrix(gold, preds, dataset.categories)
+        _, cm = score(gateway, best, dataset.categories, doc_vecs, gold)
         cm_path = reports / "confusion_test.csv"
         confusion_to_csv(cm, cm_path)
         written.append(cm_path)
@@ -570,7 +573,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
         for category, vec in zip(dataset.categories, def_vecs):
             fh.write(
                 json.dumps(
-                    {"kind": "definition", "category": category, "vector": vec.values.tolist()}
+                    {"kind": "definition", "category": category, "vector": vec.tolist()}
                 )
                 + "\n"
             )
@@ -581,7 +584,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
                         "kind": "document",
                         "id": doc.id,
                         "label": doc.label,
-                        "vector": vec.values.tolist(),
+                        "vector": vec.tolist(),
                     }
                 )
                 + "\n"
@@ -625,14 +628,7 @@ def _add_override_args(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> RunConfig:
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = _read_config_json(path)
 
     def absolute(value: str) -> str:
         return str(Path(value).absolute())

@@ -176,7 +176,7 @@ def test_criterion_6_synthetic_end_to_end():
         def_vecs = gw.embed_definitions(ideal, dataset.categories)
         index = dataset.category_index
         preds = oracle_predict(
-            [v.values.tolist() for v in doc_vecs], [v.values.tolist() for v in def_vecs]
+            [v.tolist() for v in doc_vecs], [v.tolist() for v in def_vecs]
         )
         assert preds == [index[d.label] for d in dataset.documents]
 

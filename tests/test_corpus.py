@@ -209,3 +209,19 @@ def test_sample_uniformity_over_small_stratum():
         counts[sample_instance(ds, "train", rng=rng).id] += 1
     for c in counts.values():
         assert 0.23 <= c / n <= 0.27
+
+
+def test_sample_picks_what_a_scan_of_the_corpus_picks():
+    # Splits and labels interleave, so a stratum out of dataset order would
+    # pick a different document for the same draw.
+    docs = tuple(
+        Document(f"d{i}", "t", "abc"[i % 3], ("train", "dev")[i % 2]) for i in range(60)
+    )
+    ds = Dataset("mixed", ("a", "b", "c"), docs)
+    rng, ref = random.Random(8), random.Random(8)
+    for split in ("train", "dev"):
+        for category in (None, "a", "b", "c"):
+            scan = [d for d in docs if d.split == split and category in (None, d.label)]
+            for _ in range(20):
+                expected = scan[min(int(ref.random() * len(scan)), len(scan) - 1)]
+                assert sample_instance(ds, split, category=category, rng=rng) == expected

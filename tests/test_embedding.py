@@ -82,7 +82,7 @@ class TestCache:
         gw2 = mock_gateway(cache_path=path)
         [again] = gw2.embed_texts(["persisted"], "document")
         assert gw2._provider.requests == 0
-        np.testing.assert_array_equal(vec.values, again.values)
+        np.testing.assert_array_equal(vec, again)
 
     def test_malformed_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -100,28 +100,28 @@ class TestMockProvider:
         gw = mock_gateway(dim=48)
         vecs = gw.embed_texts(["a", "b"], "document")
         for v in vecs:
-            assert v.values.shape == (48,)
-            assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
+            assert v.shape == (48,)
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_identical_texts_identical_vectors(self, gateway):
         defs = {"a": "same words", "b": "same words"}
         va, vb = gateway.embed_definitions(defs, ("a", "b"))
-        np.testing.assert_array_equal(va.values, vb.values)
+        np.testing.assert_array_equal(va, vb)
 
     def test_bitwise_repeatable(self):
-        a = mock_gateway().embed_texts(["stable"], "document")[0].values
-        b = mock_gateway().embed_texts(["stable"], "document")[0].values
+        a = mock_gateway().embed_texts(["stable"], "document")[0]
+        b = mock_gateway().embed_texts(["stable"], "document")[0]
         np.testing.assert_array_equal(a, b)
 
 
 class TestAlignment:
     def test_output_aligned_with_input(self, gateway):
         texts = [f"t{i}" for i in range(10)]
-        singles = [gateway.embed_texts([t], "document")[0].values for t in texts]
+        singles = [gateway.embed_texts([t], "document")[0] for t in texts]
         mixed = ["t3", "t3", "t7", "t0", "t9", "t7"]
         out = gateway.embed_texts(mixed, "document")
         for text, vec in zip(mixed, out):
-            np.testing.assert_array_equal(vec.values, singles[int(text[1:])])
+            np.testing.assert_array_equal(vec, singles[int(text[1:])])
 
     def test_alignment_across_batches_and_concurrency(self):
         texts = [f"item {i}" for i in range(57)]
@@ -132,7 +132,7 @@ class TestAlignment:
         par._cfg.max_batch = 10
         par._cfg.concurrency = 4
         for a, b in zip(seq.embed_texts(texts, "document"), par.embed_texts(texts, "document")):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
 
     def test_empty_input_rejected(self, gateway):
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestDefinitions:
         assert len(vecs) == 10
         direct = gateway.embed_texts([defs[c] for c in cats], "definition")
         for a, b in zip(vecs, direct):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a, b)
 
     def test_missing_category_rejected(self, gateway):
         with pytest.raises(ValueError, match="missing"):
@@ -200,11 +200,13 @@ class _ScriptedHttp(BaseHTTPRequestHandler):
     """Embeddings endpoint that records request bodies.
 
     Class attributes are (re)set per test: `statuses` is a queue of HTTP
-    status codes to emit before serving real vectors.
+    status codes to emit before serving real vectors, and `indices`, when
+    set, replaces the `index` values of the reply.
     """
 
     bodies: list = []
     statuses: list = []
+    indices: list | None = None
     dim = 6
 
     def do_POST(self):
@@ -216,9 +218,10 @@ class _ScriptedHttp(BaseHTTPRequestHandler):
             self.send_response(code)
             self.end_headers()
             return
+        indices = type(self).indices or range(len(body["input"]))
         data = [
-            {"index": i, "embedding": [float(i + 1)] * type(self).dim}
-            for i in range(len(body["input"]))
+            {"index": i, "embedding": [float(n + 1)] * type(self).dim}
+            for n, i in enumerate(indices)
         ]
         payload = json.dumps({"data": data}).encode()
         self.send_response(200)
@@ -235,6 +238,7 @@ class _ScriptedHttp(BaseHTTPRequestHandler):
 def http_server():
     _ScriptedHttp.bodies = []
     _ScriptedHttp.statuses = []
+    _ScriptedHttp.indices = None
     server = HTTPServer(("127.0.0.1", 0), _ScriptedHttp)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -269,6 +273,17 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="status 401"):
             HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a"])
         assert len(_ScriptedHttp.bodies) == 1
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, -2, 2], [0, 1, 2, 1], [0, 1, 3], [0, True, 2]],
+        ids=["negative", "duplicate", "out-of-range", "not-an-int"],
+    )
+    def test_bad_index_rejected(self, http_server, indices):
+        _ScriptedHttp.indices = indices
+        cfg = _cfg(endpoint=http_server, retries=0)
+        with pytest.raises(ProviderError, match="index"):
+            HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b", "c"])
 
     def test_unreachable_endpoint(self):
         cfg = _cfg(endpoint="http://127.0.0.1:9/none", retries=0, timeout=0.2)

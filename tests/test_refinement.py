@@ -17,6 +17,7 @@ from defrefine import (
     StrategyConfig,
     accept,
     build_prompt,
+    classifier,
     confusion_matrix,
     energy_drop,
     initial_definitions,
@@ -347,6 +348,32 @@ class TestRefineLoop:
         assert bad["delta_e"] is None
         assert bad["definitions_hash"] == result.trace[0]["definitions_hash"]
         assert bad["phi_train_current"] == result.trace[0]["phi_train_current"]
+
+    def test_each_definition_set_is_scored_once_on_train(self, monkeypatch):
+        # The initial set and each parsed proposal are classified against the
+        # train split once; an unchanged current set is not scored again.
+        dataset = separable_dataset(n_train=3, n_dev=2, n_test=2)
+        n_train = 3 * len(TOY_CATEGORIES)
+        rows = []
+        classify = classifier.classify
+
+        def counting_classify(docs, defs):
+            rows.append(len(docs))
+            return classify(docs, defs)
+
+        monkeypatch.setattr(classifier, "classify", counting_classify)
+        script = [
+            json.dumps(junk_definitions(1)),
+            "not json",
+            json.dumps(junk_definitions(2)),
+            json.dumps(ideal_definitions()),
+            "still not json",
+            json.dumps(junk_definitions(3)),
+        ]
+        result, _ = _run(script, parse_retries=0, dataset=dataset)
+        parsed = sum(r["phi_train_proposed"] is not None for r in result.trace)
+        assert parsed == 4
+        assert rows.count(n_train) == 1 + parsed
 
     def test_parse_retry_reprompts_with_notice(self):
         llm = RecordingLlm(["garbage", json.dumps(junk_definitions(1))])

@@ -4,7 +4,9 @@ import csv
 import json
 from pathlib import Path
 
-from defrefine import Dataset, Document
+import pytest
+
+from defrefine import Dataset, Document, runner
 from defrefine.runner import (
     EXIT_DATA,
     EXIT_OK,
@@ -239,6 +241,32 @@ class TestRefineRuns:
         assert (run_a / "definitions_log.jsonl").read_bytes() == (
             run_b / "definitions_log.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_restart_before_first_checkpoint_starts_over(self, tmp_path, monkeypatch, resume):
+        # The run dies after writing the iteration-0 record but before its
+        # first state.json; a restart must not write iteration 0 twice.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
+        write_checkpoint = runner._atomic_write_json
+        calls = []
+
+        def die_on_first_checkpoint(path, payload):
+            calls.append(path)
+            if len(calls) == 1:
+                raise RuntimeError("killed before the first checkpoint")
+            write_checkpoint(path, payload)
+
+        monkeypatch.setattr(runner, "_atomic_write_json", die_on_first_checkpoint)
+        with pytest.raises(RuntimeError):
+            main(["refine", "--config", str(cfg_path)])
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert not (run_dir / "state.json").exists()
+
+        restart = ["refine", "--config", str(cfg_path)] + (["--resume"] if resume else [])
+        assert main(restart) == EXIT_OK
+        log = (run_dir / "definitions_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["iteration"] for line in log].count(0) == 1
+        assert len((run_dir / "trace.jsonl").read_text().splitlines()) == 3
 
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
         # The drafting call consumes one script entry before iteration 1, so a
