@@ -8,12 +8,14 @@ are stored exactly as received; normalization is the classifier's concern.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
-import json
 import logging
 import os
+import struct
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import requests
 
-from .errors import ProviderError
+from .errors import ConfigError, ProviderError
 
 log = logging.getLogger(__name__)
 
@@ -69,66 +71,152 @@ def apply_prefix(text: str, role: str, cfg: EmbedderConfig) -> str:
     return (cfg.prefix_for(role) + text)[: cfg.max_input_chars]
 
 
-def cache_key(model_id: str, prefix: str, payload: str) -> str:
-    """Cache key over (model, role prefix, hash of the post-truncation text)."""
-    content_hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return json.dumps([model_id, prefix, content_hash])
+def cache_keys(cfg: EmbedderConfig, role: str, payloads: Sequence[str]) -> list[bytes]:
+    """One 32-byte key per payload: sha256 over the length-delimited tuple
+    (endpoint, model id, role prefix, post-truncation payload).
+
+    The endpoint tells apart providers that share a model id; only the digest
+    is stored, never the endpoint or prefix text.
+    """
+    head = _length_delimited(hashlib.sha256(), (cfg.endpoint, cfg.model_id, cfg.prefix_for(role)))
+    return [_length_delimited(head.copy(), (p,)).digest() for p in payloads]
+
+
+def _length_delimited(digest, fields: Sequence[str]):
+    for field in fields:
+        raw = field.encode("utf-8")
+        digest.update(len(raw).to_bytes(8, "little"))
+        digest.update(raw)
+    return digest
+
+
+STORE_MAGIC = b"DFRSTOR1"
+_KEY_BYTES = 32
+# Record header: sync marker, crc32, row count, dim. The crc covers the record
+# from its row count (byte _CRC_FROM) to its last float.
+_RECORD_SYNC = b"\x93REC"
+_RECORD_HEAD = struct.Struct("<4sIII")
+_CRC_FROM = 8
 
 
 class EmbeddingCache:
-    """In-memory vector index over an optional append-only JSONL store.
+    """In-memory vector index over an optional append-only binary store.
 
-    The file is replayed at startup; malformed trailing lines (from a crash
-    mid-append) are skipped. Writes are serialized; reads are lock-free.
+    The store is STORE_MAGIC followed by one record per put: a header (sync
+    marker, crc32, row count, dim), the rows' fixed-width keys, then the
+    float64 rows. Each record is appended with one write under an exclusive
+    flock, so processes can share a store. On load the file is read once and
+    every record becomes one array; a torn or corrupt record costs only
+    itself, because the loader scans forward to the next sync marker. Puts
+    are serialized by a lock; gets are lock-free.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._index: dict[str, np.ndarray] = {}
+        self._index: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
-        self._handle = None
+        self._fd: int | None = None
         if self._path is not None and self._path.exists():
             self._load()
 
     def _load(self) -> None:
+        with open(self._path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            data = fh.read()
+        if not data:
+            return
+        if not data.startswith(STORE_MAGIC):
+            raise ConfigError(
+                f"{self._path} is not an embedding store; move it away or set cache_file "
+                "to another path (it is left unchanged)"
+            )
+        view = memoryview(data)
+        records = []
         skipped = 0
-        with open(self._path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                try:
-                    record = json.loads(line)
-                    vector = np.asarray(record["vector"], dtype=np.float64)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    skipped += 1
-                    continue
-                self._index[record["key"]] = vector
+        offset = len(STORE_MAGIC)
+        while offset < len(data):
+            record = _read_record(data, view, offset)
+            if record is None:
+                resync = data.find(_RECORD_SYNC, offset + 1)
+                resync = len(data) if resync < 0 else resync
+                skipped += resync - offset
+                offset = resync
+                continue
+            keys, rows, offset = record
+            records.append((keys, rows))
+        # Reversed, so the first record to store a key wins, as in put.
+        for keys, rows in reversed(records):
+            self._index.update(zip(keys, rows))
         if skipped:
-            log.warning("embedding cache %s: skipped %d malformed lines", self._path, skipped)
+            log.warning("embedding cache %s: skipped %d bytes of damaged records", self._path, skipped)
 
-    def get(self, key: str) -> np.ndarray | None:
+    def get(self, key: bytes) -> np.ndarray | None:
         return self._index.get(key)
 
-    def put(self, key: str, vector: np.ndarray) -> None:
+    def put(self, keys: Sequence[bytes], rows: np.ndarray) -> None:
+        """Store row i under keys[i]; keys already present keep their vector."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] != len(keys) or rows.shape[1] == 0:
+            raise ValueError(f"need one nonempty row per key, got {rows.shape} for {len(keys)} keys")
+        if any(type(k) is not bytes or len(k) != _KEY_BYTES for k in keys):
+            raise ValueError(f"cache keys must be {_KEY_BYTES}-byte strings")
         with self._lock:
-            if key in self._index:
+            fresh = [i for i, k in enumerate(keys) if k not in self._index]
+            if not fresh:
                 return
-            vector = np.asarray(vector, dtype=np.float64)
-            self._index[key] = vector
-            if self._path is None:
-                return
-            if self._handle is None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self._path, "a", encoding="utf-8")
-            self._handle.write(json.dumps({"key": key, "vector": vector.tolist()}) + "\n")
-            self._handle.flush()
+            if len(fresh) < len(keys):
+                keys, rows = [keys[i] for i in fresh], rows[fresh]
+            self._index.update(zip(keys, rows))
+            if self._path is not None:
+                self._append(_encode_record(keys, rows))
+
+    def _append(self, record: bytes) -> None:
+        if self._fd is None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        fcntl.flock(self._fd, fcntl.LOCK_EX)
+        try:
+            if os.fstat(self._fd).st_size == 0:
+                record = STORE_MAGIC + record
+            written = os.write(self._fd, record)
+            while written < len(record):
+                written += os.write(self._fd, record[written:])
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __len__(self) -> int:
         return len(self._index)
+
+
+def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytes:
+    n, dim = rows.shape
+    body = b"".join([*keys, rows.astype("<f8", copy=False).tobytes()])
+    counts = struct.pack("<II", n, dim)
+    crc = zlib.crc32(body, zlib.crc32(counts))
+    return _RECORD_HEAD.pack(_RECORD_SYNC, crc, n, dim) + body
+
+
+def _read_record(data: bytes, view: memoryview, offset: int):
+    """(keys, rows, next offset) of an intact record at offset, else None."""
+    start = offset + _RECORD_HEAD.size
+    if start > len(data):
+        return None
+    sync, crc, n, dim = _RECORD_HEAD.unpack_from(data, offset)
+    end = start + n * (_KEY_BYTES + 8 * dim)
+    if sync != _RECORD_SYNC or n == 0 or dim == 0 or end > len(data):
+        return None
+    if zlib.crc32(view[offset + _CRC_FROM : end]) != crc:
+        return None
+    rows_at = start + n * _KEY_BYTES
+    keys = [data[i : i + _KEY_BYTES] for i in range(start, rows_at, _KEY_BYTES)]
+    rows = np.frombuffer(data, dtype="<f8", count=n * dim, offset=rows_at).reshape(n, dim)
+    return keys, rows, end
 
 
 class MockEmbeddingProvider:
@@ -244,63 +332,62 @@ class EmbeddingGateway:
     def cache(self) -> EmbeddingCache:
         return self._cache
 
-    def _admit(self, vector) -> np.ndarray:
-        arr = np.asarray(vector, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
+    def _admit(self, vectors) -> np.ndarray:
+        """Vectors as an (n, d) float64 array, once every row is checked."""
+        try:
+            rows = np.array(vectors, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"provider returned ragged or non-numeric embeddings: {exc}") from exc
+        if rows.ndim != 2 or rows.shape[1] == 0:
             raise ProviderError("provider returned a non-vector embedding")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(rows).all():
             raise ProviderError("provider returned a non-finite embedding component")
         if self._dim is None:
-            self._dim = arr.size
-        elif arr.size != self._dim:
-            raise ProviderError(f"embedding dimension mismatch: {arr.size} != {self._dim}")
-        return arr
+            self._dim = rows.shape[1]
+        elif rows.shape[1] != self._dim:
+            raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {self._dim}")
+        return rows
 
     def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
         """Embed texts under the given role as an (n, d) array; row i is input i."""
         if not texts:
             raise ValueError("texts must be nonempty")
-        cfg = self._cfg
-        prefix = cfg.prefix_for(role)
-        payloads = [apply_prefix(t, role, cfg) for t in texts]
-        keys = [cache_key(cfg.model_id, prefix, p) for p in payloads]
+        payloads = [apply_prefix(t, role, self._cfg) for t in texts]
+        keys = cache_keys(self._cfg, role, payloads)
 
-        pending: dict[str, str] = {}
+        pending: dict[bytes, str] = {}
         for key, payload in zip(keys, payloads):
             if self._cache.get(key) is None and key not in pending:
                 pending[key] = payload
         if pending:
-            # A helper, so the provider's replies are freed before np.stack below
-            # allocates the output: this keeps the peak memory of a cold embed down.
             self._fetch(list(pending.items()))
 
-        rows = []
-        for key in keys:
-            vector = self._cache.get(key)
-            if vector is None:
-                raise ProviderError("embedding missing after fetch")
-            rows.append(self._admit(vector))
-        return np.stack(rows)
+        rows = [self._cache.get(key) for key in keys]
+        if any(row is None for row in rows):
+            raise ProviderError("embedding missing after fetch")
+        return self._admit(rows)
 
-    def _fetch(self, items: list[tuple[str, str]]) -> None:
-        """Embed (key, payload) misses in batches and admit them to the cache."""
+    def _fetch(self, items: list[tuple[bytes, str]]) -> None:
+        """Embed (key, payload) misses in batches; each batch is admitted and
+        cached as its reply arrives, so replies are not held until the last one."""
         cfg = self._cfg
         batches = [items[i : i + cfg.max_batch] for i in range(0, len(items), cfg.max_batch)]
 
         def run(batch):
             return self._provider.embed_batch([p for _, p in batch])
 
-        if len(batches) == 1 or cfg.concurrency <= 1:
-            results = [run(b) for b in batches]
-        else:
-            workers = min(cfg.concurrency, len(batches))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, batches))
-        for batch, vectors in zip(batches, results):
+        def store(batch, vectors) -> None:
             if len(vectors) != len(batch):
                 raise ProviderError("provider returned wrong number of embeddings")
-            for (key, _), vector in zip(batch, vectors):
-                self._cache.put(key, self._admit(vector))
+            self._cache.put([k for k, _ in batch], self._admit(vectors))
+
+        if len(batches) == 1 or cfg.concurrency <= 1:
+            for batch in batches:
+                store(batch, run(batch))
+            return
+        with ThreadPoolExecutor(max_workers=min(cfg.concurrency, len(batches))) as pool:
+            for batch, vectors in zip(batches, pool.map(run, batches)):
+                store(batch, vectors)
 
     def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:
         """A (k, d) array with one row per category, in category index order."""

@@ -73,7 +73,7 @@ class RunConfig:
         return AnnealingSchedule(self.t0, self.t_min, max(1, self.t_max))
 
     def resolved_cache_path(self) -> Path:
-        return self.cache_path or self.out_dir / "embedding_cache.jsonl"
+        return self.cache_path or self.out_dir / "embedding_cache.bin"
 
     def to_snapshot(self) -> dict:
         snap = {

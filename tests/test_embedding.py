@@ -1,6 +1,9 @@
 """Prefixing, batching, caching, retries, and the HTTP wire format."""
 
+import hashlib
 import json
+import multiprocessing
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from defrefine import (
+    ConfigError,
     EmbedderConfig,
     EmbeddingCache,
     EmbeddingGateway,
@@ -16,6 +20,7 @@ from defrefine import (
     ProviderError,
     apply_prefix,
 )
+from defrefine.embeddings import STORE_MAGIC
 
 from conftest import mock_gateway
 
@@ -84,15 +89,119 @@ class TestCache:
         assert gw2._provider.requests == 0
         np.testing.assert_array_equal(vec, again)
 
+    def test_providers_sharing_a_model_id_do_not_share_vectors(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        served = []
+        for seed in (0, 1):
+            cfg = _cfg(endpoint=f"mock:dim=8,seed={seed}", model_id="shared")
+            provider = MockEmbeddingProvider(8, seed)
+            gw = EmbeddingGateway(cfg, EmbeddingCache(path), provider)
+            served.append(gw.embed_texts(["same text"], "document")[0])
+            gw.cache.close()
+            assert provider.requests == 1
+            np.testing.assert_array_equal(served[-1], provider.embed_batch(["same text"])[0])
+        assert not np.array_equal(served[0], served[1])
+
     def test_malformed_trailing_line_is_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
+        path = tmp_path / "cache.bin"
         gw1 = mock_gateway(cache_path=path)
         gw1.embed_texts(["kept"], "document")
         gw1.cache.close()
-        with open(path, "a") as fh:
-            fh.write('{"key": "partial')
+        record = path.read_bytes()[len(STORE_MAGIC) :]
+        with open(path, "ab") as fh:
+            fh.write(record[: len(record) // 2])
         cache = EmbeddingCache(path)
         assert len(cache) == 1
+
+
+def _batch(tag: int, n: int = 3, dim: int = 6):
+    """n distinct 32-byte keys and an (n, dim) float64 block, both fixed by tag."""
+    keys = [hashlib.sha256(f"{tag}-{i}".encode()).digest() for i in range(n)]
+    return keys, np.random.default_rng(tag).standard_normal((n, dim))
+
+
+def _write_store(path, tags) -> list[int]:
+    """One put per tag; the file size after each, i.e. each record's end offset."""
+    cache = EmbeddingCache(path)
+    ends = []
+    for tag in tags:
+        cache.put(*_batch(tag))
+        ends.append(path.stat().st_size)
+    cache.close()
+    return ends
+
+
+def _assert_holds_exactly(path, tags) -> None:
+    cache = EmbeddingCache(path)
+    assert len(cache) == 3 * len(tags)
+    for tag in tags:
+        keys, rows = _batch(tag)
+        for key, row in zip(keys, rows):
+            assert cache.get(key).tobytes() == row.tobytes()
+
+
+def _append_batches(path: str, tag_base: int, barrier) -> None:
+    cache = EmbeddingCache(path)
+    barrier.wait(timeout=60)
+    for b in range(150):
+        cache.put(*_batch(tag_base + b, n=40, dim=64))
+    cache.close()
+
+
+class TestStore:
+    @pytest.mark.parametrize("kept", [1, 4, 8, 15, 16, 17, 50, 112, -1])
+    def test_torn_last_record_costs_only_itself(self, tmp_path, kept):
+        path = tmp_path / "cache.bin"
+        ends = _write_store(path, [1, 2, 3])
+        last = ends[2] - ends[1]
+        with open(path, "r+b") as fh:
+            fh.truncate(ends[1] + kept % last)
+        _assert_holds_exactly(path, [1, 2])
+
+    @pytest.mark.parametrize(
+        "at", [0, 5, 8, 12, 16 + 40, 16 + 3 * 32 + 77], ids=["sync", "crc", "rows", "dim", "key", "vector"]
+    )
+    def test_corrupt_middle_record_costs_only_itself(self, tmp_path, at):
+        path = tmp_path / "cache.bin"
+        ends = _write_store(path, [1, 2, 3])
+        data = bytearray(path.read_bytes())
+        data[ends[0] + at] ^= 0xFF
+        path.write_bytes(bytes(data))
+        _assert_holds_exactly(path, [1, 3])
+
+    def test_append_after_torn_tail(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        ends = _write_store(path, [1, 2])
+        with open(path, "r+b") as fh:
+            fh.truncate(ends[1] - 10)
+        _write_store(path, [3])
+        _assert_holds_exactly(path, [1, 3])
+
+    def test_foreign_file_is_rejected_and_left_unchanged(self, tmp_path):
+        path = tmp_path / "embedding_cache.jsonl"
+        legacy = json.dumps({"key": "k", "vector": [0.5, 0.25]}).encode() + b"\n"
+        path.write_bytes(legacy)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            EmbeddingCache(path)
+        assert path.read_bytes() == legacy
+
+    def test_two_processes_append_at_once(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        writers = [ctx.Process(target=_append_batches, args=(str(path), base, barrier)) for base in (0, 1000)]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        assert path.read_bytes().startswith(STORE_MAGIC)
+        cache = EmbeddingCache(path)
+        assert len(cache) == 2 * 150 * 40
+        for tag in [*range(150), *range(1000, 1150)]:
+            keys, rows = _batch(tag, n=40, dim=64)
+            for key, row in zip(keys, rows):
+                assert cache.get(key).tobytes() == row.tobytes()
 
 
 class TestMockProvider:
@@ -185,6 +294,23 @@ class TestValidation:
         gw.embed_texts(["a"], "document")
         with pytest.raises(ProviderError, match="dimension mismatch"):
             gw.embed_texts(["b"], "document")
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_batches_before_a_failed_one_stay_cached(self, concurrency):
+        class FailsOnBad:
+            inner = MockEmbeddingProvider(8)
+
+            def embed_batch(self, texts):
+                if "bad" in texts:
+                    raise ProviderError("refused")
+                return self.inner.embed_batch(texts)
+
+        gw = EmbeddingGateway(_cfg(max_batch=2, concurrency=concurrency), EmbeddingCache(), FailsOnBad())
+        with pytest.raises(ProviderError, match="refused"):
+            gw.embed_texts(["a", "b", "bad", "c", "d", "e"], "document")
+        assert len(gw.cache) == 2
+        gw.embed_texts(["a", "b"], "document")
+        assert len(gw.cache) == 2
 
     def test_non_finite_component_rejected(self):
         class BadProvider:

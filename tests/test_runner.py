@@ -293,6 +293,17 @@ class TestRefineRuns:
         assert (run_a / "trace.jsonl").read_bytes() == (run_b / "trace.jsonl").read_bytes()
         assert (run_a / "result.json").read_bytes() == (run_b / "result.json").read_bytes()
 
+    def test_foreign_cache_file_stops_the_run(self, tmp_path, capsys):
+        legacy = tmp_path / "embedding_cache.jsonl"
+        legacy.write_text('{"key": "k", "vector": [0.5, 0.25]}\n', encoding="utf-8")
+        before = legacy.read_bytes()
+        cfg_path = write_config(
+            tmp_path, separable_dataset(), toy_script(2), t_max=2, extra={"cache_file": legacy.name}
+        )
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert str(legacy) in capsys.readouterr().err
+        assert legacy.read_bytes() == before
+
     def test_no_secret_in_persisted_files(self, tmp_path, monkeypatch):
         secret = "super-secret-key-123456"
         monkeypatch.setenv("EMBED_API_KEY", secret)
@@ -301,7 +312,7 @@ class TestRefineRuns:
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
         for path in (tmp_path / "runs").rglob("*"):
             if path.is_file():
-                assert secret not in path.read_text(encoding="utf-8"), path
+                assert secret.encode() not in path.read_bytes(), path
 
 
 class TestSweep:
