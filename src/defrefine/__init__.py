@@ -1,97 +1,3 @@
 """Embedding-based zero-shot text classification with LLM-refined category definitions."""
 
-from .classifier import classify
-from .corpus import Dataset, Document, load_dataset, sample_instance, split_view
-from .embeddings import (
-    EmbedderConfig,
-    EmbeddingCache,
-    EmbeddingGateway,
-    HttpEmbeddingProvider,
-    MockEmbeddingProvider,
-    apply_prefix,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DefinitionParseError,
-    DefRefineError,
-    ProviderError,
-    ScriptExhaustedError,
-)
-from .evaluation import (
-    ConfusedPair,
-    ConfusionMatrix,
-    MetricsReport,
-    confusion_matrix,
-    confusion_to_csv,
-    macro_f1,
-    metrics_to_dict,
-    top_k_confused_pairs,
-)
-from .llm import HttpLlm, LlmConfig, ScriptedLlm
-from .refinement import (
-    AnnealingSchedule,
-    FeedbackBundle,
-    HistoryEntry,
-    LoopCheckpoint,
-    RefinementResult,
-    StrategyConfig,
-    accept,
-    build_prompt,
-    definitions_hash,
-    energy_drop,
-    initial_definitions,
-    parse_definitions,
-    refine,
-    temperature,
-    validate_definitions,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnealingSchedule",
-    "ConfigError",
-    "ConfusedPair",
-    "ConfusionMatrix",
-    "DataError",
-    "Dataset",
-    "DefinitionParseError",
-    "DefRefineError",
-    "Document",
-    "EmbedderConfig",
-    "EmbeddingCache",
-    "EmbeddingGateway",
-    "FeedbackBundle",
-    "HistoryEntry",
-    "HttpEmbeddingProvider",
-    "HttpLlm",
-    "LlmConfig",
-    "LoopCheckpoint",
-    "MetricsReport",
-    "MockEmbeddingProvider",
-    "ProviderError",
-    "RefinementResult",
-    "ScriptExhaustedError",
-    "ScriptedLlm",
-    "StrategyConfig",
-    "accept",
-    "apply_prefix",
-    "build_prompt",
-    "classify",
-    "confusion_matrix",
-    "confusion_to_csv",
-    "definitions_hash",
-    "energy_drop",
-    "initial_definitions",
-    "load_dataset",
-    "macro_f1",
-    "metrics_to_dict",
-    "parse_definitions",
-    "refine",
-    "sample_instance",
-    "split_view",
-    "temperature",
-    "top_k_confused_pairs",
-    "validate_definitions",
-]

@@ -14,7 +14,6 @@ import logging
 import os
 import struct
 import threading
-import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import requests
 
+from ._http import post_json
 from .errors import ConfigError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -32,7 +32,6 @@ ROLE_DOCUMENT = "document"
 ROLE_DEFINITION = "definition"
 
 API_KEY_ENV = "EMBED_API_KEY"
-_RETRYABLE_STATUS = {429} | set(range(500, 600))
 
 
 @dataclass
@@ -255,42 +254,19 @@ class HttpEmbeddingProvider:
     read from the environment and sent as a bearer token; it is never logged.
     """
 
-    def __init__(self, cfg: EmbedderConfig, api_key: str | None = None, session=None):
+    def __init__(self, cfg: EmbedderConfig, api_key: str | None = None):
         self._cfg = cfg
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self.requests = 0
         self._lock = threading.Lock()
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        cfg = self._cfg
-        body = {"model": cfg.model_id, "input": list(texts)}
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        last_error = "no attempt made"
-        for attempt in range(cfg.retries + 1):
-            try:
-                resp = self._session.post(
-                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
-            else:
-                if resp.status_code < 400:
-                    with self._lock:
-                        self.requests += 1
-                    return self._parse(resp, len(texts))
-                if resp.status_code not in _RETRYABLE_STATUS:
-                    raise ProviderError(
-                        f"embedding request rejected with status {resp.status_code}"
-                    )
-                last_error = f"status {resp.status_code}"
-            if attempt < cfg.retries:
-                time.sleep(cfg.backoff_base * (2**attempt))
-        raise ProviderError(
-            f"embedding provider unreachable after {cfg.retries + 1} attempts ({last_error})"
-        )
+        body = {"model": self._cfg.model_id, "input": list(texts)}
+        resp, _ = post_json(self._session, self._cfg, body, self._api_key, "embedding")
+        with self._lock:
+            self.requests += 1
+        return self._parse(resp, len(texts))
 
     @staticmethod
     def _parse(resp, expected: int) -> list[list[float]]:
@@ -317,15 +293,10 @@ class EmbeddingGateway:
     were partitioned into batches or which requests completed first.
     """
 
-    def __init__(
-        self,
-        cfg: EmbedderConfig,
-        cache: EmbeddingCache | None = None,
-        provider=None,
-    ):
+    def __init__(self, cfg: EmbedderConfig, cache: EmbeddingCache, provider):
         self._cfg = cfg
-        self._cache = cache if cache is not None else EmbeddingCache()
-        self._provider = provider if provider is not None else HttpEmbeddingProvider(cfg)
+        self._cache = cache
+        self._provider = provider
         self._dim: int | None = None
 
     @property

@@ -10,13 +10,13 @@ from typing import Sequence
 
 import requests
 
+from ._http import post_json
 from .errors import ProviderError, ScriptExhaustedError
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "LLM_API_KEY"
 MAX_RESPONSE_BYTES = 64 * 1024
-_RETRYABLE_STATUS = {429} | set(range(500, 600))
 
 DEFAULT_SYSTEM_MESSAGE = (
     "You revise category definitions for an embedding-based classifier; "
@@ -83,10 +83,10 @@ class HttpLlm:
     verbatim as the user message under a fixed system message.
     """
 
-    def __init__(self, cfg: LlmConfig, api_key: str | None = None, session=None):
+    def __init__(self, cfg: LlmConfig, api_key: str | None = None):
         self._cfg = cfg
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self.calls = 0
         self.last_latency_ms = 0.0
 
@@ -103,32 +103,7 @@ class HttpLlm:
             "temperature": cfg.sampling_temperature,
             "max_tokens": cfg.max_output_tokens,
         }
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        last_error = "no attempt made"
-        for attempt in range(cfg.retries + 1):
-            started = time.monotonic()
-            try:
-                resp = self._session.post(
-                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
-            else:
-                if resp.status_code < 400:
-                    latency_ms = (time.monotonic() - started) * 1000.0
-                    return self._finish(resp, latency_ms)
-                if resp.status_code not in _RETRYABLE_STATUS:
-                    raise ProviderError(f"llm request rejected with status {resp.status_code}")
-                last_error = f"status {resp.status_code}"
-            if attempt < cfg.retries:
-                time.sleep(cfg.backoff_base * (2**attempt))
-        raise ProviderError(
-            f"llm provider unreachable after {cfg.retries + 1} attempts ({last_error})"
-        )
-
-    def _finish(self, resp, latency_ms: float) -> str:
+        resp, latency_ms = post_json(self._session, cfg, body, self._api_key, "llm")
         try:
             payload = resp.json()
             text = payload["choices"][0]["message"]["content"]

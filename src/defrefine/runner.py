@@ -27,7 +27,7 @@ from .embeddings import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
 )
-from .errors import ConfigError, DataError, DefinitionParseError, DefRefineError, ProviderError
+from .errors import ConfigError, DataError, DefinitionParseError, ProviderError
 from .evaluation import confusion_to_csv, metrics_to_dict, score
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .refinement import (
@@ -194,14 +194,19 @@ class RunConfig:
         return cls.from_dict(_read_config_json(path), path.parent.resolve())
 
 
-def _read_config_json(path: Path) -> dict:
-    """The JSON object in a config file; ConfigError if it is missing or not an object."""
+def _read_json(path: Path, what: str):
+    """The JSON value in a file; ConfigError naming the file if it is missing or not JSON."""
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _read_config_json(path: Path) -> dict:
+    """The JSON object in a config file."""
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
@@ -255,9 +260,7 @@ def build_llm(cfg: RunConfig):
     endpoint = cfg.llm.endpoint
     if endpoint.startswith("script:"):
         script_path = Path(endpoint[len("script:") :])
-        if not script_path.exists():
-            raise ConfigError(f"llm script file not found: {script_path}")
-        payload = json.loads(script_path.read_text(encoding="utf-8"))
+        payload = _read_json(script_path, "llm script file")
         if isinstance(payload, list):
             return ScriptedLlm(payload)
         if isinstance(payload, dict) and "responses" in payload:
@@ -266,11 +269,11 @@ def build_llm(cfg: RunConfig):
     return HttpLlm(cfg.llm)
 
 
-def _initial_defs(cfg: RunConfig, dataset: Dataset, llm) -> dict[str, str] | None:
+def _initial_defs(cfg: RunConfig, dataset: Dataset) -> dict[str, str] | None:
     """Explicit definitions file, if configured; otherwise None (engine default)."""
     if cfg.init_definitions_path is None:
         return None
-    payload = json.loads(cfg.init_definitions_path.read_text(encoding="utf-8"))
+    payload = _read_json(cfg.init_definitions_path, "initial definitions file")
     if not isinstance(payload, dict):
         raise ConfigError("initial definitions file must hold a JSON object")
     try:
@@ -327,7 +330,7 @@ def cmd_baseline(cfg: RunConfig):
     llm = build_llm(cfg) if cfg.init_mode == "llm_generated" else None
     if cfg.init_mode == "llm_generated" and llm is None:
         raise ConfigError("llm_generated initialization requires an llm config")
-    definitions = _initial_defs(cfg, dataset, llm)
+    definitions = _initial_defs(cfg, dataset)
     if definitions is None:
         definitions = initial_definitions(dataset.categories, cfg.init_mode, llm, cfg.parse_retries)
 
@@ -378,7 +381,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     )
     gateway = build_gateway(cfg)
     llm = build_llm(cfg)
-    initial = _initial_defs(cfg, dataset, llm)
+    initial = _initial_defs(cfg, dataset)
 
     checkpoint = None
     if resume and state_path.exists():
@@ -491,7 +494,7 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
                 result = cmd_refine(cell_cfg)
                 cell["phi_best_train"] = result.phi_best_train
                 cell["run_dir"] = run_dir_for(cell_cfg, "refine").name
-            except DefRefineError as exc:
+            except (ProviderError, DefinitionParseError, DataError) as exc:
                 log.error("sweep cell k=%d m=%d failed: %s", k, m, exc)
                 cell["error"] = str(exc)
             cells.append(cell)

@@ -7,14 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from defrefine import (
-    Dataset,
-    Document,
-    EmbedderConfig,
-    EmbeddingCache,
-    EmbeddingGateway,
-    MockEmbeddingProvider,
-)
+from defrefine.corpus import Dataset, Document
+from defrefine.embeddings import EmbedderConfig, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
 
 TOY_CATEGORIES = ("alpha", "beta", "gamma")
 

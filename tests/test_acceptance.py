@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defrefine import (
+from defrefine.classifier import classify
+from defrefine.evaluation import ConfusionMatrix, macro_f1
+from defrefine.llm import ScriptedLlm
+from defrefine.refinement import (
     AnnealingSchedule,
-    ConfusionMatrix,
-    ScriptedLlm,
     StrategyConfig,
     accept,
-    classify,
     initial_definitions,
-    macro_f1,
     refine,
     temperature,
 )

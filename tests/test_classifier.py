@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from defrefine import classify
+from defrefine.classifier import classify
 
 
 def cosine_similarity(a, b) -> float:

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from defrefine import DataError, Dataset, Document, load_dataset, sample_instance, split_view
+from defrefine.corpus import Dataset, Document, load_dataset, sample_instance, split_view
+from defrefine.errors import DataError
 
 from conftest import write_jsonl_dataset
 

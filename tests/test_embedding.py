@@ -10,17 +10,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from defrefine import (
-    ConfigError,
+from defrefine.embeddings import (
     EmbedderConfig,
     EmbeddingCache,
     EmbeddingGateway,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
-    ProviderError,
+    STORE_MAGIC,
     apply_prefix,
 )
-from defrefine.embeddings import STORE_MAGIC
+from defrefine.errors import ConfigError, ProviderError
 
 from conftest import mock_gateway
 
@@ -370,6 +369,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/embeddings"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpProvider:

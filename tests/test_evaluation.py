@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from defrefine import (
+from defrefine.evaluation import (
     ConfusionMatrix,
     confusion_matrix,
     confusion_to_csv,

@@ -6,8 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from defrefine import HttpLlm, LlmConfig, ProviderError, ScriptedLlm, ScriptExhaustedError
-from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES
+from defrefine.errors import ProviderError, ScriptExhaustedError
+from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, ScriptedLlm
 
 
 class TestScriptedLlm:
@@ -77,6 +77,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _cfg(endpoint, **kwargs):

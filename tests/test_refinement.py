@@ -6,22 +6,20 @@ import random
 
 import pytest
 
-from defrefine import (
+from defrefine import classifier
+from defrefine.corpus import Document
+from defrefine.errors import DataError, DefinitionParseError
+from defrefine.evaluation import confusion_matrix, macro_f1
+from defrefine.llm import ScriptedLlm
+from defrefine.refinement import (
     AnnealingSchedule,
-    DataError,
-    DefinitionParseError,
-    Document,
     FeedbackBundle,
     HistoryEntry,
-    ScriptedLlm,
     StrategyConfig,
     accept,
     build_prompt,
-    classifier,
-    confusion_matrix,
     energy_drop,
     initial_definitions,
-    macro_f1,
     parse_definitions,
     refine,
     temperature,
@@ -61,7 +59,7 @@ def _feedback_m1():
 
 def _feedback_m2():
     cm = confusion_matrix([0, 0, 1, 1], [0, 1, 0, 1], TOY_CATEGORIES)
-    from defrefine import top_k_confused_pairs
+    from defrefine.evaluation import top_k_confused_pairs
 
     pairs = top_k_confused_pairs(cm, 2)
     samples = [

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from defrefine import Dataset, Document, runner
+from defrefine import runner
+from defrefine.corpus import Dataset, Document
 from defrefine.runner import (
     EXIT_DATA,
     EXIT_OK,
@@ -374,6 +375,17 @@ class TestSweep:
         assert all("error" in c for c in summary["cells"])
         assert summary["best"] is None
 
+    def test_config_error_in_a_cell_stops_the_sweep(self, tmp_path):
+        legacy = tmp_path / "embedding_cache.jsonl"
+        legacy.write_text('{"key": "k", "vector": [0.5, 0.25]}\n', encoding="utf-8")
+        before = legacy.read_bytes()
+        cfg_path = write_config(
+            tmp_path, separable_dataset(), toy_script(2), t_max=2, extra={"cache_file": legacy.name}
+        )
+        rc = main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"])
+        assert rc == EXIT_USAGE
+        assert legacy.read_bytes() == before
+
 
 class TestReport:
     def _finished_run(self, tmp_path, t_max=4, ideal_at=2):
@@ -471,6 +483,26 @@ class TestExitCodes:
             },
         )
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+
+    def test_malformed_script_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        (tmp_path / "script.json").write_text("[not json")
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and "script.json" in line for line in err)
+
+    def test_malformed_definitions_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            separable_dataset(),
+            toy_script(2),
+            t_max=2,
+            extra={"init": {"definitions_file": "definitions.json"}},
+        )
+        (tmp_path / "definitions.json").write_text("{not json")
+        assert main(["baseline", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and "definitions.json" in line for line in err)
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
