@@ -17,30 +17,35 @@ def _as_matrix(vectors) -> np.ndarray:
     return matrix
 
 
-def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+def unit_rows(vectors, what: str) -> np.ndarray:
+    """The rows scaled to unit length, as a new float64 (n, d) array.
+
+    `what` names the rows in the error raised for a zero-norm row.
+    """
+    matrix = _as_matrix(vectors)
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ValueError(f"zero-norm {what} vector")
-    return norms
+    return matrix / norms[:, None]
 
 
-def classify(doc_vecs, def_vecs) -> tuple[np.ndarray, np.ndarray]:
+def classify(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
     """Assign each document the category with the most similar definition.
 
-    Both inputs are array-likes of row vectors, an (n, d) array or a list of
-    d-vectors, and are unit-normalised here. Returns the n-by-k cosine score
-    matrix and the predicted category index per document. Ties break to the
-    lowest index. All arithmetic is double precision so the argmax is stable
-    near ties.
+    `doc_units` holds the documents as unit rows, `unit_rows(vectors,
+    "document")`, so a caller that classifies one split many times normalises
+    it once. `def_vecs` is an array-like of definition row vectors, an (k, d)
+    array or a list of d-vectors, and is unit-normalised here. Returns the
+    n-by-k cosine score matrix and the predicted category index per document.
+    Ties break to the lowest index. All arithmetic is double precision so the
+    argmax is stable near ties.
     """
-    docs = _as_matrix(doc_vecs)
-    defs = _as_matrix(def_vecs)
+    docs = _as_matrix(doc_units)
+    defs = unit_rows(def_vecs, "definition")
     if defs.shape[0] < 2:
         raise ValueError("need at least 2 definition vectors")
     if docs.shape[1] != defs.shape[1]:
         raise ValueError(f"dimension mismatch: docs d={docs.shape[1]}, defs d={defs.shape[1]}")
-    docs_unit = docs / _row_norms(docs, "document")[:, None]
-    defs_unit = defs / _row_norms(defs, "definition")[:, None]
-    scores = np.clip(docs_unit @ defs_unit.T, -1.0, 1.0)
+    scores = np.clip(docs @ defs.T, -1.0, 1.0)
     predictions = np.argmax(scores, axis=1)
     return scores, predictions

@@ -313,6 +313,8 @@ class EmbeddingGateway:
             raise ProviderError("provider returned a non-vector embedding")
         if not np.isfinite(rows).all():
             raise ProviderError("provider returned a non-finite embedding component")
+        if not rows.any(axis=1).all():
+            raise ProviderError("provider returned an all-zero embedding, which has no direction")
         if self._dim is None:
             self._dim = rows.shape[1]
         elif rows.shape[1] != self._dim:

@@ -104,8 +104,9 @@ def score(
 ) -> tuple[MetricsReport, ConfusionMatrix]:
     """Classify the embedded documents under a definition set and score them.
 
-    `docs` is the split's (n, d) document matrix and `gold` its category
-    indices; the definitions are embedded through `gateway`.
+    `docs` is the split's (n, d) document matrix as unit rows, from
+    `classifier.unit_rows`, and `gold` its category indices; the definitions
+    are embedded through `gateway`.
     """
     def_vecs = gateway.embed_definitions(definitions, categories)
     _, preds = classifier.classify(docs, def_vecs)

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .classifier import unit_rows
 from .corpus import Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
@@ -412,15 +413,15 @@ def refine(
     cat_index = dataset.category_index
     gold_train = np.array([cat_index[d.label] for d in train_docs])
     gold_dev = np.array([cat_index[d.label] for d in dev_docs])
-    train_vecs = gateway.embed_texts([d.text for d in train_docs], ROLE_DOCUMENT)
-    dev_vecs = gateway.embed_texts([d.text for d in dev_docs], ROLE_DOCUMENT)
+    train_units = _embed_units(gateway, train_docs)
+    dev_units = _embed_units(gateway, dev_docs)
 
     def score_train(defs: Mapping[str, str]) -> tuple[float, ConfusionMatrix]:
-        report, cm = score(gateway, defs, categories, train_vecs, gold_train)
+        report, cm = score(gateway, defs, categories, train_units, gold_train)
         return report.macro_f1, cm
 
     def score_dev(defs: Mapping[str, str]) -> MetricsReport:
-        return score(gateway, defs, categories, dev_vecs, gold_dev)[0]
+        return score(gateway, defs, categories, dev_units, gold_dev)[0]
 
     trace: list[dict] = []
     initial_info: dict | None = None
@@ -526,9 +527,8 @@ def refine(
     test_metrics = None
     test_cm = None
     if test_docs:
-        test_vecs = gateway.embed_texts([d.text for d in test_docs], ROLE_DOCUMENT)
         gold_test = np.array([cat_index[d.label] for d in test_docs])
-        test_metrics, test_cm = score(gateway, best, categories, test_vecs, gold_test)
+        test_metrics, test_cm = score(gateway, best, categories, _embed_units(gateway, test_docs), gold_test)
 
     return RefinementResult(
         best_definitions=dict(best),
@@ -539,6 +539,11 @@ def refine(
         test_metrics=test_metrics,
         test_confusion=test_cm,
     )
+
+
+def _embed_units(gateway: EmbeddingGateway, docs: Sequence[Document]) -> np.ndarray:
+    """The documents' embeddings as unit rows, normalised once per split."""
+    return unit_rows(gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT), "document")
 
 
 def _checkpoint(

@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .classifier import unit_rows
 from .corpus import Dataset, load_dataset, split_view
 from .embeddings import (
     EmbedderConfig,
@@ -195,12 +196,13 @@ class RunConfig:
 
 
 def _read_json(path: Path, what: str):
-    """The JSON value in a file; ConfigError naming the file if it is missing or not JSON."""
+    """The JSON value in a file; ConfigError naming the file if it is missing,
+    not UTF-8 or not JSON."""
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -337,9 +339,9 @@ def cmd_baseline(cfg: RunConfig):
     test_docs = split_view(dataset, "test")
     if not test_docs:
         raise DataError("baseline evaluation requires a nonempty test split")
-    doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
+    doc_units = unit_rows(gateway.embed_texts([d.text for d in test_docs], "document"), "document")
     gold = [dataset.category_index[d.label] for d in test_docs]
-    report, cm = score(gateway, definitions, dataset.categories, doc_vecs, gold)
+    report, cm = score(gateway, definitions, dataset.categories, doc_units, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -563,7 +565,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     if test_docs:
         doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
         gold = [dataset.category_index[d.label] for d in test_docs]
-        _, cm = score(gateway, best, dataset.categories, doc_vecs, gold)
+        _, cm = score(gateway, best, dataset.categories, unit_rows(doc_vecs, "document"), gold)
         cm_path = reports / "confusion_test.csv"
         confusion_to_csv(cm, cm_path)
         written.append(cm_path)

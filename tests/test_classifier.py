@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from defrefine.classifier import classify
+from defrefine.classifier import classify, unit_rows
 
 
 def cosine_similarity(a, b) -> float:
@@ -72,6 +72,86 @@ class TestCosine:
         assert cosine_similarity(a, b) == 1.0
 
 
+def classify_normalising_inside(doc_vecs, def_vecs):
+    """classify as it was before documents came in as unit rows: it normalised
+    both matrices on every call. Reference for the bit-identity test."""
+    docs = np.asarray(doc_vecs, dtype=np.float64)
+    defs = np.asarray(def_vecs, dtype=np.float64)
+    docs_unit = docs / np.linalg.norm(docs, axis=1)[:, None]
+    defs_unit = defs / np.linalg.norm(defs, axis=1)[:, None]
+    scores = np.clip(docs_unit @ defs_unit.T, -1.0, 1.0)
+    return scores, np.argmax(scores, axis=1)
+
+
+class TestUnitRows:
+    def test_rows_have_unit_length(self):
+        rng = np.random.default_rng(5)
+        units = unit_rows(rng.standard_normal((40, 7)) * 1e3, "document")
+        np.testing.assert_allclose(np.linalg.norm(units, axis=1), 1.0, atol=1e-15)
+
+    def test_returns_a_new_array(self):
+        docs = np.array([[1.0, 0.0], [0.0, 2.0]])
+        before = docs.copy()
+        units = unit_rows(docs, "document")
+        assert units is not docs
+        np.testing.assert_array_equal(docs, before)
+
+    def test_zero_norm_row_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm document vector"):
+            unit_rows([[1.0, 0.0], [0.0, 0.0]], "document")
+
+    def test_zero_norm_definition_rejected_by_classify(self):
+        with pytest.raises(ValueError, match="zero-norm definition vector"):
+            classify([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+
+
+class TestBitIdentity:
+    """Unit rows made once give the same bits as normalising on every call."""
+
+    @staticmethod
+    def _assert_same(docs, defs):
+        scores, preds = classify(unit_rows(docs, "document"), defs)
+        ref_scores, ref_preds = classify_normalising_inside(docs, defs)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(preds, ref_preds)
+
+    # The same product taken as (defs @ docs.T).T differs in the last bits at
+    # (250, 64, 20) under OpenBLAS with one or two threads, and at
+    # (250, 1024, 20) with one.
+    @pytest.mark.parametrize(
+        "n, d, k", [(1, 2, 2), (37, 5, 3), (500, 256, 20), (250, 1024, 20), (250, 64, 20), (64, 33, 9)]
+    )
+    def test_random_shapes(self, n, d, k):
+        rng = np.random.default_rng(n * 1000 + d + k)
+        self._assert_same(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
+
+    def test_random_small_shapes(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n, k, d = rng.integers(1, 80), rng.integers(2, 12), rng.integers(2, 70)
+            self._assert_same(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
+
+    def test_scaled_rows(self):
+        rng = np.random.default_rng(29)
+        docs = rng.standard_normal((300, 48)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
+        defs = rng.standard_normal((6, 48)) * 10.0 ** rng.uniform(-150, 150, size=(6, 1))
+        self._assert_same(docs, defs)
+
+    def test_near_ties(self):
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((1, 64))
+        defs = np.vstack([base + 1e-13 * rng.standard_normal((1, 64)) for _ in range(5)])
+        docs = np.vstack([base + 1e-12 * rng.standard_normal((200, 64)), defs, defs * 3.0])
+        self._assert_same(docs, defs)
+
+    def test_list_and_float32_inputs(self):
+        rng = np.random.default_rng(37)
+        docs = rng.standard_normal((20, 8)).astype(np.float32)
+        defs = rng.standard_normal((4, 8))
+        self._assert_same(docs, defs.tolist())
+        self._assert_same(docs.tolist(), defs.astype(np.float32))
+
+
 class TestClassify:
     def test_dominant_axis(self):
         _, preds = classify([[0.9, 0.1]], [[1.0, 0.0], [0.0, 1.0]])
@@ -91,14 +171,14 @@ class TestClassify:
             n, k, d = rng.integers(1, 51), rng.integers(2, 9), rng.integers(2, 33)
             docs = rng.standard_normal((n, d))
             defs = rng.standard_normal((k, d))
-            _, preds = classify(docs, defs)
+            _, preds = classify(unit_rows(docs, "document"), defs)
             assert preds.tolist() == oracle_predict(docs.tolist(), defs.tolist())
 
     def test_scores_in_range_and_match_pairwise_cosine(self):
         rng = np.random.default_rng(3)
         docs = rng.standard_normal((8, 12))
         defs = rng.standard_normal((4, 12))
-        scores, _ = classify(docs, defs)
+        scores, _ = classify(unit_rows(docs, "document"), defs)
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
         for i in range(8):
             for j in range(4):
@@ -110,8 +190,8 @@ class TestClassify:
         rng = np.random.default_rng(11)
         docs = rng.standard_normal((20, 10))
         defs = rng.standard_normal((5, 10))
-        scores, preds = classify(docs, defs)
-        scores2, preds2 = classify(docs * 37.5, defs)
+        scores, preds = classify(unit_rows(docs, "document"), defs)
+        scores2, preds2 = classify(unit_rows(docs * 37.5, "document"), defs)
         assert preds.tolist() == preds2.tolist()
         np.testing.assert_allclose(scores, scores2, atol=1e-12)
 
@@ -120,8 +200,8 @@ class TestClassify:
         docs = rng.standard_normal((30, 9))
         defs = rng.standard_normal((6, 9))
         perm = rng.permutation(6)
-        _, preds = classify(docs, defs)
-        _, preds_p = classify(docs, defs[perm])
+        _, preds = classify(unit_rows(docs, "document"), defs)
+        _, preds_p = classify(unit_rows(docs, "document"), defs[perm])
         # Category j moved to position inv[j] in the permuted list.
         inv = np.argsort(perm)
         assert preds_p.tolist() == inv[preds].tolist()
@@ -129,7 +209,7 @@ class TestClassify:
     def test_identity_setup(self):
         rng = np.random.default_rng(19)
         defs = rng.standard_normal((7, 15))
-        _, preds = classify(defs, defs)
+        _, preds = classify(unit_rows(defs, "document"), defs)
         assert preds.tolist() == list(range(7))
 
     def test_dimension_mismatch(self):

@@ -320,6 +320,16 @@ class TestValidation:
         with pytest.raises(ProviderError, match="non-finite"):
             gw.embed_texts(["a"], "document")
 
+    def test_zero_vector_rejected(self):
+        class ZeroRow:
+            def embed_batch(self, texts):
+                return [[0.0, 0.0] if t == "blank" else [1.0, 0.0] for t in texts]
+
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(), ZeroRow())
+        with pytest.raises(ProviderError, match="all-zero"):
+            gw.embed_texts(["a", "blank"], "document")
+        assert len(gw.cache) == 0
+
 
 class _ScriptedHttp(BaseHTTPRequestHandler):
     """Embeddings endpoint that records request bodies.

@@ -373,6 +373,35 @@ class TestRefineLoop:
         assert parsed == 4
         assert rows.count(n_train) == 1 + parsed
 
+    @pytest.mark.parametrize("t_max", [1, 5])
+    def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
+        # train, dev and test are each made unit rows once, however many
+        # iterations run, and every classify call gets one of those arrays.
+        units = []
+        docs_seen = []
+        unit_rows = classifier.unit_rows
+        classify = classifier.classify
+
+        def counting_unit_rows(vectors, what):
+            out = unit_rows(vectors, what)
+            units.append((what, out))
+            return out
+
+        def recording_classify(docs, defs):
+            docs_seen.append(docs)
+            return classify(docs, defs)
+
+        monkeypatch.setattr("defrefine.refinement.unit_rows", counting_unit_rows)
+        monkeypatch.setattr(classifier, "classify", recording_classify)
+        script = [json.dumps(junk_definitions(i)) for i in range(1, t_max)]
+        script.append(json.dumps(ideal_definitions()))
+        _run(script, t_max=t_max)
+        assert [what for what, _ in units] == ["document"] * 3
+        train, dev, test = (arr for _, arr in units)
+        assert all(any(docs is arr for arr in (train, dev, test)) for docs in docs_seen)
+        assert sum(docs is train for docs in docs_seen) == 1 + t_max
+        assert sum(docs is test for docs in docs_seen) == 1
+
     def test_parse_retry_reprompts_with_notice(self):
         llm = RecordingLlm(["garbage", json.dumps(junk_definitions(1))])
         result, _ = _run([], t_max=1, parse_retries=1, llm=llm)

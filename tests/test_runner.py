@@ -78,6 +78,13 @@ class TestConfig:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        assert main(["validate-config", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and "config.json" in line for line in err)
+
     def test_seed_must_be_explicit(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3))
         raw = json.loads(cfg_path.read_text())
