@@ -32,30 +32,13 @@ class Dataset:
 
     The category tuple defines the index order used by every downstream
     matrix (similarities, confusion counts), so it must never be reordered
-    after load.
+    after load. `load_dataset` checks ids, texts, labels and splits; the
+    constructor trusts its caller.
     """
 
     name: str
     categories: tuple[str, ...]
     documents: tuple[Document, ...]
-
-    def __post_init__(self) -> None:
-        if not self.categories:
-            raise DataError("dataset has no categories")
-        if len(set(self.categories)) != len(self.categories):
-            raise DataError("duplicate category names")
-        seen_ids: set[str] = set()
-        cats = set(self.categories)
-        for doc in self.documents:
-            if doc.id in seen_ids:
-                raise DataError(f"duplicate id {doc.id!r}")
-            seen_ids.add(doc.id)
-            if not doc.text:
-                raise DataError(f"document {doc.id!r} has empty text")
-            if doc.label not in cats:
-                raise DataError(f"document {doc.id!r} has unknown label {doc.label!r}")
-            if doc.split not in SPLITS:
-                raise DataError(f"document {doc.id!r} has unknown split {doc.split!r}")
 
     @property
     def category_index(self) -> dict[str, int]:
@@ -72,6 +55,8 @@ class Dataset:
 
 
 def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
+    if not path.exists():
+        raise DataError(f"categories file not found: {path}")
     lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
     categories = tuple(line for line in lines if line)
     if not categories:

@@ -16,8 +16,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Literal
 
 from .classifier import unit_rows
 from .corpus import Dataset, load_dataset, split_view
@@ -49,150 +52,158 @@ EXIT_USAGE = 1
 EXIT_PROVIDER = 2
 EXIT_DATA = 3
 
+SCRIPT_PREFIX = "script:"
+
+
+# The run-config schema. Each dataclass is one JSON object of a config file,
+# its fields in config.json's key order; a field's `key` metadata, if any, is
+# its JSON key. Types come from the annotations, defaults from the fields.
+
 
 @dataclass
-class RunConfig:
-    dataset_path: Path
-    embedder: EmbedderConfig
-    seed: int
-    dataset_format: str = "jsonl"
-    categories_path: Path | None = None
-    dataset_name: str | None = None
-    llm: LlmConfig | None = None
-    strategy: StrategyConfig | None = None
+class DatasetConfig:
+    path: Path
+    format: Literal["jsonl", "csv"] = "jsonl"
+    categories_file: Path | None = None
+    name: str | None = None
+
+
+@dataclass
+class ScheduleConfig:
+    """Annealing temperatures; the iteration budget is the run's t_max."""
+
     t0: float = 0.1
     t_min: float = 0.01
-    init_mode: str = "minimal"
-    init_definitions_path: Path | None = None
+
+    def __post_init__(self) -> None:
+        AnnealingSchedule(self.t0, self.t_min)  # ValueError unless 0 < t_min <= t0
+
+
+@dataclass
+class InitConfig:
+    mode: Literal["minimal", "llm_generated"] = "minimal"
+    definitions_file: Path | None = None
+
+
+@dataclass(kw_only=True)
+class RunConfig:
+    dataset: DatasetConfig
+    embedder: EmbedderConfig
+    llm: LlmConfig | None = None
+    strategy: StrategyConfig | None = None
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    init: InitConfig = field(default_factory=InitConfig)
+    seed: int
     t_max: int = 100
     out_dir: Path = Path("runs")
     sample_char_cap: int = 2000
     parse_retries: int = 3
-    cache_path: Path | None = None
+    cache_file: Path | None = None
 
-    def schedule(self) -> AnnealingSchedule:
-        return AnnealingSchedule(self.t0, self.t_min, max(1, self.t_max))
-
-    def resolved_cache_path(self) -> Path:
-        return self.cache_path or self.out_dir / "embedding_cache.bin"
+    def __post_init__(self) -> None:
+        for key, low in (("t_max", 0), ("sample_char_cap", 1), ("parse_retries", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
+        if self.init.mode == "llm_generated" and self.llm is None:
+            raise ValueError("init.mode llm_generated requires an llm section")
 
     def to_snapshot(self) -> dict:
-        snap = {
-            "dataset": {
-                "path": str(self.dataset_path),
-                "format": self.dataset_format,
-                "categories_file": str(self.categories_path) if self.categories_path else None,
-                "name": self.dataset_name,
-            },
-            "embedder": dataclasses.asdict(self.embedder),
-            "llm": dataclasses.asdict(self.llm) if self.llm else None,
-            "strategy": None,
-            "schedule": {"t0": self.t0, "t_min": self.t_min},
-            "init": {
-                "mode": self.init_mode,
-                "definitions_file": str(self.init_definitions_path)
-                if self.init_definitions_path
-                else None,
-            },
-            "seed": self.seed,
-            "t_max": self.t_max,
-            "out_dir": str(self.out_dir),
-            "sample_char_cap": self.sample_char_cap,
-            "parse_retries": self.parse_retries,
-            "cache_file": str(self.cache_path) if self.cache_path else None,
-        }
-        if self.strategy:
-            snap["strategy"] = {
-                "name": self.strategy.strategy,
-                "k": self.strategy.k_confused,
-                "m": self.strategy.m_history,
-                "acceptance": self.strategy.acceptance,
-            }
-        return snap
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path) -> "RunConfig":
-        def resolve(value: str | None) -> Path | None:
-            if value is None:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else (base_dir / p)
-
-        try:
-            ds = raw["dataset"]
-            emb = dict(raw["embedder"])
-            seed = raw["seed"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"config missing required section/field: {exc}") from exc
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an explicit integer")
-        dataset_path = resolve(ds.get("path"))
-        if dataset_path is None:
-            raise ConfigError("config missing dataset.path")
-        # Definitions default to the document prefix unless set independently.
-        emb.setdefault("definition_prefix", emb.get("document_prefix", ""))
-        try:
-            embedder = EmbedderConfig(**emb)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid embedder config: {exc}") from exc
-        llm_cfg = None
-        if raw.get("llm"):
-            llm_raw = dict(raw["llm"])
-            endpoint = llm_raw.get("endpoint", "")
-            if endpoint.startswith("script:"):
-                script = resolve(endpoint[len("script:") :])
-                llm_raw["endpoint"] = f"script:{script}"
-            try:
-                llm_cfg = LlmConfig(**llm_raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid llm config: {exc}") from exc
-        strategy = None
-        if raw.get("strategy"):
-            s = raw["strategy"]
-            try:
-                strategy = StrategyConfig(
-                    strategy=s.get("name", s.get("strategy", "m3")),
-                    k_confused=s.get("k", 3),
-                    m_history=s.get("m", 3),
-                    acceptance=s.get("acceptance"),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid strategy config: {exc}") from exc
-        sched = raw.get("schedule", {})
-        init = raw.get("init", {})
-        t_max = raw.get("t_max", 100)
-        if not isinstance(t_max, int) or t_max < 0:
-            raise ConfigError("t_max must be a non-negative integer")
-        init_mode = init.get("mode", "minimal")
-        if init_mode not in ("minimal", "llm_generated"):
-            raise ConfigError(f"unknown init mode {init_mode!r}")
-        try:
-            return cls(
-                dataset_path=dataset_path,
-                dataset_format=ds.get("format", "jsonl"),
-                categories_path=resolve(ds.get("categories_file")),
-                dataset_name=ds.get("name"),
-                embedder=embedder,
-                llm=llm_cfg,
-                strategy=strategy,
-                t0=sched.get("t0", 0.1),
-                t_min=sched.get("t_min", 0.01),
-                init_mode=init_mode,
-                init_definitions_path=resolve(init.get("definitions_file")),
-                seed=seed,
-                t_max=t_max,
-                out_dir=resolve(raw.get("out_dir", "runs")),
-                sample_char_cap=raw.get("sample_char_cap", 2000),
-                parse_retries=raw.get("parse_retries", 3),
-                cache_path=resolve(raw.get("cache_file")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        """Check a config object against the schema; relative paths resolve
+        against base_dir."""
+        embedder = raw.get("embedder")
+        # Definitions take the document prefix unless they set their own.
+        if isinstance(embedder, dict) and "definition_prefix" not in embedder:
+            prefix = embedder.get("document_prefix", "")
+            raw = {**raw, "embedder": {**embedder, "definition_prefix": prefix}}
+        cfg = _read_section(cls, raw, "", base_dir)
+        if cfg.llm is not None:
+            cfg.llm.endpoint = _script_endpoint(cfg.llm.endpoint, base_dir)
+        return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         return cls.from_dict(_read_config_json(path), path.parent.resolve())
+
+
+def _json_key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _to_json(value):
+    """The JSON form of a config value; _read_value is its inverse."""
+    if dataclasses.is_dataclass(value):
+        return {_json_key(f): _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return str(value) if isinstance(value, Path) else value
+
+
+def _read_section(cls, raw, where: str, base_dir: Path):
+    """An instance of the dataclass `cls` from its JSON object `raw`. A missing
+    key reads as the JSON form of its field's default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    fields = {_json_key(f): f for f in dataclasses.fields(cls)}
+    unknown = [key for key in raw if key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, f in fields.items():
+        if key in raw:
+            value = raw[key]
+        elif f.default is not MISSING:
+            value = _to_json(f.default)
+        elif f.default_factory is not MISSING:
+            value = _to_json(f.default_factory())
+        else:
+            raise ConfigError(f"config is missing {prefix}{key}")
+        values[f.name] = _read_value(hints[f.name], value, prefix + key, base_dir)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where or 'config'}: {exc}") from exc
+
+
+# Schema type -> (the JSON values it takes, its name in errors). A float key
+# keeps an integer as written, so the snapshot writes it back unchanged.
+_JSON_TYPES = {int: (int, "an integer"), float: (int | float, "a number"), str: (str, "a string")}
+
+
+def _read_value(hint, value, key: str, base_dir: Path):
+    """`value` as the schema type `hint`; ConfigError naming `key` if it is not one."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return _read_section(hint, value, key, base_dir)
+    if typing.get_origin(hint) is Literal:
+        if value not in typing.get_args(hint):
+            raise ConfigError(f"{key} must be one of {list(typing.get_args(hint))}, got {value!r}")
+        return value
+    accepted, what = _JSON_TYPES[str if hint is Path else hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return _resolve(value, base_dir) if hint is Path else value
+
+
+def _resolve(path: str, base_dir: Path) -> Path:
+    p = Path(path)
+    return p if p.is_absolute() else base_dir / p
+
+
+def _script_endpoint(endpoint: str, base_dir: Path) -> str:
+    """A `script:` endpoint with its path resolved against base_dir; any other
+    endpoint as it is."""
+    if not endpoint.startswith(SCRIPT_PREFIX):
+        return endpoint
+    return SCRIPT_PREFIX + str(_resolve(endpoint[len(SCRIPT_PREFIX) :], base_dir))
 
 
 def _read_json(path: Path, what: str):
@@ -219,7 +230,7 @@ def _slug(text: str) -> str:
 
 
 def run_dir_for(cfg: RunConfig, kind: str) -> Path:
-    ds = _slug(cfg.dataset_name or cfg.dataset_path.stem)
+    ds = _slug(cfg.dataset.name or cfg.dataset.path.stem)
     emb = _slug(cfg.embedder.model_id)
     llm_id = _slug(cfg.llm.model_id) if cfg.llm else "none"
     if kind == "baseline":
@@ -247,7 +258,7 @@ def _parse_mock_endpoint(endpoint: str) -> dict:
 
 
 def build_gateway(cfg: RunConfig) -> EmbeddingGateway:
-    cache = EmbeddingCache(cfg.resolved_cache_path())
+    cache = EmbeddingCache(cfg.cache_file or cfg.out_dir / "embedding_cache.bin")
     endpoint = cfg.embedder.endpoint
     if endpoint.startswith("mock:"):
         provider = MockEmbeddingProvider(**_parse_mock_endpoint(endpoint))
@@ -260,8 +271,8 @@ def build_llm(cfg: RunConfig):
     if cfg.llm is None:
         return None
     endpoint = cfg.llm.endpoint
-    if endpoint.startswith("script:"):
-        script_path = Path(endpoint[len("script:") :])
+    if endpoint.startswith(SCRIPT_PREFIX):
+        script_path = Path(endpoint[len(SCRIPT_PREFIX) :])
         payload = _read_json(script_path, "llm script file")
         if isinstance(payload, list):
             return ScriptedLlm(payload)
@@ -273,9 +284,9 @@ def build_llm(cfg: RunConfig):
 
 def _initial_defs(cfg: RunConfig, dataset: Dataset) -> dict[str, str] | None:
     """Explicit definitions file, if configured; otherwise None (engine default)."""
-    if cfg.init_definitions_path is None:
+    if cfg.init.definitions_file is None:
         return None
-    payload = _read_json(cfg.init_definitions_path, "initial definitions file")
+    payload = _read_json(cfg.init.definitions_file, "initial definitions file")
     if not isinstance(payload, dict):
         raise ConfigError("initial definitions file must hold a JSON object")
     try:
@@ -297,44 +308,37 @@ def _atomic_write_json(path: Path, payload) -> None:
 
 def _complete_lines(path: Path) -> list[str]:
     """Lines terminated by a newline; a trailing partial write is dropped."""
-    if not path.exists():
-        return []
-    data = path.read_text(encoding="utf-8")
-    lines = data.split("\n")
-    return lines[:-1]
+    return path.read_text(encoding="utf-8").split("\n")[:-1] if path.exists() else []
 
 
-def _truncate_lines(path: Path, keep: int, what: str) -> None:
-    lines = _complete_lines(path)
-    if len(lines) < keep:
-        raise DataError(f"unresumable corruption in {what}: {len(lines)} lines < checkpoint {keep}")
-    path.write_text("".join(line + "\n" for line in lines[:keep]), encoding="utf-8")
-
-
-def _truncate_defs_log(path: Path, max_iteration: int) -> None:
+def _truncate_jsonl(path: Path, iteration: int, at_least: int = 0) -> None:
+    """Keep the complete records of a JSONL file up to `iteration`; DataError,
+    with the file untouched, if fewer than `at_least` of them are left."""
     kept = []
     for line in _complete_lines(path):
         try:
-            record = json.loads(line)
+            if json.loads(line)["iteration"] <= iteration:
+                kept.append(line)
         except json.JSONDecodeError:
             continue
-        if record.get("iteration", 0) <= max_iteration:
-            kept.append(line)
+    if len(kept) < at_least:
+        raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
     path.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+
+
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    d = cfg.dataset
+    return load_dataset(d.path, d.format, categories_path=d.categories_file, name=d.name)
 
 
 def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
-    dataset = load_dataset(
-        cfg.dataset_path, cfg.dataset_format, categories_path=cfg.categories_path, name=cfg.dataset_name
-    )
+    dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
-    llm = build_llm(cfg) if cfg.init_mode == "llm_generated" else None
-    if cfg.init_mode == "llm_generated" and llm is None:
-        raise ConfigError("llm_generated initialization requires an llm config")
+    llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
     definitions = _initial_defs(cfg, dataset)
     if definitions is None:
-        definitions = initial_definitions(dataset.categories, cfg.init_mode, llm, cfg.parse_retries)
+        definitions = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
 
     test_docs = split_view(dataset, "test")
     if not test_docs:
@@ -370,26 +374,23 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         if not snapshot_path.exists():
             raise ConfigError(f"cannot resume: missing config snapshot in {run_dir}")
         cfg = RunConfig.from_file(snapshot_path)
-    else:
-        if state_path.exists():
-            raise ConfigError(
-                f"run directory already exists: {run_dir} (pass --resume or change --out)"
-            )
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(snapshot_path, cfg.to_snapshot())
+    elif state_path.exists():
+        raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
 
-    dataset = load_dataset(
-        cfg.dataset_path, cfg.dataset_format, categories_path=cfg.categories_path, name=cfg.dataset_name
-    )
+    # Everything that can reject the config runs before the run directory exists.
+    dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     llm = build_llm(cfg)
     initial = _initial_defs(cfg, dataset)
+    if not resume:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(snapshot_path, cfg.to_snapshot())
 
     checkpoint = None
     if resume and state_path.exists():
         checkpoint = LoopCheckpoint.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
-        _truncate_lines(trace_path, checkpoint.iteration, "trace file")
-        _truncate_defs_log(defs_log_path, checkpoint.iteration)
+        _truncate_jsonl(trace_path, checkpoint.iteration, at_least=checkpoint.iteration)
+        _truncate_jsonl(defs_log_path, checkpoint.iteration)
         if hasattr(llm, "advance"):
             llm.advance(checkpoint.llm_calls)
 
@@ -402,15 +403,14 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     def save_state(ck: LoopCheckpoint) -> None:
         _atomic_write_json(state_path, ck.to_dict())
 
+    def log_definitions(iteration: int, score: float, definitions: dict) -> None:
+        record = {"iteration": iteration, "score": score, "definitions": definitions}
+        defs_handle.write(json.dumps(record) + "\n")
+        defs_handle.flush()
+
     def on_initial(info: dict, ck: LoopCheckpoint) -> None:
         _write_json(run_dir / "initial.json", info)
-        defs_handle.write(
-            json.dumps(
-                {"iteration": 0, "score": info["phi_train"], "definitions": info["definitions"]}
-            )
-            + "\n"
-        )
-        defs_handle.flush()
+        log_definitions(0, info["phi_train"], info["definitions"])
         save_state(ck)
 
     def on_iteration(record: dict, ck: LoopCheckpoint) -> None:
@@ -418,29 +418,19 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         trace_handle.flush()
         os.fsync(trace_handle.fileno())
         if record["accepted"]:
-            defs_handle.write(
-                json.dumps(
-                    {
-                        "iteration": record["iteration"],
-                        "score": ck.phi_cur,
-                        "definitions": ck.current,
-                    }
-                )
-                + "\n"
-            )
-            defs_handle.flush()
+            log_definitions(record["iteration"], ck.phi_cur, ck.current)
         save_state(ck)
 
     try:
         result = refine(
             dataset,
             cfg.strategy,
-            cfg.schedule(),
+            AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
             gateway,
             llm,
             seed=cfg.seed,
             t_max=cfg.t_max,
-            init_mode=cfg.init_mode,
+            init_mode=cfg.init.mode,
             initial=initial,
             parse_retries=cfg.parse_retries,
             sample_char_cap=cfg.sample_char_cap,
@@ -520,11 +510,8 @@ def _best_definitions_for_report(run_dir: Path) -> dict[str, str]:
     entries = [json.loads(line) for line in _complete_lines(run_dir / "definitions_log.jsonl")]
     if not entries:
         raise DataError(f"no definitions recorded in {run_dir}")
-    best = entries[0]
-    for entry in entries[1:]:
-        if entry["score"] > best["score"]:
-            best = entry
-    return best["definitions"]
+    # The first of equal scores wins.
+    return max(entries, key=lambda entry: entry["score"])["definitions"]
 
 
 def cmd_report(run_dir: str | Path) -> list[Path]:
@@ -555,9 +542,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     _write_json(evo_path, evolution)
     written.append(evo_path)
 
-    dataset = load_dataset(
-        cfg.dataset_path, cfg.dataset_format, categories_path=cfg.categories_path, name=cfg.dataset_name
-    )
+    dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     best = _best_definitions_for_report(run_dir)
     def_vecs = gateway.embed_definitions(best, dataset.categories)
@@ -574,26 +559,16 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
         log.warning("no test split: skipping test confusion matrix")
 
     snapshot_path = reports / "embeddings_snapshot.jsonl"
+    definition_rows = (
+        {"kind": "definition", "category": category, "vector": vec.tolist()}
+        for category, vec in zip(dataset.categories, def_vecs)
+    )
+    document_rows = (
+        {"kind": "document", "id": doc.id, "label": doc.label, "vector": vec.tolist()}
+        for doc, vec in zip(test_docs, doc_vecs)
+    )
     with open(snapshot_path, "w", encoding="utf-8") as fh:
-        for category, vec in zip(dataset.categories, def_vecs):
-            fh.write(
-                json.dumps(
-                    {"kind": "definition", "category": category, "vector": vec.tolist()}
-                )
-                + "\n"
-            )
-        for doc, vec in zip(test_docs, doc_vecs):
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "document",
-                        "id": doc.id,
-                        "label": doc.label,
-                        "vector": vec.tolist(),
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
     written.append(snapshot_path)
     gateway.cache.close()
     print(f"report written: {', '.join(p.name for p in written)} in {reports}")
@@ -602,11 +577,13 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
 
 def cmd_validate_config(path: str | Path) -> RunConfig:
     cfg = RunConfig.from_file(path)
-    if not cfg.dataset_path.exists():
-        raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
-    if cfg.init_definitions_path is not None and not cfg.init_definitions_path.exists():
-        raise ConfigError(f"initial definitions file not found: {cfg.init_definitions_path}")
-    cfg.schedule()
+    for what, file in (
+        ("dataset file", cfg.dataset.path),
+        ("categories file", cfg.dataset.categories_file),
+        ("initial definitions file", cfg.init.definitions_file),
+    ):
+        if file is not None and not file.exists():
+            raise ConfigError(f"{what} not found: {file}")
     print("config OK")
     return cfg
 
@@ -618,47 +595,48 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _cwd_path(value: str) -> str:
+    return str(_resolve(value, Path.cwd()))
+
+
+def _cwd_endpoint(value: str) -> str:
+    return _script_endpoint(value, Path.cwd())
+
+
+# One row per override flag: (flag, config key it sets, argparse type). Paths
+# on the command line are relative to the working directory.
+_OVERRIDES = (
+    ("--dataset", "dataset.path", _cwd_path),
+    ("--strategy", "strategy.name", str),
+    ("--k", "strategy.k", int),
+    ("--m", "strategy.m", int),
+    ("--seed", "seed", int),
+    ("--t-max", "t_max", int),
+    ("--embedder-endpoint", "embedder.endpoint", str),
+    ("--llm-endpoint", "llm.endpoint", _cwd_endpoint),
+    ("--out", "out_dir", _cwd_path),
+)
+
+
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--dataset", help="override dataset path")
-    parser.add_argument("--strategy", choices=["m1", "m2", "m3"], help="override strategy")
-    parser.add_argument("--k", type=int, help="override top confused pair count")
-    parser.add_argument("--m", type=int, help="override history window size")
-    parser.add_argument("--seed", type=int, help="override master seed")
-    parser.add_argument("--t-max", type=int, dest="t_max", help="override iteration budget")
-    parser.add_argument("--embedder-endpoint", help="override embedding endpoint")
-    parser.add_argument("--llm-endpoint", help="override llm endpoint")
-    parser.add_argument("--out", help="override output directory")
+    for flag, key, kind in _OVERRIDES:
+        parser.add_argument(flag, dest=key, type=kind, help=f"override config key {key}")
 
 
 def _config_from_args(args) -> RunConfig:
     path = Path(args.config)
     raw = _read_config_json(path)
-
-    def absolute(value: str) -> str:
-        return str(Path(value).absolute())
-
-    if args.dataset:
-        raw.setdefault("dataset", {})["path"] = absolute(args.dataset)
-    if args.strategy:
-        raw.setdefault("strategy", {})["name"] = args.strategy
-    if args.k is not None:
-        raw.setdefault("strategy", {})["k"] = args.k
-    if args.m is not None:
-        raw.setdefault("strategy", {})["m"] = args.m
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.t_max is not None:
-        raw["t_max"] = args.t_max
-    if args.embedder_endpoint:
-        raw.setdefault("embedder", {})["endpoint"] = args.embedder_endpoint
-    if args.llm_endpoint:
-        endpoint = args.llm_endpoint
-        if endpoint.startswith("script:"):
-            endpoint = "script:" + absolute(endpoint[len("script:") :])
-        raw.setdefault("llm", {})["endpoint"] = endpoint
-    if args.out:
-        raw["out_dir"] = absolute(args.out)
+    for _, key, _ in _OVERRIDES:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        section, _, leaf = key.rpartition(".")
+        node = raw
+        if section:
+            node = raw[section] = raw.get(section) or {}
+        if isinstance(node, dict):  # from_dict reports a section that is not an object
+            node[leaf] = value
     return RunConfig.from_dict(raw, path.parent.resolve())
 
 

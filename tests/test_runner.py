@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,170 @@ def toy_script(t_max, ideal_at=None):
     return script
 
 
+# config.json as written at the time old run directories were made; {base} is
+# the config file's directory.
+GOLDEN_FIXTURE = """\
+{
+  "dataset": {
+    "path": "{base}/data.jsonl",
+    "format": "jsonl",
+    "categories_file": null,
+    "name": null
+  },
+  "embedder": {
+    "endpoint": "mock:dim=32,seed=0",
+    "model_id": "mock-embed",
+    "document_prefix": "",
+    "definition_prefix": "",
+    "max_batch": 100,
+    "max_input_chars": 8192,
+    "timeout": 30.0,
+    "retries": 3,
+    "concurrency": 4,
+    "backoff_base": 0.5
+  },
+  "llm": {
+    "endpoint": "script:{base}/script.json",
+    "model_id": "scripted",
+    "sampling_temperature": 1.0,
+    "max_output_tokens": 1024,
+    "timeout": 60.0,
+    "retries": 3,
+    "system_message": "You revise category definitions for an embedding-based classifier; respond only with the requested JSON.",
+    "backoff_base": 0.5
+  },
+  "strategy": {
+    "name": "m3",
+    "k": 2,
+    "m": 2,
+    "acceptance": null
+  },
+  "schedule": {
+    "t0": 0.1,
+    "t_min": 0.01
+  },
+  "init": {
+    "mode": "minimal",
+    "definitions_file": null
+  },
+  "seed": 11,
+  "t_max": 6,
+  "out_dir": "{base}/runs",
+  "sample_char_cap": 2000,
+  "parse_retries": 3,
+  "cache_file": null
+}
+"""
+
+
+GOLDEN_BENCH = """\
+{
+  "dataset": {
+    "path": "{base}/corpus.jsonl",
+    "format": "jsonl",
+    "categories_file": null,
+    "name": null
+  },
+  "embedder": {
+    "endpoint": "mock:dim=256,seed=0",
+    "model_id": "mock-embed",
+    "document_prefix": "",
+    "definition_prefix": "",
+    "max_batch": 100,
+    "max_input_chars": 8192,
+    "timeout": 30.0,
+    "retries": 3,
+    "concurrency": 1,
+    "backoff_base": 0.5
+  },
+  "llm": {
+    "endpoint": "script:{base}/script.json",
+    "model_id": "scripted",
+    "sampling_temperature": 1.0,
+    "max_output_tokens": 1024,
+    "timeout": 60.0,
+    "retries": 3,
+    "system_message": "You revise category definitions for an embedding-based classifier; respond only with the requested JSON.",
+    "backoff_base": 0.5
+  },
+  "strategy": {
+    "name": "m3",
+    "k": 3,
+    "m": 3,
+    "acceptance": null
+  },
+  "schedule": {
+    "t0": 0.1,
+    "t_min": 0.01
+  },
+  "init": {
+    "mode": "minimal",
+    "definitions_file": null
+  },
+  "seed": 0,
+  "t_max": 20,
+  "out_dir": "{base}/out",
+  "sample_char_cap": 2000,
+  "parse_retries": 3,
+  "cache_file": "{base}/cache/embedding_cache.jsonl"
+}
+"""
+
+
+GOLDEN_EVERY_FIELD = """\
+{
+  "dataset": {
+    "path": "{base}/data/corpus.csv",
+    "format": "csv",
+    "categories_file": "{base}/data/categories.txt",
+    "name": "dmoz"
+  },
+  "embedder": {
+    "endpoint": "http://127.0.0.1:8080/v1/embeddings",
+    "model_id": "e5-large",
+    "document_prefix": "passage: ",
+    "definition_prefix": "query: ",
+    "max_batch": 32,
+    "max_input_chars": 4096,
+    "timeout": 12.5,
+    "retries": 5,
+    "concurrency": 2,
+    "backoff_base": 1
+  },
+  "llm": {
+    "endpoint": "http://127.0.0.1:8081/v1/chat/completions",
+    "model_id": "gpt-x",
+    "sampling_temperature": 0.7,
+    "max_output_tokens": 2048,
+    "timeout": 90,
+    "retries": 1,
+    "system_message": "Answer in JSON.",
+    "backoff_base": 0.25
+  },
+  "strategy": {
+    "name": "m1",
+    "k": 4,
+    "m": 5,
+    "acceptance": "metropolis"
+  },
+  "schedule": {
+    "t0": 0.5,
+    "t_min": 0.05
+  },
+  "init": {
+    "mode": "llm_generated",
+    "definitions_file": "/abs/defs.json"
+  },
+  "seed": 123,
+  "t_max": 0,
+  "out_dir": "/abs/runs",
+  "sample_char_cap": 500,
+  "parse_retries": 0,
+  "cache_file": "{base}/cache.bin"
+}
+"""
+
+
 class TestConfig:
     def test_validate_config_ok(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
@@ -92,11 +257,85 @@ class TestConfig:
         cfg_path.write_text(json.dumps(raw))
         assert main(["validate-config", "--config", str(cfg_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            pytest.param({"schedule": 5}, "schedule", id="section-not-an-object"),
+            pytest.param({"strategy": "m3"}, "strategy", id="strategy-not-an-object"),
+            pytest.param({"embedder": "x"}, "embedder", id="embedder-not-an-object"),
+            pytest.param({"llm": ["a"]}, "llm", id="llm-not-an-object"),
+            pytest.param({"parse_retries": "x"}, "parse_retries", id="string-for-int"),
+            pytest.param({"t_max": True}, "t_max", id="bool-for-int"),
+            pytest.param({"parse_retries": -1}, "parse_retries", id="negative-retries"),
+            pytest.param(
+                {"dataset": {"path": "data.jsonl", "format": "xml"}},
+                "dataset.format",
+                id="unknown-format",
+            ),
+            pytest.param({"schedule": {"t0": 0.01, "t_min": 0.1}}, "schedule", id="t0-below-t_min"),
+            pytest.param({"t_maxx": 5}, "t_maxx", id="unknown-key"),
+            pytest.param({"strategy": {"strategy": "m1"}}, "strategy.strategy", id="unknown-nested-key"),
+        ],
+    )
+    def test_malformed_config_stops_before_the_run(self, tmp_path, capsys, extra, key):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3, extra=extra)
+        assert main(["validate-config", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0], err
+        assert "Traceback" not in err
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_categories_file(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            separable_dataset(),
+            toy_script(2),
+            t_max=2,
+            extra={"dataset": {"path": "data.jsonl", "categories_file": "categories.txt"}},
+        )
+        assert main(["validate-config", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "categories.txt" in capsys.readouterr().err
+        # Like a missing dataset file, it is a data error once a run starts.
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "categories.txt" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_readme_configuration_block_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+        # `//` comments run to the end of the line; the block has no URLs.
+        documented = json.loads(re.sub(r"//.*", "", block))
+
+        def fill(node, where=""):
+            """The documented config with a stand-in for each REQUIRED value."""
+            out = {}
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    out[key] = fill(value, f"{where}{key}.")
+                elif value == "REQUIRED":
+                    out[key] = 7 if key == "seed" else f"<{where}{key}>"
+                else:
+                    out[key] = value
+            return out
+
+        full = fill(documented)
+        # Only the required values: the schema's defaults must supply the rest.
+        required = {
+            key: {k: v for k, v in value.items() if documented[key][k] == "REQUIRED"}
+            if isinstance(value, dict)
+            else value
+            for key, value in full.items()
+            if isinstance(value, dict) or documented[key] == "REQUIRED"
+        }
+        assert RunConfig.from_dict(required, Path("")).to_snapshot() == full
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
         monkeypatch.chdir(tmp_path.parent)
         cfg = RunConfig.from_file(cfg_path)
-        assert cfg.dataset_path.exists()
+        assert cfg.dataset.path.exists()
         assert cfg.llm.endpoint == f"script:{tmp_path / 'script.json'}"
 
     def test_definition_prefix_defaults_to_document_prefix(self, tmp_path):
@@ -169,6 +408,87 @@ class TestConfig:
         runs = list(out_dir.glob("*-m1-*-s99"))
         assert len(runs) == 1
         assert len((runs[0] / "trace.jsonl").read_text().splitlines()) == 2
+
+
+class TestConfigSnapshot:
+    """config.json bytes are pinned: old run directories must still resume."""
+
+    def _snapshot_bytes(self, cfg: RunConfig, path: Path) -> bytes:
+        runner._write_json(path, cfg.to_snapshot())
+        return path.read_bytes()
+
+    def _check(self, tmp_path, raw: dict, golden: str) -> None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw, indent=2))
+        cfg = RunConfig.from_file(cfg_path)
+        expected = golden.replace("{base}", str(tmp_path.resolve())).encode()
+        assert self._snapshot_bytes(cfg, tmp_path / "snapshot.json") == expected
+        # The snapshot holds only absolute paths, so reading it back from
+        # anywhere gives the same bytes.
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        again = RunConfig.from_dict(cfg.to_snapshot(), elsewhere)
+        assert self._snapshot_bytes(again, elsewhere / "snapshot.json") == expected
+
+    def test_fixture_config(self, tmp_path):
+        raw = json.loads(write_config(tmp_path, separable_dataset(), [], t_max=6).read_text())
+        self._check(tmp_path, raw, GOLDEN_FIXTURE)
+
+    def test_bench_shaped_config(self, tmp_path):
+        raw = {
+            "dataset": {"path": "corpus.jsonl", "format": "jsonl"},
+            "embedder": {"endpoint": "mock:dim=256,seed=0", "model_id": "mock-embed", "concurrency": 1},
+            "llm": {"endpoint": "script:script.json", "model_id": "scripted"},
+            "strategy": {"name": "m3", "k": 3, "m": 3},
+            "seed": 0,
+            "t_max": 20,
+            "parse_retries": 3,
+            "out_dir": "out",
+            "cache_file": "cache/embedding_cache.jsonl",
+        }
+        self._check(tmp_path, raw, GOLDEN_BENCH)
+
+    def test_config_with_every_field_set(self, tmp_path):
+        raw = {
+            "dataset": {
+                "path": "data/corpus.csv",
+                "format": "csv",
+                "categories_file": "data/categories.txt",
+                "name": "dmoz",
+            },
+            "embedder": {
+                "endpoint": "http://127.0.0.1:8080/v1/embeddings",
+                "model_id": "e5-large",
+                "document_prefix": "passage: ",
+                "definition_prefix": "query: ",
+                "max_batch": 32,
+                "max_input_chars": 4096,
+                "timeout": 12.5,
+                "retries": 5,
+                "concurrency": 2,
+                "backoff_base": 1,
+            },
+            "llm": {
+                "endpoint": "http://127.0.0.1:8081/v1/chat/completions",
+                "model_id": "gpt-x",
+                "sampling_temperature": 0.7,
+                "max_output_tokens": 2048,
+                "timeout": 90,
+                "retries": 1,
+                "system_message": "Answer in JSON.",
+                "backoff_base": 0.25,
+            },
+            "strategy": {"name": "M1", "k": 4, "m": 5, "acceptance": "metropolis"},
+            "schedule": {"t0": 0.5, "t_min": 0.05},
+            "init": {"mode": "llm_generated", "definitions_file": "/abs/defs.json"},
+            "seed": 123,
+            "t_max": 0,
+            "out_dir": "/abs/runs",
+            "sample_char_cap": 500,
+            "parse_retries": 0,
+            "cache_file": "cache.bin",
+        }
+        self._check(tmp_path, raw, GOLDEN_EVERY_FIELD)
 
 
 class TestBaseline:
@@ -249,6 +569,18 @@ class TestRefineRuns:
         assert (run_a / "definitions_log.jsonl").read_bytes() == (
             run_b / "definitions_log.jsonl"
         ).read_bytes()
+
+    def test_resume_with_a_short_trace_is_data_error(self, tmp_path):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        trace = run_dir / "trace.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        # state.json says iteration 3, but only two records survive.
+        trace.write_text("".join(lines[:2]))
+        (tmp_path / "script.json").write_text(json.dumps(toy_script(6)))
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
 
     @pytest.mark.parametrize("resume", [False, True])
     def test_restart_before_first_checkpoint_starts_over(self, tmp_path, monkeypatch, resume):
