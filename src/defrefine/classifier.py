@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_matrix(vectors) -> np.ndarray:
+# Rows per block hold about this many elements, which bounds the squares
+# temporary that unit_rows needs (2 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _as_matrix(vectors, copy: bool = False) -> np.ndarray:
     try:
-        matrix = np.asarray(vectors, dtype=np.float64)
+        if copy:
+            matrix = np.array(vectors, dtype=np.float64)
+        else:
+            matrix = np.asarray(vectors, dtype=np.float64)
     except ValueError as exc:
         raise ValueError("vector dimension mismatch") from exc
     if matrix.shape[:1] == (0,):
@@ -17,16 +25,26 @@ def _as_matrix(vectors) -> np.ndarray:
     return matrix
 
 
-def unit_rows(vectors, what: str) -> np.ndarray:
-    """The rows scaled to unit length, as a new float64 (n, d) array.
+def unit_rows(vectors, what: str, *, in_place: bool = False) -> np.ndarray:
+    """The rows scaled to unit length, as a float64 (n, d) array.
 
-    `what` names the rows in the error raised for a zero-norm row.
+    The result is a new array, unless `in_place` is set: then a float64
+    array the caller owns is normalised in its own memory and returned.
+    Rows are normalised in blocks, so the temporary stays small; each row
+    gets the same bits as `m / np.linalg.norm(m, axis=1)[:, None]`. `what`
+    names the rows in the error raised for a zero-norm row, which may leave
+    an in-place array partly normalised.
     """
-    matrix = _as_matrix(vectors)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"zero-norm {what} vector")
-    return matrix / norms[:, None]
+    matrix = _as_matrix(vectors, copy=not in_place)
+    step = max(1, _BLOCK_ELEMENTS // max(1, matrix.shape[1]))
+    for start in range(0, matrix.shape[0], step):
+        block = matrix[start : start + step]
+        # np.linalg.norm's own sum for axis=1, without its full-size temporary.
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        if np.any(norms == 0.0):
+            raise ValueError(f"zero-norm {what} vector")
+        block /= norms[:, None]
+    return matrix
 
 
 def classify(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ class Dataset:
     categories: tuple[str, ...]
     documents: tuple[Document, ...]
 
-    @property
+    @cached_property
     def category_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.categories)}
 
@@ -75,6 +75,8 @@ def _iter_jsonl_records(path: Path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}: line {lineno}: record is not a JSON object")
             yield lineno, record
 
 

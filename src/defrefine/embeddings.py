@@ -18,7 +18,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import requests
@@ -96,25 +96,37 @@ _KEY_BYTES = 32
 _RECORD_SYNC = b"\x93REC"
 _RECORD_HEAD = struct.Struct("<4sIII")
 _CRC_FROM = 8
+# The index keeps a stored key's place as one int, record offset << _ROW_BITS
+# | row (a row count is 32 bits): ints, unlike tuples, are not tracked by the
+# garbage collector, so a large index does not slow its collections.
+_ROW_BITS = 32
+_ROW_MASK = (1 << _ROW_BITS) - 1
 
 
 class EmbeddingCache:
-    """In-memory vector index over an optional append-only binary store.
+    """Key index over an optional append-only binary store of vectors.
 
     The store is STORE_MAGIC followed by one record per put: a header (sync
     marker, crc32, row count, dim), the rows' fixed-width keys, then the
     float64 rows. Each record is appended with one write under an exclusive
-    flock, so processes can share a store. On load the file is read once and
-    every record becomes one array; a torn or corrupt record costs only
-    itself, because the loader scans forward to the next sync marker. Puts
-    are serialized by a lock; gets are lock-free.
+    flock, so processes can share a store. Opening reads the file once and
+    checks every record; a torn or corrupt record costs only itself, because
+    the loader scans forward to the next sync marker. Memory then holds only
+    where each stored key's row is: `read` fetches a record when it is used,
+    with one pread, and checks it again, so a record damaged after open is
+    dropped and its keys read as misses. Rows put by this process stay in
+    memory. Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._index: dict[bytes, np.ndarray] = {}
+        # key -> its place in the store; record offset -> (row count, dim).
+        self._stored: dict[bytes, int] = {}
+        self._records: dict[int, tuple[int, int]] = {}
+        self._fresh: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
         self._fd: int | None = None
+        self._read_fd: int | None = None
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -134,23 +146,78 @@ class EmbeddingCache:
         skipped = 0
         offset = len(STORE_MAGIC)
         while offset < len(data):
-            record = _read_record(data, view, offset)
-            if record is None:
+            shape = _check_record(view, offset)
+            if shape is None:
                 resync = data.find(_RECORD_SYNC, offset + 1)
                 resync = len(data) if resync < 0 else resync
                 skipped += resync - offset
                 offset = resync
                 continue
-            keys, rows, offset = record
-            records.append((keys, rows))
+            n, dim = shape
+            keys_at = offset + _RECORD_HEAD.size
+            keys = [data[i : i + _KEY_BYTES] for i in range(keys_at, keys_at + n * _KEY_BYTES, _KEY_BYTES)]
+            records.append((offset, keys))
+            self._records[offset] = shape
+            offset += _record_size(n, dim)
         # Reversed, so the first record to store a key wins, as in put.
-        for keys, rows in reversed(records):
-            self._index.update(zip(keys, rows))
+        for offset, keys in reversed(records):
+            first = offset << _ROW_BITS
+            self._stored.update(zip(keys, range(first, first + len(keys))))
         if skipped:
             log.warning("embedding cache %s: skipped %d bytes of damaged records", self._path, skipped)
 
-    def get(self, key: bytes) -> np.ndarray | None:
-        return self._index.get(key)
+    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Yield (positions, rows): rows[j] is the vector of keys[positions[j]].
+
+        Keys never yielded are misses. Each stored record is read with one
+        pread and checked again (sync marker, size, crc, and the key at each
+        row); one that fails is dropped with a warning, so its keys are misses.
+        """
+        wanted: dict[int, tuple[list[int], list[int]]] = {}  # record offset -> positions, rows
+        fresh_at: list[int] = []
+        for i, where in enumerate(map(self._stored.get, keys)):
+            if where is None:
+                if keys[i] in self._fresh:
+                    fresh_at.append(i)
+                continue
+            offset = where >> _ROW_BITS
+            group = wanted.get(offset)
+            if group is None:
+                group = wanted[offset] = ([], [])
+            group[0].append(i)
+            group[1].append(where & _ROW_MASK)
+        if fresh_at:
+            yield fresh_at, np.array([self._fresh[keys[i]] for i in fresh_at])
+        if not wanted:
+            return
+        with self._lock:
+            try:
+                if self._read_fd is None:
+                    self._read_fd = os.open(self._path, os.O_RDONLY)
+            except FileNotFoundError:
+                log.warning("embedding cache %s was removed after open; its vectors will be fetched again", self._path)
+                self._stored.clear()
+                self._records.clear()
+                return
+            fd = self._read_fd
+        for offset, (at, rows) in wanted.items():
+            block = _read_rows(fd, offset, *self._records[offset], [keys[i] for i in at], rows)
+            if block is None:
+                self._drop(offset)
+            else:
+                yield at, block
+
+    def _drop(self, offset: int) -> None:
+        with self._lock:
+            n, _ = self._records.pop(offset)
+            for key in [k for k, where in self._stored.items() if where >> _ROW_BITS == offset]:
+                del self._stored[key]
+        log.warning(
+            "embedding cache %s: the record at byte %d changed after open; its %d vectors will be fetched again",
+            self._path,
+            offset,
+            n,
+        )
 
     def put(self, keys: Sequence[bytes], rows: np.ndarray) -> None:
         """Store row i under keys[i]; keys already present keep their vector."""
@@ -160,12 +227,12 @@ class EmbeddingCache:
         if any(type(k) is not bytes or len(k) != _KEY_BYTES for k in keys):
             raise ValueError(f"cache keys must be {_KEY_BYTES}-byte strings")
         with self._lock:
-            fresh = [i for i, k in enumerate(keys) if k not in self._index]
+            fresh = [i for i, k in enumerate(keys) if k not in self._stored and k not in self._fresh]
             if not fresh:
                 return
             if len(fresh) < len(keys):
                 keys, rows = [keys[i] for i in fresh], rows[fresh]
-            self._index.update(zip(keys, rows))
+            self._fresh.update(zip(keys, rows))
             if self._path is not None:
                 self._append(_encode_record(keys, rows))
 
@@ -185,12 +252,29 @@ class EmbeddingCache:
 
     def close(self) -> None:
         with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+            for fd in (self._fd, self._read_fd):
+                if fd is not None:
+                    os.close(fd)
+            self._fd = self._read_fd = None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._stored) + len(self._fresh)
+
+
+def _record_size(n: int, dim: int) -> int:
+    return _RECORD_HEAD.size + n * (_KEY_BYTES + 8 * dim)
+
+
+def _read_rows(fd: int, offset: int, n: int, dim: int, keys: list[bytes], rows: list[int]) -> np.ndarray | None:
+    """The rows at `rows` of the record at offset, if it is intact and holds `keys` there."""
+    data = os.pread(fd, _record_size(n, dim), offset)
+    if _check_record(memoryview(data), 0) != (n, dim):
+        return None
+    keys_at = _RECORD_HEAD.size
+    stored = np.frombuffer(data, np.uint8, n * _KEY_BYTES, keys_at).reshape(n, _KEY_BYTES)
+    if not np.array_equal(stored[rows], np.frombuffer(b"".join(keys), np.uint8).reshape(-1, _KEY_BYTES)):
+        return None
+    return np.frombuffer(data, "<f8", n * dim, keys_at + n * _KEY_BYTES).reshape(n, dim)[rows]
 
 
 def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytes:
@@ -201,21 +285,18 @@ def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytes:
     return _RECORD_HEAD.pack(_RECORD_SYNC, crc, n, dim) + body
 
 
-def _read_record(data: bytes, view: memoryview, offset: int):
-    """(keys, rows, next offset) of an intact record at offset, else None."""
+def _check_record(view: memoryview, offset: int) -> tuple[int, int] | None:
+    """(row count, dim) of an intact record at offset, else None."""
     start = offset + _RECORD_HEAD.size
-    if start > len(data):
+    if start > len(view):
         return None
-    sync, crc, n, dim = _RECORD_HEAD.unpack_from(data, offset)
-    end = start + n * (_KEY_BYTES + 8 * dim)
-    if sync != _RECORD_SYNC or n == 0 or dim == 0 or end > len(data):
+    sync, crc, n, dim = _RECORD_HEAD.unpack_from(view, offset)
+    end = offset + _record_size(n, dim)
+    if sync != _RECORD_SYNC or n == 0 or dim == 0 or end > len(view):
         return None
     if zlib.crc32(view[offset + _CRC_FROM : end]) != crc:
         return None
-    rows_at = start + n * _KEY_BYTES
-    keys = [data[i : i + _KEY_BYTES] for i in range(start, rows_at, _KEY_BYTES)]
-    rows = np.frombuffer(data, dtype="<f8", count=n * dim, offset=rows_at).reshape(n, dim)
-    return keys, rows, end
+    return n, dim
 
 
 class MockEmbeddingProvider:
@@ -304,9 +385,10 @@ class EmbeddingGateway:
         return self._cache
 
     def _admit(self, vectors) -> np.ndarray:
-        """Vectors as an (n, d) float64 array, once every row is checked."""
+        """Vectors as an (n, d) float64 array, once every row is checked; a
+        float64 array is checked as it is, not copied."""
         try:
-            rows = np.array(vectors, dtype=np.float64)
+            rows = np.asarray(vectors, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ProviderError(f"provider returned ragged or non-numeric embeddings: {exc}") from exc
         if rows.ndim != 2 or rows.shape[1] == 0:
@@ -322,45 +404,63 @@ class EmbeddingGateway:
         return rows
 
     def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
-        """Embed texts under the given role as an (n, d) array; row i is input i."""
+        """Embed texts under the given role as an (n, d) array; row i is input i.
+
+        Cached rows are gathered straight into the one output array, and each
+        provider batch is scattered into it as its reply arrives.
+        """
         if not texts:
             raise ValueError("texts must be nonempty")
         payloads = [apply_prefix(t, role, self._cfg) for t in texts]
         keys = cache_keys(self._cfg, role, payloads)
+        out: np.ndarray | None = None
 
-        pending: dict[bytes, str] = {}
-        for key, payload in zip(keys, payloads):
-            if self._cache.get(key) is None and key not in pending:
-                pending[key] = payload
-        if pending:
-            self._fetch(list(pending.items()))
+        def place(at, rows: np.ndarray) -> None:
+            nonlocal out
+            if out is None:
+                out = np.empty((len(keys), rows.shape[1]))
+            elif rows.shape[1] != out.shape[1]:
+                raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {out.shape[1]}")
+            out[at] = rows
 
-        rows = [self._cache.get(key) for key in keys]
-        if any(row is None for row in rows):
-            raise ProviderError("embedding missing after fetch")
-        return self._admit(rows)
+        found = np.zeros(len(keys), dtype=bool)
+        for at, rows in self._cache.read(keys):
+            place(at, rows)
+            found[at] = True
+        pending: dict[bytes, list[int]] = {}  # each missing key's positions
+        for i in np.flatnonzero(~found).tolist():
+            pending.setdefault(keys[i], []).append(i)
+        for batch, rows in self._fetch([(key, payloads[at[0]]) for key, at in pending.items()]):
+            at = [i for key in batch for i in pending[key]]
+            if len(at) > len(batch):  # a text given more than once
+                rows = rows[[j for j, key in enumerate(batch) for _ in pending[key]]]
+            place(at, rows)
+        return self._admit(out)
 
-    def _fetch(self, items: list[tuple[bytes, str]]) -> None:
-        """Embed (key, payload) misses in batches; each batch is admitted and
-        cached as its reply arrives, so replies are not held until the last one."""
+    def _fetch(self, items: list[tuple[bytes, str]]) -> Iterator[tuple[list[bytes], np.ndarray]]:
+        """Embed (key, payload) misses in batches, yielding (keys, rows) per
+        batch once it is admitted and cached, as its reply arrives, so replies
+        are not held until the last one."""
         cfg = self._cfg
         batches = [items[i : i + cfg.max_batch] for i in range(0, len(items), cfg.max_batch)]
 
         def run(batch):
             return self._provider.embed_batch([p for _, p in batch])
 
-        def store(batch, vectors) -> None:
+        def store(batch, vectors) -> tuple[list[bytes], np.ndarray]:
             if len(vectors) != len(batch):
                 raise ProviderError("provider returned wrong number of embeddings")
-            self._cache.put([k for k, _ in batch], self._admit(vectors))
+            keys, rows = [k for k, _ in batch], self._admit(vectors)
+            self._cache.put(keys, rows)
+            return keys, rows
 
-        if len(batches) == 1 or cfg.concurrency <= 1:
+        if len(batches) <= 1 or cfg.concurrency <= 1:
             for batch in batches:
-                store(batch, run(batch))
+                yield store(batch, run(batch))
             return
         with ThreadPoolExecutor(max_workers=min(cfg.concurrency, len(batches))) as pool:
             for batch, vectors in zip(batches, pool.map(run, batches)):
-                store(batch, vectors)
+                yield store(batch, vectors)
 
     def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:
         """A (k, d) array with one row per category, in category index order."""

@@ -48,9 +48,8 @@ def confusion_matrix(gold: Sequence[int], predicted: Sequence[int], categories: 
         gold_arr.min() < 0 or gold_arr.max() >= k or pred_arr.min() < 0 or pred_arr.max() >= k
     ):
         raise ValueError("category index out of range")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (gold_arr, pred_arr), 1)
-    return ConfusionMatrix(counts=counts, category_order=tuple(categories))
+    counts = np.bincount(gold_arr * k + pred_arr, minlength=k * k).astype(np.int64, copy=False)
+    return ConfusionMatrix(counts=counts.reshape(k, k), category_order=tuple(categories))
 
 
 def macro_f1(cm: ConfusionMatrix) -> MetricsReport:

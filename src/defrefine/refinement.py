@@ -405,11 +405,8 @@ def refine(
     dev_docs = split_view(dataset, "dev")
     if not train_docs or not dev_docs:
         raise DataError("refinement requires nonempty train and dev splits")
-    cat_index = dataset.category_index
-    gold_train = np.array([cat_index[d.label] for d in train_docs])
-    gold_dev = np.array([cat_index[d.label] for d in dev_docs])
-    train_units = _embed_units(gateway, train_docs)
-    dev_units = _embed_units(gateway, dev_docs)
+    train_units, gold_train = embed_split(gateway, dataset, train_docs)
+    dev_units, gold_dev = embed_split(gateway, dataset, dev_docs)
 
     def score_train(defs: Mapping[str, str]) -> tuple[float, ConfusionMatrix]:
         report, cm = score(gateway, defs, categories, train_units, gold_train)
@@ -522,8 +519,7 @@ def refine(
     test_metrics = None
     test_cm = None
     if test_docs:
-        gold_test = np.array([cat_index[d.label] for d in test_docs])
-        test_metrics, test_cm = score(gateway, best, categories, _embed_units(gateway, test_docs), gold_test)
+        test_metrics, test_cm = score(gateway, best, categories, *embed_split(gateway, dataset, test_docs))
 
     return RefinementResult(
         best_definitions=dict(best),
@@ -536,9 +532,14 @@ def refine(
     )
 
 
-def _embed_units(gateway: EmbeddingGateway, docs: Sequence[Document]) -> np.ndarray:
-    """The documents' embeddings as unit rows, normalised once per split."""
-    return unit_rows(gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT), "document")
+def embed_split(
+    gateway: EmbeddingGateway, dataset: Dataset, docs: Sequence[Document]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A split's documents as unit rows, normalised once and in place, and
+    their gold category indices."""
+    vectors = gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT)
+    index = dataset.category_index
+    return unit_rows(vectors, "document", in_place=True), np.array([index[d.label] for d in docs])
 
 
 def _checkpoint(

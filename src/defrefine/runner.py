@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import typing
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -39,6 +40,7 @@ from .refinement import (
     LoopCheckpoint,
     RefinementResult,
     StrategyConfig,
+    embed_split,
     initial_definitions,
     refine,
     validate_definitions,
@@ -335,17 +337,15 @@ def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
-    llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
-    definitions = _initial_defs(cfg, dataset)
-    if definitions is None:
-        definitions = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
-
-    test_docs = split_view(dataset, "test")
-    if not test_docs:
-        raise DataError("baseline evaluation requires a nonempty test split")
-    doc_units = unit_rows(gateway.embed_texts([d.text for d in test_docs], "document"), "document")
-    gold = [dataset.category_index[d.label] for d in test_docs]
-    report, cm = score(gateway, definitions, dataset.categories, doc_units, gold)
+    with closing(gateway.cache):
+        llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
+        definitions = _initial_defs(cfg, dataset)
+        if definitions is None:
+            definitions = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
+        test_docs = split_view(dataset, "test")
+        if not test_docs:
+            raise DataError("baseline evaluation requires a nonempty test split")
+        report, cm = score(gateway, definitions, dataset.categories, *embed_split(gateway, dataset, test_docs))
 
     run_dir = run_dir_for(cfg, "baseline")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -353,7 +353,6 @@ def cmd_baseline(cfg: RunConfig):
     _write_json(run_dir / "definitions.json", definitions)
     _write_json(run_dir / "metrics_test.json", metrics_to_dict(report, dataset.categories))
     confusion_to_csv(cm, run_dir / "confusion_test.csv")
-    gateway.cache.close()
     print(f"baseline test macro-F1: {report.macro_f1:.4f} ({run_dir})")
     return report
 
@@ -380,68 +379,66 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     # Everything that can reject the config runs before the run directory exists.
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
-    llm = build_llm(cfg)
-    initial = _initial_defs(cfg, dataset)
-    if not resume:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(snapshot_path, cfg.to_snapshot())
+    with closing(gateway.cache):
+        llm = build_llm(cfg)
+        initial = _initial_defs(cfg, dataset)
+        if not resume:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(snapshot_path, cfg.to_snapshot())
 
-    checkpoint = None
-    if resume and state_path.exists():
-        checkpoint = LoopCheckpoint.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
-        _truncate_jsonl(trace_path, checkpoint.iteration, at_least=checkpoint.iteration)
-        _truncate_jsonl(defs_log_path, checkpoint.iteration)
-        if hasattr(llm, "advance"):
-            llm.advance(checkpoint.llm_calls)
+        checkpoint = None
+        if resume and state_path.exists():
+            checkpoint = LoopCheckpoint.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
+            _truncate_jsonl(trace_path, checkpoint.iteration, at_least=checkpoint.iteration)
+            _truncate_jsonl(defs_log_path, checkpoint.iteration)
+            if hasattr(llm, "advance"):
+                llm.advance(checkpoint.llm_calls)
 
-    # Without a checkpoint the run starts over, replacing what a run killed
-    # before its first checkpoint left behind.
-    mode = "a" if checkpoint is not None else "w"
-    trace_handle = open(trace_path, mode, encoding="utf-8")
-    defs_handle = open(defs_log_path, mode, encoding="utf-8")
+        # Without a checkpoint the run starts over, replacing what a run killed
+        # before its first checkpoint left behind.
+        mode = "a" if checkpoint is not None else "w"
+        with (
+            open(trace_path, mode, encoding="utf-8") as trace_handle,
+            open(defs_log_path, mode, encoding="utf-8") as defs_handle,
+        ):
 
-    def save_state(ck: LoopCheckpoint) -> None:
-        _atomic_write_json(state_path, ck.to_dict())
+            def save_state(ck: LoopCheckpoint) -> None:
+                _atomic_write_json(state_path, ck.to_dict())
 
-    def log_definitions(iteration: int, score: float, definitions: dict) -> None:
-        record = {"iteration": iteration, "score": score, "definitions": definitions}
-        defs_handle.write(json.dumps(record) + "\n")
-        defs_handle.flush()
+            def log_definitions(iteration: int, score: float, definitions: dict) -> None:
+                record = {"iteration": iteration, "score": score, "definitions": definitions}
+                defs_handle.write(json.dumps(record) + "\n")
+                defs_handle.flush()
 
-    def on_initial(info: dict, ck: LoopCheckpoint) -> None:
-        _write_json(run_dir / "initial.json", info)
-        log_definitions(0, info["phi_train"], info["definitions"])
-        save_state(ck)
+            def on_initial(info: dict, ck: LoopCheckpoint) -> None:
+                _write_json(run_dir / "initial.json", info)
+                log_definitions(0, info["phi_train"], info["definitions"])
+                save_state(ck)
 
-    def on_iteration(record: dict, ck: LoopCheckpoint) -> None:
-        trace_handle.write(json.dumps(record) + "\n")
-        trace_handle.flush()
-        os.fsync(trace_handle.fileno())
-        if record["accepted"]:
-            log_definitions(record["iteration"], ck.phi_cur, ck.current)
-        save_state(ck)
+            def on_iteration(record: dict, ck: LoopCheckpoint) -> None:
+                trace_handle.write(json.dumps(record) + "\n")
+                trace_handle.flush()
+                os.fsync(trace_handle.fileno())
+                if record["accepted"]:
+                    log_definitions(record["iteration"], ck.phi_cur, ck.current)
+                save_state(ck)
 
-    try:
-        result = refine(
-            dataset,
-            cfg.strategy,
-            AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
-            gateway,
-            llm,
-            seed=cfg.seed,
-            t_max=cfg.t_max,
-            init_mode=cfg.init.mode,
-            initial=initial,
-            parse_retries=cfg.parse_retries,
-            sample_char_cap=cfg.sample_char_cap,
-            on_initial=on_initial,
-            on_iteration=on_iteration,
-            resume=checkpoint,
-        )
-    finally:
-        trace_handle.close()
-        defs_handle.close()
-        gateway.cache.close()
+            result = refine(
+                dataset,
+                cfg.strategy,
+                AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
+                gateway,
+                llm,
+                seed=cfg.seed,
+                t_max=cfg.t_max,
+                init_mode=cfg.init.mode,
+                initial=initial,
+                parse_retries=cfg.parse_retries,
+                sample_char_cap=cfg.sample_char_cap,
+                on_initial=on_initial,
+                on_iteration=on_iteration,
+                resume=checkpoint,
+            )
 
     _write_json(run_dir / "best_definitions.json", result.best_definitions)
     summary = {
@@ -544,19 +541,21 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
 
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
-    best = _best_definitions_for_report(run_dir)
-    def_vecs = gateway.embed_definitions(best, dataset.categories)
-    test_docs = split_view(dataset, "test")
-    if test_docs:
-        doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
-        gold = [dataset.category_index[d.label] for d in test_docs]
-        _, cm = score(gateway, best, dataset.categories, unit_rows(doc_vecs, "document"), gold)
-        cm_path = reports / "confusion_test.csv"
-        confusion_to_csv(cm, cm_path)
-        written.append(cm_path)
-    else:
-        doc_vecs = []
-        log.warning("no test split: skipping test confusion matrix")
+    with closing(gateway.cache):
+        best = _best_definitions_for_report(run_dir)
+        def_vecs = gateway.embed_definitions(best, dataset.categories)
+        test_docs = split_view(dataset, "test")
+        if test_docs:
+            # A copy is normalised: the snapshot below needs the raw vectors.
+            doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
+            gold = [dataset.category_index[d.label] for d in test_docs]
+            _, cm = score(gateway, best, dataset.categories, unit_rows(doc_vecs, "document"), gold)
+            cm_path = reports / "confusion_test.csv"
+            confusion_to_csv(cm, cm_path)
+            written.append(cm_path)
+        else:
+            doc_vecs = []
+            log.warning("no test split: skipping test confusion matrix")
 
     snapshot_path = reports / "embeddings_snapshot.jsonl"
     definition_rows = (
@@ -570,7 +569,6 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     with open(snapshot_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
     written.append(snapshot_path)
-    gateway.cache.close()
     print(f"report written: {', '.join(p.name for p in written)} in {reports}")
     return written
 

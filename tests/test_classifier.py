@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from defrefine import classifier
 from defrefine.classifier import classify, unit_rows
 
 
@@ -96,6 +97,31 @@ class TestUnitRows:
         assert units is not docs
         np.testing.assert_array_equal(docs, before)
 
+    def test_in_place_writes_into_the_callers_array(self):
+        docs = np.array([[3.0, 4.0], [0.0, 2.0]])
+        units = unit_rows(docs, "document", in_place=True)
+        assert units is docs
+        np.testing.assert_array_equal(docs, [[0.6, 0.8], [0.0, 1.0]])
+
+    def test_uses_only_numpy_1_copy_modes(self, monkeypatch):
+        # pyproject allows numpy>=1.24: there np.array rejects copy=None and
+        # np.asarray takes no copy argument at all.
+        def numpy_1(real, copy_allowed):
+            def call(*args, **kwargs):
+                if "copy" in kwargs and (not copy_allowed or kwargs["copy"] is None):
+                    raise ValueError("NoneType copy mode not allowed.")
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np, "array", numpy_1(np.array, True))
+        monkeypatch.setattr(np, "asarray", numpy_1(np.asarray, False))
+        docs = np.array([[3.0, 4.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(unit_rows(docs, "document"), [[0.6, 0.8], [0.0, 1.0]])
+        assert unit_rows(docs, "document", in_place=True) is docs
+        _, predictions = classify(docs, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(predictions, [1, 1])
+
     def test_zero_norm_row_rejected(self):
         with pytest.raises(ValueError, match="zero-norm document vector"):
             unit_rows([[1.0, 0.0], [0.0, 0.0]], "document")
@@ -143,6 +169,19 @@ class TestBitIdentity:
         defs = np.vstack([base + 1e-13 * rng.standard_normal((1, 64)) for _ in range(5)])
         docs = np.vstack([base + 1e-12 * rng.standard_normal((200, 64)), defs, defs * 3.0])
         self._assert_same(docs, defs)
+
+    @pytest.mark.parametrize("blocks", [0.5, 1, 2.37], ids=["below-a-block", "one-block", "not-a-multiple"])
+    def test_in_place_blockwise_unit_rows(self, blocks):
+        d = 64
+        n = int(blocks * (classifier._BLOCK_ELEMENTS // d))
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+        reference = m / np.linalg.norm(m, axis=1)[:, None]
+        owned = m.copy()
+        units = unit_rows(owned, "document", in_place=True)
+        assert units is owned
+        assert np.array_equal(units, reference)
+        assert np.array_equal(unit_rows(m, "document"), reference)
 
     def test_list_and_float32_inputs(self):
         rng = np.random.default_rng(37)

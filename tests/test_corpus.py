@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import re
 
 import pytest
 
@@ -104,6 +105,20 @@ def test_malformed_line_reports_row(tmp_path):
     path.write_text('{"id": "a", "text": "x", "label": "l", "split": "train"}\n{oops\n')
     with pytest.raises(DataError, match="line 2"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
+def test_record_that_is_not_an_object_reports_row(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "text": "x", "label": "l", "split": "train"}\n' + line + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2: record is not a JSON object")):
+        load_dataset(path)
+
+
+def test_category_index_is_built_once(toy_dataset):
+    index = toy_dataset.category_index
+    assert index == {c: i for i, c in enumerate(toy_dataset.categories)}
+    assert toy_dataset.category_index is index
 
 
 def test_duplicate_id_errors(tmp_path):

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import re
+import shutil
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from defrefine.embeddings import (
 from defrefine.errors import ConfigError, ProviderError
 
 from conftest import mock_gateway
+
+DATA = Path(__file__).parent / "data"
 
 
 def _cfg(**kwargs):
@@ -130,13 +136,22 @@ def _write_store(path, tags) -> list[int]:
     return ends
 
 
+def _served(cache, keys) -> list[bytes | None]:
+    """The bytes of the row the cache serves for each key; None for a miss."""
+    served = [None] * len(keys)
+    for at, rows in cache.read(keys):
+        for i, row in zip(at, rows):
+            served[i] = row.tobytes()
+    return served
+
+
 def _assert_holds_exactly(path, tags) -> None:
     cache = EmbeddingCache(path)
     assert len(cache) == 3 * len(tags)
     for tag in tags:
         keys, rows = _batch(tag)
-        for key, row in zip(keys, rows):
-            assert cache.get(key).tobytes() == row.tobytes()
+        assert _served(cache, keys) == [row.tobytes() for row in rows]
+    cache.close()
 
 
 def _append_batches(path: str, tag_base: int, barrier) -> None:
@@ -199,8 +214,146 @@ class TestStore:
         assert len(cache) == 2 * 150 * 40
         for tag in [*range(150), *range(1000, 1150)]:
             keys, rows = _batch(tag, n=40, dim=64)
-            for key, row in zip(keys, rows):
-                assert cache.get(key).tobytes() == row.tobytes()
+            assert _served(cache, keys) == [row.tobytes() for row in rows]
+        cache.close()
+
+
+class _RecordingMock(MockEmbeddingProvider):
+    """The mock provider, recording every text it is asked to embed."""
+
+    def __init__(self, dim: int = 8):
+        super().__init__(dim)
+        self.texts: list[str] = []
+
+    def embed_batch(self, texts):
+        self.texts.extend(texts)
+        return super().embed_batch(texts)
+
+
+def _three_batch_gateway(path, provider):
+    return EmbeddingGateway(_cfg(max_batch=3, concurrency=1), EmbeddingCache(path), provider)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestServedFromDisk:
+    """Stored rows are read back from the file when used, and checked again."""
+
+    TEXTS = [f"text {i}" for i in range(9)]
+
+    def _store(self, path) -> int:
+        """Three records of three texts each; returns one record's size."""
+        gw = _three_batch_gateway(path, MockEmbeddingProvider(8))
+        gw.embed_texts(self.TEXTS, "document")
+        gw.cache.close()
+        return (path.stat().st_size - len(STORE_MAGIC)) // 3
+
+    @pytest.mark.parametrize("damage", ["flipped-row-byte", "truncated"])
+    def test_record_damaged_after_open_is_fetched_again(self, tmp_path, caplog, damage):
+        path = tmp_path / "cache.bin"
+        size = self._store(path)
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        gw.embed_texts(self.TEXTS, "document")  # served from the file; the reader is open
+        assert provider.texts == []
+        with open(path, "r+b") as fh:
+            if damage == "truncated":
+                fh.truncate(len(STORE_MAGIC) + 2 * size + size // 2)
+            else:
+                at = len(STORE_MAGIC) + size + size - 5  # in the second record's last row
+                fh.seek(at)
+                byte = fh.read(1)[0]
+                fh.seek(at)
+                fh.write(bytes([byte ^ 0xFF]))
+        served = gw.embed_texts(self.TEXTS, "document")
+        damaged = self.TEXTS[6:9] if damage == "truncated" else self.TEXTS[3:6]
+        assert provider.texts == damaged
+        assert "changed after open" in caplog.text
+        expected = np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS))
+        assert served.tobytes() == expected.tobytes()
+        gw.cache.close()
+        # The re-fetched rows were appended, so a new open serves every text.
+        again = _three_batch_gateway(path, _RecordingMock())
+        assert again.embed_texts(self.TEXTS, "document").tobytes() == expected.tobytes()
+        assert again._provider.texts == []
+        again.cache.close()
+
+    def test_records_swapped_after_open_are_not_served_under_other_keys(self, tmp_path):
+        # Each swapped record is intact, so only the key check can tell.
+        path = tmp_path / "cache.bin"
+        size = self._store(path)
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        gw.embed_texts(self.TEXTS, "document")
+        data = path.read_bytes()
+        first, second = (data[len(STORE_MAGIC) + i * size :][:size] for i in (0, 1))
+        with open(path, "r+b") as fh:
+            fh.seek(len(STORE_MAGIC))
+            fh.write(second + first)
+        served = gw.embed_texts(self.TEXTS, "document")
+        assert provider.texts == self.TEXTS[:6]
+        assert served.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS)).tobytes()
+        gw.cache.close()
+
+    def test_store_removed_after_open_is_fetched_again(self, tmp_path, caplog):
+        path = tmp_path / "cache.bin"
+        self._store(path)
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        path.unlink()
+        served = gw.embed_texts(self.TEXTS, "document")
+        assert provider.texts == self.TEXTS
+        assert "removed after open" in caplog.text
+        assert served.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS)).tobytes()
+        gw.cache.close()
+
+    def test_store_written_by_the_in_memory_cache_serves_identical_bytes(self, tmp_path):
+        # Written by the cache that read the whole store into memory (commit
+        # d7031dd): one put of _batch(1), then one of _batch(2).
+        path = tmp_path / "cache.bin"
+        shutil.copyfile(DATA / "store_two_records.bin", path)
+        cache = EmbeddingCache(path)
+        assert len(cache) == 6
+        for tag in (1, 2):
+            keys, rows = _batch(tag)
+            assert _served(cache, keys) == [row.tobytes() for row in rows]
+        cache.put(*_batch(3))
+        cache.close()
+        assert path.read_bytes().startswith((DATA / "store_two_records.bin").read_bytes())
+        _assert_holds_exactly(path, [1, 2, 3])
+
+    def test_open_holds_only_keys(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        writer = EmbeddingCache(path)
+        for tag in range(20):
+            writer.put(*_batch(tag, n=20, dim=1024))
+        writer.close()
+        row_bytes = 20 * 20 * 1024 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = EmbeddingCache(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 400
+        assert held < row_bytes / 10
+        cache.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_close_releases_the_read_descriptor(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        _write_store(path, [1])
+        before = _open_fds()
+        cache = EmbeddingCache(path)
+        assert _open_fds() == before  # opened at the first read, not on open
+        keys, rows = _batch(1)
+        assert _served(cache, keys) == [row.tobytes() for row in rows]
+        assert _open_fds() == before + 1
+        cache.close()
+        assert _open_fds() == before
 
 
 class TestMockProvider:
@@ -230,6 +383,15 @@ class TestAlignment:
         out = gateway.embed_texts(mixed, "document")
         for text, vec in zip(mixed, out):
             np.testing.assert_array_equal(vec, singles[int(text[1:])])
+
+    def test_repeated_texts_missing_from_the_cache(self):
+        texts = ["a", "b", "a", "c", "b", "a"]
+        gw = mock_gateway()
+        gw._cfg.max_batch = 2
+        out = gw.embed_texts(texts, "document")
+        assert gw._provider.requests == 2
+        expected = np.array(MockEmbeddingProvider(32).embed_batch(texts))
+        assert out.tobytes() == expected.tobytes()
 
     def test_alignment_across_batches_and_concurrency(self):
         texts = [f"item {i}" for i in range(57)]

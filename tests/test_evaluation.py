@@ -58,6 +58,19 @@ class TestConfusionMatrix:
         for c in range(4):
             assert int(cm.counts[c].sum()) == int((gold == c).sum())
 
+    @pytest.mark.parametrize("n", [0, 1, 17, 2000])
+    def test_counts_match_add_at_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for k in (1, 2, 7, 20):
+            gold = rng.integers(0, k, size=n)
+            pred = rng.integers(0, k, size=n)
+            oracle = np.zeros((k, k), dtype=np.int64)
+            np.add.at(oracle, (gold, pred), 1)
+            for g, p in ((gold, pred), (gold.tolist(), pred.tolist())):
+                counts = confusion_matrix(g, p, [f"c{i}" for i in range(k)]).counts
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, oracle)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix([0, 3], [0, 1], ("a", "b"))

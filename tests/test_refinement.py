@@ -375,15 +375,17 @@ class TestRefineLoop:
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
-        # train, dev and test are each made unit rows once, however many
-        # iterations run, and every classify call gets one of those arrays.
+        # train, dev and test are each made unit rows once, in the array the
+        # gateway returned, however many iterations run, and every classify
+        # call gets one of those arrays.
         units = []
         docs_seen = []
         unit_rows = classifier.unit_rows
         classify = classifier.classify
 
-        def counting_unit_rows(vectors, what):
-            out = unit_rows(vectors, what)
+        def counting_unit_rows(vectors, what, *, in_place=False):
+            out = unit_rows(vectors, what, in_place=in_place)
+            assert in_place and out is vectors
             units.append((what, out))
             return out
 

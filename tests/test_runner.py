@@ -9,6 +9,7 @@ import pytest
 
 from defrefine import runner
 from defrefine.corpus import Dataset, Document
+from defrefine.embeddings import EmbeddingCache
 from defrefine.runner import (
     EXIT_DATA,
     EXIT_OK,
@@ -800,11 +801,65 @@ class TestReport:
         assert main(["report", str(tmp_path / "not-a-run")]) == EXIT_DATA
 
 
+class TestCacheIsClosed:
+    """Every command closes the embedding cache it opened, on error paths too."""
+
+    @pytest.fixture
+    def caches(self, monkeypatch):
+        opened, closed = [], []
+        build, close = runner.build_gateway, EmbeddingCache.close
+
+        def recording_build(cfg):
+            gateway = build(cfg)
+            opened.append(gateway.cache)
+            return gateway
+
+        def recording_close(cache):
+            closed.append(cache)
+            close(cache)
+
+        monkeypatch.setattr(runner, "build_gateway", recording_build)
+        monkeypatch.setattr(EmbeddingCache, "close", recording_close)
+        return opened, closed
+
+    @staticmethod
+    def _all_closed(opened, closed) -> bool:
+        return bool(opened) and all(any(c is cache for c in closed) for cache in opened)
+
+    def test_refine_with_a_malformed_script(self, tmp_path, caches):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        (tmp_path / "script.json").write_text("[not json")
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert self._all_closed(*caches)
+
+    def test_baseline_without_a_test_split(self, tmp_path, caches):
+        cfg_path = write_config(tmp_path, separable_dataset(n_test=0), [], t_max=0)
+        assert main(["baseline", "--config", str(cfg_path)]) == EXIT_DATA
+        assert self._all_closed(*caches)
+
+    def test_report_without_recorded_definitions(self, tmp_path, caches):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        (run_dir / "result.json").unlink()
+        (run_dir / "definitions_log.jsonl").write_text("")
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        assert len(caches[0]) == 2
+        assert self._all_closed(*caches)
+
+
 class TestExitCodes:
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
         (tmp_path / "data.jsonl").unlink()
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_DATA
+
+    def test_corpus_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        with open(tmp_path / "data.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[1, 2]\n")
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_DATA
+        assert "data.jsonl: line 22: record is not a JSON object" in capsys.readouterr().err
 
     def test_unreachable_provider_is_provider_error(self, tmp_path):
         cfg_path = write_config(
