@@ -15,6 +15,7 @@ import os
 import struct
 import threading
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,16 +78,18 @@ def cache_keys(cfg: EmbedderConfig, role: str, payloads: Sequence[str]) -> list[
     The endpoint tells apart providers that share a model id; only the digest
     is stored, never the endpoint or prefix text.
     """
-    head = _length_delimited(hashlib.sha256(), (cfg.endpoint, cfg.model_id, cfg.prefix_for(role)))
-    return [_length_delimited(head.copy(), (p,)).digest() for p in payloads]
+    head = hashlib.sha256(b"".join(map(_length_delimited, (cfg.endpoint, cfg.model_id, cfg.prefix_for(role)))))
+    keys = []
+    for payload in payloads:
+        digest = head.copy()
+        digest.update(_length_delimited(payload))
+        keys.append(digest.digest())
+    return keys
 
 
-def _length_delimited(digest, fields: Sequence[str]):
-    for field in fields:
-        raw = field.encode("utf-8")
-        digest.update(len(raw).to_bytes(8, "little"))
-        digest.update(raw)
-    return digest
+def _length_delimited(field: str) -> bytes:
+    raw = field.encode("utf-8")
+    return len(raw).to_bytes(8, "little") + raw
 
 
 STORE_MAGIC = b"DFRSTOR1"
@@ -102,6 +105,9 @@ _CRC_FROM = 8
 _ROW_BITS = 32
 _ROW_MASK = (1 << _ROW_BITS) - 1
 
+# Opening scans the store in reads of at most this many bytes.
+_SCAN_CHUNK = 1 << 20
+
 
 class EmbeddingCache:
     """Key index over an optional append-only binary store of vectors.
@@ -109,13 +115,15 @@ class EmbeddingCache:
     The store is STORE_MAGIC followed by one record per put: a header (sync
     marker, crc32, row count, dim), the rows' fixed-width keys, then the
     float64 rows. Each record is appended with one write under an exclusive
-    flock, so processes can share a store. Opening reads the file once and
-    checks every record; a torn or corrupt record costs only itself, because
-    the loader scans forward to the next sync marker. Memory then holds only
-    where each stored key's row is: `read` fetches a record when it is used,
-    with one pread, and checks it again, so a record damaged after open is
-    dropped and its keys read as misses. Rows put by this process stay in
-    memory. Puts are serialized by a lock.
+    flock, so processes can share a store. Opening scans the file record by
+    record under a shared flock and checks every record; a torn or corrupt
+    record costs only itself, because the scan resyncs at the next sync
+    marker. Memory then holds only where each stored key's row is, and a put
+    indexes the record it appends the same way, so no rows are kept: `read`
+    fetches a record when it is used, with one pread, and checks it again,
+    so a record damaged after open or after its put is dropped and its keys
+    read as misses. Only a cache without a path keeps its rows in memory.
+    Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -123,7 +131,7 @@ class EmbeddingCache:
         # key -> its place in the store; record offset -> (row count, dim).
         self._stored: dict[bytes, int] = {}
         self._records: dict[int, tuple[int, int]] = {}
-        self._fresh: dict[bytes, np.ndarray] = {}
+        self._fresh: dict[bytes, np.ndarray] = {}  # only without a path
         self._lock = threading.Lock()
         self._fd: int | None = None
         self._read_fd: int | None = None
@@ -133,38 +141,40 @@ class EmbeddingCache:
     def _load(self) -> None:
         with open(self._path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            data = fh.read()
-        if not data:
-            return
-        if not data.startswith(STORE_MAGIC):
-            raise ConfigError(
-                f"{self._path} is not an embedding store; move it away or set cache_file "
-                "to another path (it is left unchanged)"
-            )
-        view = memoryview(data)
-        records = []
-        skipped = 0
-        offset = len(STORE_MAGIC)
-        while offset < len(data):
-            shape = _check_record(view, offset)
-            if shape is None:
-                resync = data.find(_RECORD_SYNC, offset + 1)
-                resync = len(data) if resync < 0 else resync
-                skipped += resync - offset
-                offset = resync
-                continue
-            n, dim = shape
-            keys_at = offset + _RECORD_HEAD.size
-            keys = [data[i : i + _KEY_BYTES] for i in range(keys_at, keys_at + n * _KEY_BYTES, _KEY_BYTES)]
-            records.append((offset, keys))
-            self._records[offset] = shape
-            offset += _record_size(n, dim)
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+            if not size:
+                return
+            if os.pread(fd, len(STORE_MAGIC), 0) != STORE_MAGIC:
+                raise ConfigError(
+                    f"{self._path} is not an embedding store; move it away or set cache_file "
+                    "to another path (it is left unchanged)"
+                )
+            records = []
+            skipped = 0
+            offset = len(STORE_MAGIC)
+            while offset < size:
+                shape = _scan_record(fd, offset, size)
+                if shape is None:
+                    resync = _next_sync(fd, offset + 1, size)
+                    skipped += resync - offset
+                    offset = resync
+                    continue
+                n, dim = shape
+                keys = os.pread(fd, n * _KEY_BYTES, offset + _RECORD_HEAD.size)
+                records.append((offset, shape, [keys[i : i + _KEY_BYTES] for i in range(0, len(keys), _KEY_BYTES)]))
+                offset += _record_size(n, dim)
         # Reversed, so the first record to store a key wins, as in put.
-        for offset, keys in reversed(records):
-            first = offset << _ROW_BITS
-            self._stored.update(zip(keys, range(first, first + len(keys))))
+        for record in reversed(records):
+            self._index(*record)
         if skipped:
             log.warning("embedding cache %s: skipped %d bytes of damaged records", self._path, skipped)
+
+    def _index(self, offset: int, shape: tuple[int, int], keys: Sequence[bytes]) -> None:
+        """Point keys[i] at row i of the record at offset."""
+        self._records[offset] = shape
+        first = offset << _ROW_BITS
+        self._stored.update(zip(keys, range(first, first + len(keys))))
 
     def read(self, keys: Sequence[bytes]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Yield (positions, rows): rows[j] is the vector of keys[positions[j]].
@@ -232,23 +242,29 @@ class EmbeddingCache:
                 return
             if len(fresh) < len(keys):
                 keys, rows = [keys[i] for i in fresh], rows[fresh]
-            self._fresh.update(zip(keys, rows))
-            if self._path is not None:
-                self._append(_encode_record(keys, rows))
+            if self._path is None:
+                self._fresh.update(zip(keys, rows))
+            else:
+                self._index(self._append(_encode_record(keys, rows)), rows.shape, keys)
 
-    def _append(self, record: bytes) -> None:
+    def _append(self, record: bytearray) -> int:
+        """Append one record; the offset it was written at."""
         if self._fd is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         fcntl.flock(self._fd, fcntl.LOCK_EX)
         try:
-            if os.fstat(self._fd).st_size == 0:
+            offset = os.fstat(self._fd).st_size
+            if offset == 0:
                 record = STORE_MAGIC + record
-            written = os.write(self._fd, record)
-            while written < len(record):
-                written += os.write(self._fd, record[written:])
+                offset = len(STORE_MAGIC)
+            view = memoryview(record)
+            written = os.write(self._fd, view)
+            while written < len(view):
+                written += os.write(self._fd, view[written:])
         finally:
             fcntl.flock(self._fd, fcntl.LOCK_UN)
+        return offset
 
     def close(self) -> None:
         with self._lock:
@@ -268,7 +284,7 @@ def _record_size(n: int, dim: int) -> int:
 def _read_rows(fd: int, offset: int, n: int, dim: int, keys: list[bytes], rows: list[int]) -> np.ndarray | None:
     """The rows at `rows` of the record at offset, if it is intact and holds `keys` there."""
     data = os.pread(fd, _record_size(n, dim), offset)
-    if _check_record(memoryview(data), 0) != (n, dim):
+    if _check_record(data) != (n, dim):
         return None
     keys_at = _RECORD_HEAD.size
     stored = np.frombuffer(data, np.uint8, n * _KEY_BYTES, keys_at).reshape(n, _KEY_BYTES)
@@ -277,26 +293,71 @@ def _read_rows(fd: int, offset: int, n: int, dim: int, keys: list[bytes], rows: 
     return np.frombuffer(data, "<f8", n * dim, keys_at + n * _KEY_BYTES).reshape(n, dim)[rows]
 
 
-def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytes:
+def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytearray:
     n, dim = rows.shape
-    body = b"".join([*keys, rows.astype("<f8", copy=False).tobytes()])
-    counts = struct.pack("<II", n, dim)
-    crc = zlib.crc32(body, zlib.crc32(counts))
-    return _RECORD_HEAD.pack(_RECORD_SYNC, crc, n, dim) + body
+    keys_at = _RECORD_HEAD.size
+    rows_at = keys_at + n * _KEY_BYTES
+    record = bytearray(_record_size(n, dim))
+    record[keys_at:rows_at] = b"".join(keys)
+    np.frombuffer(record, "<f8", n * dim, rows_at).reshape(n, dim)[...] = rows
+    struct.pack_into("<II", record, _CRC_FROM, n, dim)
+    crc = zlib.crc32(memoryview(record)[_CRC_FROM:])
+    _RECORD_HEAD.pack_into(record, 0, _RECORD_SYNC, crc, n, dim)
+    return record
 
 
-def _check_record(view: memoryview, offset: int) -> tuple[int, int] | None:
-    """(row count, dim) of an intact record at offset, else None."""
-    start = offset + _RECORD_HEAD.size
-    if start > len(view):
+def _record_head(head, offset: int, size: int) -> tuple[int, int, int] | None:
+    """(crc, row count, dim) from the header at the start of `head`, if the
+    record at offset it belongs to is nonempty and ends within `size` bytes."""
+    if len(head) < _RECORD_HEAD.size:
         return None
-    sync, crc, n, dim = _RECORD_HEAD.unpack_from(view, offset)
-    end = offset + _record_size(n, dim)
-    if sync != _RECORD_SYNC or n == 0 or dim == 0 or end > len(view):
+    sync, crc, n, dim = _RECORD_HEAD.unpack_from(head)
+    if sync != _RECORD_SYNC or n == 0 or dim == 0 or offset + _record_size(n, dim) > size:
         return None
-    if zlib.crc32(view[offset + _CRC_FROM : end]) != crc:
+    return crc, n, dim
+
+
+def _check_record(data: bytes) -> tuple[int, int] | None:
+    """(row count, dim) of an intact record at the start of data, else None."""
+    parsed = _record_head(data, 0, len(data))
+    if parsed is None:
         return None
-    return n, dim
+    crc, n, dim = parsed
+    return (n, dim) if zlib.crc32(memoryview(data)[_CRC_FROM : _record_size(n, dim)]) == crc else None
+
+
+def _scan_record(fd: int, offset: int, size: int) -> tuple[int, int] | None:
+    """(row count, dim) of an intact record at offset within the first `size`
+    bytes of the file, else None; read in chunks of at most _SCAN_CHUNK."""
+    head = os.pread(fd, _RECORD_HEAD.size, offset)
+    parsed = _record_head(head, offset, size)
+    if parsed is None:
+        return None
+    crc, n, dim = parsed
+    running = zlib.crc32(head[_CRC_FROM:])
+    at, end = offset + _RECORD_HEAD.size, offset + _record_size(n, dim)
+    while at < end:
+        chunk = os.pread(fd, min(_SCAN_CHUNK, end - at), at)
+        if not chunk:
+            return None
+        running = zlib.crc32(chunk, running)
+        at += len(chunk)
+    return (n, dim) if running == crc else None
+
+
+def _next_sync(fd: int, start: int, size: int) -> int:
+    """Offset of the first sync marker at or after start, else size."""
+    at = start
+    while at < size:
+        chunk = os.pread(fd, min(_SCAN_CHUNK, size - at), at)
+        found = chunk.find(_RECORD_SYNC)
+        if found >= 0:
+            return at + found
+        if not chunk or at + len(chunk) >= size:
+            break
+        # Step back so a marker split across two chunks is still found.
+        at += max(1, len(chunk) - len(_RECORD_SYNC) + 1)
+    return size
 
 
 class MockEmbeddingProvider:
@@ -439,8 +500,12 @@ class EmbeddingGateway:
 
     def _fetch(self, items: list[tuple[bytes, str]]) -> Iterator[tuple[list[bytes], np.ndarray]]:
         """Embed (key, payload) misses in batches, yielding (keys, rows) per
-        batch once it is admitted and cached, as its reply arrives, so replies
-        are not held until the last one."""
+        batch once it is admitted and cached, in batch order.
+
+        Up to `concurrency` requests are in flight: one more is sent each time
+        a reply is taken, so at most `concurrency` replies wait for the
+        consumer. A failed batch stops the rest; those before it stay cached.
+        """
         cfg = self._cfg
         batches = [items[i : i + cfg.max_batch] for i in range(0, len(items), cfg.max_batch)]
 
@@ -459,7 +524,11 @@ class EmbeddingGateway:
                 yield store(batch, run(batch))
             return
         with ThreadPoolExecutor(max_workers=min(cfg.concurrency, len(batches))) as pool:
-            for batch, vectors in zip(batches, pool.map(run, batches)):
+            replies = deque(pool.submit(run, batch) for batch in batches[: cfg.concurrency])
+            for i, batch in enumerate(batches):
+                vectors = replies.popleft().result()
+                if i + cfg.concurrency < len(batches):
+                    replies.append(pool.submit(run, batches[i + cfg.concurrency]))
                 yield store(batch, vectors)
 
     def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import classifier
-from .embeddings import EmbeddingGateway
 
 
 @dataclass
@@ -94,20 +93,13 @@ def top_k_confused_pairs(cm: ConfusionMatrix, k_pairs: int) -> list[ConfusedPair
     return pairs[:k_pairs]
 
 
-def score(
-    gateway: EmbeddingGateway,
-    definitions: Mapping[str, str],
-    categories: Sequence[str],
-    docs,
-    gold,
-) -> tuple[MetricsReport, ConfusionMatrix]:
+def score(def_vecs, categories: Sequence[str], docs, gold) -> tuple[MetricsReport, ConfusionMatrix]:
     """Classify the embedded documents under a definition set and score them.
 
-    `docs` is the split's (n, d) document matrix as unit rows, from
-    `classifier.unit_rows`, and `gold` its category indices; the definitions
-    are embedded through `gateway`.
+    `def_vecs` is the definition set's (k, d) matrix, one row per category in
+    `categories` order; `docs` is the split's (n, d) document matrix as unit
+    rows, from `classifier.unit_rows`, and `gold` its category indices.
     """
-    def_vecs = gateway.embed_definitions(definitions, categories)
     _, preds = classifier.classify(docs, def_vecs)
     cm = confusion_matrix(gold, preds, categories)
     return macro_f1(cm), cm

@@ -408,12 +408,15 @@ def refine(
     train_units, gold_train = embed_split(gateway, dataset, train_docs)
     dev_units, gold_dev = embed_split(gateway, dataset, dev_docs)
 
-    def score_train(defs: Mapping[str, str]) -> tuple[float, ConfusionMatrix]:
-        report, cm = score(gateway, defs, categories, train_units, gold_train)
+    def embed(defs: Mapping[str, str]) -> np.ndarray:
+        return gateway.embed_definitions(defs, categories)
+
+    def score_train(def_vecs: np.ndarray) -> tuple[float, ConfusionMatrix]:
+        report, cm = score(def_vecs, categories, train_units, gold_train)
         return report.macro_f1, cm
 
-    def score_dev(defs: Mapping[str, str]) -> MetricsReport:
-        return score(gateway, defs, categories, dev_units, gold_dev)[0]
+    def score_dev(def_vecs: np.ndarray) -> MetricsReport:
+        return score(def_vecs, categories, dev_units, gold_dev)[0]
 
     trace: list[dict] = []
     initial_info: dict | None = None
@@ -429,8 +432,9 @@ def refine(
         accept_rng = rng_state_from_json(resume.accept_rng_state)
         llm_calls = resume.llm_calls
         start_t = resume.iteration + 1
-        _, cm_cur = score_train(current)
-        dev_cur = score_dev(current)
+        vecs_cur = embed(current)
+        _, cm_cur = score_train(vecs_cur)
+        dev_cur = score_dev(vecs_cur)
     else:
         if initial is not None:
             validate_definitions(initial, categories)
@@ -442,8 +446,9 @@ def refine(
                 llm_calls += getattr(llm, "calls") - before
         else:
             current = initial_definitions(categories, init_mode)
-        phi_cur, cm_cur = score_train(current)
-        dev_cur = score_dev(current)
+        vecs_cur = embed(current)
+        phi_cur, cm_cur = score_train(vecs_cur)
+        dev_cur = score_dev(vecs_cur)
         best = dict(current)
         phi_best = phi_cur
         history = [HistoryEntry(dict(current), phi_cur)]
@@ -478,12 +483,13 @@ def refine(
         delta_e: float | None = None
         accepted = False
         if proposal is not None:
-            phi_prop, cm_prop = score_train(proposal)
+            vecs_prop = embed(proposal)
+            phi_prop, cm_prop = score_train(vecs_prop)
             delta_e = energy_drop(phi_best, phi_prop)
             accepted = accept(delta_e, temp, accept_rng) if metropolis else True
         if accepted:
-            current, phi_cur, cm_cur = proposal, phi_prop, cm_prop
-            dev_cur = score_dev(current)
+            current, vecs_cur, phi_cur, cm_cur = proposal, vecs_prop, phi_prop, cm_prop
+            dev_cur = score_dev(vecs_cur)
             # phi_cur <= phi_best holds between iterations, so only an
             # accepted proposal can raise the best.
             if phi_cur > phi_best:
@@ -514,12 +520,13 @@ def refine(
                 _checkpoint(t, current, phi_cur, best, phi_best, history, sample_rng, accept_rng, llm_calls),
             )
 
-    dev_metrics = dev_best if dev_best is not None else score_dev(best)
+    vecs_best = vecs_cur if best == current else embed(best)
+    dev_metrics = dev_best if dev_best is not None else score_dev(vecs_best)
     test_docs = split_view(dataset, "test")
     test_metrics = None
     test_cm = None
     if test_docs:
-        test_metrics, test_cm = score(gateway, best, categories, *embed_split(gateway, dataset, test_docs))
+        test_metrics, test_cm = score(vecs_best, categories, *embed_split(gateway, dataset, test_docs))
 
     return RefinementResult(
         best_definitions=dict(best),

@@ -345,7 +345,9 @@ def cmd_baseline(cfg: RunConfig):
         test_docs = split_view(dataset, "test")
         if not test_docs:
             raise DataError("baseline evaluation requires a nonempty test split")
-        report, cm = score(gateway, definitions, dataset.categories, *embed_split(gateway, dataset, test_docs))
+        test_units, gold = embed_split(gateway, dataset, test_docs)
+        def_vecs = gateway.embed_definitions(definitions, dataset.categories)
+        report, cm = score(def_vecs, dataset.categories, test_units, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -549,7 +551,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             # A copy is normalised: the snapshot below needs the raw vectors.
             doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
             gold = [dataset.category_index[d.label] for d in test_docs]
-            _, cm = score(gateway, best, dataset.categories, unit_rows(doc_vecs, "document"), gold)
+            _, cm = score(def_vecs, dataset.categories, unit_rows(doc_vecs, "document"), gold)
             cm_path = reports / "confusion_test.csv"
             confusion_to_csv(cm, cm_path)
             written.append(cm_path)

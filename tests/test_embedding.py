@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defrefine import embeddings
 from defrefine.embeddings import (
     EmbedderConfig,
     EmbeddingCache,
@@ -22,6 +23,7 @@ from defrefine.embeddings import (
     MockEmbeddingProvider,
     STORE_MAGIC,
     apply_prefix,
+    cache_keys,
 )
 from defrefine.errors import ConfigError, ProviderError
 
@@ -107,6 +109,16 @@ class TestCache:
             np.testing.assert_array_equal(served[-1], provider.embed_batch(["same text"])[0])
         assert not np.array_equal(served[0], served[1])
 
+    def test_keys_are_pinned(self):
+        # Digests of the two-update-per-field hashing the store was first
+        # written with; a store's keys must never drift.
+        cfg = _cfg(endpoint="https://embed.example/v1/embeddings", model_id="e5-large", document_prefix="query: ")
+        keys = cache_keys(cfg, "document", ["Säure & Base — 42", ""])
+        assert [k.hex() for k in keys] == [
+            "6f6e7595c2253a41fb2316eb681428f4549076ca10ff1f3577e400565883a8e6",
+            "d93fa1e4c82034e10a742aa8955142adf9ece1c3d75c2b77174a6218802ded29",
+        ]
+
     def test_malformed_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.bin"
         gw1 = mock_gateway(cache_path=path)
@@ -183,6 +195,19 @@ class TestStore:
         path.write_bytes(bytes(data))
         _assert_holds_exactly(path, [1, 3])
 
+    @pytest.mark.parametrize("chunk", [4, 7, 61])
+    def test_open_in_chunks_smaller_than_a_record(self, tmp_path, monkeypatch, chunk):
+        # A 256-byte record spans many chunks, and so may the sync marker
+        # that the scan resyncs at after the damaged record.
+        monkeypatch.setattr(embeddings, "_SCAN_CHUNK", chunk)
+        path = tmp_path / "cache.bin"
+        ends = _write_store(path, [1, 2, 3, 4])
+        data = bytearray(path.read_bytes())
+        data[ends[0]] ^= 0xFF
+        data[ends[2] + 16 + 3 * 32 + 77] ^= 0xFF
+        path.write_bytes(bytes(data))
+        _assert_holds_exactly(path, [1, 3])
+
     def test_append_after_torn_tail(self, tmp_path):
         path = tmp_path / "cache.bin"
         ends = _write_store(path, [1, 2])
@@ -250,16 +275,25 @@ class TestServedFromDisk:
         gw.cache.close()
         return (path.stat().st_size - len(STORE_MAGIC)) // 3
 
-    @pytest.mark.parametrize("damage", ["flipped-row-byte", "truncated"])
+    @pytest.mark.parametrize(
+        "damage", ["flipped-row-byte", "truncated", "flipped-row-byte-after-put", "truncated-after-put"]
+    )
     def test_record_damaged_after_open_is_fetched_again(self, tmp_path, caplog, damage):
+        # "-after-put": the damaged records were appended by this same cache.
         path = tmp_path / "cache.bin"
-        size = self._store(path)
         provider = _RecordingMock()
-        gw = _three_batch_gateway(path, provider)
+        if damage.endswith("-after-put"):
+            gw = _three_batch_gateway(path, provider)
+            gw.embed_texts(self.TEXTS, "document")
+            size = (path.stat().st_size - len(STORE_MAGIC)) // 3
+            provider.texts.clear()
+        else:
+            size = self._store(path)
+            gw = _three_batch_gateway(path, provider)
         gw.embed_texts(self.TEXTS, "document")  # served from the file; the reader is open
         assert provider.texts == []
         with open(path, "r+b") as fh:
-            if damage == "truncated":
+            if damage.startswith("truncated"):
                 fh.truncate(len(STORE_MAGIC) + 2 * size + size // 2)
             else:
                 at = len(STORE_MAGIC) + size + size - 5  # in the second record's last row
@@ -268,7 +302,7 @@ class TestServedFromDisk:
                 fh.seek(at)
                 fh.write(bytes([byte ^ 0xFF]))
         served = gw.embed_texts(self.TEXTS, "document")
-        damaged = self.TEXTS[6:9] if damage == "truncated" else self.TEXTS[3:6]
+        damaged = self.TEXTS[6:9] if damage.startswith("truncated") else self.TEXTS[3:6]
         assert provider.texts == damaged
         assert "changed after open" in caplog.text
         expected = np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS))
@@ -309,6 +343,18 @@ class TestServedFromDisk:
         assert served.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS)).tobytes()
         gw.cache.close()
 
+    def test_store_removed_after_a_put_is_fetched_again(self, tmp_path, caplog):
+        path = tmp_path / "cache.bin"
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        gw.embed_texts(self.TEXTS, "document")
+        path.unlink()
+        served = gw.embed_texts(self.TEXTS, "document")
+        assert provider.texts == self.TEXTS + self.TEXTS
+        assert "removed after open" in caplog.text
+        assert served.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS)).tobytes()
+        gw.cache.close()
+
     def test_store_written_by_the_in_memory_cache_serves_identical_bytes(self, tmp_path):
         # Written by the cache that read the whole store into memory (commit
         # d7031dd): one put of _batch(1), then one of _batch(2).
@@ -324,12 +370,17 @@ class TestServedFromDisk:
         assert path.read_bytes().startswith((DATA / "store_two_records.bin").read_bytes())
         _assert_holds_exactly(path, [1, 2, 3])
 
-    def test_open_holds_only_keys(self, tmp_path):
-        path = tmp_path / "cache.bin"
+    @staticmethod
+    def _large_store(path) -> None:
+        """20 records of 20 rows at dim 1024: 3.3 MB of rows."""
         writer = EmbeddingCache(path)
         for tag in range(20):
             writer.put(*_batch(tag, n=20, dim=1024))
         writer.close()
+
+    def test_open_holds_only_keys(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self._large_store(path)
         row_bytes = 20 * 20 * 1024 * 8
         tracemalloc.start()
         try:
@@ -340,6 +391,49 @@ class TestServedFromDisk:
             tracemalloc.stop()
         assert len(cache) == 400
         assert held < row_bytes / 10
+        cache.close()
+
+    def test_store_is_written_byte_for_byte_as_before(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        _write_store(path, [1, 2])
+        assert path.read_bytes() == (DATA / "store_two_records.bin").read_bytes()
+
+    def test_open_reads_the_store_a_chunk_at_a_time(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self._large_store(path)
+        size = path.stat().st_size
+        assert size >= 3 * 2**20
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = EmbeddingCache(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 400
+        assert peak < size / 4
+        cache.close()
+
+    def test_cold_embed_leaves_no_rows_in_the_cache(self, tmp_path):
+        texts = [f"text {i}" for i in range(200)]
+        row_bytes = len(texts) * 1024 * 8
+        # Made first, so that nothing the mock imports on its first use is traced.
+        expected = np.array(MockEmbeddingProvider(1024).embed_batch(texts))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = EmbeddingCache(tmp_path / "cache.bin")
+            gw = EmbeddingGateway(_cfg(concurrency=2), cache, MockEmbeddingProvider(1024))
+            out = gw.embed_texts(texts, "document")
+            assert out.nbytes == row_bytes
+            del out
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < row_bytes / 10
+        # The rows are served from the file.
+        assert gw.embed_texts(texts, "document").tobytes() == expected.tobytes()
+        assert gw._provider.requests == 2
         cache.close()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -472,6 +566,40 @@ class TestValidation:
         assert len(gw.cache) == 2
         gw.embed_texts(["a", "b"], "document")
         assert len(gw.cache) == 2
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    def test_requests_stay_concurrency_batches_ahead(self, concurrency):
+        # The first put runs while the consumer holds the first reply.
+        started = threading.Condition()
+
+        class Counting(MockEmbeddingProvider):
+            calls = 0
+
+            def embed_batch(self, texts):
+                with started:
+                    self.calls += 1
+                    started.notify_all()
+                return super().embed_batch(texts)
+
+        provider = Counting(8)
+
+        class SlowFirstPut(EmbeddingCache):
+            calls_while_held = None
+
+            def put(self, keys, rows):
+                if self.calls_while_held is None:
+                    with started:
+                        started.wait_for(lambda: provider.calls > concurrency + 1, timeout=0.5)
+                        self.calls_while_held = provider.calls
+                super().put(keys, rows)
+
+        cache = SlowFirstPut()
+        gw = EmbeddingGateway(_cfg(max_batch=2, concurrency=concurrency), cache, provider)
+        texts = [f"t{i}" for i in range(20)]
+        out = gw.embed_texts(texts, "document")
+        assert cache.calls_while_held <= concurrency + 1
+        assert provider.requests == 10
+        assert out.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(texts)).tobytes()
 
     def test_non_finite_component_rejected(self):
         class BadProvider:

@@ -8,6 +8,7 @@ import pytest
 
 from defrefine import classifier
 from defrefine.corpus import Document
+from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
 from defrefine.llm import ScriptedLlm
@@ -372,6 +373,52 @@ class TestRefineLoop:
         parsed = sum(r["phi_train_proposed"] is not None for r in result.trace)
         assert parsed == 4
         assert rows.count(n_train) == 1 + parsed
+
+    @pytest.mark.parametrize("resume_after", [None, 2])
+    def test_each_definition_set_is_embedded_once(self, monkeypatch, resume_after):
+        # m2 accepts every parsed proposal, so each is scored on train and on
+        # dev, from one embedding. The best set, no longer current at the end,
+        # is embedded once more for dev and test.
+        embedded = []
+        embed_definitions = EmbeddingGateway.embed_definitions
+
+        def counting(gateway, definitions, categories):
+            embedded.append(dict(definitions))
+            return embed_definitions(gateway, definitions, categories)
+
+        monkeypatch.setattr(EmbeddingGateway, "embed_definitions", counting)
+        script = [
+            json.dumps(junk_definitions(1)),
+            "not json",
+            json.dumps(ideal_definitions()),
+            json.dumps(junk_definitions(2)),
+        ]
+        strategy = StrategyConfig("m2", k_confused=2, m_history=2)
+        checkpoints = {}
+
+        def run(llm_script, resume=None):
+            return refine(
+                separable_dataset(),
+                strategy,
+                AnnealingSchedule(t_max_iterations=len(script)),
+                mock_gateway(),
+                ScriptedLlm(llm_script),
+                seed=7,
+                t_max=len(script),
+                parse_retries=0,
+                on_iteration=lambda record, checkpoint: checkpoints.setdefault(record["iteration"], checkpoint),
+                resume=resume,
+            )
+
+        result = run(script)
+        if resume_after is not None:
+            embedded.clear()
+            result = run(script[resume_after:], checkpoints[resume_after])
+        proposals = [json.loads(reply) for reply in script[resume_after or 0 :] if reply != "not json"]
+        assert result.trace[-1]["accepted"] and result.best_definitions != proposals[-1]
+        assert embedded[1:-1] == proposals
+        assert embedded[-1] == result.best_definitions
+        assert len(embedded) == len(proposals) + 2
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
