@@ -122,8 +122,10 @@ class EmbeddingCache:
     indexes the record it appends the same way, so no rows are kept: `read`
     fetches a record when it is used, with one pread, and checks it again,
     so a record damaged after open or after its put is dropped and its keys
-    read as misses. Only a cache without a path keeps its rows in memory.
-    Puts are serialized by a lock.
+    read as misses. A store removed (or replaced) at the path while open is
+    forgotten at the next read or put, and the next put recreates it at the
+    path. Only a cache without a path keeps its rows in memory. Puts are
+    serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -135,6 +137,7 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._fd: int | None = None
         self._read_fd: int | None = None
+        self._file: tuple[int, int] | None = None  # (st_dev, st_ino) of the store indexed
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -142,9 +145,11 @@ class EmbeddingCache:
         with open(self._path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             fd = fh.fileno()
-            size = os.fstat(fd).st_size
+            stat = os.fstat(fd)
+            size = stat.st_size
             if not size:
                 return
+            self._file = stat.st_dev, stat.st_ino
             if os.pread(fd, len(STORE_MAGIC), 0) != STORE_MAGIC:
                 raise ConfigError(
                     f"{self._path} is not an embedding store; move it away or set cache_file "
@@ -201,14 +206,11 @@ class EmbeddingCache:
         if not wanted:
             return
         with self._lock:
-            try:
-                if self._read_fd is None:
-                    self._read_fd = os.open(self._path, os.O_RDONLY)
-            except FileNotFoundError:
-                log.warning("embedding cache %s was removed after open; its vectors will be fetched again", self._path)
-                self._stored.clear()
-                self._records.clear()
+            if not self._at_path():
+                self._forget()
                 return
+            if self._read_fd is None:
+                self._read_fd = os.open(self._path, os.O_RDONLY)
             fd = self._read_fd
         for offset, (at, rows) in wanted.items():
             block = _read_rows(fd, offset, *self._records[offset], [keys[i] for i in at], rows)
@@ -216,6 +218,23 @@ class EmbeddingCache:
                 self._drop(offset)
             else:
                 yield at, block
+
+    def _at_path(self) -> bool:
+        """Whether the path still names the store the index describes."""
+        try:
+            stat = os.stat(self._path)
+        except FileNotFoundError:
+            return False
+        return (stat.st_dev, stat.st_ino) == self._file
+
+    def _forget(self) -> None:
+        """Close a store no longer at the path and drop its index, so its
+        vectors are misses and the next put recreates the store at the path."""
+        log.warning("embedding cache %s was removed after open; its vectors will be fetched again", self._path)
+        self._close_fds()
+        self._stored.clear()
+        self._records.clear()
+        self._file = None
 
     def _drop(self, offset: int) -> None:
         with self._lock:
@@ -237,6 +256,8 @@ class EmbeddingCache:
         if any(type(k) is not bytes or len(k) != _KEY_BYTES for k in keys):
             raise ValueError(f"cache keys must be {_KEY_BYTES}-byte strings")
         with self._lock:
+            if self._file is not None and not self._at_path():
+                self._forget()
             fresh = [i for i, k in enumerate(keys) if k not in self._stored and k not in self._fresh]
             if not fresh:
                 return
@@ -252,6 +273,8 @@ class EmbeddingCache:
         if self._fd is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            stat = os.fstat(self._fd)
+            self._file = stat.st_dev, stat.st_ino
         fcntl.flock(self._fd, fcntl.LOCK_EX)
         try:
             offset = os.fstat(self._fd).st_size
@@ -268,10 +291,13 @@ class EmbeddingCache:
 
     def close(self) -> None:
         with self._lock:
-            for fd in (self._fd, self._read_fd):
-                if fd is not None:
-                    os.close(fd)
-            self._fd = self._read_fd = None
+            self._close_fds()
+
+    def _close_fds(self) -> None:
+        for fd in (self._fd, self._read_fd):
+            if fd is not None:
+                os.close(fd)
+        self._fd = self._read_fd = None
 
     def __len__(self) -> int:
         return len(self._stored) + len(self._fresh)
@@ -376,15 +402,16 @@ class MockEmbeddingProvider:
         self.requests = 0
         self._lock = threading.Lock()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One (len(texts), dim) float64 array; row i is the vector of texts[i]."""
         with self._lock:
             self.requests += 1
-        out = []
-        for text in texts:
+        out = np.empty((len(texts), self.dim))
+        for row, text in zip(out, texts):
             digest = hashlib.sha256(f"{self.seed}|{text}".encode("utf-8")).digest()
             gen = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-            vec = gen.standard_normal(self.dim)
-            out.append((vec / np.linalg.norm(vec)).tolist())
+            gen.standard_normal(out=row)
+            row /= np.linalg.norm(row)
         return out
 
 
@@ -403,7 +430,8 @@ class HttpEmbeddingProvider:
         self.requests = 0
         self._lock = threading.Lock()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One (len(texts), d) float64 array; row i is the vector of texts[i]."""
         body = {"model": self._cfg.model_id, "input": list(texts)}
         resp, _ = post_json(self._session, self._cfg, body, self._api_key, "embedding")
         with self._lock:
@@ -411,21 +439,28 @@ class HttpEmbeddingProvider:
         return self._parse(resp, len(texts))
 
     @staticmethod
-    def _parse(resp, expected: int) -> list[list[float]]:
+    def _parse(resp, expected: int) -> np.ndarray:
+        """The reply's vectors as one (expected, d) float64 array, each item's
+        embedding scattered to the row its index names."""
+        rows: np.ndarray | None = None
+        seen = [False] * expected
         try:
-            payload = resp.json()
-            data = payload["data"]
-            rows: list[list[float] | None] = [None] * expected
-            for item in data:
+            for item in resp.json()["data"]:
                 index = item["index"]
-                if type(index) is not int or not 0 <= index < expected or rows[index] is not None:
+                if type(index) is not int or not 0 <= index < expected or seen[index]:
                     raise ProviderError(f"embedding response has a bad or repeated index {index!r}")
-                rows[index] = item["embedding"]
+                vector = item["embedding"]
+                if rows is None:
+                    rows = np.empty((expected, len(vector)))
+                elif len(vector) != rows.shape[1]:
+                    raise ProviderError(f"embedding response is ragged: {len(vector)} != {rows.shape[1]} components")
+                rows[index] = vector
+                seen[index] = True
         except (ValueError, KeyError, TypeError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}") from exc
-        if any(r is None for r in rows):
+        if rows is None or not all(seen):
             raise ProviderError("embedding response missing indices")
-        return rows  # type: ignore[return-value]
+        return rows
 
 
 class EmbeddingGateway:

@@ -355,6 +355,38 @@ class TestServedFromDisk:
         assert served.tobytes() == np.array(MockEmbeddingProvider(8).embed_batch(self.TEXTS)).tobytes()
         gw.cache.close()
 
+    @pytest.mark.parametrize("before", ["put", "put-then-read", "opened"])
+    @pytest.mark.parametrize("again", ["same-texts", "new-texts"])
+    def test_store_removed_while_open_is_recreated_at_its_path(self, tmp_path, caplog, before, again):
+        # Before the removal, the cache wrote the store ("put"), also read it
+        # back so that its read descriptor is open ("put-then-read"), or only
+        # opened a store written by another cache ("opened").
+        path = tmp_path / "cache.bin"
+        provider = _RecordingMock()
+        if before == "opened":
+            self._store(path)
+            provider.texts.extend(self.TEXTS)
+        gw = _three_batch_gateway(path, provider)
+        if before != "opened":
+            gw.embed_texts(self.TEXTS, "document")
+        if before == "put-then-read":
+            gw.embed_texts(self.TEXTS, "document")
+        path.unlink()
+        texts = self.TEXTS[:3] if again == "same-texts" else ["new 0", "new 1", "new 2"]
+        expected = np.array(MockEmbeddingProvider(8).embed_batch(texts)).tobytes()
+        assert gw.embed_texts(texts, "document").tobytes() == expected
+        assert gw.embed_texts(texts, "document").tobytes() == expected
+        assert provider.texts == self.TEXTS + texts
+        if again == "same-texts":
+            assert "removed after open" in caplog.text
+        gw.cache.close()
+        fresh = _three_batch_gateway(path, _RecordingMock())
+        assert fresh.embed_texts(texts, "document").tobytes() == expected
+        assert fresh._provider.texts == []
+        assert path.read_bytes().startswith(STORE_MAGIC)
+        assert len(fresh.cache) == 3
+        fresh.cache.close()
+
     def test_store_written_by_the_in_memory_cache_serves_identical_bytes(self, tmp_path):
         # Written by the cache that read the whole store into memory (commit
         # d7031dd): one put of _batch(1), then one of _batch(2).
@@ -467,6 +499,34 @@ class TestMockProvider:
         a = mock_gateway().embed_texts(["stable"], "document")[0]
         b = mock_gateway().embed_texts(["stable"], "document")[0]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "dim, digest",
+        [
+            (8, "4f7567d4362270c5a1031fb1cd4541eced7ac08556e35e18851362c29a31b282"),
+            (1024, "1c81251d3d68d465398bf74f07fde21863aad5801c4e450b3ffc20094a6ea9de"),
+        ],
+    )
+    def test_vectors_are_pinned(self, dim, digest):
+        # sha256 of the vectors as the mock made them when it returned lists of
+        # floats; the bench digests rest on these bytes.
+        texts = [f"text {i}" for i in range(5)] + ["", "ünïcode ✓"]
+        vectors = MockEmbeddingProvider(dim).embed_batch(texts)
+        assert type(vectors) is np.ndarray and vectors.dtype == np.float64
+        assert vectors.shape == (len(texts), dim) and vectors.flags.c_contiguous
+        assert hashlib.sha256(vectors.tobytes()).hexdigest() == digest
+
+    def test_batch_allocates_little_beyond_its_array(self):
+        texts = [f"text {i}" for i in range(100)]
+        provider = MockEmbeddingProvider(1024)
+        provider.embed_batch(texts[:1])  # so that nothing imported on first use is traced
+        tracemalloc.start()
+        try:
+            vectors = provider.embed_batch(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vectors.nbytes
 
 
 class TestAlignment:
@@ -626,12 +686,14 @@ class _ScriptedHttp(BaseHTTPRequestHandler):
 
     Class attributes are (re)set per test: `statuses` is a queue of HTTP
     status codes to emit before serving real vectors, and `indices`, when
-    set, replaces the `index` values of the reply.
+    set, replaces the `index` values of the reply, as `embeddings` replaces
+    its vectors.
     """
 
     bodies: list = []
     statuses: list = []
     indices: list | None = None
+    embeddings: list | None = None
     dim = 6
 
     def do_POST(self):
@@ -644,10 +706,8 @@ class _ScriptedHttp(BaseHTTPRequestHandler):
             self.end_headers()
             return
         indices = type(self).indices or range(len(body["input"]))
-        data = [
-            {"index": i, "embedding": [float(n + 1)] * type(self).dim}
-            for n, i in enumerate(indices)
-        ]
+        embeddings = type(self).embeddings or [[float(n + 1)] * type(self).dim for n in range(len(indices))]
+        data = [{"index": i, "embedding": e} for i, e in zip(indices, embeddings)]
         payload = json.dumps({"data": data}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -664,6 +724,7 @@ def http_server():
     _ScriptedHttp.bodies = []
     _ScriptedHttp.statuses = []
     _ScriptedHttp.indices = None
+    _ScriptedHttp.embeddings = None
     server = HTTPServer(("127.0.0.1", 0), _ScriptedHttp)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -676,7 +737,8 @@ class TestHttpProvider:
     def test_wire_format(self, http_server):
         cfg = _cfg(endpoint=http_server, model_id="remote-model", backoff_base=0.001)
         vectors = HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b"])
-        assert vectors == [[1.0] * 6, [2.0] * 6]
+        assert vectors.tolist() == [[1.0] * 6, [2.0] * 6]
+        assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
         body = _ScriptedHttp.bodies[0]
         assert body == {"model": "remote-model", "input": ["a", "b"]}
 
@@ -709,6 +771,39 @@ class TestHttpProvider:
         _ScriptedHttp.indices = indices
         cfg = _cfg(endpoint=http_server, retries=0)
         with pytest.raises(ProviderError, match="index"):
+            HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b", "c"])
+
+    def test_shuffled_indices_come_back_in_input_order(self, http_server):
+        # Reply item n carries the vector [n + 1] * 6.
+        _ScriptedHttp.indices = [2, 0, 1]
+        cfg = _cfg(endpoint=http_server, retries=0)
+        vectors = HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b", "c"])
+        assert vectors.tolist() == [[2.0] * 6, [3.0] * 6, [1.0] * 6]
+
+    @pytest.mark.parametrize(
+        "embeddings, match",
+        [
+            ([[1.0] * 6, [2.0] * 5, [3.0] * 6], "ragged"),
+            ([[1.0] * 6, [2.0], [3.0] * 6], "ragged"),
+            ([[1.0] * 6, [2.0] * 5 + ["x"], [3.0] * 6], "malformed"),
+            ([[1.0] * 6, [2.0] * 5 + [None], [3.0] * 6], "non-finite"),  # null reads as nan
+            ([[1.0] * 6, [[2.0]] * 6, [3.0] * 6], "malformed"),
+            ([[1.0] * 6, 2.0, [3.0] * 6], "malformed"),
+        ],
+        ids=["short-row", "one-component-row", "string-component", "null-component", "nested-row", "scalar-row"],
+    )
+    def test_ragged_or_non_numeric_reply_rejected(self, http_server, embeddings, match):
+        _ScriptedHttp.embeddings = embeddings
+        cfg = _cfg(endpoint=http_server, retries=0)
+        gw = EmbeddingGateway(cfg, EmbeddingCache(), HttpEmbeddingProvider(cfg, api_key=""))
+        with pytest.raises(ProviderError, match=match):
+            gw.embed_texts(["a", "b", "c"], "document")
+        assert len(gw.cache) == 0
+
+    def test_missing_index_rejected(self, http_server):
+        _ScriptedHttp.indices = [0, 2]
+        cfg = _cfg(endpoint=http_server, retries=0)
+        with pytest.raises(ProviderError, match="missing indices"):
             HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b", "c"])
 
     def test_unreachable_endpoint(self):
