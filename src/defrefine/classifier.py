@@ -47,23 +47,88 @@ def unit_rows(vectors, what: str, *, in_place: bool = False) -> np.ndarray:
     return matrix
 
 
-def classify(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each document the category with the most similar definition.
-
-    `doc_units` holds the documents as unit rows, `unit_rows(vectors,
-    "document")`, so a caller that classifies one split many times normalises
-    it once. `def_vecs` is an array-like of definition row vectors, an (k, d)
-    array or a list of d-vectors, and is unit-normalised here. Returns the
-    n-by-k cosine score matrix and the predicted category index per document.
-    Ties break to the lowest index. All arithmetic is double precision so the
-    argmax is stable near ties.
-    """
+def _operands(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
     docs = _as_matrix(doc_units)
     defs = unit_rows(def_vecs, "definition")
     if defs.shape[0] < 2:
         raise ValueError("need at least 2 definition vectors")
     if docs.shape[1] != defs.shape[1]:
         raise ValueError(f"dimension mismatch: docs d={docs.shape[1]}, defs d={defs.shape[1]}")
-    scores = np.clip(docs @ defs.T, -1.0, 1.0)
-    predictions = np.argmax(scores, axis=1)
-    return scores, predictions
+    return docs, defs
+
+
+def cosine_scores(doc_units, def_vecs) -> np.ndarray:
+    """The n-by-k cosine score matrix, `np.clip(docs @ defs.T, -1, 1)`.
+
+    Takes the same arguments as `classify`. This is the exact product: its
+    row-wise argmax, ties to the lowest index, is what `classify` returns,
+    and `classify` computes it, for the whole split, when some document's
+    best score in the faster (k, n) product does not lead every other by
+    more than `_tie_margin(d)`. All arithmetic is double precision.
+    """
+    docs, defs = _operands(doc_units, def_vecs)
+    scores = docs @ defs.T
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def _tie_margin(d: int) -> float:
+    """The score gap above which the (k, n) and (n, k) products agree.
+
+    For rows of norm at most 1 + e, e = (d + 4) u, u = 2**-53 (unit_rows
+    gives those), any floating-point evaluation of a length-d dot product is
+    within g (1 + e)**2 of the exact one, g = d u / (1 - d u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1), so two evaluations
+    differ by at most `spread`, and a score passes +-1 by at most
+    `overshoot`. A best score ahead of every other by more than 2 spread +
+    overshoot is strictly ahead in the other product too, and stays ahead
+    after the clip to [-1, 1]. The factor 2 covers the rounding of this
+    arithmetic and of the subtraction in `_certain_argmax`.
+    """
+    u = 2.0**-53
+    gamma = d * u / (1.0 - d * u)
+    norms = (1.0 + (d + 4) * u) ** 2
+    spread = 2.0 * gamma * norms
+    overshoot = norms * (1.0 + gamma) - 1.0
+    return 2.0 * (2.0 * spread + overshoot)
+
+
+def classify(doc_units, def_vecs) -> np.ndarray:
+    """Assign each document the category with the most similar definition.
+
+    `doc_units` holds the documents as unit rows, `unit_rows(vectors,
+    "document")`, so a caller that classifies one split many times normalises
+    it once. `def_vecs` is an array-like of definition row vectors, an (k, d)
+    array or a list of d-vectors, and is unit-normalised here. Returns the
+    predicted category index per document: always the row-wise argmax of
+    `cosine_scores(doc_units, def_vecs)`, ties to the lowest index.
+
+    The scores come from the cheaper (k, n) product `defs @ docs.T`, whose
+    bits may differ from the exact (n, k) one. A document's prediction is
+    certain when its best score beats every other by more than
+    `_tie_margin(d)`, (14 d + 16) 2**-53 (4e-13 at d = 256): no rounding can
+    then reorder the two products, nor can the clip make two exact scores
+    tie. If any document is not certain (an exact or near tie, such as two
+    (near-)duplicate definitions give), the whole split is classified from
+    `cosine_scores`, since a subset of rows is not known to give the full
+    product's bits. The proof needs document rows of norm at most
+    1 + (d + 4) 2**-53, which `unit_rows` gives; shorter rows are fine too.
+    """
+    docs, defs = _operands(doc_units, def_vecs)
+    predictions = _certain_argmax(defs @ docs.T, _tie_margin(docs.shape[1]))
+    if predictions is None:
+        return np.argmax(cosine_scores(doc_units, def_vecs), axis=1)
+    return predictions
+
+
+def _certain_argmax(scores: np.ndarray, margin: float) -> np.ndarray | None:
+    """Column-wise argmax of the (k, n) `scores`, or None unless every
+    column's best score beats all others in it by more than `margin`."""
+    k = scores.shape[0]
+    # Counts are at most k and indices below it, so the narrowest type that
+    # holds k sums them; a NaN column has no near entry, so is not certain.
+    small = np.min_scalar_type(k)
+    near = scores >= scores.max(axis=0) - margin
+    if not np.all(near.sum(axis=0, dtype=small) == 1):
+        return None
+    rows = np.arange(k, dtype=small)[:, None]
+    return np.add.reduce(near * rows, axis=0, dtype=small).astype(np.intp)

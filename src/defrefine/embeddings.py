@@ -34,6 +34,9 @@ ROLE_DEFINITION = "definition"
 
 API_KEY_ENV = "EMBED_API_KEY"
 
+# The types json gives a number; true and false come back as bool.
+_JSON_NUMBERS = frozenset({int, float})
+
 
 @dataclass
 class EmbedderConfig:
@@ -450,13 +453,17 @@ class HttpEmbeddingProvider:
                 if type(index) is not int or not 0 <= index < expected or seen[index]:
                     raise ProviderError(f"embedding response has a bad or repeated index {index!r}")
                 vector = item["embedding"]
+                # Checked by exact type: a float64 row takes None, "1.5" and
+                # True too, as nan, 1.5 and 1.0.
+                if not _JSON_NUMBERS.issuperset(map(type, vector)):
+                    raise TypeError(f"item {index} has a component that is not a number")
                 if rows is None:
                     rows = np.empty((expected, len(vector)))
                 elif len(vector) != rows.shape[1]:
                     raise ProviderError(f"embedding response is ragged: {len(vector)} != {rows.shape[1]} components")
                 rows[index] = vector
                 seen[index] = True
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}") from exc
         if rows is None or not all(seen):
             raise ProviderError("embedding response missing indices")

@@ -60,7 +60,7 @@ def test_criterion_1_classifier_oracle_equivalence():
             d = int(rng.integers(2, 33))
             docs = rng.standard_normal((n, d))
             defs = rng.standard_normal((k, d))
-            _, preds = classify(unit_rows(docs, "document"), defs)
+            preds = classify(unit_rows(docs, "document"), defs)
             assert preds.tolist() == oracle_predict(docs.tolist(), defs.tolist())
         assert time.monotonic() - started < 1.0
 

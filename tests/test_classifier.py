@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from defrefine import classifier
-from defrefine.classifier import classify, unit_rows
+from defrefine.classifier import classify, cosine_scores, unit_rows
 
 
 def cosine_similarity(a, b) -> float:
@@ -119,7 +119,7 @@ class TestUnitRows:
         docs = np.array([[3.0, 4.0], [0.0, 2.0]])
         np.testing.assert_array_equal(unit_rows(docs, "document"), [[0.6, 0.8], [0.0, 1.0]])
         assert unit_rows(docs, "document", in_place=True) is docs
-        _, predictions = classify(docs, [[1.0, 0.0], [0.0, 1.0]])
+        predictions = classify(docs, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(predictions, [1, 1])
 
     def test_zero_norm_row_rejected(self):
@@ -132,14 +132,17 @@ class TestUnitRows:
 
 
 class TestBitIdentity:
-    """Unit rows made once give the same bits as normalising on every call."""
+    """Unit rows made once give the same bits as normalising on every call,
+    and classify's certified argmax is the argmax of those scores."""
 
     @staticmethod
     def _assert_same(docs, defs):
-        scores, preds = classify(unit_rows(docs, "document"), defs)
+        units = unit_rows(docs, "document")
+        scores = cosine_scores(units, defs)
         ref_scores, ref_preds = classify_normalising_inside(docs, defs)
         assert np.array_equal(scores, ref_scores)
-        assert np.array_equal(preds, ref_preds)
+        assert np.array_equal(np.argmax(scores, axis=1), ref_preds)
+        assert np.array_equal(classify(units, defs), np.argmax(ref_scores, axis=1))
 
     # The same product taken as (defs @ docs.T).T differs in the last bits at
     # (250, 64, 20) under OpenBLAS with one or two threads, and at
@@ -191,13 +194,129 @@ class TestBitIdentity:
         self._assert_same(docs.tolist(), defs.astype(np.float32))
 
 
+def swapped_pair(rng, n, d, k, tied, dtype=np.float64):
+    """Random rows, except that definition 1 is definition 0 with components
+    0 and 1 swapped, and the last `tied` documents have those two components
+    equal: both definitions score them alike in exact arithmetic, so the
+    rounding of each product breaks the tie."""
+    defs = rng.standard_normal((k, d))
+    defs[1] = defs[0, [1, 0] + list(range(2, d))]
+    docs = rng.standard_normal((n, d))
+    docs[n - tied :, 1] = docs[n - tied :, 0]
+    return docs.astype(dtype), defs.astype(dtype)
+
+
+def near_duplicates(rng, n, d, k, dups, near):
+    """Random rows, except that the first `dups` definitions are one base
+    vector plus noise of 1e-15 and the last `near` documents lie near it."""
+    base = rng.standard_normal((1, d))
+    defs = rng.standard_normal((k, d))
+    defs[:dups] = base + 1e-15 * rng.standard_normal((dups, d))
+    docs = rng.standard_normal((n, d))
+    docs[n - near :] = base + 1e-2 * rng.standard_normal((near, d))
+    return docs, defs
+
+
+class TestCertifiedArgmax:
+    """classify takes its argmax from the (k, n) product only where the
+    margin proves it equal to the exact product's. These inputs put rows
+    within rounding of a tie, where the two products can pick different
+    categories: under OpenBLAS 0.3 at (250, 64, 20), (250, 1024, 20) and
+    (500, 256, 20) with one thread, and at (250, 64, 20) with two. Near ties
+    in only the last two rows, which gemm's edge kernel sums in its own
+    order, also catch a margin of 0: with more, some row ties exactly in the
+    (k, n) product too, which sends the whole split to the fallback."""
+
+    @staticmethod
+    def _assert_exact(units, defs):
+        expected = np.argmax(cosine_scores(units, defs), axis=1)
+        assert np.array_equal(classify(units, defs), expected)
+
+    @pytest.mark.parametrize("n, d, k", [(37, 5, 3), (64, 33, 9), (250, 64, 20), (250, 1024, 20), (500, 256, 20)])
+    def test_random_shapes(self, n, d, k):
+        for seed in range(40):
+            rng = np.random.default_rng([n, d, k, seed])
+            docs, defs = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+            self._assert_exact(unit_rows(docs, "document"), defs)
+            for docs, defs in (swapped_pair(rng, n, d, k, tied=n), near_duplicates(rng, n, d, k, dups=2, near=2)):
+                self._assert_exact(unit_rows(docs, "document"), defs)
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        rng = np.random.default_rng(41)
+        defs = rng.standard_normal((4, 16))
+        defs[2] = defs[0]
+        units = unit_rows(np.vstack([defs[0], defs[0] + 0.01 * rng.standard_normal((30, 16))]), "document")
+        preds = classify(units, defs)
+        assert set(preds.tolist()) == {0}
+        self._assert_exact(units, defs)
+
+    def test_near_ties(self):
+        for seed in range(40):
+            rng = np.random.default_rng([43, seed])
+            for docs, defs in (
+                near_duplicates(rng, 250, 64, 20, dups=20, near=250),
+                near_duplicates(rng, 250, 64, 20, dups=2, near=2),
+            ):
+                self._assert_exact(unit_rows(docs, "document"), defs)
+
+    def test_clip_ties_go_to_the_lower_index(self):
+        # A document equal to definition a, and b one ulp from a: both exact
+        # scores may reach 1.0 or beyond and clip to a tie that index 0 wins,
+        # while the unclipped (k, n) product still ranks them apart.
+        rng = np.random.default_rng(47)
+        clipped = 0
+        for _ in range(200):
+            a = unit_rows(rng.standard_normal((1, 8)), "definition")[0]
+            b = a.copy()
+            b[0] = np.nextafter(b[0], np.copysign(np.inf, b[0]))
+            for defs in (np.array([a, b]), np.array([b, a])):
+                units = unit_rows(defs[:1], "document")
+                scores = cosine_scores(units, defs)
+                clipped += bool(np.all(scores == 1.0))
+                self._assert_exact(units, defs)
+        assert clipped > 0
+
+    def test_scaled_rows(self):
+        for seed in range(40):
+            rng = np.random.default_rng([53, seed])
+            docs, defs = near_duplicates(rng, 250, 64, 20, dups=2, near=2)
+            docs *= 10.0 ** rng.uniform(-150, 150, size=(250, 1))
+            defs *= 10.0 ** rng.uniform(-150, 150, size=(20, 1))
+            self._assert_exact(unit_rows(docs, "document"), defs)
+
+    def test_float32_and_list_inputs(self):
+        for seed in range(40):
+            docs, defs = swapped_pair(np.random.default_rng([59, seed]), 250, 64, 20, tied=2, dtype=np.float32)
+            units = unit_rows(docs, "document")
+            self._assert_exact(units, defs)
+            self._assert_exact(units.tolist(), defs.tolist())
+
+    def test_exact_product_only_when_not_certain(self, monkeypatch):
+        calls = []
+        exact = classifier.cosine_scores
+
+        def spy(doc_units, def_vecs):
+            calls.append(len(doc_units))
+            return exact(doc_units, def_vecs)
+
+        monkeypatch.setattr(classifier, "cosine_scores", spy)
+        rng = np.random.default_rng(61)
+        units = unit_rows(rng.standard_normal((2000, 32)), "document")
+        defs = rng.standard_normal((10, 32))
+        classify(units, defs)
+        assert calls == []
+        defs[7] = defs[3]
+        classify(units, defs)
+        assert calls == [2000]
+
+
 class TestClassify:
     def test_dominant_axis(self):
-        _, preds = classify([[0.9, 0.1]], [[1.0, 0.0], [0.0, 1.0]])
+        preds = classify([[0.9, 0.1]], [[1.0, 0.0], [0.0, 1.0]])
         assert preds.tolist() == [0]
 
     def test_exact_tie_breaks_low(self):
-        _, preds = classify([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        preds = classify([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
         assert preds.tolist() == [0]
 
     def test_needs_two_definitions(self):
@@ -210,14 +329,14 @@ class TestClassify:
             n, k, d = rng.integers(1, 51), rng.integers(2, 9), rng.integers(2, 33)
             docs = rng.standard_normal((n, d))
             defs = rng.standard_normal((k, d))
-            _, preds = classify(unit_rows(docs, "document"), defs)
+            preds = classify(unit_rows(docs, "document"), defs)
             assert preds.tolist() == oracle_predict(docs.tolist(), defs.tolist())
 
     def test_scores_in_range_and_match_pairwise_cosine(self):
         rng = np.random.default_rng(3)
         docs = rng.standard_normal((8, 12))
         defs = rng.standard_normal((4, 12))
-        scores, _ = classify(unit_rows(docs, "document"), defs)
+        scores = cosine_scores(unit_rows(docs, "document"), defs)
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
         for i in range(8):
             for j in range(4):
@@ -229,8 +348,9 @@ class TestClassify:
         rng = np.random.default_rng(11)
         docs = rng.standard_normal((20, 10))
         defs = rng.standard_normal((5, 10))
-        scores, preds = classify(unit_rows(docs, "document"), defs)
-        scores2, preds2 = classify(unit_rows(docs * 37.5, "document"), defs)
+        units, units2 = unit_rows(docs, "document"), unit_rows(docs * 37.5, "document")
+        scores, preds = cosine_scores(units, defs), classify(units, defs)
+        scores2, preds2 = cosine_scores(units2, defs), classify(units2, defs)
         assert preds.tolist() == preds2.tolist()
         np.testing.assert_allclose(scores, scores2, atol=1e-12)
 
@@ -239,8 +359,8 @@ class TestClassify:
         docs = rng.standard_normal((30, 9))
         defs = rng.standard_normal((6, 9))
         perm = rng.permutation(6)
-        _, preds = classify(unit_rows(docs, "document"), defs)
-        _, preds_p = classify(unit_rows(docs, "document"), defs[perm])
+        preds = classify(unit_rows(docs, "document"), defs)
+        preds_p = classify(unit_rows(docs, "document"), defs[perm])
         # Category j moved to position inv[j] in the permuted list.
         inv = np.argsort(perm)
         assert preds_p.tolist() == inv[preds].tolist()
@@ -248,7 +368,7 @@ class TestClassify:
     def test_identity_setup(self):
         rng = np.random.default_rng(19)
         defs = rng.standard_normal((7, 15))
-        _, preds = classify(unit_rows(defs, "document"), defs)
+        preds = classify(unit_rows(defs, "document"), defs)
         assert preds.tolist() == list(range(7))
 
     def test_dimension_mismatch(self):

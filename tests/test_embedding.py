@@ -786,11 +786,24 @@ class TestHttpProvider:
             ([[1.0] * 6, [2.0] * 5, [3.0] * 6], "ragged"),
             ([[1.0] * 6, [2.0], [3.0] * 6], "ragged"),
             ([[1.0] * 6, [2.0] * 5 + ["x"], [3.0] * 6], "malformed"),
-            ([[1.0] * 6, [2.0] * 5 + [None], [3.0] * 6], "non-finite"),  # null reads as nan
+            ([[1.0] * 6, [2.0] * 5 + [None], [3.0] * 6], "malformed"),
+            ([[1.0] * 6, [2.0] * 5 + ["1.5"], [3.0] * 6], "malformed"),
+            ([[1.0] * 6, [2.0] * 5 + [True], [3.0] * 6], "malformed"),
+            ([[1.0] * 6, [2.0] * 5 + [10**400], [3.0] * 6], "malformed"),
             ([[1.0] * 6, [[2.0]] * 6, [3.0] * 6], "malformed"),
             ([[1.0] * 6, 2.0, [3.0] * 6], "malformed"),
         ],
-        ids=["short-row", "one-component-row", "string-component", "null-component", "nested-row", "scalar-row"],
+        ids=[
+            "short-row",
+            "one-component-row",
+            "string-component",
+            "null-component",
+            "numeric-string-component",
+            "bool-component",
+            "huge-int-component",
+            "nested-row",
+            "scalar-row",
+        ],
     )
     def test_ragged_or_non_numeric_reply_rejected(self, http_server, embeddings, match):
         _ScriptedHttp.embeddings = embeddings
@@ -799,6 +812,14 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match=match):
             gw.embed_texts(["a", "b", "c"], "document")
         assert len(gw.cache) == 0
+
+    def test_integer_components_accepted(self, http_server):
+        # JSON has one number type; a reply may write 0 or 1 without a point.
+        _ScriptedHttp.embeddings = [[1, 0, 0, 0, 0, 0], [0.5, -2, 0, 0, 0, 1e-3]]
+        cfg = _cfg(endpoint=http_server, retries=0)
+        vectors = HttpEmbeddingProvider(cfg, api_key="").embed_batch(["a", "b"])
+        assert vectors.dtype == np.float64
+        assert vectors.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.5, -2.0, 0.0, 0.0, 0.0, 1e-3]]
 
     def test_missing_index_rejected(self, http_server):
         _ScriptedHttp.indices = [0, 2]
