@@ -4,21 +4,28 @@ from __future__ import annotations
 
 import csv
 import json
+import json.scanner
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DataError
 
 SPLITS = ("train", "dev", "test")
 _REQUIRED_FIELDS = ("id", "text", "label", "split")
+_STR_ONLY = frozenset({str})
+
+# One JSON value from a given index of a string, with json.loads's semantics
+# (json.loads strips the whitespace around the value and parses it with this
+# scanner); raises StopIteration or ValueError where it finds no value.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+_JSON_WHITESPACE = " \t\r\n"
 
 
-@dataclass(frozen=True)
-class Document:
-    """One labeled text sample."""
+class Document(NamedTuple):
+    """One labeled text sample; a tuple (id, text, label, split)."""
 
     id: str
     text: str
@@ -54,10 +61,18 @@ class Dataset:
         return {key: tuple(docs) for key, docs in strata.items()}
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
 def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
     if not path.exists():
         raise DataError(f"categories file not found: {path}")
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    lines = [line.strip() for line in text.splitlines()]
     categories = tuple(line for line in lines if line)
     if not categories:
         raise DataError(f"{path}: empty categories file")
@@ -67,29 +82,47 @@ def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
 
 
 def _iter_jsonl_records(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, record) per nonblank line. Each line is first scanned as
+    one JSON value at its start; unless only JSON whitespace follows it, the
+    line goes to json.loads, so every message is json.loads's own."""
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # which UTF-8 text never decodes to, so the bad line can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{path}: line {lineno}: not valid UTF-8") from None
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+                record, end = _scan_value(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or line[end:].strip(_JSON_WHITESPACE):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
             if not isinstance(record, dict):
                 raise DataError(f"{path}: line {lineno}: record is not a JSON object")
             yield lineno, record
 
 
 def _iter_csv_records(path: Path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return
-        missing = [f for f in _REQUIRED_FIELDS if f not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        for record in reader:
-            yield reader.line_num, record
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                return
+            missing = [f for f in _REQUIRED_FIELDS if f not in reader.fieldnames]
+            if missing:
+                raise DataError(f"{path}: missing columns: {', '.join(missing)}")
+            for record in reader:
+                yield reader.line_num, record
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def load_dataset(
@@ -122,22 +155,19 @@ def load_dataset(
     seen_ids: set[str] = set()
     declared_set = set(declared) if declared else None
     for lineno, record in records:
-        values = {}
-        for field in _REQUIRED_FIELDS:
-            value = record.get(field)
-            if not isinstance(value, str) or not value:
-                raise DataError(f"{path}: line {lineno}: missing or empty field {field!r}")
-            values[field] = value
-        if values["split"] not in SPLITS:
-            raise DataError(f"{path}: line {lineno}: unknown split {values['split']!r}")
-        if values["id"] in seen_ids:
-            raise DataError(f"{path}: line {lineno}: duplicate id {values['id']!r}")
-        seen_ids.add(values["id"])
-        if declared_set is not None and values["label"] not in declared_set:
-            raise DataError(
-                f"{path}: line {lineno}: label {values['label']!r} not in declared categories"
-            )
-        documents.append(Document(**values))
+        get = record.get
+        doc = Document(get("id"), get("text"), get("label"), get("split"))
+        if "" in doc or not _STR_ONLY.issuperset(map(type, doc)):
+            field = next(f for f, v in zip(_REQUIRED_FIELDS, doc) if type(v) is not str or not v)
+            raise DataError(f"{path}: line {lineno}: missing or empty field {field!r}")
+        if doc.split not in SPLITS:
+            raise DataError(f"{path}: line {lineno}: unknown split {doc.split!r}")
+        if doc.id in seen_ids:
+            raise DataError(f"{path}: line {lineno}: duplicate id {doc.id!r}")
+        seen_ids.add(doc.id)
+        if declared_set is not None and doc.label not in declared_set:
+            raise DataError(f"{path}: line {lineno}: label {doc.label!r} not in declared categories")
+        documents.append(doc)
 
     if not documents:
         raise DataError(f"{path}: no records")

@@ -18,6 +18,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -102,9 +103,11 @@ _KEY_BYTES = 32
 _RECORD_SYNC = b"\x93REC"
 _RECORD_HEAD = struct.Struct("<4sIII")
 _CRC_FROM = 8
-# The index keeps a stored key's place as one int, record offset << _ROW_BITS
+# The index keeps a stored key's place as one int, record number << _ROW_BITS
 # | row (a row count is 32 bits): ints, unlike tuples, are not tracked by the
-# garbage collector, so a large index does not slow its collections.
+# garbage collector, so a large index does not slow its collections, and a
+# read takes the places of all its keys as one int64 array (which holds them
+# while a store has fewer than 2**31 records).
 _ROW_BITS = 32
 _ROW_MASK = (1 << _ROW_BITS) - 1
 
@@ -123,19 +126,23 @@ class EmbeddingCache:
     record costs only itself, because the scan resyncs at the next sync
     marker. Memory then holds only where each stored key's row is, and a put
     indexes the record it appends the same way, so no rows are kept: `read`
-    fetches a record when it is used, with one pread, and checks it again,
-    so a record damaged after open or after its put is dropped and its keys
-    read as misses. A store removed (or replaced) at the path while open is
-    forgotten at the next read or put, and the next put recreates it at the
-    path. Only a cache without a path keeps its rows in memory. Puts are
-    serialized by a lock.
+    fills the caller's output array, reading each record it needs with one
+    preadv (straight into the output where the record is wanted whole, in
+    order) and checking it again, so a record damaged after open or after
+    its put is dropped and its keys read as misses, to be fetched and
+    written over whatever the read left in their rows. `dim` tells the
+    caller how wide to make the output. A store removed (or replaced) at the
+    path while open is forgotten at the next read or put, and the next put
+    recreates it at the path. Only a cache without a path keeps its rows in
+    memory. Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        # key -> its place in the store; record offset -> (row count, dim).
+        # key -> its place in the store; record number -> (offset, row count,
+        # dim), or None once the record is dropped.
         self._stored: dict[bytes, int] = {}
-        self._records: dict[int, tuple[int, int]] = {}
+        self._records: list[tuple[int, int, int] | None] = []
         self._fresh: dict[bytes, np.ndarray] = {}  # only without a path
         self._lock = threading.Lock()
         self._fd: int | None = None
@@ -172,55 +179,85 @@ class EmbeddingCache:
                 keys = os.pread(fd, n * _KEY_BYTES, offset + _RECORD_HEAD.size)
                 records.append((offset, shape, [keys[i : i + _KEY_BYTES] for i in range(0, len(keys), _KEY_BYTES)]))
                 offset += _record_size(n, dim)
-        # Reversed, so the first record to store a key wins, as in put.
-        for record in reversed(records):
-            self._index(*record)
+        self._index(records)
         if skipped:
             log.warning("embedding cache %s: skipped %d bytes of damaged records", self._path, skipped)
 
-    def _index(self, offset: int, shape: tuple[int, int], keys: Sequence[bytes]) -> None:
-        """Point keys[i] at row i of the record at offset."""
-        self._records[offset] = shape
-        first = offset << _ROW_BITS
-        self._stored.update(zip(keys, range(first, first + len(keys))))
+    def _index(self, records: Sequence[tuple[int, tuple[int, int], Sequence[bytes]]]) -> None:
+        """Number (offset, shape, keys) records in file order and point each
+        record's keys[i] at its row i; a key in two records keeps the first,
+        as in put."""
+        base = len(self._records)
+        self._records.extend((offset, *shape) for offset, shape, _ in records)
+        for number in reversed(range(len(records))):
+            keys = records[number][2]
+            first = (base + number) << _ROW_BITS
+            self._stored.update(zip(keys, range(first, first + len(keys))))
 
-    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[list[int], np.ndarray]]:
-        """Yield (positions, rows): rows[j] is the vector of keys[positions[j]].
+    def dim(self, keys: Sequence[bytes]) -> int | None:
+        """The dimension of the first stored vector among keys; None if none is stored."""
+        if self._stored or self._fresh:
+            for key in keys:
+                where = self._stored.get(key)
+                if where is not None:
+                    return self._records[where >> _ROW_BITS][2]
+                if key in self._fresh:
+                    return len(self._fresh[key])
+        return None
 
-        Keys never yielded are misses. Each stored record is read with one
-        pread and checked again (sync marker, size, crc, and the key at each
-        row); one that fails is dropped with a warning, so its keys are misses.
+    def read(self, keys: Sequence[bytes], out: np.ndarray) -> np.ndarray:
+        """Fill out[i], in an (n, d) C-contiguous float64 array, with the
+        stored vector of keys[i]; return a boolean mask of the positions
+        filled. The other keys are misses: their rows of out may hold
+        anything, including the rows of a record that failed its checks.
+
+        Each stored record is read with one preadv and checked again (sync
+        marker, size, crc, and the key at each row); one that fails is dropped
+        with a warning, so its keys are misses. A record asked for whole and
+        in order at consecutive positions is read straight into those rows
+        of out; any other is read into a scratch array and scattered.
         """
-        wanted: dict[int, tuple[list[int], list[int]]] = {}  # record offset -> positions, rows
-        fresh_at: list[int] = []
-        for i, where in enumerate(map(self._stored.get, keys)):
-            if where is None:
-                if keys[i] in self._fresh:
-                    fresh_at.append(i)
-                continue
-            offset = where >> _ROW_BITS
-            group = wanted.get(offset)
-            if group is None:
-                group = wanted[offset] = ([], [])
-            group[0].append(i)
-            group[1].append(where & _ROW_MASK)
-        if fresh_at:
-            yield fresh_at, np.array([self._fresh[keys[i]] for i in fresh_at])
-        if not wanted:
-            return
+        dim = out.shape[1]
+        found = np.zeros(len(keys), dtype=bool)
+        if self._fresh:
+            fresh_at = [i for i, key in enumerate(keys) if key in self._fresh]
+            if fresh_at:
+                rows = np.array([self._fresh[keys[i]] for i in fresh_at])
+                _check_dim(rows.shape[1], dim)
+                out[fresh_at] = rows
+                found[fresh_at] = True
+        places = np.fromiter(map(self._stored.get, keys, repeat(-1)), np.int64, len(keys))
+        at = np.flatnonzero(places >= 0)
+        if not len(at):
+            return found
         with self._lock:
             if not self._at_path():
                 self._forget()
-                return
+                return found
             if self._read_fd is None:
                 self._read_fd = os.open(self._path, os.O_RDONLY)
             fd = self._read_fd
-        for offset, (at, rows) in wanted.items():
-            block = _read_rows(fd, offset, *self._records[offset], [keys[i] for i in at], rows)
-            if block is None:
-                self._drop(offset)
-            else:
-                yield at, block
+        # The hits grouped by record, each group in key order.
+        places = places[at]
+        order = np.argsort(places >> _ROW_BITS, kind="stable")
+        at, places = at[order], places[order]
+        groups = np.flatnonzero(np.diff(places >> _ROW_BITS)) + 1
+        wanted = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), _KEY_BYTES)
+        for record_at, record_places in zip(np.split(at, groups), np.split(places, groups)):
+            number = int(record_places[0]) >> _ROW_BITS
+            offset, n, stored_dim = self._records[number]
+            _check_dim(stored_dim, dim)
+            rows = record_places & _ROW_MASK
+            start = int(record_at[0])
+            whole = len(rows) == n and record_at[-1] - start == n - 1 and np.array_equal(rows, np.arange(n))
+            dest = out[start : start + n] if whole else np.empty((n, dim))
+            if not _read_record(fd, offset, dest, wanted[record_at], rows):
+                self._drop(number)
+                continue
+            if not whole:
+                out[record_at] = dest[rows]
+            found[record_at] = True
+        return found
 
     def _at_path(self) -> bool:
         """Whether the path still names the store the index describes."""
@@ -239,10 +276,11 @@ class EmbeddingCache:
         self._records.clear()
         self._file = None
 
-    def _drop(self, offset: int) -> None:
+    def _drop(self, number: int) -> None:
         with self._lock:
-            n, _ = self._records.pop(offset)
-            for key in [k for k, where in self._stored.items() if where >> _ROW_BITS == offset]:
+            offset, n, _ = self._records[number]
+            self._records[number] = None
+            for key in [k for k, where in self._stored.items() if where >> _ROW_BITS == number]:
                 del self._stored[key]
         log.warning(
             "embedding cache %s: the record at byte %d changed after open; its %d vectors will be fetched again",
@@ -269,7 +307,7 @@ class EmbeddingCache:
             if self._path is None:
                 self._fresh.update(zip(keys, rows))
             else:
-                self._index(self._append(_encode_record(keys, rows)), rows.shape, keys)
+                self._index([(self._append(_encode_record(keys, rows)), rows.shape, keys)])
 
     def _append(self, record: bytearray) -> int:
         """Append one record; the offset it was written at."""
@@ -310,16 +348,25 @@ def _record_size(n: int, dim: int) -> int:
     return _RECORD_HEAD.size + n * (_KEY_BYTES + 8 * dim)
 
 
-def _read_rows(fd: int, offset: int, n: int, dim: int, keys: list[bytes], rows: list[int]) -> np.ndarray | None:
-    """The rows at `rows` of the record at offset, if it is intact and holds `keys` there."""
-    data = os.pread(fd, _record_size(n, dim), offset)
-    if _check_record(data) != (n, dim):
-        return None
-    keys_at = _RECORD_HEAD.size
-    stored = np.frombuffer(data, np.uint8, n * _KEY_BYTES, keys_at).reshape(n, _KEY_BYTES)
-    if not np.array_equal(stored[rows], np.frombuffer(b"".join(keys), np.uint8).reshape(-1, _KEY_BYTES)):
-        return None
-    return np.frombuffer(data, "<f8", n * dim, keys_at + n * _KEY_BYTES).reshape(n, dim)[rows]
+def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> bool:
+    """Read the (n, dim) record at offset into dest, a C-contiguous (n, dim)
+    float64 array, with one preadv; whether it is intact and holds keys[j]
+    (a row of 32 uint8) at row rows[j]."""
+    n, dim = dest.shape
+    head, stored = bytearray(_RECORD_HEAD.size), bytearray(n * _KEY_BYTES)
+    if os.preadv(fd, [head, stored, dest], offset) != _record_size(n, dim):
+        return False
+    sync, crc, *shape = _RECORD_HEAD.unpack(head)
+    if sync != _RECORD_SYNC or shape != [n, dim]:
+        return False
+    if zlib.crc32(dest, zlib.crc32(stored, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
+        return False
+    return np.array_equal(np.frombuffer(stored, np.uint8).reshape(n, _KEY_BYTES)[rows], keys)
+
+
+def _check_dim(got: int, dim: int) -> None:
+    if got != dim:
+        raise ProviderError(f"embedding dimension mismatch: {got} != {dim}")
 
 
 def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytearray:
@@ -344,15 +391,6 @@ def _record_head(head, offset: int, size: int) -> tuple[int, int, int] | None:
     if sync != _RECORD_SYNC or n == 0 or dim == 0 or offset + _record_size(n, dim) > size:
         return None
     return crc, n, dim
-
-
-def _check_record(data: bytes) -> tuple[int, int] | None:
-    """(row count, dim) of an intact record at the start of data, else None."""
-    parsed = _record_head(data, 0, len(data))
-    if parsed is None:
-        return None
-    crc, n, dim = parsed
-    return (n, dim) if zlib.crc32(memoryview(data)[_CRC_FROM : _record_size(n, dim)]) == crc else None
 
 
 def _scan_record(fd: int, offset: int, size: int) -> tuple[int, int] | None:
@@ -509,29 +547,28 @@ class EmbeddingGateway:
     def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
         """Embed texts under the given role as an (n, d) array; row i is input i.
 
-        Cached rows are gathered straight into the one output array, and each
-        provider batch is scattered into it as its reply arrives.
+        The output is allocated once, at the dimension of the stored vectors
+        (or of the first reply when none is stored); the cache reads its rows
+        into it, and each provider batch is scattered into it as its reply
+        arrives.
         """
         if not texts:
             raise ValueError("texts must be nonempty")
         payloads = [apply_prefix(t, role, self._cfg) for t in texts]
         keys = cache_keys(self._cfg, role, payloads)
-        out: np.ndarray | None = None
+        dim = self._dim or self._cache.dim(keys)
+        out = np.empty((len(keys), dim)) if dim else None
 
         def place(at, rows: np.ndarray) -> None:
             nonlocal out
             if out is None:
                 out = np.empty((len(keys), rows.shape[1]))
-            elif rows.shape[1] != out.shape[1]:
-                raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {out.shape[1]}")
+            _check_dim(rows.shape[1], out.shape[1])
             out[at] = rows
 
-        found = np.zeros(len(keys), dtype=bool)
-        for at, rows in self._cache.read(keys):
-            place(at, rows)
-            found[at] = True
+        missing = range(len(keys)) if out is None else np.flatnonzero(~self._cache.read(keys, out)).tolist()
         pending: dict[bytes, list[int]] = {}  # each missing key's positions
-        for i in np.flatnonzero(~found).tolist():
+        for i in missing:
             pending.setdefault(keys[i], []).append(i)
         for batch, rows in self._fetch([(key, payloads[at[0]]) for key, at in pending.items()]):
             at = [i for key in batch for i in pending[key]]

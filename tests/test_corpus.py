@@ -115,6 +115,121 @@ def test_record_that_is_not_an_object_reports_row(tmp_path, line):
         load_dataset(path)
 
 
+_A = '{"id": "a", "text": "x", "label": "l", "split": "train"}'
+_B = '{"id": "b", "text": "y", "label": "l", "split": "train"}'
+_AB = [("a", "x", "l", "train"), ("b", "y", "l", "train")]
+
+
+def _with(field, raw):
+    """_A with one field's value replaced by the raw JSON text `raw`."""
+    return re.sub(rf'"{field}": "[^"]*"', f'"{field}": {raw}', _A)
+
+
+# Each file's documents, or its DataError text ("{path}" is the file), as the
+# loader that parsed each line with json.loads gave them.
+JSONL_PARITY = [
+    ("leading-whitespace", "  \t" + _A + "\n" + _B + "\n", _AB),
+    ("trailing-whitespace", _A + " \t \n" + _B + "\n", _AB),
+    ("crlf", _A + "\r\n" + _B + "\r\n", _AB),
+    ("lone-cr", _A + "\r" + _B + "\n", _AB),
+    ("no-final-newline", _A + "\n" + _B, _AB),
+    (
+        "bom",
+        "﻿" + _A + "\n",
+        "{path}: line 1: malformed record: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    (
+        "trailing-garbage",
+        _A + "\n" + _B + " x\n",
+        "{path}: line 2: malformed record: Extra data: line 1 column 58 (char 57)",
+    ),
+    ("nbsp-after-record", _A + "\xa0\n", "{path}: line 1: malformed record: Extra data: line 1 column 57 (char 56)"),
+    ("two-objects-on-a-line", _A + _B + "\n", "{path}: line 1: malformed record: Extra data: line 1 column 57 (char 56)"),
+    (
+        "truncated-object",
+        _A[:-1] + "\n",
+        "{path}: line 1: malformed record: Expecting ',' delimiter: line 2 column 1 (char 56)",
+    ),
+    ("nan-and-infinity", _A[:-1] + ', "s": NaN, "w": Infinity, "v": -Infinity}\n', _AB[:1]),
+    ("nan-field", _with("text", "NaN") + "\n", "{path}: line 1: missing or empty field 'text'"),
+    ("array-record", _A + "\n[1, 2]\n", "{path}: line 2: record is not a JSON object"),
+    ("number-record", _A + "\n5\n", "{path}: line 2: record is not a JSON object"),
+    ("whitespace-only-lines", _A + "\n   \n\t\n\r\n" + _B + "\n\n", _AB),
+    (
+        "blank-lines-then-error",
+        "\n \n" + _A + "\n\n{oops\n",
+        "{path}: line 5: malformed record: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    ("duplicate-key", '{"id": "a", "text": "x", "id": "z", "label": "l", "split": "train"}\n', [("z", "x", "l", "train")]),
+    (
+        "unicode-escapes",
+        '{"id": "\\u00e9", "text": "caf\\u00e9 \\ud83d\\ude00", "label": "l", "split": "dev"}\n',
+        [("é", "café \U0001f600", "l", "dev")],
+    ),
+    ("two-bad-fields", _with("split", '""').replace('"x"', "null") + "\n", "{path}: line 1: missing or empty field 'text'"),
+] + [
+    (f"{kind}-{field}", line + "\n", f"{{path}}: line 1: missing or empty field {field!r}")
+    for field, bad in (("id", "5"), ("text", "null"), ("label", "[]"), ("split", "true"))
+    for kind, line in (
+        ("non-string", _with(field, bad)),
+        ("empty", _with(field, '""')),
+        ("missing", re.sub(rf'"{field}": "[^"]*", |, "{field}": "[^"]*"', "", _A)),
+    )
+]
+
+
+@pytest.mark.parametrize("content, expected", [pytest.param(c, e, id=name) for name, c, e in JSONL_PARITY])
+def test_jsonl_records_parse_as_json_loads_parses_each_line(tmp_path, content, expected):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(content.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == expected.replace("{path}", str(path))
+    else:
+        assert [(d.id, d.text, d.label, d.split) for d in load_dataset(path).documents] == expected
+
+
+def test_document_is_a_tuple():
+    doc = Document("a", "x", "l", "train")
+    assert doc == ("a", "x", "l", "train")
+    assert (doc.id, doc.text, doc.label, doc.split) == tuple(doc)
+    with pytest.raises(AttributeError):
+        doc.text = "y"
+
+
+@pytest.mark.parametrize("lines_before", [1, 500])
+def test_jsonl_that_is_not_utf8_names_the_line(tmp_path, lines_before):
+    # 500 lines put the bad byte past the reader's first decoded chunk.
+    path = tmp_path / "d.jsonl"
+    good = "".join(_A.replace('"a"', f'"a{i}"') + "\n" for i in range(lines_before)).encode()
+    path.write_bytes(good + b'{"id": "b", "text": "caf\xff", "label": "l", "split": "train"}\n' + _B.encode())
+    with pytest.raises(DataError, match=re.escape(f"{path}: line {lines_before + 1}: not valid UTF-8")):
+        load_dataset(path)
+
+
+def test_jsonl_ending_in_a_cut_character_names_the_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(_A.encode() + b"\n" + "café".encode()[:-1])
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2: not valid UTF-8")):
+        load_dataset(path)
+
+
+def test_csv_that_is_not_utf8_errors(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"id,text,label,split\na,caf\xff,l,train\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not valid UTF-8")):
+        load_dataset(path, format="csv")
+
+
+def test_categories_sidecar_that_is_not_utf8_errors(tmp_path):
+    path = _write_rows(tmp_path / "d.jsonl", [json.loads(_A)])
+    sidecar = tmp_path / "cats.txt"
+    sidecar.write_bytes(b"l\ncaf\xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{sidecar}: not valid UTF-8")):
+        load_dataset(path, categories_path=sidecar)
+
+
 def test_category_index_is_built_once(toy_dataset):
     index = toy_dataset.category_index
     assert index == {c: i for i, c in enumerate(toy_dataset.categories)}

@@ -150,11 +150,12 @@ def _write_store(path, tags) -> list[int]:
 
 def _served(cache, keys) -> list[bytes | None]:
     """The bytes of the row the cache serves for each key; None for a miss."""
-    served = [None] * len(keys)
-    for at, rows in cache.read(keys):
-        for i, row in zip(at, rows):
-            served[i] = row.tobytes()
-    return served
+    dim = cache.dim(keys)
+    if dim is None:
+        return [None] * len(keys)
+    out = np.full((len(keys), dim), np.nan)
+    found = cache.read(keys, out)
+    return [row.tobytes() if hit else None for row, hit in zip(out, found)]
 
 
 def _assert_holds_exactly(path, tags) -> None:
@@ -313,6 +314,99 @@ class TestServedFromDisk:
         assert again.embed_texts(self.TEXTS, "document").tobytes() == expected.tobytes()
         assert again._provider.texts == []
         again.cache.close()
+
+    @staticmethod
+    def _spy_reads(monkeypatch) -> list[np.ndarray]:
+        """Record the array each record's rows are read into."""
+        dests = []
+        preadv = os.preadv
+
+        def spy(fd, buffers, offset):
+            dests.append(buffers[-1])
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(embeddings.os, "preadv", spy)
+        return dests
+
+    @pytest.mark.parametrize(
+        "pick, direct",
+        [
+            (slice(1, 2), 0),
+            (slice(0, 2), 0),
+            (slice(2, None, -1), 0),
+            ([0, 0, 1], 0),
+            ([0, 1, 2, 0, 1, 2], 0),
+            (slice(2, 5), 0),
+            (slice(1, 8), 1),
+            (slice(None), 3),
+        ],
+        ids=[
+            "one-row",
+            "first-rows",
+            "record-reversed",
+            "repeated-text",
+            "record-twice",
+            "across-two-records",
+            "partial-whole-partial",
+            "all-records",
+        ],
+    )
+    def test_any_choice_of_stored_rows_is_served(self, tmp_path, monkeypatch, pick, direct):
+        # Only a record asked for whole, in order, at consecutive positions
+        # is read straight into the output.
+        path = tmp_path / "cache.bin"
+        self._store(path)
+        texts = list(np.array(self.TEXTS)[pick])
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        dests = self._spy_reads(monkeypatch)
+        served = gw.embed_texts(texts, "document")
+        assert provider.texts == []
+        assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(texts).tobytes()
+        assert sum(np.shares_memory(dest, served) for dest in dests) == direct
+        keys = cache_keys(gw._cfg, "document", texts)
+        assert _served(gw.cache, keys) == [row.tobytes() for row in served]
+        gw.cache.close()
+
+    def test_store_shared_by_embedders_of_two_dims(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        cache = EmbeddingCache(path)
+        dims = (8, 4)
+        gateways = [
+            EmbeddingGateway(_cfg(model_id=f"m{dim}", max_batch=3, concurrency=1), cache, _RecordingMock(dim))
+            for dim in dims
+        ]
+        gateways[0].embed_texts(self.TEXTS[:4], "document")
+        gateways[1].embed_texts(self.TEXTS, "document")
+        gateways[0].embed_texts(self.TEXTS, "document")
+        cache.close()
+        for reopened in (cache, EmbeddingCache(path)):
+            for dim in dims:
+                provider = _RecordingMock(dim)
+                gw = EmbeddingGateway(_cfg(model_id=f"m{dim}", max_batch=3), reopened, provider)
+                served = gw.embed_texts(self.TEXTS, "document")
+                assert served.tobytes() == MockEmbeddingProvider(dim).embed_batch(self.TEXTS).tobytes()
+                assert provider.texts == []
+            reopened.close()
+
+    def test_record_failing_its_crc_after_its_rows_were_read_into_the_output(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "cache.bin"
+        size = self._store(path)
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        with open(path, "r+b") as fh:
+            at = len(STORE_MAGIC) + size + size - 5  # in the second record's last row
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0xFF]))
+        dests = self._spy_reads(monkeypatch)
+        served = gw.embed_texts(self.TEXTS, "document")
+        assert len(dests) == 3 and all(np.shares_memory(dest, served) for dest in dests)
+        assert provider.texts == self.TEXTS[3:6]
+        assert "changed after open" in caplog.text
+        assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(self.TEXTS).tobytes()
+        gw.cache.close()
 
     def test_records_swapped_after_open_are_not_served_under_other_keys(self, tmp_path):
         # Each swapped record is intact, so only the key check can tell.

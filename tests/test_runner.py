@@ -303,6 +303,18 @@ class TestConfig:
         assert "categories.txt" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_dataset_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        data = tmp_path / "data.jsonl"
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"ideal", b"ide\xffal", 1)
+        data.write_bytes(b"".join(lines))
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data}: line 2: not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_readme_configuration_block_matches_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
