@@ -16,7 +16,7 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -108,8 +108,12 @@ class FeedbackBundle:
 
 
 @dataclass
-class LoopCheckpoint:
-    """Everything needed to continue the loop after iteration `iteration`."""
+class LoopState:
+    """Everything that determines the rest of the loop after `iteration`.
+
+    `refine` updates it in place. `to_dict` is `state.json`: the fields in
+    order, each `*_rng` stream as its state under `*_rng_state`.
+    """
 
     iteration: int
     current: dict[str, str]
@@ -117,28 +121,37 @@ class LoopCheckpoint:
     best: dict[str, str]
     phi_best: float
     history: list[HistoryEntry]
-    sample_rng_state: list
-    accept_rng_state: list
+    sample_rng: random.Random
+    accept_rng: random.Random
     llm_calls: int
 
     def to_dict(self) -> dict:
-        # The JSON of dataclasses.asdict(self), without its deep copy, which
-        # costs most of a millisecond per checkpoint on the rng states.
-        return dict(vars(self), history=[vars(h) for h in self.history])
+        # Not dataclasses.asdict(self): its deep copy costs most of a
+        # millisecond per checkpoint on the rng states.
+        payload = dict(vars(self), history=[vars(h) for h in self.history])
+        return {_json_key(k): rng_state_to_json(v) if k.endswith("_rng") else v for k, v in payload.items()}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "LoopCheckpoint":
-        return cls(
-            iteration=payload["iteration"],
-            current=dict(payload["current"]),
-            phi_cur=payload["phi_cur"],
-            best=dict(payload["best"]),
-            phi_best=payload["phi_best"],
-            history=[HistoryEntry(dict(h["definitions"]), h["score"]) for h in payload["history"]],
-            sample_rng_state=payload["sample_rng_state"],
-            accept_rng_state=payload["accept_rng_state"],
-            llm_calls=payload["llm_calls"],
-        )
+    def from_dict(cls, payload) -> "LoopState":
+        """The inverse of to_dict; ValueError, TypeError or OverflowError if
+        `payload` is not one."""
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        names = {_json_key(f.name): f.name for f in fields(cls)}
+        if payload.keys() != names.keys():
+            missing, unknown = sorted(names.keys() - payload), sorted(payload.keys() - names)
+            raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+        values = {}
+        for key, name in names.items():
+            value = payload[key]
+            values[name] = rng_state_from_json(value) if name.endswith("_rng") else value
+        values["history"] = [HistoryEntry(**h) for h in values["history"]]
+        return cls(**values)
+
+
+def _json_key(name: str) -> str:
+    """A state field's key in state.json: an rng stream is stored as its state."""
+    return f"{name}_state" if name.endswith("_rng") else name
 
 
 @dataclass
@@ -376,9 +389,8 @@ def refine(
     initial: Mapping[str, str] | None = None,
     parse_retries: int = 3,
     sample_char_cap: int = DEFAULT_SAMPLE_CHAR_CAP,
-    on_initial: Callable[[dict, LoopCheckpoint], None] | None = None,
-    on_iteration: Callable[[dict, LoopCheckpoint], None] | None = None,
-    resume: LoopCheckpoint | None = None,
+    on_iteration: Callable[[dict, LoopState], None] | None = None,
+    resume: LoopState | None = None,
 ) -> RefinementResult:
     """Run the refinement loop for up to t_max iterations.
 
@@ -391,8 +403,12 @@ def refine(
     current set's train confusion matrix and dev metrics are kept until a
     proposal replaces it.
 
-    `on_iteration` receives the trace record and a checkpoint that fully
-    determines the rest of the run, so callers can persist crash-safe state.
+    The loop state is `resume`, or a new one at iteration 0. `on_iteration`
+    receives a record and the state, which fully determines the rest of the
+    run, so callers can persist crash-safe state: first the iteration-0
+    record (`RefinementResult.initial`) of a new state, then each iteration's
+    trace record. The state changes in place after each callback returns, so
+    a caller that keeps it must copy it: `LoopState.from_dict(state.to_dict())`.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -418,65 +434,49 @@ def refine(
     def score_dev(def_vecs: np.ndarray) -> MetricsReport:
         return score(def_vecs, categories, dev_units, gold_dev)[0]
 
-    trace: list[dict] = []
-    initial_info: dict | None = None
     llm_calls = 0
-
     if resume is not None:
-        current = dict(resume.current)
-        phi_cur = resume.phi_cur
-        best = dict(resume.best)
-        phi_best = resume.phi_best
-        history = [HistoryEntry(dict(h.definitions), h.score) for h in resume.history]
-        sample_rng = rng_state_from_json(resume.sample_rng_state)
-        accept_rng = rng_state_from_json(resume.accept_rng_state)
-        llm_calls = resume.llm_calls
-        start_t = resume.iteration + 1
-        vecs_cur = embed(current)
-        _, cm_cur = score_train(vecs_cur)
-        dev_cur = score_dev(vecs_cur)
+        current = resume.current
+    elif initial is not None:
+        validate_definitions(initial, categories)
+        current = {c: initial[c] for c in categories}
+    elif init_mode == "llm_generated":
+        before = getattr(llm, "calls", None)
+        current = initial_definitions(categories, init_mode, llm, parse_retries)
+        if before is not None:
+            llm_calls = getattr(llm, "calls") - before
     else:
-        if initial is not None:
-            validate_definitions(initial, categories)
-            current = {c: initial[c] for c in categories}
-        elif init_mode == "llm_generated":
-            before = getattr(llm, "calls", None)
-            current = initial_definitions(categories, init_mode, llm, parse_retries)
-            if before is not None:
-                llm_calls += getattr(llm, "calls") - before
-        else:
-            current = initial_definitions(categories, init_mode)
-        vecs_cur = embed(current)
-        phi_cur, cm_cur = score_train(vecs_cur)
-        dev_cur = score_dev(vecs_cur)
-        best = dict(current)
-        phi_best = phi_cur
-        history = [HistoryEntry(dict(current), phi_cur)]
-        sample_rng = make_rng(seed, "sampling")
-        accept_rng = make_rng(seed, "acceptance")
-        start_t = 1
+        current = initial_definitions(categories, init_mode)
+    vecs_cur = embed(current)
+    phi, cm_cur = score_train(vecs_cur)
+    dev_cur = score_dev(vecs_cur)
+
+    state = resume
+    initial_info: dict | None = None
+    if state is None:
+        history = [HistoryEntry(dict(current), phi)]
+        sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
+        state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
         initial_info = {
             "iteration": 0,
-            "phi_train": phi_cur,
+            "phi_train": phi,
             "phi_dev": dev_cur.macro_f1,
             "definitions": dict(current),
             "definitions_hash": definitions_hash(current),
         }
-        if on_initial is not None:
-            on_initial(
-                initial_info,
-                _checkpoint(0, current, phi_cur, best, phi_best, history, sample_rng, accept_rng, llm_calls),
-            )
-    # Dev metrics of `best`, known whenever best is the current set.
-    dev_best = dev_cur if best == current else None
+        if on_iteration is not None:
+            on_iteration(initial_info, state)
+    # Dev metrics of the best set, known whenever it is the current set.
+    dev_best = dev_cur if state.best == state.current else None
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
+    trace: list[dict] = []
 
-    for t in range(start_t, t_max + 1):
-        feedback = _assemble_feedback(strategy, dataset, cm_cur, history, sample_rng)
-        prompt = build_prompt(strategy, categories, current, phi_cur, feedback, sample_char_cap)
+    for t in range(state.iteration + 1, t_max + 1):
+        feedback = _assemble_feedback(strategy, dataset, cm_cur, state.history, state.sample_rng)
+        prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
         proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries)
-        llm_calls += calls
+        state.llm_calls += calls
         temp = temperature(t, schedule)
 
         phi_prop: float | None = None
@@ -485,19 +485,20 @@ def refine(
         if proposal is not None:
             vecs_prop = embed(proposal)
             phi_prop, cm_prop = score_train(vecs_prop)
-            delta_e = energy_drop(phi_best, phi_prop)
-            accepted = accept(delta_e, temp, accept_rng) if metropolis else True
+            delta_e = energy_drop(state.phi_best, phi_prop)
+            accepted = accept(delta_e, temp, state.accept_rng) if metropolis else True
         if accepted:
-            current, vecs_cur, phi_cur, cm_cur = proposal, vecs_prop, phi_prop, cm_prop
+            state.current, vecs_cur, state.phi_cur, cm_cur = proposal, vecs_prop, phi_prop, cm_prop
             dev_cur = score_dev(vecs_cur)
             # phi_cur <= phi_best holds between iterations, so only an
             # accepted proposal can raise the best.
-            if phi_cur > phi_best:
-                phi_best = phi_cur
-                best = dict(current)
+            if state.phi_cur > state.phi_best:
+                state.phi_best = state.phi_cur
+                state.best = dict(state.current)
                 dev_best = dev_cur
-            history.append(HistoryEntry(dict(current), phi_cur))
-            del history[: max(0, len(history) - strategy.m_history)]
+            state.history.append(HistoryEntry(dict(state.current), state.phi_cur))
+            del state.history[: max(0, len(state.history) - strategy.m_history)]
+        state.iteration = t
 
         record = {
             "iteration": t,
@@ -505,22 +506,19 @@ def refine(
             "k": strategy.k_confused,
             "m": strategy.m_history,
             "temperature": temp,
-            "phi_train_current": phi_cur,
+            "phi_train_current": state.phi_cur,
             "phi_train_proposed": phi_prop,
             "delta_e": delta_e,
             "accepted": accepted,
             "phi_dev": dev_cur.macro_f1,
-            "definitions_hash": definitions_hash(current),
+            "definitions_hash": definitions_hash(state.current),
             "llm_latency_ms": latency_ms,
         }
         trace.append(record)
         if on_iteration is not None:
-            on_iteration(
-                record,
-                _checkpoint(t, current, phi_cur, best, phi_best, history, sample_rng, accept_rng, llm_calls),
-            )
+            on_iteration(record, state)
 
-    vecs_best = vecs_cur if best == current else embed(best)
+    vecs_best = vecs_cur if state.best == state.current else embed(state.best)
     dev_metrics = dev_best if dev_best is not None else score_dev(vecs_best)
     test_docs = split_view(dataset, "test")
     test_metrics = None
@@ -529,8 +527,8 @@ def refine(
         test_metrics, test_cm = score(vecs_best, categories, *embed_split(gateway, dataset, test_docs))
 
     return RefinementResult(
-        best_definitions=dict(best),
-        phi_best_train=phi_best,
+        best_definitions=dict(state.best),
+        phi_best_train=state.phi_best,
         trace=trace,
         initial=initial_info,
         dev_metrics=dev_metrics,
@@ -548,26 +546,3 @@ def embed_split(
     index = dataset.category_index
     return unit_rows(vectors, "document", in_place=True), np.array([index[d.label] for d in docs])
 
-
-def _checkpoint(
-    iteration: int,
-    current: Mapping[str, str],
-    phi_cur: float,
-    best: Mapping[str, str],
-    phi_best: float,
-    history: Sequence[HistoryEntry],
-    sample_rng: random.Random,
-    accept_rng: random.Random,
-    llm_calls: int,
-) -> LoopCheckpoint:
-    return LoopCheckpoint(
-        iteration=iteration,
-        current=dict(current),
-        phi_cur=phi_cur,
-        best=dict(best),
-        phi_best=phi_best,
-        history=[HistoryEntry(dict(h.definitions), h.score) for h in history],
-        sample_rng_state=rng_state_to_json(sample_rng),
-        accept_rng_state=rng_state_to_json(accept_rng),
-        llm_calls=llm_calls,
-    )

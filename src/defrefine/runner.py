@@ -37,7 +37,7 @@ from .evaluation import confusion_to_csv, metrics_to_dict, score
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .refinement import (
     AnnealingSchedule,
-    LoopCheckpoint,
+    LoopState,
     RefinementResult,
     StrategyConfig,
     embed_split,
@@ -388,42 +388,41 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_json(snapshot_path, cfg.to_snapshot())
 
-        checkpoint = None
+        saved = None
         if resume and state_path.exists():
-            checkpoint = LoopCheckpoint.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
-            _truncate_jsonl(trace_path, checkpoint.iteration, at_least=checkpoint.iteration)
-            _truncate_jsonl(defs_log_path, checkpoint.iteration)
+            try:
+                saved = LoopState.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise DataError(f"unresumable state in {state_path}: {exc}") from exc
+            _truncate_jsonl(trace_path, saved.iteration, at_least=saved.iteration)
+            _truncate_jsonl(defs_log_path, saved.iteration)
             if hasattr(llm, "advance"):
-                llm.advance(checkpoint.llm_calls)
+                llm.advance(saved.llm_calls)
 
-        # Without a checkpoint the run starts over, replacing what a run killed
-        # before its first checkpoint left behind.
-        mode = "a" if checkpoint is not None else "w"
+        # Without a saved state the run starts over, replacing what a run killed
+        # before its first state.json left behind.
+        mode = "a" if saved is not None else "w"
         with (
             open(trace_path, mode, encoding="utf-8") as trace_handle,
             open(defs_log_path, mode, encoding="utf-8") as defs_handle,
         ):
 
-            def save_state(ck: LoopCheckpoint) -> None:
-                _atomic_write_json(state_path, ck.to_dict())
-
-            def log_definitions(iteration: int, score: float, definitions: dict) -> None:
-                record = {"iteration": iteration, "score": score, "definitions": definitions}
-                defs_handle.write(json.dumps(record) + "\n")
-                defs_handle.flush()
-
-            def on_initial(info: dict, ck: LoopCheckpoint) -> None:
-                _write_json(run_dir / "initial.json", info)
-                log_definitions(0, info["phi_train"], info["definitions"])
-                save_state(ck)
-
-            def on_iteration(record: dict, ck: LoopCheckpoint) -> None:
-                trace_handle.write(json.dumps(record) + "\n")
-                trace_handle.flush()
-                os.fsync(trace_handle.fileno())
-                if record["accepted"]:
-                    log_definitions(record["iteration"], ck.phi_cur, ck.current)
-                save_state(ck)
+            def on_iteration(record: dict, state: LoopState) -> None:
+                if state.iteration == 0:
+                    _write_json(run_dir / "initial.json", record)
+                else:
+                    trace_handle.write(json.dumps(record) + "\n")
+                    trace_handle.flush()
+                    os.fsync(trace_handle.fileno())
+                if state.iteration == 0 or record["accepted"]:
+                    entry = {
+                        "iteration": state.iteration,
+                        "score": state.phi_cur,
+                        "definitions": state.current,
+                    }
+                    defs_handle.write(json.dumps(entry) + "\n")
+                    defs_handle.flush()
+                _atomic_write_json(state_path, state.to_dict())
 
             result = refine(
                 dataset,
@@ -437,9 +436,8 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
                 initial=initial,
                 parse_retries=cfg.parse_retries,
                 sample_char_cap=cfg.sample_char_cap,
-                on_initial=on_initial,
                 on_iteration=on_iteration,
-                resume=checkpoint,
+                resume=saved,
             )
 
     _write_json(run_dir / "best_definitions.json", result.best_definitions)
@@ -516,11 +514,12 @@ def _best_definitions_for_report(run_dir: Path) -> dict[str, str]:
 def cmd_report(run_dir: str | Path) -> list[Path]:
     """Emit plot-ready report files for a finished (or interrupted) run."""
     run_dir = Path(run_dir)
-    trace_path = run_dir / "trace.jsonl"
-    if not trace_path.exists():
-        raise DataError(f"missing trace: {trace_path}")
+    trace_path, initial_path = run_dir / "trace.jsonl", run_dir / "initial.json"
+    for path in (trace_path, initial_path):
+        if not path.exists():
+            raise DataError(f"missing {path.name}: {path}")
     cfg = RunConfig.from_file(run_dir / "config.json")
-    initial = json.loads((run_dir / "initial.json").read_text(encoding="utf-8"))
+    initial = json.loads(initial_path.read_text(encoding="utf-8"))
     records = [json.loads(line) for line in _complete_lines(trace_path)]
 
     reports = run_dir / "reports"

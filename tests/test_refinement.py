@@ -16,6 +16,7 @@ from defrefine.refinement import (
     AnnealingSchedule,
     FeedbackBundle,
     HistoryEntry,
+    LoopState,
     StrategyConfig,
     accept,
     build_prompt,
@@ -396,6 +397,10 @@ class TestRefineLoop:
         strategy = StrategyConfig("m2", k_confused=2, m_history=2)
         checkpoints = {}
 
+        def keep(record, state):
+            # The state is live: keep a copy of it.
+            checkpoints.setdefault(record["iteration"], LoopState.from_dict(state.to_dict()))
+
         def run(llm_script, resume=None):
             return refine(
                 separable_dataset(),
@@ -406,7 +411,7 @@ class TestRefineLoop:
                 seed=7,
                 t_max=len(script),
                 parse_retries=0,
-                on_iteration=lambda record, checkpoint: checkpoints.setdefault(record["iteration"], checkpoint),
+                on_iteration=keep,
                 resume=resume,
             )
 
@@ -419,6 +424,45 @@ class TestRefineLoop:
         assert embedded[1:-1] == proposals
         assert embedded[-1] == result.best_definitions
         assert len(embedded) == len(proposals) + 2
+
+    @pytest.mark.parametrize("name", ["m1", "m2", "m3"])
+    def test_resume_from_every_iteration_matches_uninterrupted(self, name):
+        # Each state handed to on_iteration goes through its JSON form and
+        # resumes the run in-process, as `refine --resume` does from state.json.
+        script = [json.dumps(junk_definitions(1)), "not json", json.dumps(ideal_definitions())]
+        script += [json.dumps(junk_definitions(i)) for i in (4, 5, 6)]
+        t_max = len(script)
+        saved = {}
+
+        def save(record, state):
+            saved.setdefault(record["iteration"], json.dumps(state.to_dict()))
+
+        def run(resume=None):
+            llm = ScriptedLlm(script)
+            llm.advance(resume.llm_calls if resume else 0)
+            return refine(
+                separable_dataset(),
+                StrategyConfig(name, k_confused=2, m_history=2),
+                AnnealingSchedule(t_max_iterations=t_max),
+                mock_gateway(),
+                llm,
+                seed=7,
+                t_max=t_max,
+                parse_retries=0,
+                on_iteration=save,
+                resume=resume,
+            )
+
+        full = run()
+        assert sorted(saved) == list(range(t_max + 1))
+        assert [r["accepted"] for r in full.trace].count(False) == (1 if name != "m3" else 4)
+        for abort in range(t_max + 1):
+            state = LoopState.from_dict(json.loads(saved[abort]))
+            resumed = run(state)
+            assert resumed.trace == full.trace[abort:]
+            assert resumed.best_definitions == full.best_definitions
+            assert resumed.phi_best_train == full.phi_best_train
+            assert json.dumps(state.to_dict()) == saved[t_max]
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):

@@ -1,6 +1,7 @@
 """CLI behavior: configs, run directories, resume, sweeps, and reports."""
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -504,6 +505,38 @@ class TestConfigSnapshot:
         self._check(tmp_path, raw, GOLDEN_EVERY_FIELD)
 
 
+class TestStateSnapshot:
+    """state.json bytes are pinned: old run directories must still resume."""
+
+    GOLDEN_SHA256 = {
+        0: "73fa012709467dd9788d02a920fc69357b0834f7852919dd40caf473f44c9f80",
+        6: "9163aa7e07b94a259a8df427573ea646dbdea6b16033816940eaa847d0add8d1",
+    }
+
+    def test_scripted_m3_run(self, tmp_path, monkeypatch):
+        script = [json.dumps(junk_definitions(1)), "not json", json.dumps(ideal_definitions())]
+        script += [json.dumps(junk_definitions(i)) for i in (4, 5, 6)]
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=6, extra={"parse_retries": 0})
+        written = []
+        atomic_write_json = runner._atomic_write_json
+
+        def recording(path, payload):
+            atomic_write_json(path, payload)
+            if path.name == "state.json":
+                written.append(path.read_bytes())
+
+        monkeypatch.setattr(runner, "_atomic_write_json", recording)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        trace = [json.loads(line) for line in (run_dir / "trace.jsonl").read_text().splitlines()]
+        # The run covers a parse failure and a Metropolis rejection.
+        assert any(r["phi_train_proposed"] is None for r in trace)
+        assert any(r["phi_train_proposed"] is not None and not r["accepted"] for r in trace)
+        assert len(written) == 7
+        digests = {i: hashlib.sha256(written[i]).hexdigest() for i in self.GOLDEN_SHA256}
+        assert digests == self.GOLDEN_SHA256
+
+
 class TestBaseline:
     def test_separable_fixture_scores_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, minimal_text_dataset(), [], t_max=0)
@@ -524,6 +557,15 @@ class TestBaseline:
         main(["baseline", "--config", str(cfg_path)])
         second = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
         assert first == second
+
+
+def _state_with(**changes):
+    """A damage to state.json: the saved state with `changes` applied."""
+    return lambda state: json.dumps({**state, **changes})
+
+
+def _state_without(key):
+    return lambda state: json.dumps({k: v for k, v in state.items() if k != key})
 
 
 class TestRefineRuns:
@@ -620,6 +662,33 @@ class TestRefineRuns:
         log = (run_dir / "definitions_log.jsonl").read_text().splitlines()
         assert [json.loads(line)["iteration"] for line in log].count(0) == 1
         assert len((run_dir / "trace.jsonl").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda state: "", id="empty"),
+            pytest.param(lambda state: json.dumps(state)[:100], id="truncated"),
+            pytest.param(lambda state: "[]", id="not-an-object"),
+            pytest.param(_state_with(extra=1), id="unknown-key"),
+            pytest.param(_state_without("llm_calls"), id="missing-key"),
+            pytest.param(_state_with(history=[1]), id="history-entry"),
+            pytest.param(_state_with(sample_rng_state=[3, [1], None]), id="rng-size"),
+            pytest.param(_state_with(accept_rng_state=[3, [-1] * 625, None]), id="rng-value"),
+        ],
+    )
+    def test_damaged_state_is_data_error(self, tmp_path, capsys, damage):
+        # The run directory is left as it was, so it can be repaired and resumed.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        state_path = run_dir / "state.json"
+        state_path.write_text(damage(json.loads(state_path.read_text())))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        (tmp_path / "script.json").write_text(json.dumps(toy_script(6)))
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        assert str(state_path) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
         # The drafting call consumes one script entry before iteration 1, so a
@@ -808,6 +877,23 @@ class TestReport:
         for i, row in enumerate(rows[1:]):
             counts = [int(x) for x in row[1:]]
             assert counts[i] == 2 and sum(counts) == 2
+
+    def test_run_killed_before_iteration_0_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # A kill while the splits are embedded leaves the config snapshot and
+        # two empty JSONL files, but no initial.json.
+        def killed(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        monkeypatch.setattr(runner, "refine", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(["refine", "--config", str(cfg_path)])
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        left = sorted(p.name for p in run_dir.iterdir())
+        assert left == ["config.json", "definitions_log.jsonl", "trace.jsonl"]
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        assert str(run_dir / "initial.json") in capsys.readouterr().err
 
     def test_missing_trace_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "not-a-run")]) == EXIT_DATA
