@@ -16,8 +16,8 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -137,16 +137,41 @@ class LoopState:
         `payload` is not one."""
         if not isinstance(payload, dict):
             raise ValueError("not a JSON object")
-        names = {_json_key(f.name): f.name for f in fields(cls)}
-        if payload.keys() != names.keys():
-            missing, unknown = sorted(names.keys() - payload), sorted(payload.keys() - names)
+        by_key = {_json_key(f.name): f for f in fields(cls)}
+        if payload.keys() != by_key.keys():
+            missing, unknown = sorted(by_key.keys() - payload), sorted(payload.keys() - by_key)
             raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+        hints = get_type_hints(cls)
         values = {}
-        for key, name in names.items():
+        for key, f in by_key.items():
             value = payload[key]
-            values[name] = rng_state_from_json(value) if name.endswith("_rng") else value
+            if f.name.endswith("_rng"):
+                value = rng_state_from_json(value)
+            elif not _json_fits(value, hints[f.name]):
+                raise ValueError(f"{key} is not a valid {f.type}: {value!r:.60}")
+            values[f.name] = value
         values["history"] = [HistoryEntry(**h) for h in values["history"]]
         return cls(**values)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value has the state field type `hint`. The state's
+    integers are counts, so a negative one does not fit; neither does a bool."""
+    if hint in (int, float, str):
+        return type(value) is hint and (hint is not int or value >= 0)
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return (
+            isinstance(value, dict)
+            and value.keys() == hints.keys()
+            and all(_json_fits(value[name], h) for name, h in hints.items())
+        )
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _json_fits(k, args[0]) and _json_fits(v, args[1]) for k, v in value.items()
+        )
+    return origin is list and isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
 
 
 def _json_key(name: str) -> str:

@@ -3,9 +3,13 @@
 A run directory holds a config snapshot, an append-only iteration trace
 (one JSON record per line, flushed and fsynced per record), a checkpoint
 that is rewritten atomically after every iteration, and a log of accepted
-definition sets. Any interrupted run can be continued with --resume and
-reproduces the uninterrupted trace byte for byte when the providers are
-deterministic.
+definition sets. One writer thread writes each iteration's records in
+iteration order, at most one iteration behind the loop, so the disk work
+overlaps the next LLM call; the checkpoint is written after the trace record
+it covers is fsynced. A kill can lose the last completed iteration's
+records, which --resume redoes; a write error still stops the run. Any
+interrupted run can be continued with --resume and reproduces the
+uninterrupted trace byte for byte when the providers are deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import logging
 import os
 import sys
 import typing
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field
 from itertools import chain
@@ -208,15 +213,15 @@ def _script_endpoint(endpoint: str, base_dir: Path) -> str:
     return SCRIPT_PREFIX + str(_resolve(endpoint[len(SCRIPT_PREFIX) :], base_dir))
 
 
-def _read_json(path: Path, what: str):
-    """The JSON value in a file; ConfigError naming the file if it is missing,
+def _read_json(path: Path, what: str, error: type[Exception] = ConfigError):
+    """The JSON value in a file; `error` naming the file if it is missing,
     not UTF-8 or not JSON."""
     if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
+        raise error(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _read_config_json(path: Path) -> dict:
@@ -313,16 +318,31 @@ def _complete_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").split("\n")[:-1] if path.exists() else []
 
 
+def _read_records(path: Path) -> list:
+    """The JSON values of a JSONL file's complete lines; DataError naming the
+    file and line if one is not JSON."""
+    records = []
+    for number, line in enumerate(_complete_lines(path), 1):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} line {number} is not valid JSON: {exc}") from exc
+    return records
+
+
 def _truncate_jsonl(path: Path, iteration: int, at_least: int = 0) -> None:
     """Keep the complete records of a JSONL file up to `iteration`; DataError,
-    with the file untouched, if fewer than `at_least` of them are left."""
+    with the file untouched, if fewer than `at_least` of them are left. A line
+    that is not an object with an integer iteration is no record."""
     kept = []
     for line in _complete_lines(path):
         try:
-            if json.loads(line)["iteration"] <= iteration:
-                kept.append(line)
+            record = json.loads(line)
         except json.JSONDecodeError:
             continue
+        at = record.get("iteration") if isinstance(record, dict) else None
+        if type(at) is int and at <= iteration:
+            kept.append(line)
     if len(kept) < at_least:
         raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
     path.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
@@ -405,40 +425,64 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         with (
             open(trace_path, mode, encoding="utf-8") as trace_handle,
             open(defs_log_path, mode, encoding="utf-8") as defs_handle,
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="run-writer") as writer,
         ):
+            pending: Future | None = None
 
-            def on_iteration(record: dict, state: LoopState) -> None:
-                if state.iteration == 0:
+            def persist(iteration: int, record: dict | str, entry: dict | None, state: dict) -> None:
+                """One iteration's records, in order: initial.json (the record)
+                or the fsynced trace line, the accepted set, then state.json."""
+                if iteration == 0:
                     _write_json(run_dir / "initial.json", record)
                 else:
-                    trace_handle.write(json.dumps(record) + "\n")
+                    trace_handle.write(record)
                     trace_handle.flush()
                     os.fsync(trace_handle.fileno())
-                if state.iteration == 0 or record["accepted"]:
-                    entry = {
-                        "iteration": state.iteration,
-                        "score": state.phi_cur,
-                        "definitions": state.current,
-                    }
+                if entry is not None:
                     defs_handle.write(json.dumps(entry) + "\n")
                     defs_handle.flush()
-                _atomic_write_json(state_path, state.to_dict())
+                _atomic_write_json(state_path, state)
 
-            result = refine(
-                dataset,
-                cfg.strategy,
-                AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
-                gateway,
-                llm,
-                seed=cfg.seed,
-                t_max=cfg.t_max,
-                init_mode=cfg.init.mode,
-                initial=initial,
-                parse_retries=cfg.parse_retries,
-                sample_char_cap=cfg.sample_char_cap,
-                on_iteration=on_iteration,
-                resume=saved,
-            )
+            def wait_for_writer() -> None:
+                """Wait for the pending iteration's records; re-raise its write error."""
+                nonlocal pending
+                job, pending = pending, None
+                if job is not None:
+                    job.result()
+
+            def on_iteration(record: dict, state: LoopState) -> None:
+                # The state changes in place once this returns, so its records
+                # are taken now. Definition sets are replaced, never edited,
+                # so a shallow copy of the state is enough.
+                nonlocal pending
+                t = state.iteration
+                entry = None
+                if t == 0 or record["accepted"]:
+                    entry = {"iteration": t, "score": state.phi_cur, "definitions": state.current}
+                line = record if t == 0 else json.dumps(record) + "\n"
+                snapshot = state.to_dict()
+                wait_for_writer()
+                pending = writer.submit(persist, t, line, entry, snapshot)
+
+            try:
+                result = refine(
+                    dataset,
+                    cfg.strategy,
+                    AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
+                    gateway,
+                    llm,
+                    seed=cfg.seed,
+                    t_max=cfg.t_max,
+                    init_mode=cfg.init.mode,
+                    initial=initial,
+                    parse_retries=cfg.parse_retries,
+                    sample_char_cap=cfg.sample_char_cap,
+                    on_iteration=on_iteration,
+                    resume=saved,
+                )
+            finally:
+                # A write error outranks a loop error: it came first.
+                wait_for_writer()
 
     _write_json(run_dir / "best_definitions.json", result.best_definitions)
     summary = {
@@ -499,12 +543,12 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     return summary
 
 
-def _best_definitions_for_report(run_dir: Path) -> dict[str, str]:
+def _best_definitions_for_report(run_dir: Path, entries: list[dict]) -> dict[str, str]:
+    """The finished run's best set, or the best of the accepted sets `entries`."""
     result_path = run_dir / "result.json"
     if result_path.exists():
-        return json.loads(result_path.read_text(encoding="utf-8"))["best_definitions"]
+        return _read_json(result_path, "result file", DataError)["best_definitions"]
     # Incomplete run: reconstruct from the accepted-definitions log.
-    entries = [json.loads(line) for line in _complete_lines(run_dir / "definitions_log.jsonl")]
     if not entries:
         raise DataError(f"no definitions recorded in {run_dir}")
     # The first of equal scores wins.
@@ -519,8 +563,8 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
         if not path.exists():
             raise DataError(f"missing {path.name}: {path}")
     cfg = RunConfig.from_file(run_dir / "config.json")
-    initial = json.loads(initial_path.read_text(encoding="utf-8"))
-    records = [json.loads(line) for line in _complete_lines(trace_path)]
+    initial = _read_json(initial_path, "initial record", DataError)
+    records = _read_records(trace_path)
 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -535,7 +579,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     _write_json(curve_path, {"points": points})
     written.append(curve_path)
 
-    evolution = [json.loads(line) for line in _complete_lines(run_dir / "definitions_log.jsonl")]
+    evolution = _read_records(run_dir / "definitions_log.jsonl")
     evo_path = reports / "definitions_evolution.json"
     _write_json(evo_path, evolution)
     written.append(evo_path)
@@ -543,7 +587,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     with closing(gateway.cache):
-        best = _best_definitions_for_report(run_dir)
+        best = _best_definitions_for_report(run_dir, evolution)
         def_vecs = gateway.embed_definitions(best, dataset.categories)
         test_docs = split_view(dataset, "test")
         if test_docs:

@@ -1,9 +1,13 @@
 """CLI behavior: configs, run directories, resume, sweeps, and reports."""
 
 import csv
+import errno
 import hashlib
 import json
+import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from defrefine import runner
 from defrefine.corpus import Dataset, Document
 from defrefine.embeddings import EmbeddingCache
+from defrefine.llm import ScriptedLlm
 from defrefine.runner import (
     EXIT_DATA,
     EXIT_OK,
@@ -537,6 +542,115 @@ class TestStateSnapshot:
         assert digests == self.GOLDEN_SHA256
 
 
+def _fsync_failing_on_call(n):
+    """os.fsync raising EIO on its n-th call, which syncs the trace record of iteration n."""
+    fsync, calls = os.fsync, []
+
+    def failing(fd):
+        calls.append(fd)
+        if len(calls) == n:
+            raise OSError(errno.EIO, "disk went away")
+        fsync(fd)
+
+    return failing
+
+
+def _uncut_run(tmp_path: Path, script, t_max) -> Path:
+    """The run directory of an uninterrupted run in tmp_path / "uncut"."""
+    base = tmp_path / "uncut"
+    base.mkdir()
+    cfg_path = write_config(base, separable_dataset(), script, t_max=t_max)
+    assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+    return run_dir_for(RunConfig.from_file(cfg_path), "refine")
+
+
+class TestWriter:
+    """Each iteration's records are written behind the loop, in order."""
+
+    def test_state_is_never_ahead_of_the_fsynced_trace(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6, ideal_at=4), t_max=6)
+        trace_path = run_dir_for(RunConfig.from_file(cfg_path), "refine") / "trace.jsonl"
+        fsync, atomic_write_json = os.fsync, runner._atomic_write_json
+        synced = [0]  # trace lines covered by the last fsync
+        checks = []
+
+        def slow_fsync(fd):
+            time.sleep(0.02)
+            fsync(fd)
+            synced.append(len(trace_path.read_text().splitlines()))
+
+        def recording(path, payload):
+            if path.name == "state.json":
+                checks.append((payload["iteration"], synced[-1]))
+            atomic_write_json(path, payload)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        monkeypatch.setattr(runner, "_atomic_write_json", recording)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        assert [iteration for iteration, _ in checks] == list(range(7))
+        assert all(iteration <= lines for iteration, lines in checks), checks
+
+    def test_writes_overlap_the_next_llm_call(self, tmp_path, monkeypatch):
+        t_max = 4
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(t_max), t_max=t_max)
+        trace_path = run_dir_for(RunConfig.from_file(cfg_path), "refine") / "trace.jsonl"
+        fsync, complete = os.fsync, ScriptedLlm.complete
+        called = threading.Condition()
+        calls = [0]
+        overlapped = []
+
+        def counting_complete(self, prompt):
+            with called:
+                calls[0] += 1
+                called.notify_all()
+            return complete(self, prompt)
+
+        def waiting_fsync(fd):
+            # The record of iteration t is synced while the loop asks for t + 1.
+            t = len(trace_path.read_text().splitlines())
+            if t < t_max:
+                with called:
+                    overlapped.append(called.wait_for(lambda: calls[0] > t, timeout=2.0))
+            fsync(fd)
+
+        monkeypatch.setattr(ScriptedLlm, "complete", counting_complete)
+        monkeypatch.setattr(os, "fsync", waiting_fsync)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        assert overlapped == [True] * (t_max - 1)
+
+    def test_write_error_stops_the_run_and_resume_repairs_it(self, tmp_path, monkeypatch):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=6)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        complete, calls = ScriptedLlm.complete, []
+
+        def counting_complete(self, prompt):
+            calls.append(prompt)
+            return complete(self, prompt)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "fsync", _fsync_failing_on_call(3))
+            patched.setattr(ScriptedLlm, "complete", counting_complete)
+            with pytest.raises(OSError, match="disk went away"):
+                main(["refine", "--config", str(cfg_path)])
+        # Raised at most one iteration later, with the checkpoint behind the failed record.
+        assert len(calls) <= 4
+        assert json.loads((run_dir / "state.json").read_text())["iteration"] <= 2
+        assert not (run_dir / "result.json").exists()
+
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_write_error_outranks_a_later_loop_error(self, tmp_path, monkeypatch):
+        # The record of iteration 3 fails to sync; the script then runs out.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
+        monkeypatch.setattr(os, "fsync", _fsync_failing_on_call(3))
+        with pytest.raises(OSError, match="disk went away"):
+            main(["refine", "--config", str(cfg_path)])
+
+
 class TestBaseline:
     def test_separable_fixture_scores_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, minimal_text_dataset(), [], t_max=0)
@@ -674,6 +788,15 @@ class TestRefineRuns:
             pytest.param(_state_with(history=[1]), id="history-entry"),
             pytest.param(_state_with(sample_rng_state=[3, [1], None]), id="rng-size"),
             pytest.param(_state_with(accept_rng_state=[3, [-1] * 625, None]), id="rng-value"),
+            pytest.param(_state_with(iteration="3"), id="iteration-str"),
+            pytest.param(_state_with(iteration=True), id="iteration-bool"),
+            pytest.param(_state_with(iteration=-1), id="iteration-negative"),
+            pytest.param(_state_with(llm_calls=-1), id="llm-calls-negative"),
+            pytest.param(_state_with(llm_calls=2.0), id="llm-calls-float"),
+            pytest.param(_state_with(phi_cur="0.5"), id="phi-str"),
+            pytest.param(_state_with(current=[]), id="definitions-not-object"),
+            pytest.param(_state_with(best={c: 1 for c in TOY_CATEGORIES}), id="definition-not-str"),
+            pytest.param(_state_with(history=[{"definitions": {}, "score": None}]), id="history-score"),
         ],
     )
     def test_damaged_state_is_data_error(self, tmp_path, capsys, damage):
@@ -689,6 +812,32 @@ class TestRefineRuns:
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
         assert str(state_path) in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("junk", ["[1]", "{}", '{"iteration": "2"}', '{"iteration": true}'])
+    def test_trace_line_that_is_not_a_record_is_skipped(self, tmp_path, capsys, junk):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        trace = run_dir / "trace.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        (tmp_path / "script.json").write_text(json.dumps(script))
+
+        # In place of a record, the line leaves fewer records than state.json
+        # covers: exit 3, nothing changed.
+        trace.write_text("".join(lines[:1] + [junk + "\n"] + lines[2:]))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        assert str(trace) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+        # Beside every record, it is dropped and the run resumes as if uncut.
+        trace.write_text("".join(lines + [junk + "\n"]))
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
         # The drafting call consumes one script entry before iteration 1, so a
@@ -897,6 +1046,18 @@ class TestReport:
 
     def test_missing_trace_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "not-a-run")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("name", ["definitions_log.jsonl", "trace.jsonl", "initial.json", "result.json"])
+    def test_damaged_file_is_data_error(self, tmp_path, capsys, name):
+        run_dir = self._finished_run(tmp_path)
+        path = run_dir / name
+        lines = len(path.read_text().splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        where = f" line {lines + 1} " if path.suffix == ".jsonl" else " "
+        assert f"{path}{where}" in capsys.readouterr().err
 
 
 class TestCacheIsClosed:
