@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
-# Rows per block hold about this many elements, which bounds the squares
-# temporary that unit_rows needs (2 MiB of float64).
-_BLOCK_ELEMENTS = 1 << 18
+# Rows per block hold about this many elements, which bounds the row-major
+# scratch array of row_norms (256 KiB of float64).
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _as_matrix(vectors, copy: bool = False) -> np.ndarray:
@@ -25,25 +25,51 @@ def _as_matrix(vectors, copy: bool = False) -> np.ndarray:
     return matrix
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of the (n, d) float64 matrix.
+
+    Each norm has the bits of `np.linalg.norm(m, axis=1)` for the row-major
+    m of the same values, whatever the matrix's layout: the rows are squared
+    into one row-major scratch array a block at a time and summed along it.
+    A block holds at most `_BLOCK_ELEMENTS` elements (or one row), so the
+    scratch stays small. A row can be normalised exactly when its norm is
+    finite and positive.
+    """
+    n, d = matrix.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, d))
+    squares = np.empty((min(step, n), d))
+    norms = np.empty(n)
+    for start in range(0, n, step):
+        block = matrix[start : start + step]
+        rows = squares[: len(block)]
+        np.copyto(rows, block)
+        # np.linalg.norm's own sum for axis=1, without its full-size temporary;
+        # a sum that overflows is an infinite norm, which the caller refuses.
+        with np.errstate(over="ignore"):
+            np.multiply(rows, rows, out=rows)
+        np.add.reduce(rows, axis=1, out=norms[start : start + step])
+    return np.sqrt(norms, out=norms)
+
+
 def unit_rows(vectors, what: str, *, in_place: bool = False) -> np.ndarray:
     """The rows scaled to unit length, as a float64 (n, d) array.
 
-    The result is a new array, unless `in_place` is set: then a float64
-    array the caller owns is normalised in its own memory and returned.
-    Rows are normalised in blocks, so the temporary stays small; each row
-    gets the same bits as `m / np.linalg.norm(m, axis=1)[:, None]`. `what`
-    names the rows in the error raised for a zero-norm row, which may leave
-    an in-place array partly normalised.
+    The result is a new array in the layout of `vectors` (a column-major
+    matrix stays column-major), unless `in_place` is set: then a float64
+    array the caller owns is normalised in its own memory and returned. The
+    norms come from `row_norms`, so the temporaries stay small, and each row
+    gets the same bits as `m / np.linalg.norm(m, axis=1)[:, None]` for the
+    row-major m of the same values. `what` names the rows in the error
+    raised for a row whose norm is zero or not finite; the array is then
+    left as it was.
     """
     matrix = _as_matrix(vectors, copy=not in_place)
-    step = max(1, _BLOCK_ELEMENTS // max(1, matrix.shape[1]))
-    for start in range(0, matrix.shape[0], step):
-        block = matrix[start : start + step]
-        # np.linalg.norm's own sum for axis=1, without its full-size temporary.
-        norms = np.sqrt(np.add.reduce(block * block, axis=1))
-        if np.any(norms == 0.0):
-            raise ValueError(f"zero-norm {what} vector")
-        block /= norms[:, None]
+    norms = row_norms(matrix)
+    if not np.all(norms < np.inf):
+        raise ValueError(f"non-finite norm of a {what} vector")
+    if not np.all(norms > 0.0):
+        raise ValueError(f"zero-norm {what} vector")
+    matrix /= norms[:, None]
     return matrix
 
 
@@ -60,11 +86,14 @@ def _operands(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
 def cosine_scores(doc_units, def_vecs) -> np.ndarray:
     """The n-by-k cosine score matrix, `np.clip(docs @ defs.T, -1, 1)`.
 
-    Takes the same arguments as `classify`. This is the exact product: its
-    row-wise argmax, ties to the lowest index, is what `classify` returns,
-    and `classify` computes it, for the whole split, when some document's
-    best score in the faster (k, n) product does not lead every other by
-    more than `_tie_margin(d)`. All arithmetic is double precision.
+    Takes the same arguments as `classify`. This is the exact product, the
+    float64 product of the document matrix as given: its row-wise argmax,
+    ties to the lowest index, is what `classify` returns, and `classify`
+    computes it, for the whole split and with no copy of it, when some
+    document's best score in the faster (k, n) product does not lead every
+    other by more than `_tie_margin(d)`. Its bits can depend on the layout:
+    at a near tie, a column-major and a row-major matrix of the same values
+    may round to different scores. All arithmetic is double precision.
     """
     docs, defs = _operands(doc_units, def_vecs)
     scores = docs @ defs.T
@@ -100,18 +129,22 @@ def classify(doc_units, def_vecs) -> np.ndarray:
     it once. `def_vecs` is an array-like of definition row vectors, an (k, d)
     array or a list of d-vectors, and is unit-normalised here. Returns the
     predicted category index per document: always the row-wise argmax of
-    `cosine_scores(doc_units, def_vecs)`, ties to the lowest index.
+    `cosine_scores(doc_units, def_vecs)`, ties to the lowest index, for the
+    document matrix as given, in either layout.
 
     The scores come from the cheaper (k, n) product `defs @ docs.T`, whose
-    bits may differ from the exact (n, k) one. A document's prediction is
-    certain when its best score beats every other by more than
-    `_tie_margin(d)`, (14 d + 16) 2**-53 (4e-13 at d = 256): no rounding can
-    then reorder the two products, nor can the clip make two exact scores
-    tie. If any document is not certain (an exact or near tie, such as two
-    (near-)duplicate definitions give), the whole split is classified from
-    `cosine_scores`, since a subset of rows is not known to give the full
-    product's bits. The proof needs document rows of norm at most
-    1 + (d + 4) 2**-53, which `unit_rows` gives; shorter rows are fine too.
+    bits may differ from the exact (n, k) one. It runs fastest on a
+    column-major document matrix, as the embedding gateway returns: `docs.T`
+    is then C-contiguous and the product a plain, untransposed gemm. A
+    document's prediction is certain when its best score beats every other
+    by more than `_tie_margin(d)`, (14 d + 16) 2**-53 (4e-13 at d = 256): no
+    rounding can then reorder the two products, nor can the clip make two
+    exact scores tie. If any document is not certain (an exact or near tie,
+    such as two (near-)duplicate definitions give), the whole split is
+    classified from `cosine_scores`, since a subset of rows is not known to
+    give the full product's bits. The proof needs document rows of norm at
+    most 1 + (d + 4) 2**-53, which `unit_rows` gives; shorter rows are fine
+    too.
     """
     docs, defs = _operands(doc_units, def_vecs)
     predictions = _certain_argmax(defs @ docs.T, _tie_margin(docs.shape[1]))

@@ -26,6 +26,7 @@ import numpy as np
 import requests
 
 from ._http import post_json
+from .classifier import row_norms
 from .errors import ConfigError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -127,10 +128,9 @@ class EmbeddingCache:
     marker. Memory then holds only where each stored key's row is, and a put
     indexes the record it appends the same way, so no rows are kept: `read`
     fills the caller's output array, reading each record it needs with one
-    preadv (straight into the output where the record is wanted whole, in
-    order) and checking it again, so a record damaged after open or after
-    its put is dropped and its keys read as misses, to be fetched and
-    written over whatever the read left in their rows. `dim` tells the
+    preadv into a row-major scratch array and checking it again before
+    copying its rows out, so a record damaged after open or after its put is
+    dropped and its keys read as misses, to be fetched. `dim` tells the
     caller how wide to make the output. A store removed (or replaced) at the
     path while open is forgotten at the next read or put, and the next put
     recreates it at the path. Only a cache without a path keeps its rows in
@@ -206,16 +206,15 @@ class EmbeddingCache:
         return None
 
     def read(self, keys: Sequence[bytes], out: np.ndarray) -> np.ndarray:
-        """Fill out[i], in an (n, d) C-contiguous float64 array, with the
+        """Fill out[i], in an (n, d) float64 array of either layout, with the
         stored vector of keys[i]; return a boolean mask of the positions
-        filled. The other keys are misses: their rows of out may hold
-        anything, including the rows of a record that failed its checks.
+        filled. The other keys are misses, and their rows of out are left as
+        they were.
 
-        Each stored record is read with one preadv and checked again (sync
-        marker, size, crc, and the key at each row); one that fails is dropped
-        with a warning, so its keys are misses. A record asked for whole and
-        in order at consecutive positions is read straight into those rows
-        of out; any other is read into a scratch array and scattered.
+        Each stored record is read with one preadv into one row-major scratch
+        array, reused for every record, and checked again (sync marker, size,
+        crc, and the key at each row) before its rows are copied into out;
+        one that fails is dropped with a warning, so its keys are misses.
         """
         dim = out.shape[1]
         found = np.zeros(len(keys), dtype=bool)
@@ -241,21 +240,20 @@ class EmbeddingCache:
         places = places[at]
         order = np.argsort(places >> _ROW_BITS, kind="stable")
         at, places = at[order], places[order]
-        groups = np.flatnonzero(np.diff(places >> _ROW_BITS)) + 1
+        cuts = np.flatnonzero(np.diff(places >> _ROW_BITS)) + 1
+        groups = list(zip(np.split(at, cuts), np.split(places, cuts)))
+        numbers = [int(record_places[0]) >> _ROW_BITS for _, record_places in groups]
+        scratch = np.empty(max(self._records[number][1] for number in numbers) * dim)
         wanted = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), _KEY_BYTES)
-        for record_at, record_places in zip(np.split(at, groups), np.split(places, groups)):
-            number = int(record_places[0]) >> _ROW_BITS
+        for number, (record_at, record_places) in zip(numbers, groups):
             offset, n, stored_dim = self._records[number]
             _check_dim(stored_dim, dim)
             rows = record_places & _ROW_MASK
-            start = int(record_at[0])
-            whole = len(rows) == n and record_at[-1] - start == n - 1 and np.array_equal(rows, np.arange(n))
-            dest = out[start : start + n] if whole else np.empty((n, dim))
-            if not _read_record(fd, offset, dest, wanted[record_at], rows):
+            record = scratch[: n * dim].reshape(n, dim)
+            if not _read_record(fd, offset, record, wanted[record_at], rows):
                 self._drop(number)
                 continue
-            if not whole:
-                out[record_at] = dest[rows]
+            _put_rows(out, record_at, record if np.array_equal(rows, np.arange(n)) else record[rows])
             found[record_at] = True
         return found
 
@@ -350,8 +348,8 @@ def _record_size(n: int, dim: int) -> int:
 
 def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> bool:
     """Read the (n, dim) record at offset into dest, a C-contiguous (n, dim)
-    float64 array, with one preadv; whether it is intact and holds keys[j]
-    (a row of 32 uint8) at row rows[j]."""
+    float64 array (the store's row-major layout), with one preadv; whether it
+    is intact and holds keys[j] (a row of 32 uint8) at row rows[j]."""
     n, dim = dest.shape
     head, stored = bytearray(_RECORD_HEAD.size), bytearray(n * _KEY_BYTES)
     if os.preadv(fd, [head, stored, dest], offset) != _record_size(n, dim):
@@ -362,6 +360,18 @@ def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows:
     if zlib.crc32(dest, zlib.crc32(stored, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
         return False
     return np.array_equal(np.frombuffer(stored, np.uint8).reshape(n, _KEY_BYTES)[rows], keys)
+
+
+def _put_rows(out: np.ndarray, at, rows: np.ndarray) -> None:
+    """out[at] = rows. Positions that run up one by one are written as a
+    slice, which into a column-major out is about three times cheaper than
+    fancy indexing."""
+    at = np.asarray(at)
+    start = int(at[0])
+    if at[-1] - start == len(at) - 1 and np.array_equal(at, np.arange(start, start + len(at))):
+        out[start : start + len(at)] = rows
+    else:
+        out[at] = rows
 
 
 def _check_dim(got: int, dim: int) -> None:
@@ -527,17 +537,26 @@ class EmbeddingGateway:
 
     def _admit(self, vectors) -> np.ndarray:
         """Vectors as an (n, d) float64 array, once every row is checked; a
-        float64 array is checked as it is, not copied."""
+        float64 array is checked as it is, in its layout, not copied.
+
+        A row passes when its norm from `row_norms` is finite and positive,
+        exactly when `unit_rows` can normalise it: a component that is not
+        finite, or a sum of squares that overflows, is refused as
+        non-finite, and one that is zero or underflows as all-zero.
+        """
         try:
             rows = np.asarray(vectors, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ProviderError(f"provider returned ragged or non-numeric embeddings: {exc}") from exc
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ProviderError("provider returned a non-vector embedding")
-        if not np.isfinite(rows).all():
-            raise ProviderError("provider returned a non-finite embedding component")
-        if not rows.any(axis=1).all():
-            raise ProviderError("provider returned an all-zero embedding, which has no direction")
+        norms = row_norms(rows)
+        if not np.all(norms < np.inf):
+            raise ProviderError("provider returned an embedding with a non-finite component or norm")
+        if not np.all(norms > 0.0):
+            raise ProviderError(
+                "provider returned an all-zero embedding (or one whose norm underflows), which has no direction"
+            )
         if self._dim is None:
             self._dim = rows.shape[1]
         elif rows.shape[1] != self._dim:
@@ -547,24 +566,28 @@ class EmbeddingGateway:
     def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
         """Embed texts under the given role as an (n, d) array; row i is input i.
 
+        The array is column-major: its `.T` is C-contiguous. A split of
+        documents then enters the classifier's (k, n) product `defs @ docs.T`
+        as an untransposed operand, which makes that gemm about 30% cheaper
+        than from row-major rows; the values are the same in either layout.
         The output is allocated once, at the dimension of the stored vectors
-        (or of the first reply when none is stored); the cache reads its rows
-        into it, and each provider batch is scattered into it as its reply
-        arrives.
+        (or of the first reply when none is stored); the cache copies its
+        rows into it, and each provider batch is scattered into it as its
+        reply arrives.
         """
         if not texts:
             raise ValueError("texts must be nonempty")
         payloads = [apply_prefix(t, role, self._cfg) for t in texts]
         keys = cache_keys(self._cfg, role, payloads)
         dim = self._dim or self._cache.dim(keys)
-        out = np.empty((len(keys), dim)) if dim else None
+        out = np.empty((len(keys), dim), order="F") if dim else None
 
         def place(at, rows: np.ndarray) -> None:
             nonlocal out
             if out is None:
-                out = np.empty((len(keys), rows.shape[1]))
+                out = np.empty((len(keys), rows.shape[1]), order="F")
             _check_dim(rows.shape[1], out.shape[1])
-            out[at] = rows
+            _put_rows(out, at, rows)
 
         missing = range(len(keys)) if out is None else np.flatnonzero(~self._cache.read(keys, out)).tolist()
         pending: dict[bytes, list[int]] = {}  # each missing key's positions

@@ -98,12 +98,13 @@ def score(def_vecs, categories: Sequence[str], docs, gold) -> tuple[MetricsRepor
 
     `def_vecs` is the definition set's (k, d) matrix, one row per category in
     `categories` order; `docs` is the split's (n, d) document matrix as unit
-    rows, from `classifier.unit_rows`, and `gold` its category indices.
-    Predictions are the exact product's argmax, ties to the lowest index:
-    `classifier.classify` takes them from the cheaper (k, n) product when
-    every document's best score leads by more than the rounding bound
-    `classifier._tie_margin(d)`, (14 d + 16) 2**-53, and otherwise from
-    `classifier.cosine_scores` for the whole split.
+    rows, from `classifier.unit_rows` (column-major, as the gateway returns
+    it, makes the product cheapest), and `gold` its category indices.
+    Predictions are the argmax of the exact float64 product of `docs` as
+    given, ties to the lowest index: `classifier.classify` takes them from
+    the cheaper (k, n) product when every document's best score leads by
+    more than the rounding bound `classifier._tie_margin(d)`, (14 d + 16)
+    2**-53, and otherwise from `classifier.cosine_scores` for the whole split.
     """
     preds = classifier.classify(docs, def_vecs)
     cm = confusion_matrix(gold, preds, categories)

@@ -313,29 +313,54 @@ def _atomic_write_json(path: Path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _complete_lines(path: Path) -> list[str]:
-    """Lines terminated by a newline; a trailing partial write is dropped."""
-    return path.read_text(encoding="utf-8").split("\n")[:-1] if path.exists() else []
+def _complete_lines(path: Path) -> list[str | None]:
+    """Lines terminated by a newline, each decoded as UTF-8, or None where
+    that fails; a trailing partial write is dropped."""
+    if not path.exists():
+        return []
+    lines = []
+    for raw in path.read_bytes().split(b"\n")[:-1]:
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            lines.append(None)
+    return lines
 
 
-def _read_records(path: Path) -> list:
-    """The JSON values of a JSONL file's complete lines; DataError naming the
-    file and line if one is not JSON."""
+def _record(value, fields: tuple[str, ...], where: str) -> dict:
+    """The JSON value, if it is an object with every one of `fields`;
+    DataError naming `where` if not."""
+    if not isinstance(value, dict) or any(field not in value for field in fields):
+        raise DataError(f"{where} is not a record with {', '.join(fields)}")
+    return value
+
+
+def _read_records(path: Path, fields: tuple[str, ...]) -> list[dict]:
+    """The records on a JSONL file's complete lines, each an object with
+    every one of `fields`; DataError naming the file and line of one that is
+    not UTF-8, not JSON or not such an object."""
     records = []
     for number, line in enumerate(_complete_lines(path), 1):
+        where = f"{path} line {number}"
+        if line is None:
+            raise DataError(f"{where} is not UTF-8")
         try:
-            records.append(json.loads(line))
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path} line {number} is not valid JSON: {exc}") from exc
+            raise DataError(f"{where} is not valid JSON: {exc}") from exc
+        records.append(_record(value, fields, where))
     return records
 
 
 def _truncate_jsonl(path: Path, iteration: int, at_least: int = 0) -> None:
     """Keep the complete records of a JSONL file up to `iteration`; DataError,
     with the file untouched, if fewer than `at_least` of them are left. A line
-    that is not an object with an integer iteration is no record."""
+    that is not UTF-8, not JSON or not an object with an integer iteration
+    is no record."""
     kept = []
     for line in _complete_lines(path):
+        if line is None:
+            continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
@@ -547,7 +572,8 @@ def _best_definitions_for_report(run_dir: Path, entries: list[dict]) -> dict[str
     """The finished run's best set, or the best of the accepted sets `entries`."""
     result_path = run_dir / "result.json"
     if result_path.exists():
-        return _read_json(result_path, "result file", DataError)["best_definitions"]
+        result = _read_json(result_path, "result file", DataError)
+        return _record(result, ("best_definitions",), f"result file {result_path}")["best_definitions"]
     # Incomplete run: reconstruct from the accepted-definitions log.
     if not entries:
         raise DataError(f"no definitions recorded in {run_dir}")
@@ -563,8 +589,10 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
         if not path.exists():
             raise DataError(f"missing {path.name}: {path}")
     cfg = RunConfig.from_file(run_dir / "config.json")
-    initial = _read_json(initial_path, "initial record", DataError)
-    records = _read_records(trace_path)
+    initial = _record(
+        _read_json(initial_path, "initial record", DataError), ("phi_train", "phi_dev"), f"initial record {initial_path}"
+    )
+    records = _read_records(trace_path, ("iteration", "phi_train_current", "phi_dev"))
 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -579,7 +607,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     _write_json(curve_path, {"points": points})
     written.append(curve_path)
 
-    evolution = _read_records(run_dir / "definitions_log.jsonl")
+    evolution = _read_records(run_dir / "definitions_log.jsonl", ("score", "definitions"))
     evo_path = reports / "definitions_evolution.json"
     _write_json(evo_path, evolution)
     written.append(evo_path)

@@ -126,6 +126,12 @@ class TestUnitRows:
         with pytest.raises(ValueError, match="zero-norm document vector"):
             unit_rows([[1.0, 0.0], [0.0, 0.0]], "document")
 
+    @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+    def test_row_with_a_non_finite_norm_rejected(self, value):
+        # Divided by an infinite norm, a row would become zeros.
+        with pytest.raises(ValueError, match="non-finite norm of a document vector"):
+            unit_rows([[1.0, 0.0], [value, value]], "document")
+
     def test_zero_norm_definition_rejected_by_classify(self):
         with pytest.raises(ValueError, match="zero-norm definition vector"):
             classify([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
@@ -173,18 +179,31 @@ class TestBitIdentity:
         docs = np.vstack([base + 1e-12 * rng.standard_normal((200, 64)), defs, defs * 3.0])
         self._assert_same(docs, defs)
 
-    @pytest.mark.parametrize("blocks", [0.5, 1, 2.37], ids=["below-a-block", "one-block", "not-a-multiple"])
-    def test_in_place_blockwise_unit_rows(self, blocks):
+    @pytest.mark.parametrize(
+        "blocks, order",
+        [
+            pytest.param(blocks, order, id=name + suffix)
+            for order, suffix in (("C", ""), ("F", "-column-major"))
+            for blocks, name in ((0.5, "below-a-block"), (1, "one-block"), (2.37, "not-a-multiple"))
+        ],
+    )
+    def test_in_place_blockwise_unit_rows(self, blocks, order):
+        # A column-major matrix gets the bits of the row-major one, and keeps
+        # its layout.
         d = 64
         n = int(blocks * (classifier._BLOCK_ELEMENTS // d))
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
         reference = m / np.linalg.norm(m, axis=1)[:, None]
-        owned = m.copy()
+        given = np.array(m, order=order)
+        owned = np.array(m, order=order)
         units = unit_rows(owned, "document", in_place=True)
         assert units is owned
         assert np.array_equal(units, reference)
-        assert np.array_equal(unit_rows(m, "document"), reference)
+        copied = unit_rows(given, "document")
+        assert np.array_equal(copied, reference)
+        assert copied.flags[order + "_CONTIGUOUS"]
+        assert np.array_equal(given, m)
 
     def test_list_and_float32_inputs(self):
         rng = np.random.default_rng(37)
@@ -240,6 +259,30 @@ class TestCertifiedArgmax:
             self._assert_exact(unit_rows(docs, "document"), defs)
             for docs, defs in (swapped_pair(rng, n, d, k, tied=n), near_duplicates(rng, n, d, k, dups=2, near=2)):
                 self._assert_exact(unit_rows(docs, "document"), defs)
+
+    # The gateway's layout: classify is the argmax of the exact product of
+    # the column-major matrix itself, whose bits may differ from those of a
+    # row-major copy at a near tie.
+    @pytest.mark.parametrize("n, d, k", [(37, 5, 3), (64, 33, 9), (250, 64, 20), (250, 1024, 20), (500, 256, 20)])
+    def test_random_shapes_column_major(self, n, d, k):
+        for seed in range(40):
+            rng = np.random.default_rng([n, d, k, seed])
+            docs, defs = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+            cases = ((docs, defs), swapped_pair(rng, n, d, k, tied=n), near_duplicates(rng, n, d, k, dups=2, near=2))
+            for docs, defs in cases:
+                units = unit_rows(np.asfortranarray(docs), "document")
+                assert units.T.flags.c_contiguous
+                self._assert_exact(units, defs)
+                self._assert_exact(units, np.asfortranarray(defs))
+
+    def test_exact_ties_go_to_the_lower_index_column_major(self):
+        rng = np.random.default_rng(41)
+        defs = rng.standard_normal((4, 16))
+        defs[2] = defs[0]
+        docs = np.vstack([defs[0], defs[0] + 0.01 * rng.standard_normal((30, 16))])
+        units = unit_rows(np.asfortranarray(docs), "document")
+        assert set(classify(units, defs).tolist()) == {0}
+        self._assert_exact(units, defs)
 
     def test_exact_ties_go_to_the_lower_index(self):
         rng = np.random.default_rng(41)

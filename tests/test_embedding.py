@@ -316,6 +316,15 @@ class TestServedFromDisk:
         again.cache.close()
 
     @staticmethod
+    def _flip_a_byte_of_the_second_record(path, size) -> None:
+        at = len(STORE_MAGIC) + size + size - 5  # in the second record's last row
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0xFF]))
+
+    @staticmethod
     def _spy_reads(monkeypatch) -> list[np.ndarray]:
         """Record the array each record's rows are read into."""
         dests = []
@@ -329,16 +338,16 @@ class TestServedFromDisk:
         return dests
 
     @pytest.mark.parametrize(
-        "pick, direct",
+        "pick",
         [
-            (slice(1, 2), 0),
-            (slice(0, 2), 0),
-            (slice(2, None, -1), 0),
-            ([0, 0, 1], 0),
-            ([0, 1, 2, 0, 1, 2], 0),
-            (slice(2, 5), 0),
-            (slice(1, 8), 1),
-            (slice(None), 3),
+            slice(1, 2),
+            slice(0, 2),
+            slice(2, None, -1),
+            [0, 0, 1],
+            [0, 1, 2, 0, 1, 2],
+            slice(2, 5),
+            slice(1, 8),
+            slice(None),
         ],
         ids=[
             "one-row",
@@ -351,9 +360,9 @@ class TestServedFromDisk:
             "all-records",
         ],
     )
-    def test_any_choice_of_stored_rows_is_served(self, tmp_path, monkeypatch, pick, direct):
-        # Only a record asked for whole, in order, at consecutive positions
-        # is read straight into the output.
+    def test_any_choice_of_stored_rows_is_served(self, tmp_path, monkeypatch, pick):
+        # Every record is read into one row-major scratch array, never into
+        # the column-major output.
         path = tmp_path / "cache.bin"
         self._store(path)
         texts = list(np.array(self.TEXTS)[pick])
@@ -363,9 +372,39 @@ class TestServedFromDisk:
         served = gw.embed_texts(texts, "document")
         assert provider.texts == []
         assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(texts).tobytes()
-        assert sum(np.shares_memory(dest, served) for dest in dests) == direct
+        assert served.T.flags.c_contiguous
+        assert dests and all(dest.flags.c_contiguous and np.shares_memory(dest, dests[0]) for dest in dests)
+        assert not any(np.shares_memory(dest, served) for dest in dests)
         keys = cache_keys(gw._cfg, "document", texts)
         assert _served(gw.cache, keys) == [row.tobytes() for row in served]
+        gw.cache.close()
+
+    @pytest.mark.parametrize(
+        "case", ["warm-whole-records", "two-records-out-of-order", "text-twice", "cold", "warm-and-cold", "damaged"]
+    )
+    def test_output_is_column_major_with_the_providers_values(self, tmp_path, case):
+        # `.T` is C-contiguous, and each row holds the bytes the provider gave
+        # for its text, however the rows reached the output.
+        path = tmp_path / "cache.bin"
+        size = self._store(path)
+        texts = {
+            "warm-whole-records": self.TEXTS,
+            "two-records-out-of-order": ["text 7", "text 1", "text 6", "text 0"],
+            "text-twice": ["text 4", "text 2", "text 4"],
+            "cold": ["new 0", "new 1", "new 2", "new 3", "new 0"],
+            "warm-and-cold": ["new 0", "text 5", "new 1", "text 3", "text 5"],
+            "damaged": self.TEXTS,
+        }[case]
+        provider = _RecordingMock()
+        gw = _three_batch_gateway(path, provider)
+        if case == "damaged":
+            self._flip_a_byte_of_the_second_record(path, size)
+        served = gw.embed_texts(texts, "document")
+        assert served.shape == (len(texts), 8) and served.dtype == np.float64
+        assert served.T.flags.c_contiguous
+        assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(texts).tobytes()
+        fetched = {"cold": texts[:4], "warm-and-cold": ["new 0", "new 1"], "damaged": self.TEXTS[3:6]}
+        assert provider.texts == fetched.get(case, [])
         gw.cache.close()
 
     def test_store_shared_by_embedders_of_two_dims(self, tmp_path):
@@ -389,20 +428,21 @@ class TestServedFromDisk:
                 assert provider.texts == []
             reopened.close()
 
-    def test_record_failing_its_crc_after_its_rows_were_read_into_the_output(self, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_record_failing_its_crc_leaves_its_output_rows_alone(self, tmp_path, caplog, order):
         path = tmp_path / "cache.bin"
         size = self._store(path)
         provider = _RecordingMock()
         gw = _three_batch_gateway(path, provider)
-        with open(path, "r+b") as fh:
-            at = len(STORE_MAGIC) + size + size - 5  # in the second record's last row
-            fh.seek(at)
-            byte = fh.read(1)[0]
-            fh.seek(at)
-            fh.write(bytes([byte ^ 0xFF]))
-        dests = self._spy_reads(monkeypatch)
+        self._flip_a_byte_of_the_second_record(path, size)
+        keys = cache_keys(gw._cfg, "document", self.TEXTS)
+        out = np.full((len(keys), 8), np.nan, order=order)
+        found = gw.cache.read(keys, out)
+        expected = MockEmbeddingProvider(8).embed_batch(self.TEXTS)
+        assert found.tolist() == [True] * 3 + [False] * 3 + [True] * 3
+        assert np.isnan(out[3:6]).all()
+        assert out[found].tobytes() == expected[found].tobytes()
         served = gw.embed_texts(self.TEXTS, "document")
-        assert len(dests) == 3 and all(np.shares_memory(dest, served) for dest in dests)
         assert provider.texts == self.TEXTS[3:6]
         assert "changed after open" in caplog.text
         assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(self.TEXTS).tobytes()
@@ -772,6 +812,23 @@ class TestValidation:
         gw = EmbeddingGateway(_cfg(), EmbeddingCache(), ZeroRow())
         with pytest.raises(ProviderError, match="all-zero"):
             gw.embed_texts(["a", "blank"], "document")
+        assert len(gw.cache) == 0
+
+    @pytest.mark.parametrize(
+        "scale, match",
+        [(1e200, "non-finite"), (1e-170, "all-zero")],
+        ids=["norm-overflows", "norm-underflows"],
+    )
+    def test_row_that_unit_rows_cannot_normalise_is_rejected(self, scale, match):
+        # Every component is finite and nonzero, but the sum of squares is not
+        # finite and positive, so the row has no unit direction to score by.
+        class Extreme:
+            def embed_batch(self, texts):
+                return [[scale, scale] if t == "extreme" else [1.0, 0.0] for t in texts]
+
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(), Extreme())
+        with pytest.raises(ProviderError, match=match):
+            gw.embed_texts(["a", "extreme"], "document")
         assert len(gw.cache) == 0
 
 

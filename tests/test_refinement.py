@@ -7,7 +7,7 @@ import random
 import pytest
 
 from defrefine import classifier
-from defrefine.corpus import Document
+from defrefine.corpus import Document, split_view
 from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
@@ -20,6 +20,7 @@ from defrefine.refinement import (
     StrategyConfig,
     accept,
     build_prompt,
+    embed_split,
     energy_drop,
     initial_definitions,
     parse_definitions,
@@ -494,6 +495,15 @@ class TestRefineLoop:
         assert all(any(docs is arr for arr in (train, dev, test)) for docs in docs_seen)
         assert sum(docs is train for docs in docs_seen) == 1 + t_max
         assert sum(docs is test for docs in docs_seen) == 1
+
+    def test_train_split_is_column_major(self):
+        # The classifier's (k, n) product `defs @ docs.T` is a plain gemm only
+        # when `docs.T` is C-contiguous; row-major rows would score the same,
+        # only slower.
+        dataset = separable_dataset()
+        units, gold = embed_split(mock_gateway(), dataset, split_view(dataset, "train"))
+        assert units.T.flags.c_contiguous and not units.flags.c_contiguous
+        assert len(gold) == len(units)
 
     def test_parse_retry_reprompts_with_notice(self):
         llm = RecordingLlm(["garbage", json.dumps(junk_definitions(1))])

@@ -839,6 +839,29 @@ class TestRefineRuns:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_trace_line_that_is_not_utf8_is_skipped(self, tmp_path, capsys):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        trace = run_dir / "trace.jsonl"
+        lines = trace.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3
+        (tmp_path / "script.json").write_text(json.dumps(script))
+
+        trace.write_bytes(b"".join(lines[:1] + [b"\xff\xfe\n"] + lines[2:]))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        assert str(trace) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+        trace.write_bytes(b"".join(lines + [b"\xff\xfe\n"]))
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
         # The drafting call consumes one script entry before iteration 1, so a
         # resume must fast-forward the script past init plus completed steps.
@@ -1057,6 +1080,47 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_DATA
         where = f" line {lines + 1} " if path.suffix == ".jsonl" else " "
+        assert f"{path}{where}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name", ["definitions_log.jsonl", "trace.jsonl"])
+    def test_line_that_is_not_utf8_is_data_error(self, tmp_path, capsys, name):
+        run_dir = self._finished_run(tmp_path)
+        path = run_dir / name
+        lines = len(path.read_bytes().splitlines())
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        assert f"{path} line {lines + 1} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("trace.jsonl", None),
+            ("trace.jsonl", "phi_dev"),
+            ("definitions_log.jsonl", "score"),
+            ("definitions_log.jsonl", "definitions"),
+            ("initial.json", "phi_train"),
+            ("initial.json", "phi_dev"),
+            ("result.json", "best_definitions"),
+        ],
+    )
+    def test_file_without_a_field_it_needs_is_data_error(self, tmp_path, capsys, name, field):
+        # A JSON line (or file) that is not the record report reads: the last
+        # record without `field`, or `{}` for None.
+        run_dir = self._finished_run(tmp_path)
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1] if path.suffix == ".jsonl" else path.read_text())
+        damaged = json.dumps({key: value for key, value in record.items() if field is not None and key != field})
+        if path.suffix == ".jsonl":
+            path.write_text("".join(line + "\n" for line in lines[:-1] + [damaged]))
+        else:
+            path.write_text(damaged)
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        where = f" line {len(lines)} " if path.suffix == ".jsonl" else " "
         assert f"{path}{where}" in capsys.readouterr().err
 
 
