@@ -127,14 +127,14 @@ class EmbeddingCache:
     record costs only itself, because the scan resyncs at the next sync
     marker. Memory then holds only where each stored key's row is, and a put
     indexes the record it appends the same way, so no rows are kept: `read`
-    fills the caller's output array, reading each record it needs with one
-    preadv into a row-major scratch array and checking it again before
-    copying its rows out, so a record damaged after open or after its put is
-    dropped and its keys read as misses, to be fetched. `dim` tells the
-    caller how wide to make the output. A store removed (or replaced) at the
-    path while open is forgotten at the next read or put, and the next put
-    recreates it at the path. Only a cache without a path keeps its rows in
-    memory. Puts are serialized by a lock.
+    yields the stored rows among the caller's keys record by record, reading
+    each record it needs with one preadv into a row-major scratch array and
+    checking it again first, so a record damaged after open or after its put
+    is dropped and its keys read as misses, to be fetched. The caller places
+    the rows; the store never sees its output. A store removed (or replaced)
+    at the path while open is forgotten at the next read or put, and the
+    next put recreates it at the path. Only a cache without a path keeps its
+    rows in memory. Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -194,45 +194,29 @@ class EmbeddingCache:
             first = (base + number) << _ROW_BITS
             self._stored.update(zip(keys, range(first, first + len(keys))))
 
-    def dim(self, keys: Sequence[bytes]) -> int | None:
-        """The dimension of the first stored vector among keys; None if none is stored."""
-        if self._stored or self._fresh:
-            for key in keys:
-                where = self._stored.get(key)
-                if where is not None:
-                    return self._records[where >> _ROW_BITS][2]
-                if key in self._fresh:
-                    return len(self._fresh[key])
-        return None
+    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (positions, rows) for the stored vectors among keys: rows[j]
+        is the vector of keys[positions[j]]. Keys never yielded are misses.
 
-    def read(self, keys: Sequence[bytes], out: np.ndarray) -> np.ndarray:
-        """Fill out[i], in an (n, d) float64 array of either layout, with the
-        stored vector of keys[i]; return a boolean mask of the positions
-        filled. The other keys are misses, and their rows of out are left as
-        they were.
-
-        Each stored record is read with one preadv into one row-major scratch
-        array, reused for every record, and checked again (sync marker, size,
-        crc, and the key at each row) before its rows are copied into out;
-        one that fails is dropped with a warning, so its keys are misses.
+        One pair comes per intact record, each read with one preadv into one
+        row-major scratch array, reused for every record, and checked again
+        (sync marker, size, crc, and the key at each row) before it is
+        yielded; rows may be a view of that scratch, valid until the next
+        pair is taken. A record that fails is dropped with a warning, so its
+        keys are misses. A cache without a path yields its rows as one pair.
         """
-        dim = out.shape[1]
-        found = np.zeros(len(keys), dtype=bool)
         if self._fresh:
             fresh_at = [i for i, key in enumerate(keys) if key in self._fresh]
             if fresh_at:
-                rows = np.array([self._fresh[keys[i]] for i in fresh_at])
-                _check_dim(rows.shape[1], dim)
-                out[fresh_at] = rows
-                found[fresh_at] = True
+                yield np.array(fresh_at), np.array([self._fresh[keys[i]] for i in fresh_at])
         places = np.fromiter(map(self._stored.get, keys, repeat(-1)), np.int64, len(keys))
         at = np.flatnonzero(places >= 0)
         if not len(at):
-            return found
+            return
         with self._lock:
             if not self._at_path():
                 self._forget()
-                return found
+                return
             if self._read_fd is None:
                 self._read_fd = os.open(self._path, os.O_RDONLY)
             fd = self._read_fd
@@ -243,19 +227,16 @@ class EmbeddingCache:
         cuts = np.flatnonzero(np.diff(places >> _ROW_BITS)) + 1
         groups = list(zip(np.split(at, cuts), np.split(places, cuts)))
         numbers = [int(record_places[0]) >> _ROW_BITS for _, record_places in groups]
-        scratch = np.empty(max(self._records[number][1] for number in numbers) * dim)
+        scratch = np.empty(max(self._records[number][1] * self._records[number][2] for number in numbers))
         wanted = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), _KEY_BYTES)
         for number, (record_at, record_places) in zip(numbers, groups):
-            offset, n, stored_dim = self._records[number]
-            _check_dim(stored_dim, dim)
+            offset, n, dim = self._records[number]
             rows = record_places & _ROW_MASK
             record = scratch[: n * dim].reshape(n, dim)
             if not _read_record(fd, offset, record, wanted[record_at], rows):
                 self._drop(number)
                 continue
-            _put_rows(out, record_at, record if np.array_equal(rows, np.arange(n)) else record[rows])
-            found[record_at] = True
-        return found
+            yield record_at, record if np.array_equal(rows, np.arange(n)) else record[rows]
 
     def _at_path(self) -> bool:
         """Whether the path still names the store the index describes."""
@@ -360,23 +341,6 @@ def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows:
     if zlib.crc32(dest, zlib.crc32(stored, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
         return False
     return np.array_equal(np.frombuffer(stored, np.uint8).reshape(n, _KEY_BYTES)[rows], keys)
-
-
-def _put_rows(out: np.ndarray, at, rows: np.ndarray) -> None:
-    """out[at] = rows. Positions that run up one by one are written as a
-    slice, which into a column-major out is about three times cheaper than
-    fancy indexing."""
-    at = np.asarray(at)
-    start = int(at[0])
-    if at[-1] - start == len(at) - 1 and np.array_equal(at, np.arange(start, start + len(at))):
-        out[start : start + len(at)] = rows
-    else:
-        out[at] = rows
-
-
-def _check_dim(got: int, dim: int) -> None:
-    if got != dim:
-        raise ProviderError(f"embedding dimension mismatch: {got} != {dim}")
 
 
 def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytearray:
@@ -570,28 +534,40 @@ class EmbeddingGateway:
         documents then enters the classifier's (k, n) product `defs @ docs.T`
         as an untransposed operand, which makes that gemm about 30% cheaper
         than from row-major rows; the values are the same in either layout.
-        The output is allocated once, at the dimension of the stored vectors
-        (or of the first reply when none is stored); the cache copies its
-        rows into it, and each provider batch is scattered into it as its
-        reply arrives.
+        The output is allocated once: before the store is read when the
+        gateway knows its width, else at the first block of rows. `place`
+        copies each block into it, a record the store yields or a provider
+        batch as its reply arrives, and holds the one width check between
+        them; `_admit` then checks the whole output.
         """
         if not texts:
             raise ValueError("texts must be nonempty")
         payloads = [apply_prefix(t, role, self._cfg) for t in texts]
         keys = cache_keys(self._cfg, role, payloads)
-        dim = self._dim or self._cache.dim(keys)
-        out = np.empty((len(keys), dim), order="F") if dim else None
+        out = np.empty((len(keys), self._dim), order="F") if self._dim else None
 
         def place(at, rows: np.ndarray) -> None:
+            """out[at] = rows, once their width matches out's. Positions that
+            run up one by one are written as a slice, which into a
+            column-major out is about three times cheaper than fancy
+            indexing."""
             nonlocal out
             if out is None:
                 out = np.empty((len(keys), rows.shape[1]), order="F")
-            _check_dim(rows.shape[1], out.shape[1])
-            _put_rows(out, at, rows)
+            elif rows.shape[1] != out.shape[1]:
+                raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {out.shape[1]}")
+            start = int(at[0])
+            if at[-1] - start == len(at) - 1 and np.array_equal(at, np.arange(start, start + len(at))):
+                out[start : start + len(at)] = rows
+            else:
+                out[at] = rows
 
-        missing = range(len(keys)) if out is None else np.flatnonzero(~self._cache.read(keys, out)).tolist()
+        missing = np.ones(len(keys), dtype=bool)
+        for at, rows in self._cache.read(keys):
+            place(at, rows)
+            missing[at] = False
         pending: dict[bytes, list[int]] = {}  # each missing key's positions
-        for i in missing:
+        for i in np.flatnonzero(missing).tolist():
             pending.setdefault(keys[i], []).append(i)
         for batch, rows in self._fetch([(key, payloads[at[0]]) for key, at in pending.items()]):
             at = [i for key in batch for i in pending[key]]

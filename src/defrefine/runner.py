@@ -26,7 +26,7 @@ from contextlib import closing
 from dataclasses import MISSING, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Literal
+from typing import Literal, Mapping, Sequence
 
 from .classifier import unit_rows
 from .corpus import Dataset, load_dataset, split_view
@@ -327,18 +327,29 @@ def _complete_lines(path: Path) -> list[str | None]:
     return lines
 
 
-def _record(value, fields: tuple[str, ...], where: str) -> dict:
-    """The JSON value, if it is an object with every one of `fields`;
-    DataError naming `where` if not."""
+# What report needs a field of a run file to hold: its name and the exact
+# types json gives it (true and false come back as bool, which is no number).
+_INTEGER = ("an integer", (int,))
+_NUMBER = ("a number", (int, float))
+_OBJECT = ("an object", (dict,))
+_Fields = Mapping[str, tuple[str, tuple[type, ...]]]
+
+
+def _record(value, fields: _Fields, where: str) -> dict:
+    """The JSON value, if it is an object with every one of `fields`, each
+    holding a value of its types; DataError naming `where` if not."""
     if not isinstance(value, dict) or any(field not in value for field in fields):
         raise DataError(f"{where} is not a record with {', '.join(fields)}")
+    for field, (name, types) in fields.items():
+        if type(value[field]) not in types:
+            raise DataError(f"{where} has a {field} of type {type(value[field]).__name__}, not {name}")
     return value
 
 
-def _read_records(path: Path, fields: tuple[str, ...]) -> list[dict]:
+def _read_records(path: Path, fields: _Fields) -> list[dict]:
     """The records on a JSONL file's complete lines, each an object with
-    every one of `fields`; DataError naming the file and line of one that is
-    not UTF-8, not JSON or not such an object."""
+    every one of `fields` of its types; DataError naming the file and line
+    of one that is not UTF-8, not JSON or not such an object."""
     records = []
     for number, line in enumerate(_complete_lines(path), 1):
         where = f"{path} line {number}"
@@ -568,17 +579,27 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     return summary
 
 
-def _best_definitions_for_report(run_dir: Path, entries: list[dict]) -> dict[str, str]:
-    """The finished run's best set, or the best of the accepted sets `entries`."""
+def _best_definitions_for_report(run_dir: Path, entries: list[dict], categories: Sequence[str]) -> dict[str, str]:
+    """The finished run's best set, or the best of the accepted sets `entries`
+    (the records of definitions_log.jsonl, one per line); DataError naming
+    the file, and the line, if it does not define every category."""
     result_path = run_dir / "result.json"
     if result_path.exists():
+        where = f"result file {result_path}"
         result = _read_json(result_path, "result file", DataError)
-        return _record(result, ("best_definitions",), f"result file {result_path}")["best_definitions"]
-    # Incomplete run: reconstruct from the accepted-definitions log.
-    if not entries:
+        best = _record(result, {"best_definitions": _OBJECT}, where)["best_definitions"]
+    elif entries:
+        # Incomplete run: reconstruct from the accepted-definitions log. The
+        # first of equal scores wins.
+        number, entry = max(enumerate(entries, 1), key=lambda numbered: numbered[1]["score"])
+        where, best = f"{run_dir / 'definitions_log.jsonl'} line {number}", entry["definitions"]
+    else:
         raise DataError(f"no definitions recorded in {run_dir}")
-    # The first of equal scores wins.
-    return max(entries, key=lambda entry: entry["score"])["definitions"]
+    try:
+        validate_definitions(best, categories)
+    except ValueError as exc:
+        raise DataError(f"{where} has no usable best definition set: {exc}") from exc
+    return best
 
 
 def cmd_report(run_dir: str | Path) -> list[Path]:
@@ -590,9 +611,11 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             raise DataError(f"missing {path.name}: {path}")
     cfg = RunConfig.from_file(run_dir / "config.json")
     initial = _record(
-        _read_json(initial_path, "initial record", DataError), ("phi_train", "phi_dev"), f"initial record {initial_path}"
+        _read_json(initial_path, "initial record", DataError),
+        {"phi_train": _NUMBER, "phi_dev": _NUMBER},
+        f"initial record {initial_path}",
     )
-    records = _read_records(trace_path, ("iteration", "phi_train_current", "phi_dev"))
+    records = _read_records(trace_path, {"iteration": _INTEGER, "phi_train_current": _NUMBER, "phi_dev": _NUMBER})
 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -607,7 +630,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     _write_json(curve_path, {"points": points})
     written.append(curve_path)
 
-    evolution = _read_records(run_dir / "definitions_log.jsonl", ("score", "definitions"))
+    evolution = _read_records(run_dir / "definitions_log.jsonl", {"score": _NUMBER, "definitions": _OBJECT})
     evo_path = reports / "definitions_evolution.json"
     _write_json(evo_path, evolution)
     written.append(evo_path)
@@ -615,7 +638,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     with closing(gateway.cache):
-        best = _best_definitions_for_report(run_dir, evolution)
+        best = _best_definitions_for_report(run_dir, evolution, dataset.categories)
         def_vecs = gateway.embed_definitions(best, dataset.categories)
         test_docs = split_view(dataset, "test")
         if test_docs:

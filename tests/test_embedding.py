@@ -150,12 +150,11 @@ def _write_store(path, tags) -> list[int]:
 
 def _served(cache, keys) -> list[bytes | None]:
     """The bytes of the row the cache serves for each key; None for a miss."""
-    dim = cache.dim(keys)
-    if dim is None:
-        return [None] * len(keys)
-    out = np.full((len(keys), dim), np.nan)
-    found = cache.read(keys, out)
-    return [row.tobytes() if hit else None for row, hit in zip(out, found)]
+    served: list[bytes | None] = [None] * len(keys)
+    for at, rows in cache.read(keys):
+        for i, row in zip(at, rows):
+            served[i] = row.tobytes()
+    return served
 
 
 def _assert_holds_exactly(path, tags) -> None:
@@ -437,7 +436,9 @@ class TestServedFromDisk:
         self._flip_a_byte_of_the_second_record(path, size)
         keys = cache_keys(gw._cfg, "document", self.TEXTS)
         out = np.full((len(keys), 8), np.nan, order=order)
-        found = gw.cache.read(keys, out)
+        found = np.zeros(len(keys), dtype=bool)
+        for at, rows in gw.cache.read(keys):
+            out[at], found[at] = rows, True
         expected = MockEmbeddingProvider(8).embed_batch(self.TEXTS)
         assert found.tolist() == [True] * 3 + [False] * 3 + [True] * 3
         assert np.isnan(out[3:6]).all()
@@ -830,6 +831,39 @@ class TestValidation:
         with pytest.raises(ProviderError, match=match):
             gw.embed_texts(["a", "extreme"], "document")
         assert len(gw.cache) == 0
+
+    @pytest.mark.parametrize(
+        "scale, match",
+        [(1e200, "non-finite"), (1e-170, "all-zero")],
+        ids=["norm-overflows", "norm-underflows"],
+    )
+    def test_stored_row_that_unit_rows_cannot_normalise_is_rejected(self, tmp_path, scale, match):
+        # `put` takes any finite row, as a store written by older code may
+        # hold; the gateway checks the rows the store serves as well.
+        path = tmp_path / "cache.bin"
+        cache = EmbeddingCache(path)
+        cache.put(cache_keys(_cfg(), "document", ["a", "extreme"]), np.array([[1.0, 0.0], [scale, scale]]))
+        cache.close()
+        provider = MockEmbeddingProvider(2)
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(path), provider)
+        with pytest.raises(ProviderError, match=match):
+            gw.embed_texts(["a", "extreme"], "document")
+        assert provider.requests == 0
+        gw.cache.close()
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["stored-and-fetched", "after-a-call"])
+    def test_stored_and_fetched_rows_of_different_widths(self, tmp_path, learned):
+        path = tmp_path / "cache.bin"
+        stored = EmbeddingGateway(_cfg(), EmbeddingCache(path), MockEmbeddingProvider(8))
+        stored.embed_texts(["a"], "document")
+        stored.cache.close()
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(path), MockEmbeddingProvider(4))
+        if learned:
+            gw.embed_texts(["b"], "document")
+        texts = ["a"] if learned else ["a", "c"]
+        with pytest.raises(ProviderError, match="embedding dimension mismatch"):
+            gw.embed_texts(texts, "document")
+        gw.cache.close()
 
 
 class _ScriptedHttp(BaseHTTPRequestHandler):

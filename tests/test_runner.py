@@ -1123,6 +1123,70 @@ class TestReport:
         where = f" line {len(lines)} " if path.suffix == ".jsonl" else " "
         assert f"{path}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("trace.jsonl", "iteration", "one"),
+            ("trace.jsonl", "iteration", True),
+            ("trace.jsonl", "iteration", 4.0),
+            ("trace.jsonl", "phi_dev", "x"),
+            ("trace.jsonl", "phi_train_current", False),
+            ("definitions_log.jsonl", "score", "high"),
+            ("definitions_log.jsonl", "score", True),
+            ("definitions_log.jsonl", "definitions", ["a"]),
+            ("initial.json", "phi_train", "0.5"),
+            ("initial.json", "phi_dev", None),
+            ("result.json", "best_definitions", "all"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_data_error(self, tmp_path, capsys, name, field, value):
+        # The last record (or the file's one record) with `field` set to a
+        # value report cannot use. Without result.json, report takes the
+        # best set from the definitions log.
+        run_dir = self._finished_run(tmp_path)
+        if name == "definitions_log.jsonl":
+            (run_dir / "result.json").unlink()
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1] if path.suffix == ".jsonl" else path.read_text())
+        damaged = json.dumps({**record, field: value})
+        if path.suffix == ".jsonl":
+            path.write_text("".join(line + "\n" for line in lines[:-1] + [damaged]))
+        else:
+            path.write_text(damaged)
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        where = f" line {len(lines)} " if path.suffix == ".jsonl" else " "
+        assert f"{path}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["result.json", "definitions_log.jsonl"])
+    @pytest.mark.parametrize("damage", ["missing-category", "integer", "empty"])
+    def test_best_set_without_a_definition_for_every_category_is_data_error(self, tmp_path, capsys, source, damage):
+        run_dir = self._finished_run(tmp_path)
+        first = TOY_CATEGORIES[0]
+
+        def damaged(defs: dict) -> dict:
+            if damage == "missing-category":
+                return {c: d for c, d in defs.items() if c != first}
+            return {**defs, first: 3 if damage == "integer" else " "}
+
+        if source == "result.json":
+            path = run_dir / "result.json"
+            result = json.loads(path.read_text())
+            path.write_text(json.dumps({**result, "best_definitions": damaged(result["best_definitions"])}))
+            where = f"{path} "
+        else:
+            (run_dir / "result.json").unlink()
+            path = run_dir / "definitions_log.jsonl"
+            entries = [json.loads(line) for line in path.read_text().splitlines()]
+            best = max(range(len(entries)), key=lambda i: entries[i]["score"])
+            entries[best]["definitions"] = damaged(entries[best]["definitions"])
+            path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+            where = f"{path} line {best + 1} "
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        assert where in capsys.readouterr().err
+
 
 class TestCacheIsClosed:
     """Every command closes the embedding cache it opened, on error paths too."""
