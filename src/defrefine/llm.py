@@ -44,6 +44,18 @@ class LlmConfig:
             raise ValueError("retries must be >= 0")
 
 
+@dataclass
+class LlmScript:
+    """An LLM script file: the replies in order, and a real delay per call."""
+
+    responses: list[str]
+    delay_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.delay_s < 0:
+            raise ValueError("delay_s must be >= 0")
+
+
 class ScriptedLlm:
     """Plays back a fixed queue of responses.
 

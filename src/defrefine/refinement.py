@@ -16,8 +16,8 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .corpus import Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
 from .evaluation import ConfusedPair, ConfusionMatrix, MetricsReport, score, top_k_confused_pairs
-from .seeding import make_rng, rng_state_from_json, rng_state_to_json
+from .seeding import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -109,11 +109,8 @@ class FeedbackBundle:
 
 @dataclass
 class LoopState:
-    """Everything that determines the rest of the loop after `iteration`.
-
-    `refine` updates it in place. `to_dict` is `state.json`: the fields in
-    order, each `*_rng` stream as its state under `*_rng_state`.
-    """
+    """Everything that determines the rest of the loop after `iteration`;
+    `refine` updates it in place. Its record is `state.json`."""
 
     iteration: int
     current: dict[str, str]
@@ -121,70 +118,51 @@ class LoopState:
     best: dict[str, str]
     phi_best: float
     history: list[HistoryEntry]
-    sample_rng: random.Random
-    accept_rng: random.Random
+    sample_rng: random.Random = field(metadata={"key": "sample_rng_state"})
+    accept_rng: random.Random = field(metadata={"key": "accept_rng_state"})
     llm_calls: int
 
-    def to_dict(self) -> dict:
-        # Not dataclasses.asdict(self): its deep copy costs most of a
-        # millisecond per checkpoint on the rng states.
-        payload = dict(vars(self), history=[vars(h) for h in self.history])
-        return {_json_key(k): rng_state_to_json(v) if k.endswith("_rng") else v for k, v in payload.items()}
-
-    @classmethod
-    def from_dict(cls, payload) -> "LoopState":
-        """The inverse of to_dict; ValueError, TypeError or OverflowError if
-        `payload` is not one."""
-        if not isinstance(payload, dict):
-            raise ValueError("not a JSON object")
-        by_key = {_json_key(f.name): f for f in fields(cls)}
-        if payload.keys() != by_key.keys():
-            missing, unknown = sorted(by_key.keys() - payload), sorted(payload.keys() - by_key)
-            raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
-        hints = get_type_hints(cls)
-        values = {}
-        for key, f in by_key.items():
-            value = payload[key]
-            if f.name.endswith("_rng"):
-                value = rng_state_from_json(value)
-            elif not _json_fits(value, hints[f.name]):
-                raise ValueError(f"{key} is not a valid {f.type}: {value!r:.60}")
-            values[f.name] = value
-        values["history"] = [HistoryEntry(**h) for h in values["history"]]
-        return cls(**values)
+    def __post_init__(self) -> None:
+        if min(self.iteration, self.llm_calls) < 0:
+            raise ValueError("iteration and llm_calls must be >= 0")
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value has the state field type `hint`. The state's
-    integers are counts, so a negative one does not fit; neither does a bool."""
-    if hint in (int, float, str):
-        return type(value) is hint and (hint is not int or value >= 0)
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        return (
-            isinstance(value, dict)
-            and value.keys() == hints.keys()
-            and all(_json_fits(value[name], h) for name, h in hints.items())
-        )
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _json_fits(k, args[0]) and _json_fits(v, args[1]) for k, v in value.items()
-        )
-    return origin is list and isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+@dataclass
+class InitialRecord:
+    """`initial.json`: the starting definitions and their scores."""
+
+    iteration: int
+    phi_train: float
+    phi_dev: float
+    definitions: dict[str, str]
+    definitions_hash: str
 
 
-def _json_key(name: str) -> str:
-    """A state field's key in state.json: an rng stream is stored as its state."""
-    return f"{name}_state" if name.endswith("_rng") else name
+@dataclass
+class TraceRecord:
+    """One line of `trace.jsonl`. The `*_current` fields describe the
+    definitions in effect after the acceptance step."""
+
+    iteration: int
+    strategy: str
+    k: int
+    m: int
+    temperature: float
+    phi_train_current: float
+    phi_train_proposed: float | None
+    delta_e: float | None
+    accepted: bool
+    phi_dev: float
+    definitions_hash: str
+    llm_latency_ms: float
 
 
 @dataclass
 class RefinementResult:
     best_definitions: dict[str, str]
     phi_best_train: float
-    trace: list[dict]
-    initial: dict | None
+    trace: list[TraceRecord]
+    initial: InitialRecord | None
     dev_metrics: MetricsReport
     test_metrics: MetricsReport | None
     test_confusion: ConfusionMatrix | None
@@ -414,7 +392,7 @@ def refine(
     initial: Mapping[str, str] | None = None,
     parse_retries: int = 3,
     sample_char_cap: int = DEFAULT_SAMPLE_CHAR_CAP,
-    on_iteration: Callable[[dict, LoopState], None] | None = None,
+    on_iteration: Callable[[InitialRecord | TraceRecord, LoopState], None] | None = None,
     resume: LoopState | None = None,
 ) -> RefinementResult:
     """Run the refinement loop for up to t_max iterations.
@@ -433,7 +411,7 @@ def refine(
     run, so callers can persist crash-safe state: first the iteration-0
     record (`RefinementResult.initial`) of a new state, then each iteration's
     trace record. The state changes in place after each callback returns, so
-    a caller that keeps it must copy it: `LoopState.from_dict(state.to_dict())`.
+    a caller that keeps it must copy it, through its record for example.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -477,25 +455,19 @@ def refine(
     dev_cur = score_dev(vecs_cur)
 
     state = resume
-    initial_info: dict | None = None
+    initial_info: InitialRecord | None = None
     if state is None:
         history = [HistoryEntry(dict(current), phi)]
         sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
         state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
-        initial_info = {
-            "iteration": 0,
-            "phi_train": phi,
-            "phi_dev": dev_cur.macro_f1,
-            "definitions": dict(current),
-            "definitions_hash": definitions_hash(current),
-        }
+        initial_info = InitialRecord(0, phi, dev_cur.macro_f1, dict(current), definitions_hash(current))
         if on_iteration is not None:
             on_iteration(initial_info, state)
     # Dev metrics of the best set, known whenever it is the current set.
     dev_best = dev_cur if state.best == state.current else None
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
-    trace: list[dict] = []
+    trace: list[TraceRecord] = []
 
     for t in range(state.iteration + 1, t_max + 1):
         feedback = _assemble_feedback(strategy, dataset, cm_cur, state.history, state.sample_rng)
@@ -525,20 +497,20 @@ def refine(
             del state.history[: max(0, len(state.history) - strategy.m_history)]
         state.iteration = t
 
-        record = {
-            "iteration": t,
-            "strategy": strategy.strategy,
-            "k": strategy.k_confused,
-            "m": strategy.m_history,
-            "temperature": temp,
-            "phi_train_current": state.phi_cur,
-            "phi_train_proposed": phi_prop,
-            "delta_e": delta_e,
-            "accepted": accepted,
-            "phi_dev": dev_cur.macro_f1,
-            "definitions_hash": definitions_hash(state.current),
-            "llm_latency_ms": latency_ms,
-        }
+        record = TraceRecord(
+            iteration=t,
+            strategy=strategy.strategy,
+            k=strategy.k_confused,
+            m=strategy.m_history,
+            temperature=temp,
+            phi_train_current=state.phi_cur,
+            phi_train_proposed=phi_prop,
+            delta_e=delta_e,
+            accepted=accepted,
+            phi_dev=dev_cur.macro_f1,
+            definitions_hash=definitions_hash(state.current),
+            llm_latency_ms=latency_ms,
+        )
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record, state)

@@ -20,13 +20,12 @@ import json
 import logging
 import os
 import sys
-import typing
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Literal, Mapping, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .classifier import unit_rows
 from .corpus import Dataset, load_dataset, split_view
@@ -39,12 +38,15 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, DefinitionParseError, ProviderError
 from .evaluation import confusion_to_csv, metrics_to_dict, score
-from .llm import HttpLlm, LlmConfig, ScriptedLlm
+from .llm import HttpLlm, LlmConfig, LlmScript, ScriptedLlm
+from .records import from_json, to_json
 from .refinement import (
     AnnealingSchedule,
+    InitialRecord,
     LoopState,
     RefinementResult,
     StrategyConfig,
+    TraceRecord,
     embed_split,
     initial_definitions,
     refine,
@@ -62,9 +64,7 @@ EXIT_DATA = 3
 SCRIPT_PREFIX = "script:"
 
 
-# The run-config schema. Each dataclass is one JSON object of a config file,
-# its fields in config.json's key order; a field's `key` metadata, if any, is
-# its JSON key. Types come from the annotations, defaults from the fields.
+# The run-config schema: one dataclass per JSON object of a config file (see records).
 
 
 @dataclass
@@ -115,7 +115,7 @@ class RunConfig:
             raise ValueError("init.mode llm_generated requires an llm section")
 
     def to_snapshot(self) -> dict:
-        return _to_json(self)
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path) -> "RunConfig":
@@ -126,7 +126,7 @@ class RunConfig:
         if isinstance(embedder, dict) and "definition_prefix" not in embedder:
             prefix = embedder.get("document_prefix", "")
             raw = {**raw, "embedder": {**embedder, "definition_prefix": prefix}}
-        cfg = _read_section(cls, raw, "", base_dir)
+        cfg = from_json(cls, raw, "config", ConfigError, base_dir)
         if cfg.llm is not None:
             cfg.llm.endpoint = _script_endpoint(cfg.llm.endpoint, base_dir)
         return cfg
@@ -137,90 +137,22 @@ class RunConfig:
         return cls.from_dict(_read_config_json(path), path.parent.resolve())
 
 
-def _json_key(f: dataclasses.Field) -> str:
-    return f.metadata.get("key", f.name)
-
-
-def _to_json(value):
-    """The JSON form of a config value; _read_value is its inverse."""
-    if dataclasses.is_dataclass(value):
-        return {_json_key(f): _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return str(value) if isinstance(value, Path) else value
-
-
-def _read_section(cls, raw, where: str, base_dir: Path):
-    """An instance of the dataclass `cls` from its JSON object `raw`. A missing
-    key reads as the JSON form of its field's default."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
-    prefix = f"{where}." if where else ""
-    fields = {_json_key(f): f for f in dataclasses.fields(cls)}
-    unknown = [key for key in raw if key not in fields]
-    if unknown:
-        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for key, f in fields.items():
-        if key in raw:
-            value = raw[key]
-        elif f.default is not MISSING:
-            value = _to_json(f.default)
-        elif f.default_factory is not MISSING:
-            value = _to_json(f.default_factory())
-        else:
-            raise ConfigError(f"config is missing {prefix}{key}")
-        values[f.name] = _read_value(hints[f.name], value, prefix + key, base_dir)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where or 'config'}: {exc}") from exc
-
-
-# Schema type -> (the JSON values it takes, its name in errors). A float key
-# keeps an integer as written, so the snapshot writes it back unchanged.
-_JSON_TYPES = {int: (int, "an integer"), float: (int | float, "a number"), str: (str, "a string")}
-
-
-def _read_value(hint, value, key: str, base_dir: Path):
-    """`value` as the schema type `hint`; ConfigError naming `key` if it is not one."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-    if dataclasses.is_dataclass(hint):
-        return _read_section(hint, value, key, base_dir)
-    if typing.get_origin(hint) is Literal:
-        if value not in typing.get_args(hint):
-            raise ConfigError(f"{key} must be one of {list(typing.get_args(hint))}, got {value!r}")
-        return value
-    accepted, what = _JSON_TYPES[str if hint is Path else hint]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return _resolve(value, base_dir) if hint is Path else value
-
-
-def _resolve(path: str, base_dir: Path) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else base_dir / p
-
-
 def _script_endpoint(endpoint: str, base_dir: Path) -> str:
-    """A `script:` endpoint with its path resolved against base_dir; any other
-    endpoint as it is."""
+    """A `script:` endpoint with its path resolved against base_dir (an
+    absolute path stays as it is); any other endpoint as it is."""
     if not endpoint.startswith(SCRIPT_PREFIX):
         return endpoint
-    return SCRIPT_PREFIX + str(_resolve(endpoint[len(SCRIPT_PREFIX) :], base_dir))
+    return SCRIPT_PREFIX + str(base_dir / endpoint[len(SCRIPT_PREFIX) :])
 
 
 def _read_json(path: Path, what: str, error: type[Exception] = ConfigError):
     """The JSON value in a file; `error` naming the file if it is missing,
-    not UTF-8 or not JSON."""
+    not UTF-8 or not JSON (or nested too deep to parse)."""
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -282,10 +214,9 @@ def build_llm(cfg: RunConfig):
         script_path = Path(endpoint[len(SCRIPT_PREFIX) :])
         payload = _read_json(script_path, "llm script file")
         if isinstance(payload, list):
-            return ScriptedLlm(payload)
-        if isinstance(payload, dict) and "responses" in payload:
-            return ScriptedLlm(payload["responses"], delay_s=payload.get("delay_s", 0.0))
-        raise ConfigError(f"llm script file {script_path} must hold a list or responses object")
+            payload = {"responses": payload}
+        script = from_json(LlmScript, payload, f"llm script file {script_path}", ConfigError)
+        return ScriptedLlm(script.responses, delay_s=script.delay_s)
     return HttpLlm(cfg.llm)
 
 
@@ -313,75 +244,65 @@ def _atomic_write_json(path: Path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _complete_lines(path: Path) -> list[str | None]:
-    """Lines terminated by a newline, each decoded as UTF-8, or None where
-    that fails; a trailing partial write is dropped."""
+@dataclass
+class LogEntry:
+    """One line of `definitions_log.jsonl`: an accepted definition set."""
+
+    iteration: int
+    score: float
+    definitions: dict[str, str]
+
+
+@dataclass
+class ResultRecord:
+    """`result.json`: the best definition set and its evaluation."""
+
+    phi_best_train: float
+    best_definitions: dict[str, str]
+    dev: dict
+    test: dict | None
+
+
+def _read_record(cls, path: Path, what: str):
+    """The `cls` record in a run file; DataError naming the file if it holds none."""
+    return from_json(cls, _read_json(path, what, DataError), f"{what} {path}", DataError)
+
+
+def _jsonl(path: Path, cls) -> Iterator[tuple[bytes, object]]:
+    """Each newline-terminated line of a JSONL file with its `cls` record, or
+    with the DataError naming the file and line if it holds none; a trailing
+    partial write is dropped."""
     if not path.exists():
-        return []
-    lines = []
-    for raw in path.read_bytes().split(b"\n")[:-1]:
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            lines.append(None)
-    return lines
-
-
-# What report needs a field of a run file to hold: its name and the exact
-# types json gives it (true and false come back as bool, which is no number).
-_INTEGER = ("an integer", (int,))
-_NUMBER = ("a number", (int, float))
-_OBJECT = ("an object", (dict,))
-_Fields = Mapping[str, tuple[str, tuple[type, ...]]]
-
-
-def _record(value, fields: _Fields, where: str) -> dict:
-    """The JSON value, if it is an object with every one of `fields`, each
-    holding a value of its types; DataError naming `where` if not."""
-    if not isinstance(value, dict) or any(field not in value for field in fields):
-        raise DataError(f"{where} is not a record with {', '.join(fields)}")
-    for field, (name, types) in fields.items():
-        if type(value[field]) not in types:
-            raise DataError(f"{where} has a {field} of type {type(value[field]).__name__}, not {name}")
-    return value
-
-
-def _read_records(path: Path, fields: _Fields) -> list[dict]:
-    """The records on a JSONL file's complete lines, each an object with
-    every one of `fields` of its types; DataError naming the file and line
-    of one that is not UTF-8, not JSON or not such an object."""
-    records = []
-    for number, line in enumerate(_complete_lines(path), 1):
+        return
+    for number, line in enumerate(path.read_bytes().split(b"\n")[:-1], 1):
         where = f"{path} line {number}"
-        if line is None:
-            raise DataError(f"{where} is not UTF-8")
         try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where} is not valid JSON: {exc}") from exc
-        records.append(_record(value, fields, where))
+            record = from_json(cls, json.loads(line.decode("utf-8")), where, DataError)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            record = DataError(f"{where} is not valid UTF-8 JSON: {exc}")
+        except DataError as exc:
+            record = exc
+        yield line, record
+
+
+def _read_records(path: Path, cls) -> list:
+    """The `cls` records of a JSONL file; the DataError of the first line that holds none."""
+    records = []
+    for _, record in _jsonl(path, cls):
+        if isinstance(record, DataError):
+            raise record
+        records.append(record)
     return records
 
 
-def _truncate_jsonl(path: Path, iteration: int, at_least: int = 0) -> None:
-    """Keep the complete records of a JSONL file up to `iteration`; DataError,
-    with the file untouched, if fewer than `at_least` of them are left. A line
-    that is not UTF-8, not JSON or not an object with an integer iteration
-    is no record."""
-    kept = []
-    for line in _complete_lines(path):
-        if line is None:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        at = record.get("iteration") if isinstance(record, dict) else None
-        if type(at) is int and at <= iteration:
-            kept.append(line)
+def _truncate_jsonl(path: Path, cls, iteration: int, at_least: int = 0) -> None:
+    """Keep the `cls` records of a JSONL file up to `iteration`, dropping
+    every line that holds none; DataError, with the file untouched, if fewer
+    than `at_least` of them are left."""
+    kept = [line for line, record in _jsonl(path, cls) if isinstance(record, cls) and record.iteration <= iteration]
     if len(kept) < at_least:
         raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
-    path.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+    path.write_bytes(b"".join(line + b"\n" for line in kept))
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -446,12 +367,9 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
 
         saved = None
         if resume and state_path.exists():
-            try:
-                saved = LoopState.from_dict(json.loads(state_path.read_text(encoding="utf-8")))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise DataError(f"unresumable state in {state_path}: {exc}") from exc
-            _truncate_jsonl(trace_path, saved.iteration, at_least=saved.iteration)
-            _truncate_jsonl(defs_log_path, saved.iteration)
+            saved = _read_record(LoopState, state_path, "state file")
+            _truncate_jsonl(trace_path, TraceRecord, saved.iteration, at_least=saved.iteration)
+            _truncate_jsonl(defs_log_path, LogEntry, saved.iteration)
             if hasattr(llm, "advance"):
                 llm.advance(saved.llm_calls)
 
@@ -486,17 +404,15 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
                 if job is not None:
                     job.result()
 
-            def on_iteration(record: dict, state: LoopState) -> None:
-                # The state changes in place once this returns, so its records
-                # are taken now. Definition sets are replaced, never edited,
-                # so a shallow copy of the state is enough.
+            def on_iteration(record: InitialRecord | TraceRecord, state: LoopState) -> None:
+                # The state changes in place once this returns: take its records now.
                 nonlocal pending
                 t = state.iteration
                 entry = None
-                if t == 0 or record["accepted"]:
-                    entry = {"iteration": t, "score": state.phi_cur, "definitions": state.current}
-                line = record if t == 0 else json.dumps(record) + "\n"
-                snapshot = state.to_dict()
+                if t == 0 or record.accepted:
+                    entry = to_json(LogEntry(t, state.phi_cur, state.current))
+                line = to_json(record) if t == 0 else json.dumps(to_json(record)) + "\n"
+                snapshot = to_json(state)
                 wait_for_writer()
                 pending = writer.submit(persist, t, line, entry, snapshot)
 
@@ -521,15 +437,13 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
                 wait_for_writer()
 
     _write_json(run_dir / "best_definitions.json", result.best_definitions)
-    summary = {
-        "phi_best_train": result.phi_best_train,
-        "best_definitions": result.best_definitions,
-        "dev": metrics_to_dict(result.dev_metrics, dataset.categories),
-        "test": metrics_to_dict(result.test_metrics, dataset.categories)
-        if result.test_metrics
-        else None,
-    }
-    _write_json(run_dir / "result.json", summary)
+    summary = ResultRecord(
+        result.phi_best_train,
+        result.best_definitions,
+        metrics_to_dict(result.dev_metrics, dataset.categories),
+        metrics_to_dict(result.test_metrics, dataset.categories) if result.test_metrics else None,
+    )
+    _write_json(run_dir / "result.json", to_json(summary))
     if result.test_confusion is not None:
         confusion_to_csv(result.test_confusion, run_dir / "confusion_test.csv")
     test_phi = result.test_metrics.macro_f1 if result.test_metrics else float("nan")
@@ -579,20 +493,19 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     return summary
 
 
-def _best_definitions_for_report(run_dir: Path, entries: list[dict], categories: Sequence[str]) -> dict[str, str]:
+def _best_definitions_for_report(
+    run_dir: Path, result: ResultRecord | None, entries: list[LogEntry], categories: Sequence[str]
+) -> dict[str, str]:
     """The finished run's best set, or the best of the accepted sets `entries`
     (the records of definitions_log.jsonl, one per line); DataError naming
     the file, and the line, if it does not define every category."""
-    result_path = run_dir / "result.json"
-    if result_path.exists():
-        where = f"result file {result_path}"
-        result = _read_json(result_path, "result file", DataError)
-        best = _record(result, {"best_definitions": _OBJECT}, where)["best_definitions"]
+    if result is not None:
+        where, best = f"result file {run_dir / 'result.json'}", result.best_definitions
     elif entries:
         # Incomplete run: reconstruct from the accepted-definitions log. The
         # first of equal scores wins.
-        number, entry = max(enumerate(entries, 1), key=lambda numbered: numbered[1]["score"])
-        where, best = f"{run_dir / 'definitions_log.jsonl'} line {number}", entry["definitions"]
+        number, entry = max(enumerate(entries, 1), key=lambda numbered: numbered[1].score)
+        where, best = f"{run_dir / 'definitions_log.jsonl'} line {number}", entry.definitions
     else:
         raise DataError(f"no definitions recorded in {run_dir}")
     try:
@@ -603,42 +516,37 @@ def _best_definitions_for_report(run_dir: Path, entries: list[dict], categories:
 
 
 def cmd_report(run_dir: str | Path) -> list[Path]:
-    """Emit plot-ready report files for a finished (or interrupted) run."""
+    """Emit plot-ready report files for a finished (or interrupted) run.
+    Every input is read and checked before the first file is written."""
     run_dir = Path(run_dir)
-    trace_path, initial_path = run_dir / "trace.jsonl", run_dir / "initial.json"
-    for path in (trace_path, initial_path):
-        if not path.exists():
-            raise DataError(f"missing {path.name}: {path}")
+    trace_path = run_dir / "trace.jsonl"
+    initial = _read_record(InitialRecord, run_dir / "initial.json", "initial record")
+    if not trace_path.exists():
+        raise DataError(f"missing trace.jsonl: {trace_path}")
     cfg = RunConfig.from_file(run_dir / "config.json")
-    initial = _record(
-        _read_json(initial_path, "initial record", DataError),
-        {"phi_train": _NUMBER, "phi_dev": _NUMBER},
-        f"initial record {initial_path}",
-    )
-    records = _read_records(trace_path, {"iteration": _INTEGER, "phi_train_current": _NUMBER, "phi_dev": _NUMBER})
+    records = _read_records(trace_path, TraceRecord)
+    evolution = _read_records(run_dir / "definitions_log.jsonl", LogEntry)
+    result_path = run_dir / "result.json"
+    result = _read_record(ResultRecord, result_path, "result file") if result_path.exists() else None
+    dataset = _load_dataset(cfg)
+    best = _best_definitions_for_report(run_dir, result, evolution, dataset.categories)
 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     written = []
 
-    points = [{"iteration": 0, "phi_train": initial["phi_train"], "phi_dev": initial["phi_dev"]}]
-    points += [
-        {"iteration": r["iteration"], "phi_train": r["phi_train_current"], "phi_dev": r["phi_dev"]}
-        for r in records
-    ]
+    points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
+    points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in records]
     curve_path = reports / "f1_curve.json"
     _write_json(curve_path, {"points": points})
     written.append(curve_path)
 
-    evolution = _read_records(run_dir / "definitions_log.jsonl", {"score": _NUMBER, "definitions": _OBJECT})
     evo_path = reports / "definitions_evolution.json"
-    _write_json(evo_path, evolution)
+    _write_json(evo_path, to_json(evolution))
     written.append(evo_path)
 
-    dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
     with closing(gateway.cache):
-        best = _best_definitions_for_report(run_dir, evolution, dataset.categories)
         def_vecs = gateway.embed_definitions(best, dataset.categories)
         test_docs = split_view(dataset, "test")
         if test_docs:
@@ -690,7 +598,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cwd_path(value: str) -> str:
-    return str(_resolve(value, Path.cwd()))
+    return str(Path.cwd() / value)
 
 
 def _cwd_endpoint(value: str) -> str:

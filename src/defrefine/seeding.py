@@ -1,4 +1,4 @@
-"""Deterministic derivation and serialization of named rng streams.
+"""Deterministic derivation of named rng streams.
 
 Every source of randomness in a run (sampling, acceptance) is its own
 `random.Random` stream derived from the master seed, so the draw sequence
@@ -19,17 +19,3 @@ def derive_seed(master: int, name: str) -> int:
 
 def make_rng(master: int, name: str) -> random.Random:
     return random.Random(derive_seed(master, name))
-
-
-def rng_state_to_json(rng: random.Random) -> list:
-    """Snapshot an rng state as a JSON-serializable payload."""
-    version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
-
-
-def rng_state_from_json(payload: list) -> random.Random:
-    """Rebuild an rng from a payload produced by rng_state_to_json."""
-    version, internal, gauss = payload
-    rng = random.Random()
-    rng.setstate((version, tuple(internal), gauss))
-    return rng

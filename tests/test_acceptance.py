@@ -23,6 +23,7 @@ import pytest
 from defrefine.classifier import classify, unit_rows
 from defrefine.evaluation import ConfusionMatrix, macro_f1
 from defrefine.llm import ScriptedLlm
+from defrefine.records import to_json
 from defrefine.refinement import (
     AnnealingSchedule,
     StrategyConfig,
@@ -107,7 +108,7 @@ def _running_best(initial_phi, trace):
     best = initial_phi
     out = []
     for record in trace:
-        best = max(best, record["phi_train_current"])
+        best = max(best, record.phi_train_current)
         out.append(best)
     return out
 
@@ -131,7 +132,7 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
         result = run(probe)
 
         # Best score is monotone non-decreasing and equals the trace maximum.
-        running = _running_best(result.initial["phi_train"], result.trace)
+        running = _running_best(result.initial.phi_train, result.trace)
         assert all(a <= b for a, b in zip(running, running[1:]))
         assert result.phi_best_train == running[-1]
 
@@ -139,27 +140,27 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
         assert all(p.count("PREVIOUS DEFINITIONS (score=") <= 3 for p in probe.prompts)
 
         # Rejected proposals never appear in any later prompt (current or history).
-        rejected = [r["iteration"] for r in result.trace if not r["accepted"]]
+        rejected = [r.iteration for r in result.trace if not r.accepted]
         assert rejected, "expected some rejected proposals under metropolis"
         for it in rejected:
             assert all(f"cand-{it} " not in p for p in probe.prompts[it:])
         for r in result.trace:
-            if not r["accepted"]:
-                prev = result.trace[r["iteration"] - 2] if r["iteration"] > 1 else None
-                prev_hash = prev["definitions_hash"] if prev else result.initial["definitions_hash"]
-                assert r["definitions_hash"] == prev_hash
+            if not r.accepted:
+                prev = result.trace[r.iteration - 2] if r.iteration > 1 else None
+                prev_hash = prev.definitions_hash if prev else result.initial.definitions_hash
+                assert r.definitions_hash == prev_hash
 
         # A fixed-point script (proposals equal to current) yields a constant trace.
         fixed = initial_definitions(dataset.categories, "minimal")
         fixed_result = run(ScriptedLlm([json.dumps(fixed)] * t_max))
-        assert all(r["accepted"] for r in fixed_result.trace)
-        assert all(r["delta_e"] == 0.0 for r in fixed_result.trace)
-        assert len({r["definitions_hash"] for r in fixed_result.trace}) == 1
-        assert len({r["phi_train_current"] for r in fixed_result.trace}) == 1
+        assert all(r.accepted for r in fixed_result.trace)
+        assert all(r.delta_e == 0.0 for r in fixed_result.trace)
+        assert len({r.definitions_hash for r in fixed_result.trace}) == 1
+        assert len({r.phi_train_current for r in fixed_result.trace}) == 1
 
         # Byte-identical traces across two runs with equal seeds.
         again = run(ScriptedLlm(script))
-        assert json.dumps(result.trace) == json.dumps(again.trace)
+        assert json.dumps(to_json(result.trace)) == json.dumps(to_json(again.trace))
         assert time.monotonic() - started < 10.0
 
 
@@ -199,8 +200,8 @@ def test_criterion_6_synthetic_end_to_end():
             initial=swapped,
             parse_retries=0,
         )
-        assert result.initial["phi_train"] < 1.0
-        running = _running_best(result.initial["phi_train"], result.trace)
+        assert result.initial.phi_train < 1.0
+        running = _running_best(result.initial.phi_train, result.trace)
         assert running[4] == 1.0, "best must reach 1.0 by iteration 5"
         assert all(v == 1.0 for v in running[4:]), "best must be retained through t_max"
         assert result.phi_best_train == 1.0

@@ -12,6 +12,7 @@ from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
 from defrefine.llm import ScriptedLlm
+from defrefine.records import from_json, to_json
 from defrefine.refinement import (
     AnnealingSchedule,
     FeedbackBundle,
@@ -301,10 +302,10 @@ def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=Non
 
 
 def _running_best(result):
-    best = result.initial["phi_train"]
+    best = result.initial.phi_train
     out = []
     for record in result.trace:
-        best = max(best, record["phi_train_current"])
+        best = max(best, record.phi_train_current)
         out.append(best)
     return out
 
@@ -314,7 +315,7 @@ class TestRefineLoop:
         script = [json.dumps(junk_definitions(i)) for i in range(5)]
         result, _ = _run(script)
         assert len(result.trace) == 5
-        assert [r["iteration"] for r in result.trace] == [1, 2, 3, 4, 5]
+        assert [r.iteration for r in result.trace] == [1, 2, 3, 4, 5]
 
     def test_best_updated_at_improving_iteration(self):
         script = [
@@ -324,8 +325,8 @@ class TestRefineLoop:
             json.dumps(junk_definitions(3)),
         ]
         result, _ = _run(script)
-        assert result.trace[2]["accepted"] is True
-        assert result.trace[2]["phi_train_proposed"] == 1.0
+        assert result.trace[2].accepted is True
+        assert result.trace[2].phi_train_proposed == 1.0
         assert result.phi_best_train == 1.0
         assert result.best_definitions == ideal_definitions()
 
@@ -344,11 +345,11 @@ class TestRefineLoop:
         ]
         result, _ = _run(script, parse_retries=0)
         bad = result.trace[1]
-        assert bad["accepted"] is False
-        assert bad["phi_train_proposed"] is None
-        assert bad["delta_e"] is None
-        assert bad["definitions_hash"] == result.trace[0]["definitions_hash"]
-        assert bad["phi_train_current"] == result.trace[0]["phi_train_current"]
+        assert bad.accepted is False
+        assert bad.phi_train_proposed is None
+        assert bad.delta_e is None
+        assert bad.definitions_hash == result.trace[0].definitions_hash
+        assert bad.phi_train_current == result.trace[0].phi_train_current
 
     def test_each_definition_set_is_scored_once_on_train(self, monkeypatch):
         # The initial set and each parsed proposal are classified against the
@@ -372,7 +373,7 @@ class TestRefineLoop:
             json.dumps(junk_definitions(3)),
         ]
         result, _ = _run(script, parse_retries=0, dataset=dataset)
-        parsed = sum(r["phi_train_proposed"] is not None for r in result.trace)
+        parsed = sum(r.phi_train_proposed is not None for r in result.trace)
         assert parsed == 4
         assert rows.count(n_train) == 1 + parsed
 
@@ -400,7 +401,7 @@ class TestRefineLoop:
 
         def keep(record, state):
             # The state is live: keep a copy of it.
-            checkpoints.setdefault(record["iteration"], LoopState.from_dict(state.to_dict()))
+            checkpoints.setdefault(record.iteration, from_json(LoopState, to_json(state), "state", ValueError))
 
         def run(llm_script, resume=None):
             return refine(
@@ -421,7 +422,7 @@ class TestRefineLoop:
             embedded.clear()
             result = run(script[resume_after:], checkpoints[resume_after])
         proposals = [json.loads(reply) for reply in script[resume_after or 0 :] if reply != "not json"]
-        assert result.trace[-1]["accepted"] and result.best_definitions != proposals[-1]
+        assert result.trace[-1].accepted and result.best_definitions != proposals[-1]
         assert embedded[1:-1] == proposals
         assert embedded[-1] == result.best_definitions
         assert len(embedded) == len(proposals) + 2
@@ -436,7 +437,7 @@ class TestRefineLoop:
         saved = {}
 
         def save(record, state):
-            saved.setdefault(record["iteration"], json.dumps(state.to_dict()))
+            saved.setdefault(record.iteration, json.dumps(to_json(state)))
 
         def run(resume=None):
             llm = ScriptedLlm(script)
@@ -456,14 +457,14 @@ class TestRefineLoop:
 
         full = run()
         assert sorted(saved) == list(range(t_max + 1))
-        assert [r["accepted"] for r in full.trace].count(False) == (1 if name != "m3" else 4)
+        assert [r.accepted for r in full.trace].count(False) == (1 if name != "m3" else 4)
         for abort in range(t_max + 1):
-            state = LoopState.from_dict(json.loads(saved[abort]))
+            state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
             resumed = run(state)
             assert resumed.trace == full.trace[abort:]
             assert resumed.best_definitions == full.best_definitions
             assert resumed.phi_best_train == full.phi_best_train
-            assert json.dumps(state.to_dict()) == saved[t_max]
+            assert json.dumps(to_json(state)) == saved[t_max]
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
@@ -510,7 +511,7 @@ class TestRefineLoop:
         result, _ = _run([], t_max=1, parse_retries=1, llm=llm)
         assert llm.calls == 2
         assert llm.prompts[1].endswith("Respond with only the JSON object.")
-        assert result.trace[0]["accepted"] is True
+        assert result.trace[0].accepted is True
 
     def test_rejected_proposals_never_reach_history(self):
         # Iterations propose uniquely tagged junk; whatever gets rejected must
@@ -518,7 +519,7 @@ class TestRefineLoop:
         script = [json.dumps(junk_definitions(i)) for i in range(1, 11)]
         llm = RecordingLlm(script)
         result, _ = _run([], t_max=10, llm=llm)
-        rejected = [r["iteration"] for r in result.trace if not r["accepted"]]
+        rejected = [r.iteration for r in result.trace if not r.accepted]
         assert rejected, "expected at least one rejected downhill proposal"
         for it in rejected:
             marker = f"cand-{it} "
@@ -551,8 +552,8 @@ class TestRefineLoop:
     def test_always_accept_mode_accepts_downhill(self):
         script = [json.dumps(ideal_definitions()), json.dumps(junk_definitions(1))]
         result, _ = _run(script, strategy=StrategyConfig("m2", k_confused=2))
-        assert result.trace[1]["accepted"] is True
-        assert result.trace[1]["phi_train_current"] < 1.0
+        assert result.trace[1].accepted is True
+        assert result.trace[1].phi_train_current < 1.0
         # Best still retains the ideal set.
         assert result.phi_best_train == 1.0
 
@@ -561,17 +562,17 @@ class TestRefineLoop:
         fixed = initial_definitions(dataset.categories, "minimal")
         script = [json.dumps(fixed)] * 6
         result, _ = _run(script, dataset=dataset)
-        hashes = {r["definitions_hash"] for r in result.trace}
+        hashes = {r.definitions_hash for r in result.trace}
         assert len(hashes) == 1
-        assert all(r["accepted"] for r in result.trace)
-        assert all(r["delta_e"] == 0.0 for r in result.trace)
-        assert {r["phi_train_current"] for r in result.trace} == {result.initial["phi_train"]}
+        assert all(r.accepted for r in result.trace)
+        assert all(r.delta_e == 0.0 for r in result.trace)
+        assert {r.phi_train_current for r in result.trace} == {result.initial.phi_train}
 
     def test_byte_identical_traces_for_equal_seeds(self):
         script = [json.dumps(junk_definitions(i)) for i in range(1, 9)]
         r1, _ = _run(script, seed=21)
         r2, _ = _run(script, seed=21)
-        assert json.dumps(r1.trace) == json.dumps(r2.trace)
+        assert json.dumps(to_json(r1.trace)) == json.dumps(to_json(r2.trace))
 
     def test_different_seeds_change_sampling(self):
         script = [json.dumps(junk_definitions(i)) for i in range(1, 5)]
@@ -606,4 +607,4 @@ class TestRefineLoop:
     def test_zero_iterations_returns_initial_best(self):
         result, _ = _run([], t_max=0)
         assert result.trace == []
-        assert result.phi_best_train == result.initial["phi_train"]
+        assert result.phi_best_train == result.initial.phi_train

@@ -1,6 +1,7 @@
 """CLI behavior: configs, run directories, resume, sweeps, and reports."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import json
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from defrefine import runner
+from defrefine import records, runner
 from defrefine.corpus import Dataset, Document
 from defrefine.embeddings import EmbeddingCache
 from defrefine.llm import ScriptedLlm
+from defrefine.refinement import TraceRecord
 from defrefine.runner import (
     EXIT_DATA,
     EXIT_OK,
@@ -349,6 +351,11 @@ class TestConfig:
             if isinstance(value, dict) or documented[key] == "REQUIRED"
         }
         assert RunConfig.from_dict(required, Path("")).to_snapshot() == full
+
+    def test_readme_trace_fields_match_the_record(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("- `trace.jsonl`:", 1)[1].split("Fields:", 1)[1].split(".", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == [records.key(f) for f in dataclasses.fields(TraceRecord)]
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
@@ -691,20 +698,7 @@ class TestRefineRuns:
         lines = (run_dir / "trace.jsonl").read_text().splitlines()
         assert len(lines) == 5
         record = json.loads(lines[0])
-        assert set(record) == {
-            "iteration",
-            "strategy",
-            "k",
-            "m",
-            "temperature",
-            "phi_train_current",
-            "phi_train_proposed",
-            "delta_e",
-            "accepted",
-            "phi_dev",
-            "definitions_hash",
-            "llm_latency_ms",
-        }
+        assert list(record) == [records.key(f) for f in dataclasses.fields(TraceRecord)]
         assert (run_dir / "result.json").exists()
         assert (run_dir / "best_definitions.json").exists()
         assert (run_dir / "initial.json").exists()
@@ -813,7 +807,9 @@ class TestRefineRuns:
         assert str(state_path) in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
-    @pytest.mark.parametrize("junk", ["[1]", "{}", '{"iteration": "2"}', '{"iteration": true}'])
+    @pytest.mark.parametrize(
+        "junk", ["[1]", "{}", '{"iteration": "2"}', '{"iteration": true}', "[" * 100000], ids=lambda junk: junk[:20]
+    )
     def test_trace_line_that_is_not_a_record_is_skipped(self, tmp_path, capsys, junk):
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
@@ -1082,6 +1078,18 @@ class TestReport:
         where = f" line {lines + 1} " if path.suffix == ".jsonl" else " "
         assert f"{path}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["trace.jsonl", "result.json"])
+    def test_value_nested_too_deep_to_parse_is_data_error(self, tmp_path, capsys, name):
+        run_dir = self._finished_run(tmp_path)
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        nested = "[" * 100000
+        path.write_text("".join(line + "\n" for line in lines + [nested]) if path.suffix == ".jsonl" else nested)
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        where = f" line {len(lines) + 1} " if path.suffix == ".jsonl" else " "
+        assert f"{path}{where}" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("name", ["definitions_log.jsonl", "trace.jsonl"])
     def test_line_that_is_not_utf8_is_data_error(self, tmp_path, capsys, name):
@@ -1158,6 +1166,22 @@ class TestReport:
         assert main(["report", str(run_dir)]) == EXIT_DATA
         where = f" line {len(lines)} " if path.suffix == ".jsonl" else " "
         assert f"{path}{where}" in capsys.readouterr().err
+        assert not (run_dir / "reports").exists()
+
+    def test_data_error_leaves_earlier_report_files_alone(self, tmp_path):
+        run_dir = self._finished_run(tmp_path)
+        reports = run_dir / "reports"
+        reports.mkdir()
+        for name in ("f1_curve.json", "definitions_evolution.json", "notes.txt"):
+            (reports / name).write_text(f"earlier {name}\n")
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        (run_dir / "result.json").unlink()
+        path = run_dir / "definitions_log.jsonl"
+        lines = path.read_text().splitlines()
+        damaged = json.dumps({**json.loads(lines[-1]), "score": "high"})
+        path.write_text("".join(line + "\n" for line in lines[:-1] + [damaged]))
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
 
     @pytest.mark.parametrize("source", ["result.json", "definitions_log.jsonl"])
     @pytest.mark.parametrize("damage", ["missing-category", "integer", "empty"])
@@ -1231,7 +1255,8 @@ class TestCacheIsClosed:
         (run_dir / "result.json").unlink()
         (run_dir / "definitions_log.jsonl").write_text("")
         assert main(["report", str(run_dir)]) == EXIT_DATA
-        assert len(caches[0]) == 2
+        # It fails before it builds a gateway: only refine opened a cache.
+        assert len(caches[0]) == 1
         assert self._all_closed(*caches)
 
 
@@ -1271,6 +1296,23 @@ class TestExitCodes:
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") and "script.json" in line for line in err)
+
+    @pytest.mark.parametrize(
+        "script, key",
+        [
+            pytest.param({"responses": ["{}"], "delay_s": "x"}, "delay_s", id="delay-not-a-number"),
+            pytest.param([1, 2], "responses[0]", id="response-not-a-string"),
+            pytest.param({"responses": "abc"}, "responses", id="responses-not-a-list"),
+            pytest.param({"responses": ["{}"], "delay_s": -1}, "delay_s", id="negative-delay"),
+        ],
+    )
+    def test_script_file_that_is_not_a_script_is_usage_error(self, tmp_path, capsys, script, key):
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "script.json" in errors[0] and key in errors[0], err
+        assert not (tmp_path / "runs").exists()
 
     def test_malformed_definitions_file_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(
