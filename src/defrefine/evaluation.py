@@ -82,15 +82,12 @@ def top_k_confused_pairs(cm: ConfusionMatrix, k_pairs: int) -> list[ConfusedPair
     if k_pairs < 1:
         raise ValueError("k_pairs must be >= 1")
     counts = cm.counts
-    k = counts.shape[0]
-    pairs = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            total = int(counts[a, b]) + int(counts[b, a])
-            if total > 0:
-                pairs.append(ConfusedPair(a, b, total))
-    pairs.sort(key=lambda p: (-p.confusion_count, p.class_a, p.class_b))
-    return pairs[:k_pairs]
+    a, b = np.triu_indices(counts.shape[0], 1)
+    totals = (counts + counts.T)[a, b]
+    kept = totals > 0
+    a, b, totals = a[kept], b[kept], totals[kept]
+    top = np.lexsort((b, a, -totals))[:k_pairs]
+    return [ConfusedPair(int(a[i]), int(b[i]), int(totals[i])) for i in top]
 
 
 def score(def_vecs, categories: Sequence[str], docs, gold) -> tuple[MetricsReport, ConfusionMatrix]:

@@ -10,18 +10,21 @@ it covers is fsynced. A kill can lose the last completed iteration's
 records, which --resume redoes; a write error still stops the run. Any
 interrupted run can be continued with --resume and reproduces the
 uninterrupted trace byte for byte when the providers are deterministic.
+One process at a time writes a run directory: `refine` holds an exclusive
+flock on its `run.lock` from before the first write until `result.json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import logging
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -336,6 +339,21 @@ def cmd_baseline(cfg: RunConfig):
     return report
 
 
+@contextmanager
+def _run_lock(run_dir: Path) -> Iterator[None]:
+    """Hold `run.lock` in the run directory, or raise ConfigError at once if
+    another process does. The OS drops the lock when its process dies."""
+    fd = os.open(run_dir / "run.lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"run directory in use by another process: {run_dir}") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     """Run (or continue) one refinement loop with crash-safe persistence."""
     if cfg.strategy is None:
@@ -352,17 +370,18 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         if not snapshot_path.exists():
             raise ConfigError(f"cannot resume: missing config snapshot in {run_dir}")
         cfg = RunConfig.from_file(snapshot_path)
-    elif state_path.exists():
-        raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
 
     # Everything that can reject the config runs before the run directory exists.
     dataset = _load_dataset(cfg)
     gateway = build_gateway(cfg)
-    with closing(gateway.cache):
+    with closing(gateway.cache), ExitStack() as held:
         llm = build_llm(cfg)
         initial = _initial_defs(cfg, dataset)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        held.enter_context(_run_lock(run_dir))
         if not resume:
-            run_dir.mkdir(parents=True, exist_ok=True)
+            if state_path.exists():
+                raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
             _write_json(snapshot_path, cfg.to_snapshot())
 
         saved = None
@@ -436,16 +455,16 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
                 # A write error outranks a loop error: it came first.
                 wait_for_writer()
 
-    _write_json(run_dir / "best_definitions.json", result.best_definitions)
-    summary = ResultRecord(
-        result.phi_best_train,
-        result.best_definitions,
-        metrics_to_dict(result.dev_metrics, dataset.categories),
-        metrics_to_dict(result.test_metrics, dataset.categories) if result.test_metrics else None,
-    )
-    _write_json(run_dir / "result.json", to_json(summary))
-    if result.test_confusion is not None:
-        confusion_to_csv(result.test_confusion, run_dir / "confusion_test.csv")
+        _write_json(run_dir / "best_definitions.json", result.best_definitions)
+        summary = ResultRecord(
+            result.phi_best_train,
+            result.best_definitions,
+            metrics_to_dict(result.dev_metrics, dataset.categories),
+            metrics_to_dict(result.test_metrics, dataset.categories) if result.test_metrics else None,
+        )
+        _write_json(run_dir / "result.json", to_json(summary))
+        if result.test_confusion is not None:
+            confusion_to_csv(result.test_confusion, run_dir / "confusion_test.csv")
     test_phi = result.test_metrics.macro_f1 if result.test_metrics else float("nan")
     print(
         f"refine done: best train macro-F1 {result.phi_best_train:.4f}, "

@@ -1,6 +1,11 @@
 """Cosine classifier against a naive double-loop oracle."""
 
 import math
+import os
+import select
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -417,3 +422,157 @@ class TestClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             classify([[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+class _BlockRecorder:
+    """The classify pool, recording the width of each block it is given."""
+
+    def __init__(self, pool):
+        self.pool, self.widths = pool, []
+
+    def submit(self, fn, *args, **kwargs):
+        self.widths.append(kwargs["out"].shape[1])
+        return self.pool.submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """Make classify split every product into up to `cpus` column blocks;
+    returns the recorder of the blocks the pool computes."""
+
+    def split(cpus):
+        recorder = _BlockRecorder(classifier._workers())
+        monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
+        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
+        monkeypatch.setattr(classifier, "_workers", lambda: recorder)
+        return recorder
+
+    return split
+
+
+def _assert_exact(units, defs):
+    expected = np.argmax(cosine_scores(units, defs), axis=1)
+    assert np.array_equal(classify(units, defs), expected)
+
+
+class TestSplitProduct:
+    """Above `_SPLIT_MULTIPLY_ADDS` per block, classify computes its (k, n)
+    product in column blocks, one per CPU, on the calling thread and the
+    pool. The certificate then covers each block's bits as it covers the
+    unsplit gemm's."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_near_ties_in_the_last_block_and_at_a_boundary(self, split_into, cpus, order):
+        n, d, k = 250, 64, 20
+        recorder = split_into(cpus)
+        boundary = n * (cpus - 1) // cpus
+        for seed in range(20):
+            rng = np.random.default_rng([67, cpus, seed])
+            for docs, defs in (
+                swapped_pair(rng, n, d, k, tied=2),
+                near_duplicates(rng, n, d, k, dups=2, near=2),
+                swapped_pair(rng, n, d, k, tied=n - boundary + 1),
+                near_duplicates(rng, n, d, k, dups=2, near=n - boundary + 1),
+            ):
+                _assert_exact(unit_rows(np.array(docs, order=order), "document"), defs)
+        bounds = [n * i // cpus for i in range(cpus + 1)]
+        pool_widths = [b - a for a, b in zip(bounds[1:-1], bounds[2:])]
+        assert recorder.widths == pool_widths * 80
+
+    def test_exact_product_once_for_an_uncertain_column_in_a_later_block(self, split_into, monkeypatch):
+        calls = []
+        exact = classifier.cosine_scores
+
+        def spy(doc_units, def_vecs):
+            calls.append(len(doc_units))
+            return exact(doc_units, def_vecs)
+
+        monkeypatch.setattr(classifier, "cosine_scores", spy)
+        recorder = split_into(3)
+        rng = np.random.default_rng(73)
+        defs = rng.standard_normal((10, 32))
+        defs[7] = defs[3]
+        others = [j for j in range(10) if j not in (3, 7)]
+        docs = defs[[others[i % len(others)] for i in range(300)]] + 0.01 * rng.standard_normal((300, 32))
+        for tied in (299, 200):  # the last column, and the first of the last block
+            case = docs.copy()
+            case[tied] = defs[3]
+            units = unit_rows(np.asfortranarray(case), "document")
+            calls.clear()
+            preds = classify(units, defs)
+            assert calls == [300]
+            assert preds[tied] == 3
+            assert np.array_equal(preds, np.argmax(exact(units, defs), axis=1))
+        calls.clear()
+        classify(unit_rows(np.asfortranarray(docs), "document"), defs)
+        assert calls == []
+        assert recorder.widths == [100, 100] * 3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_columns_than_cpus(self, split_into, n):
+        recorder = split_into(3)
+        rng = np.random.default_rng([79, n])
+        docs, defs = swapped_pair(rng, n, 16, 5, tied=1)
+        _assert_exact(unit_rows(docs, "document"), defs)
+        assert recorder.widths == [1] * (n - 1)
+
+    def test_concurrent_callers(self, split_into):
+        split_into(3)
+        cases = []
+        for seed in range(2):
+            rng = np.random.default_rng([83, seed])
+            docs, defs = near_duplicates(rng, 400, 64, 12, dups=2, near=2)
+            units = unit_rows(np.asfortranarray(docs), "document")
+            cases.append((units, defs, np.argmax(cosine_scores(units, defs), axis=1)))
+            units = unit_rows(np.asfortranarray(rng.standard_normal((400, 64))), "document")
+            defs = rng.standard_normal((12, 64))
+            cases.append((units, defs, np.argmax(cosine_scores(units, defs), axis=1)))
+        wrong = []
+
+        def run(i):
+            for _ in range(30):
+                for units, defs, expected in cases[i::2]:
+                    if not np.array_equal(classify(units, defs), expected):
+                        wrong.append(i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert wrong == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_classifies(self, monkeypatch):
+        # The parent's pool threads do not exist in a forked child.
+        monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
+        monkeypatch.setattr(classifier, "_cpus", lambda: 2)
+        rng = np.random.default_rng(89)
+        units = unit_rows(np.asfortranarray(rng.standard_normal((500, 32))), "document")
+        defs = rng.standard_normal((8, 32))
+        expected = classify(units, defs)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                signal.alarm(5)
+                os.write(write, classify(units, defs).astype(np.int64).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            got = b""
+            deadline = time.monotonic() + 10
+            while len(got) < 8 * len(expected) and time.monotonic() < deadline:
+                ready, _, _ = select.select([read], [], [], max(0.0, deadline - time.monotonic()))
+                chunk = os.read(read, 1 << 16) if ready else b""
+                if not chunk:
+                    break
+                got += chunk
+        finally:
+            os.close(read)
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert np.array_equal(np.frombuffer(got, dtype=np.int64), expected)

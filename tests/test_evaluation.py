@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from defrefine.evaluation import (
+    ConfusedPair,
     ConfusionMatrix,
     confusion_matrix,
     confusion_to_csv,
@@ -130,6 +131,19 @@ class TestMacroF1:
             assert 0.0 <= report.macro_f1 <= 1.0
 
 
+def oracle_confused_pairs(counts, k_pairs):
+    """The pair ranking as a double loop over the upper triangle."""
+    k = len(counts)
+    pairs = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            total = int(counts[a][b]) + int(counts[b][a])
+            if total > 0:
+                pairs.append(ConfusedPair(a, b, total))
+    pairs.sort(key=lambda p: (-p.confusion_count, p.class_a, p.class_b))
+    return pairs[:k_pairs]
+
+
 class TestConfusedPairs:
     def test_worked_example(self):
         cm = ConfusionMatrix(np.array([[5, 3, 0], [1, 6, 2], [0, 4, 5]]), ("a", "b", "c"))
@@ -155,6 +169,18 @@ class TestConfusedPairs:
         counts = rng.integers(0, 10, size=(6, 6))
         cm = ConfusionMatrix(counts, tuple("abcdef"))
         assert top_k_confused_pairs(cm, 4) == top_k_confused_pairs(cm, 4)
+
+    def test_matches_the_loop_on_random_matrices(self):
+        # Small counts with many zeros give ties in count and dropped pairs.
+        rng = np.random.default_rng(41)
+        for _ in range(600):
+            k = int(rng.integers(1, 25))
+            counts = rng.integers(0, 4, size=(k, k)) * (rng.random((k, k)) < 0.5)
+            cm = ConfusionMatrix(counts, tuple(f"c{i}" for i in range(k)))
+            for k_pairs in (1, 3, 5, k * k):
+                pairs = top_k_confused_pairs(cm, k_pairs)
+                assert pairs == oracle_confused_pairs(counts, k_pairs)
+                assert all(type(v) is int for p in pairs for v in (p.class_a, p.class_b, p.confusion_count))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,13 @@
 import csv
 import dataclasses
 import errno
+import fcntl
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -658,6 +661,73 @@ class TestWriter:
             main(["refine", "--config", str(cfg_path)])
 
 
+class TestRunLock:
+    """One process at a time in a run directory: `refine` holds `run.lock`
+    from before its first write until `result.json` is written."""
+
+    @staticmethod
+    def _hold(run_dir: Path) -> int:
+        """Lock run.lock as a live refine would; close the fd to let go."""
+        fd = os.open(run_dir / "run.lock", os.O_RDWR | os.O_CREAT)
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fd
+
+    def test_second_process_on_a_live_run_exits_1(self, tmp_path, capsys):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        (tmp_path / "script.json").write_text(json.dumps({"responses": script, "delay_s": 1.0}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(runner.__file__).parents[1]), *sys.path])}
+        first = subprocess.Popen(
+            [sys.executable, "-m", "defrefine", "refine", "--config", str(cfg_path), "--resume"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            # The first process holds the lock once it has checkpointed iteration 4.
+            deadline = time.monotonic() + 30
+            while json.loads((run_dir / "state.json").read_text())["iteration"] < 4:
+                assert first.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            capsys.readouterr()
+            assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_USAGE
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("in use") == 2, err
+            assert first.poll() is None, "the first process ended before the second started; raise delay_s"
+        finally:
+            _, first_err = first.communicate(timeout=60)
+        assert first.returncode == EXIT_OK, first_err
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_locked_directory_gets_no_config_snapshot(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        run_dir.mkdir(parents=True)
+        fd = self._hold(run_dir)
+        try:
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+            assert f"run directory in use by another process: {run_dir}" in capsys.readouterr().err
+            assert sorted(p.name for p in run_dir.iterdir()) == ["run.lock"]
+        finally:
+            os.close(fd)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+
+    def test_lock_is_released_when_the_run_ends(self, tmp_path):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2)[:1], t_max=2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        os.close(self._hold(run_dir))
+        (tmp_path / "script.json").write_text(json.dumps(toy_script(2)))
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        os.close(self._hold(run_dir))
+        assert (run_dir / "run.lock").read_bytes() == b""
+
+
 class TestBaseline:
     def test_separable_fixture_scores_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, minimal_text_dataset(), [], t_max=0)
@@ -1058,7 +1128,7 @@ class TestReport:
             main(["refine", "--config", str(cfg_path)])
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
         left = sorted(p.name for p in run_dir.iterdir())
-        assert left == ["config.json", "definitions_log.jsonl", "trace.jsonl"]
+        assert left == ["config.json", "definitions_log.jsonl", "run.lock", "trace.jsonl"]
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_DATA
         assert str(run_dir / "initial.json") in capsys.readouterr().err
