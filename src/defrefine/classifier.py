@@ -14,33 +14,55 @@ import numpy as np
 _BLOCK_ELEMENTS = 1 << 15
 
 # classify splits its (k, n) product into one column block per this many
-# multiply-adds, up to one per CPU: on 2 CPUs with OpenBLAS 0.3 at one thread
-# a split lost at 4.9 M and won from 6.6 M up.
+# multiply-adds: on 2 CPUs with OpenBLAS 0.3 at one thread a split lost at
+# 4.9 M and won from 6.6 M up.
 _SPLIT_MULTIPLY_ADDS = 1 << 22
+
+# ...and into at most this many blocks, the most that has been timed.
+_MAX_BLOCKS = 2
+
+
+def _blas_one_thread() -> bool:
+    """Whether the environment holds OpenBLAS to one thread. Its variables
+    are read in OpenBLAS's order, the first that is set winning; the BLAS
+    reads them when numpy loads it, which is before this module runs."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+# A split pays only beside a one-thread BLAS: with OpenBLAS's own threads on
+# both CPUs the unsplit product was 4-16% faster.
+_BLAS_ONE_THREAD = _blas_one_thread()
 
 # The pool that computes all column blocks but the caller's, one per process.
 _pool_lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
-_pool_pid = 0
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on (its affinity mask)."""
+def _max_blocks() -> int:
+    """The most column blocks classify may split a product into: one per CPU
+    in the affinity mask up to `_MAX_BLOCKS` beside a one-thread BLAS, else
+    one."""
+    if not _BLAS_ONE_THREAD:
+        return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_MAX_BLOCKS, cpus)
 
 
 def _workers() -> ThreadPoolExecutor:
-    """This process's block pool, made at first use with a thread per CPU
-    but one. A forked child makes its own, since the parent's threads are
-    gone: `_forget_pool` drops the parent's, and the process id catches a
-    fork that skipped Python's fork hooks."""
-    global _pool, _pool_pid
+    """This process's block pool, made at first use. A forked child makes its
+    own, since the parent's threads are gone: `_forget_pool` drops the
+    parent's."""
+    global _pool
     with _pool_lock:
-        if _pool is None or _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="classify")
-            _pool_pid = os.getpid()
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_MAX_BLOCKS - 1, thread_name_prefix="classify")
         return _pool
 
 
@@ -180,7 +202,7 @@ def classify(doc_units, def_vecs) -> np.ndarray:
     bits may differ from the exact (n, k) one. It runs fastest on a
     column-major document matrix, as the embedding gateway returns: `docs.T`
     is then C-contiguous and the product a plain, untransposed gemm. A
-    large product is computed in column blocks on every CPU (`_product`). A
+    large product may run in column blocks on two CPUs (`_product`). A
     document's prediction is certain when its best score beats every other
     by more than `_tie_margin(d)`, (14 d + 16) 2**-53 (4e-13 at d = 256): no
     rounding can then reorder the two products, nor can the clip make two
@@ -199,19 +221,17 @@ def classify(doc_units, def_vecs) -> np.ndarray:
 
 
 def _product(defs: np.ndarray, docs_t: np.ndarray) -> np.ndarray:
-    """`defs @ docs_t`, a (k, n) product, in column blocks on every CPU.
+    """`defs @ docs_t`, a (k, n) product, in column blocks on several CPUs.
 
-    There is a block per `_SPLIT_MULTIPLY_ADDS` multiply-adds, up to one per
-    CPU in the affinity mask (and per column). The calling thread computes
-    the first and the pool the others, each into its own columns of the one
+    There is a block per `_SPLIT_MULTIPLY_ADDS` multiply-adds, up to
+    `_max_blocks()` (and one per column). The calling thread computes the
+    first and the pool the others, each into its own columns of the one
     result array, so a worker allocates no array. Each column's bits may
     differ from those of the unsplit product; `_tie_margin` bounds any
-    evaluation of a dot product, so the certificate holds for both. The
-    gain needs a single-threaded BLAS: with OpenBLAS's own threads on every
-    CPU the unsplit product was 4-16% faster.
+    evaluation of a dot product, so the certificate holds for both.
     """
     (k, d), n = defs.shape, docs_t.shape[1]
-    blocks = min(_cpus(), n * d * k // _SPLIT_MULTIPLY_ADDS, n)
+    blocks = min(_max_blocks(), n * d * k // _SPLIT_MULTIPLY_ADDS, n)
     if blocks < 2:
         return defs @ docs_t
     scores = np.empty((k, n))

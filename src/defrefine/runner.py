@@ -354,6 +354,12 @@ def _run_lock(run_dir: Path) -> Iterator[None]:
         os.close(fd)
 
 
+def _refuse_checkpointed(run_dir: Path) -> None:
+    """A fresh run may not replace one that has checkpointed."""
+    if (run_dir / "state.json").exists():
+        raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
+
+
 def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     """Run (or continue) one refinement loop with crash-safe persistence."""
     if cfg.strategy is None:
@@ -370,6 +376,8 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         if not snapshot_path.exists():
             raise ConfigError(f"cannot resume: missing config snapshot in {run_dir}")
         cfg = RunConfig.from_file(snapshot_path)
+    else:
+        _refuse_checkpointed(run_dir)
 
     # Everything that can reject the config runs before the run directory exists.
     dataset = _load_dataset(cfg)
@@ -380,8 +388,8 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
         run_dir.mkdir(parents=True, exist_ok=True)
         held.enter_context(_run_lock(run_dir))
         if not resume:
-            if state_path.exists():
-                raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
+            # Another run may have checkpointed here while this one set up.
+            _refuse_checkpointed(run_dir)
             _write_json(snapshot_path, cfg.to_snapshot())
 
         saved = None

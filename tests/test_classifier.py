@@ -437,13 +437,13 @@ class _BlockRecorder:
 
 @pytest.fixture
 def split_into(monkeypatch):
-    """Make classify split every product into up to `cpus` column blocks;
+    """Make classify split every product into up to `blocks` column blocks;
     returns the recorder of the blocks the pool computes."""
 
-    def split(cpus):
+    def split(blocks):
         recorder = _BlockRecorder(classifier._workers())
         monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
-        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
+        monkeypatch.setattr(classifier, "_max_blocks", lambda: blocks)
         monkeypatch.setattr(classifier, "_workers", lambda: recorder)
         return recorder
 
@@ -457,8 +457,8 @@ def _assert_exact(units, defs):
 
 class TestSplitProduct:
     """Above `_SPLIT_MULTIPLY_ADDS` per block, classify computes its (k, n)
-    product in column blocks, one per CPU, on the calling thread and the
-    pool. The certificate then covers each block's bits as it covers the
+    product in up to `_max_blocks()` column blocks, on the calling thread and
+    the pool. The certificate then covers each block's bits as it covers the
     unsplit gemm's."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -509,6 +509,40 @@ class TestSplitProduct:
         assert calls == []
         assert recorder.widths == [100, 100] * 3
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+    @pytest.mark.parametrize("one_thread", [True, False])
+    def test_blocks_follow_the_affinity_mask_and_the_blas(self, monkeypatch, one_thread):
+        # The real CPU count: under `taskset -c 0` no block reaches the pool.
+        recorder = _BlockRecorder(classifier._workers())
+        monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
+        monkeypatch.setattr(classifier, "_BLAS_ONE_THREAD", one_thread)
+        monkeypatch.setattr(classifier, "_workers", lambda: recorder)
+        rng = np.random.default_rng(97)
+        docs, defs = swapped_pair(rng, 100, 16, 5, tied=3)
+        _assert_exact(unit_rows(docs, "document"), defs)
+        blocks = min(classifier._MAX_BLOCKS, len(os.sched_getaffinity(0))) if one_thread else 1
+        assert recorder.widths == [50] * (blocks - 1)
+
+    @pytest.mark.parametrize(
+        "env, one_thread",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": " 1 "}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, True),
+            ({"MKL_NUM_THREADS": "1"}, False),
+        ],
+    )
+    def test_one_thread_blas_from_the_environment(self, monkeypatch, env, one_thread):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert classifier._blas_one_thread() is one_thread
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_columns_than_cpus(self, split_into, n):
         recorder = split_into(3)
@@ -547,7 +581,7 @@ class TestSplitProduct:
     def test_forked_child_classifies(self, monkeypatch):
         # The parent's pool threads do not exist in a forked child.
         monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
-        monkeypatch.setattr(classifier, "_cpus", lambda: 2)
+        monkeypatch.setattr(classifier, "_max_blocks", lambda: 2)
         rng = np.random.default_rng(89)
         units = unit_rows(np.asfortranarray(rng.standard_normal((500, 32))), "document")
         defs = rng.standard_normal((8, 32))

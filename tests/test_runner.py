@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -694,9 +695,10 @@ class TestRunLock:
                 time.sleep(0.01)
             capsys.readouterr()
             assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_USAGE
+            assert "run directory in use" in capsys.readouterr().err
+            # A fresh run stops before it sets up: the run has checkpointed.
             assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert err.count("in use") == 2, err
+            assert "run directory already exists" in capsys.readouterr().err
             assert first.poll() is None, "the first process ended before the second started; raise delay_s"
         finally:
             _, first_err = first.communicate(timeout=60)
@@ -716,6 +718,35 @@ class TestRunLock:
         finally:
             os.close(fd)
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+
+    def test_fresh_run_over_a_finished_one_exits_1_before_setting_up(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        # A dataset that no longer loads: the refusal comes before the load.
+        (tmp_path / "data.jsonl").write_text("not json\n")
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert f"run directory already exists: {run_dir}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_run_that_checkpointed_during_set_up_is_kept(self, tmp_path, capsys, monkeypatch):
+        other = _uncut_run(tmp_path, toy_script(2), t_max=2)
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        build_llm = runner.build_llm
+
+        def finish_other_run(cfg):
+            # Another process checkpoints here after this one's first check.
+            shutil.copytree(other, run_dir)
+            return build_llm(cfg)
+
+        monkeypatch.setattr(runner, "build_llm", finish_other_run)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert f"run directory already exists: {run_dir}" in capsys.readouterr().err
+        for path in other.iterdir():
+            assert (run_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_lock_is_released_when_the_run_ends(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2)[:1], t_max=2)
