@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import requests
@@ -9,6 +10,16 @@ import requests
 from .errors import ProviderError
 
 _RETRYABLE_STATUS = {429} | set(range(500, 600))
+
+
+def check_retry_policy(cfg) -> None:
+    """ValueError unless cfg's timeout, retries and backoff_base can drive post_json."""
+    if not 0 < cfg.timeout < math.inf:
+        raise ValueError("timeout must be a finite number > 0")
+    if cfg.retries < 0:
+        raise ValueError("retries must be >= 0")
+    if not 0 <= cfg.backoff_base < math.inf:
+        raise ValueError("backoff_base must be a finite number >= 0")
 
 
 def post_json(session, cfg, body: dict, api_key: str | None, what: str):

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 import requests
 
-from ._http import post_json
+from ._http import check_retry_policy, post_json
 from .classifier import row_norms
 from .errors import ConfigError, ProviderError
 
@@ -60,8 +60,7 @@ class EmbedderConfig:
             raise ValueError("max_batch must be >= 1")
         if self.max_input_chars < 1:
             raise ValueError("max_input_chars must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        check_retry_policy(self)
 
     def prefix_for(self, role: str) -> str:
         if role == ROLE_DOCUMENT:

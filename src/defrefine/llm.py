@@ -1,4 +1,7 @@
-"""Chat-completion gateways: an HTTP provider and a scripted deterministic mock."""
+"""Chat-completion gateways: an HTTP provider and a scripted deterministic mock.
+
+Both answer `complete(prompt, call)`, `call` being the run's 0-based LLM call number, with a `Reply`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from typing import Sequence
 
 import requests
 
-from ._http import post_json
+from ._http import check_retry_policy, post_json
 from .errors import ProviderError, ScriptExhaustedError
 
 log = logging.getLogger(__name__)
@@ -40,8 +43,7 @@ class LlmConfig:
             raise ValueError("sampling_temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        check_retry_policy(self)
 
 
 @dataclass
@@ -56,9 +58,18 @@ class LlmScript:
             raise ValueError("delay_s must be >= 0")
 
 
-class ScriptedLlm:
-    """Plays back a fixed queue of responses.
+@dataclass(frozen=True)
+class Reply:
+    """One LLM reply: its text and the wall time of the request that got it."""
 
+    text: str
+    latency_ms: float
+
+
+class ScriptedLlm:
+    """Plays back a fixed list of responses: reply i answers the run's call i.
+
+    It keeps no position, so a resumed run continues at its saved call count.
     Reported latency is always 0.0 so traces produced with the mock are
     bit-reproducible. An optional real delay per call is available for
     crash-timing tests and never affects the reported latency.
@@ -67,24 +78,15 @@ class ScriptedLlm:
     def __init__(self, responses: Sequence[str], delay_s: float = 0.0):
         self._responses = list(responses)
         self._delay_s = delay_s
-        self.calls = 0
-        self.last_latency_ms = 0.0
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, call: int) -> Reply:
         if not prompt:
             raise ValueError("prompt must be nonempty")
-        if self.calls >= len(self._responses):
+        if call >= len(self._responses):
             raise ScriptExhaustedError("script exhausted")
-        response = self._responses[self.calls]
-        self.calls += 1
         if self._delay_s > 0:
             time.sleep(self._delay_s)
-        self.last_latency_ms = 0.0
-        return response
-
-    def advance(self, n: int) -> None:
-        """Skip n responses without returning them (resume support)."""
-        self.calls += n
+        return Reply(self._responses[call], 0.0)
 
 
 class HttpLlm:
@@ -99,10 +101,8 @@ class HttpLlm:
         self._cfg = cfg
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._session = requests.Session()
-        self.calls = 0
-        self.last_latency_ms = 0.0
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, call: int) -> Reply:
         if not prompt:
             raise ValueError("prompt must be nonempty")
         cfg = self._cfg
@@ -126,7 +126,5 @@ class HttpLlm:
             raise ProviderError("empty llm response")
         if len(text.encode("utf-8")) > MAX_RESPONSE_BYTES:
             raise ProviderError("llm response exceeds size cap")
-        self.calls += 1
-        self.last_latency_ms = latency_ms
-        log.info("llm call completed in %.0f ms (usage=%s)", latency_ms, usage)
-        return text
+        log.info("llm call %d completed in %.0f ms (usage=%s)", call, latency_ms, usage)
+        return Reply(text, latency_ms)

@@ -78,17 +78,14 @@ class StrategyConfig:
 
 @dataclass
 class AnnealingSchedule:
-    """Linear temperature decay from t0 down to t_min over the iteration budget."""
+    """Linear temperature decay from t0 down to t_min over the run's t_max iterations."""
 
     t0: float = 0.1
     t_min: float = 0.01
-    t_max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if not 0 < self.t_min <= self.t0:
             raise ValueError("require 0 < t_min <= t0")
-        if self.t_max_iterations < 1:
-            raise ValueError("t_max_iterations must be >= 1")
 
 
 @dataclass
@@ -186,9 +183,9 @@ def energy_drop(phi_best: float, phi_proposed: float) -> float:
     return phi_best - phi_proposed
 
 
-def temperature(t: int, sched: AnnealingSchedule) -> float:
-    """Annealed temperature at iteration t, floored at t_min."""
-    return max(sched.t_min, sched.t0 * (1 - t / sched.t_max_iterations))
+def temperature(t: int, sched: AnnealingSchedule, t_max: int) -> float:
+    """Annealed temperature at iteration t of t_max >= 1, floored at t_min."""
+    return max(sched.t_min, sched.t0 * (1 - t / t_max))
 
 
 def accept(delta_e: float, temp: float, rng: random.Random) -> bool:
@@ -255,10 +252,11 @@ def initial_definitions(
     mode: str = "minimal",
     llm=None,
     parse_retries: int = 3,
-) -> dict[str, str]:
-    """Starting definition set: a fixed template or an LLM-drafted one."""
+) -> tuple[dict[str, str], int]:
+    """Starting definition set, a fixed template or an LLM-drafted one, and
+    the LLM calls it took: the run's first calls."""
     if mode == "minimal":
-        return {c: MINIMAL_TEMPLATE.format(category=c) for c in categories}
+        return {c: MINIMAL_TEMPLATE.format(category=c) for c in categories}, 0
     if mode != "llm_generated":
         raise ValueError(f"unknown initialization mode {mode!r}")
     if llm is None:
@@ -272,10 +270,10 @@ def initial_definitions(
     lines += [f"- {c}" for c in categories]
     lines += ["", _OUTPUT_INSTRUCTION]
     prompt = "\n".join(lines)
-    definitions, _, _ = _propose(llm, prompt, categories, parse_retries)
+    definitions, calls, _ = _propose(llm, prompt, categories, parse_retries, 0)
     if definitions is None:
         raise DefinitionParseError("could not parse initial definitions after retries")
-    return definitions
+    return definitions, calls
 
 
 def build_prompt(
@@ -360,8 +358,9 @@ def _assemble_feedback(
     return FeedbackBundle(confused_pairs=pairs, confused_samples=samples, history=hist)
 
 
-def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int):
-    """Call the LLM until its reply parses, re-prompting on bad JSON.
+def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, first_call: int):
+    """Call the LLM, from the run's call number first_call on, until its reply
+    parses, re-prompting on bad JSON.
 
     Returns (definitions or None, llm calls made, total latency ms).
     """
@@ -369,11 +368,11 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int):
     latency_ms = 0.0
     current_prompt = prompt
     for _ in range(parse_retries + 1):
-        text = llm.complete(current_prompt)
+        reply = llm.complete(current_prompt, first_call + calls)
         calls += 1
-        latency_ms += getattr(llm, "last_latency_ms", 0.0)
+        latency_ms += reply.latency_ms
         try:
-            return parse_definitions(text, categories), calls, latency_ms
+            return parse_definitions(reply.text, categories), calls, latency_ms
         except DefinitionParseError as exc:
             log.warning("proposal rejected: %s", exc)
             current_prompt = prompt + PARSE_RETRY_NOTICE
@@ -412,6 +411,9 @@ def refine(
     record (`RefinementResult.initial`) of a new state, then each iteration's
     trace record. The state changes in place after each callback returns, so
     a caller that keeps it must copy it, through its record for example.
+
+    `llm.complete`'s call number counts from 0 across the run, the start's
+    draft first; `LoopState.llm_calls` keeps it, so a resume continues it.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -443,13 +445,8 @@ def refine(
     elif initial is not None:
         validate_definitions(initial, categories)
         current = {c: initial[c] for c in categories}
-    elif init_mode == "llm_generated":
-        before = getattr(llm, "calls", None)
-        current = initial_definitions(categories, init_mode, llm, parse_retries)
-        if before is not None:
-            llm_calls = getattr(llm, "calls") - before
     else:
-        current = initial_definitions(categories, init_mode)
+        current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
     vecs_cur = embed(current)
     phi, cm_cur = score_train(vecs_cur)
     dev_cur = score_dev(vecs_cur)
@@ -472,9 +469,9 @@ def refine(
     for t in range(state.iteration + 1, t_max + 1):
         feedback = _assemble_feedback(strategy, dataset, cm_cur, state.history, state.sample_rng)
         prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
-        proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries)
+        proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
         state.llm_calls += calls
-        temp = temperature(t, schedule)
+        temp = temperature(t, schedule, t_max)
 
         phi_prop: float | None = None
         delta_e: float | None = None

@@ -79,17 +79,6 @@ class DatasetConfig:
 
 
 @dataclass
-class ScheduleConfig:
-    """Annealing temperatures; the iteration budget is the run's t_max."""
-
-    t0: float = 0.1
-    t_min: float = 0.01
-
-    def __post_init__(self) -> None:
-        AnnealingSchedule(self.t0, self.t_min)  # ValueError unless 0 < t_min <= t0
-
-
-@dataclass
 class InitConfig:
     mode: Literal["minimal", "llm_generated"] = "minimal"
     definitions_file: Path | None = None
@@ -101,7 +90,7 @@ class RunConfig:
     embedder: EmbedderConfig
     llm: LlmConfig | None = None
     strategy: StrategyConfig | None = None
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    schedule: AnnealingSchedule = field(default_factory=AnnealingSchedule)
     init: InitConfig = field(default_factory=InitConfig)
     seed: int
     t_max: int = 100
@@ -196,16 +185,18 @@ def _parse_mock_endpoint(endpoint: str) -> dict:
                 params[key] = int(value)
             except ValueError as exc:
                 raise ConfigError(f"mock embedder parameter {key!r} must be an int") from exc
+    if params["dim"] < 1:
+        raise ConfigError(f"mock embedder parameter 'dim' must be >= 1, got {params['dim']}")
     return params
 
 
 def build_gateway(cfg: RunConfig) -> EmbeddingGateway:
-    cache = EmbeddingCache(cfg.cache_file or cfg.out_dir / "embedding_cache.bin")
     endpoint = cfg.embedder.endpoint
     if endpoint.startswith("mock:"):
         provider = MockEmbeddingProvider(**_parse_mock_endpoint(endpoint))
     else:
         provider = HttpEmbeddingProvider(cfg.embedder)
+    cache = EmbeddingCache(cfg.cache_file or cfg.out_dir / "embedding_cache.bin")
     return EmbeddingGateway(cfg.embedder, cache, provider)
 
 
@@ -321,7 +312,7 @@ def cmd_baseline(cfg: RunConfig):
         llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
         definitions = _initial_defs(cfg, dataset)
         if definitions is None:
-            definitions = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
+            definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
         test_docs = split_view(dataset, "test")
         if not test_docs:
             raise DataError("baseline evaluation requires a nonempty test split")
@@ -397,8 +388,6 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
             saved = _read_record(LoopState, state_path, "state file")
             _truncate_jsonl(trace_path, TraceRecord, saved.iteration, at_least=saved.iteration)
             _truncate_jsonl(defs_log_path, LogEntry, saved.iteration)
-            if hasattr(llm, "advance"):
-                llm.advance(saved.llm_calls)
 
         # Without a saved state the run starts over, replacing what a run killed
         # before its first state.json left behind.
@@ -447,7 +436,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
                 result = refine(
                     dataset,
                     cfg.strategy,
-                    AnnealingSchedule(cfg.schedule.t0, cfg.schedule.t_min, max(1, cfg.t_max)),
+                    cfg.schedule,
                     gateway,
                     llm,
                     seed=cfg.seed,
@@ -606,6 +595,8 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
 
 def cmd_validate_config(path: str | Path) -> RunConfig:
     cfg = RunConfig.from_file(path)
+    if cfg.embedder.endpoint.startswith("mock:"):
+        _parse_mock_endpoint(cfg.embedder.endpoint)
     for what, file in (
         ("dataset file", cfg.dataset.path),
         ("categories file", cfg.dataset.categories_file),

@@ -98,10 +98,10 @@ def test_criterion_3_boltzmann_statistics():
 
 def test_criterion_4_temperature_schedule():
     with criterion(4, "temperature schedule"):
-        sched = AnnealingSchedule(t0=0.1, t_min=0.01, t_max_iterations=100)
-        assert temperature(0, sched) == 0.1
-        assert temperature(100, sched) == 0.01
-        assert temperature(50, sched) == 0.05
+        sched = AnnealingSchedule(t0=0.1, t_min=0.01)
+        assert temperature(0, sched, 100) == 0.1
+        assert temperature(100, sched, 100) == 0.01
+        assert temperature(50, sched, 100) == 0.05
 
 
 def _running_best(initial_phi, trace):
@@ -119,7 +119,7 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
         t_max = 50
         dataset = separable_dataset()
         strategy = StrategyConfig("m3", k_confused=2, m_history=3)
-        sched = AnnealingSchedule(t_max_iterations=t_max)
+        sched = AnnealingSchedule()
         script = [json.dumps(junk_definitions(i)) for i in range(1, t_max + 1)]
 
         def run(llm):
@@ -151,7 +151,7 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
                 assert r.definitions_hash == prev_hash
 
         # A fixed-point script (proposals equal to current) yields a constant trace.
-        fixed = initial_definitions(dataset.categories, "minimal")
+        fixed, _ = initial_definitions(dataset.categories, "minimal")
         fixed_result = run(ScriptedLlm([json.dumps(fixed)] * t_max))
         assert all(r.accepted for r in fixed_result.trace)
         assert all(r.delta_e == 0.0 for r in fixed_result.trace)
@@ -192,7 +192,7 @@ def test_criterion_6_synthetic_end_to_end():
         result = refine(
             dataset,
             StrategyConfig("m3", k_confused=2, m_history=2),
-            AnnealingSchedule(t_max_iterations=t_max),
+            AnnealingSchedule(),
             mock_gateway(),
             ScriptedLlm(script),
             seed=5,

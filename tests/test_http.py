@@ -4,7 +4,7 @@ import pytest
 import requests
 
 from defrefine import _http
-from defrefine._http import post_json
+from defrefine._http import check_retry_policy, post_json
 from defrefine.embeddings import EmbedderConfig
 from defrefine.errors import ProviderError
 from defrefine.llm import LlmConfig
@@ -124,3 +124,29 @@ def test_request_shape(clock, api_key, headers):
     post_json(session, cfg, {"x": 1}, api_key, "embedding")
     sent = {"json": {"x": 1}, "headers": headers, "timeout": cfg.timeout}
     assert session.posts == [(cfg.endpoint, sent)]
+
+
+@pytest.mark.parametrize("what", ["embedding", "llm"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param({"timeout": 0}, "timeout", id="timeout-zero"),
+        pytest.param({"timeout": -1.5}, "timeout", id="timeout-negative"),
+        pytest.param({"timeout": float("nan")}, "timeout", id="timeout-nan"),
+        pytest.param({"timeout": float("inf")}, "timeout", id="timeout-infinite"),
+        pytest.param({"retries": -1}, "retries", id="retries-negative"),
+        pytest.param({"backoff_base": -1}, "backoff_base", id="backoff-negative"),
+        pytest.param({"backoff_base": float("nan")}, "backoff_base", id="backoff-nan"),
+    ],
+)
+def test_retry_policy_out_of_bounds_is_refused_by_both_configs(what, bad, message):
+    config = EmbedderConfig if what == "embedding" else LlmConfig
+    with pytest.raises(ValueError, match=message):
+        config(endpoint="http://stub/v1", model_id="m", **bad)
+
+
+@pytest.mark.parametrize("what", ["embedding", "llm"])
+def test_retry_policy_bounds_are_inclusive_where_post_json_allows(what):
+    config = EmbedderConfig if what == "embedding" else LlmConfig
+    cfg = config(endpoint="http://stub/v1", model_id="m", timeout=0.001, retries=0, backoff_base=0)
+    check_retry_policy(cfg)

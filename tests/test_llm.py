@@ -1,41 +1,45 @@
 """Scripted mock contract and the chat-completions wire format."""
 
 import json
+import logging
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from defrefine.errors import ProviderError, ScriptExhaustedError
-from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, ScriptedLlm
+from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, Reply, ScriptedLlm
 
 
 class TestScriptedLlm:
     def test_plays_back_in_order(self):
         llm = ScriptedLlm(["A", "B"])
-        assert llm.complete("p") == "A"
-        assert llm.complete("p") == "B"
-        assert llm.calls == 2
+        assert llm.complete("p", 0).text == "A"
+        assert llm.complete("p", 1).text == "B"
 
     def test_exhaustion(self):
         llm = ScriptedLlm(["only"])
-        llm.complete("p")
+        llm.complete("p", 0)
         with pytest.raises(ScriptExhaustedError, match="script exhausted"):
-            llm.complete("p")
+            llm.complete("p", 1)
+        assert llm.complete("p", 0).text == "only"
 
-    def test_advance_skips_responses(self):
+    def test_replies_follow_the_call_number_out_of_order(self):
         llm = ScriptedLlm(["A", "B", "C"])
-        llm.advance(2)
-        assert llm.complete("p") == "C"
+        assert [llm.complete("p", call).text for call in (2, 0, 1, 2, 0)] == ["C", "A", "B", "C", "A"]
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            ScriptedLlm(["A"]).complete("")
+            ScriptedLlm(["A"]).complete("", 0)
 
-    def test_reported_latency_is_fixed(self):
-        llm = ScriptedLlm(["A"], delay_s=0.0)
-        llm.complete("p")
-        assert llm.last_latency_ms == 0.0
+    @pytest.mark.parametrize("delay_s", [0.0, 0.02])
+    def test_reported_latency_is_fixed(self, delay_s):
+        llm = ScriptedLlm(["A"], delay_s=delay_s)
+        started = time.monotonic()
+        reply = llm.complete("p", 0)
+        assert time.monotonic() - started >= delay_s
+        assert reply == Reply("A", 0.0)
 
 
 class _ChatHttp(BaseHTTPRequestHandler):
@@ -89,8 +93,8 @@ def _cfg(endpoint, **kwargs):
 class TestHttpLlm:
     def test_wire_format_and_temperature(self, chat_server):
         llm = HttpLlm(_cfg(chat_server, sampling_temperature=1.0, max_output_tokens=256), api_key="")
-        text = llm.complete("revise these")
-        assert text == '{"ok": true}'
+        reply = llm.complete("revise these", 0)
+        assert reply.text == '{"ok": true}'
         body = _ChatHttp.bodies[0]
         assert body["model"] == "chat-model"
         assert body["temperature"] == 1.0
@@ -98,30 +102,40 @@ class TestHttpLlm:
         assert body["messages"][0] == {"role": "system", "content": DEFAULT_SYSTEM_MESSAGE}
         # The prompt passes through verbatim.
         assert body["messages"][1] == {"role": "user", "content": "revise these"}
-        assert llm.last_latency_ms >= 0.0
+        assert reply.latency_ms >= 0.0
+
+    def test_reply_and_log_line_name_the_call(self, chat_server, caplog):
+        llm = HttpLlm(_cfg(chat_server), api_key="")
+        with caplog.at_level(logging.INFO, logger="defrefine.llm"):
+            reply = llm.complete("p", 7)
+        assert isinstance(reply, Reply)
+        assert reply.text == '{"ok": true}'
+        assert reply.latency_ms >= 0.0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "defrefine.llm"]
+        assert line.startswith("llm call 7 completed in ")
 
     def test_retries_then_succeeds(self, chat_server):
         _ChatHttp.statuses = [503]
         llm = HttpLlm(_cfg(chat_server, retries=2), api_key="")
-        assert llm.complete("p") == '{"ok": true}'
+        assert llm.complete("p", 0).text == '{"ok": true}'
         assert len(_ChatHttp.bodies) == 2
 
     def test_unreachable_after_retries(self):
         llm = HttpLlm(_cfg("http://127.0.0.1:9/none", retries=1, timeout=0.2), api_key="")
         with pytest.raises(ProviderError, match="unreachable after 2 attempts"):
-            llm.complete("p")
+            llm.complete("p", 0)
 
     def test_empty_response_rejected(self, chat_server):
         _ChatHttp.reply_text = ""
         llm = HttpLlm(_cfg(chat_server), api_key="")
         with pytest.raises(ProviderError, match="empty"):
-            llm.complete("p")
+            llm.complete("p", 0)
 
     def test_size_cap(self, chat_server):
         _ChatHttp.reply_text = "x" * (MAX_RESPONSE_BYTES + 1)
         llm = HttpLlm(_cfg(chat_server), api_key="")
         with pytest.raises(ProviderError, match="size cap"):
-            llm.complete("p")
+            llm.complete("p", 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from defrefine.embeddings import EmbedderConfig
 from defrefine.errors import ConfigError, DataError
 from defrefine.llm import LlmConfig, LlmScript
 from defrefine.records import from_json, to_json
-from defrefine.refinement import HistoryEntry, InitialRecord, LoopState, StrategyConfig, TraceRecord
-from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ResultRecord, RunConfig, ScheduleConfig
+from defrefine.refinement import AnnealingSchedule, HistoryEntry, InitialRecord, LoopState, StrategyConfig, TraceRecord
+from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ResultRecord, RunConfig
 from defrefine.seeding import make_rng
 
 DEFS = {"alpha": "About alpha.", "beta": "About beta."}
@@ -35,7 +35,7 @@ RECORDS = [
             embedder=EmbedderConfig("mock:dim=8,seed=0", "mock-embed", definition_prefix="query: "),
             llm=LlmConfig("script:/data/script.json", "scripted", timeout=90),
             strategy=StrategyConfig("m2", k_confused=4, m_history=1),
-            schedule=ScheduleConfig(0.5, 0.05),
+            schedule=AnnealingSchedule(0.5, 0.05),
             init=InitConfig("llm_generated", Path("/data/defs.json")),
             seed=7,
             out_dir=Path("/runs"),

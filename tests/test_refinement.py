@@ -11,7 +11,7 @@ from defrefine.corpus import Document, split_view
 from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
-from defrefine.llm import ScriptedLlm
+from defrefine.llm import Reply, ScriptedLlm
 from defrefine.records import from_json, to_json
 from defrefine.refinement import (
     AnnealingSchedule,
@@ -44,17 +44,23 @@ class RecordingLlm:
     def __init__(self, responses):
         self.inner = ScriptedLlm(responses)
         self.prompts = []
-        self.last_latency_ms = 0.0
 
-    @property
-    def calls(self):
-        return self.inner.calls
-
-    def complete(self, prompt):
+    def complete(self, prompt, call):
         self.prompts.append(prompt)
-        out = self.inner.complete(prompt)
-        self.last_latency_ms = self.inner.last_latency_ms
-        return out
+        return self.inner.complete(prompt, call)
+
+
+class CallOnlyLlm:
+    """The bare client contract: `complete` and nothing else. Reply `call`
+    takes `call` ms, so the trace shows which calls an iteration made."""
+
+    def __init__(self, responses, calls):
+        self._responses = responses
+        self._calls = calls
+
+    def complete(self, prompt, call):
+        self._calls.append(call)
+        return Reply(self._responses[call], float(call))
 
 
 def _feedback_m1():
@@ -75,20 +81,22 @@ def _feedback_m2():
 
 class TestInitialDefinitions:
     def test_minimal_template(self):
-        defs = initial_definitions(["Food"], "minimal")
+        defs, calls = initial_definitions(["Food"], "minimal")
         assert defs == {"Food": "A webpage about Food."}
+        assert calls == 0
 
     def test_minimal_distinct_per_category(self):
         cats = [f"c{i}" for i in range(10)]
-        defs = initial_definitions(cats, "minimal")
+        defs, _ = initial_definitions(cats, "minimal")
         assert len(defs) == 10
         assert len(set(defs.values())) == 10
 
     def test_llm_generated_roundtrip(self):
         scripted = {"Food": "meals", "Health": "care"}
         llm = ScriptedLlm([json.dumps(scripted)])
-        defs = initial_definitions(["Food", "Health"], "llm_generated", llm)
+        defs, calls = initial_definitions(["Food", "Health"], "llm_generated", llm)
         assert defs == scripted
+        assert calls == 1
 
     def test_llm_generated_requires_llm(self):
         with pytest.raises(ValueError):
@@ -98,7 +106,7 @@ class TestInitialDefinitions:
         llm = RecordingLlm(["bad", "still bad", "nope"])
         with pytest.raises(DefinitionParseError):
             initial_definitions(["Food"], "llm_generated", llm, parse_retries=2)
-        assert llm.calls == 3
+        assert len(llm.prompts) == 3
         assert "not valid JSON" in llm.prompts[1]
         assert "not valid JSON" not in llm.prompts[0]
 
@@ -227,21 +235,19 @@ class TestEnergyAndSchedule:
         assert energy_drop(0.60, 0.75) == pytest.approx(-0.15)
 
     def test_temperature_endpoints_and_midpoint(self):
-        sched = AnnealingSchedule(t0=0.1, t_min=0.01, t_max_iterations=100)
-        assert temperature(0, sched) == 0.1
-        assert temperature(100, sched) == 0.01
-        assert temperature(50, sched) == 0.05
+        sched = AnnealingSchedule(t0=0.1, t_min=0.01)
+        assert temperature(0, sched, 100) == 0.1
+        assert temperature(100, sched, 100) == 0.01
+        assert temperature(50, sched, 100) == 0.05
 
     def test_temperature_clamps_at_floor(self):
-        sched = AnnealingSchedule(t0=0.1, t_min=0.01, t_max_iterations=10)
-        assert temperature(10, sched) == 0.01
-        assert temperature(9, sched) == pytest.approx(0.01, abs=1e-12)
+        sched = AnnealingSchedule(t0=0.1, t_min=0.01)
+        assert temperature(10, sched, 10) == 0.01
+        assert temperature(9, sched, 10) == pytest.approx(0.01, abs=1e-12)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             AnnealingSchedule(t0=0.01, t_min=0.1)
-        with pytest.raises(ValueError):
-            AnnealingSchedule(t_max_iterations=0)
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -291,7 +297,7 @@ def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=Non
     result = refine(
         dataset,
         strategy,
-        AnnealingSchedule(t_max_iterations=max(1, t_max)),
+        AnnealingSchedule(),
         mock_gateway(),
         llm,
         seed=seed,
@@ -403,13 +409,13 @@ class TestRefineLoop:
             # The state is live: keep a copy of it.
             checkpoints.setdefault(record.iteration, from_json(LoopState, to_json(state), "state", ValueError))
 
-        def run(llm_script, resume=None):
+        def run(resume=None):
             return refine(
                 separable_dataset(),
                 strategy,
-                AnnealingSchedule(t_max_iterations=len(script)),
+                AnnealingSchedule(),
                 mock_gateway(),
-                ScriptedLlm(llm_script),
+                ScriptedLlm(script),
                 seed=7,
                 t_max=len(script),
                 parse_retries=0,
@@ -417,10 +423,10 @@ class TestRefineLoop:
                 resume=resume,
             )
 
-        result = run(script)
+        result = run()
         if resume_after is not None:
             embedded.clear()
-            result = run(script[resume_after:], checkpoints[resume_after])
+            result = run(checkpoints[resume_after])
         proposals = [json.loads(reply) for reply in script[resume_after or 0 :] if reply != "not json"]
         assert result.trace[-1].accepted and result.best_definitions != proposals[-1]
         assert embedded[1:-1] == proposals
@@ -440,14 +446,12 @@ class TestRefineLoop:
             saved.setdefault(record.iteration, json.dumps(to_json(state)))
 
         def run(resume=None):
-            llm = ScriptedLlm(script)
-            llm.advance(resume.llm_calls if resume else 0)
             return refine(
                 separable_dataset(),
                 StrategyConfig(name, k_confused=2, m_history=2),
-                AnnealingSchedule(t_max_iterations=t_max),
+                AnnealingSchedule(),
                 mock_gateway(),
-                llm,
+                ScriptedLlm(script),
                 seed=7,
                 t_max=t_max,
                 parse_retries=0,
@@ -461,6 +465,51 @@ class TestRefineLoop:
         for abort in range(t_max + 1):
             state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
             resumed = run(state)
+            assert resumed.trace == full.trace[abort:]
+            assert resumed.best_definitions == full.best_definitions
+            assert resumed.phi_best_train == full.phi_best_train
+            assert json.dumps(to_json(state)) == saved[t_max]
+
+    @pytest.mark.parametrize("name", ["m1", "m3"])
+    def test_llm_generated_start_resumes_from_every_iteration(self, name):
+        # A client with nothing but `complete` drafts the start, with a parse
+        # retry, and is resumed in-process from every checkpoint: the state
+        # counts the draft's calls, and a resumed run asks for the calls after.
+        drafted = {c: f"drafted definition of {c}" for c in TOY_CATEGORIES}
+        script = ["not json", json.dumps(drafted), json.dumps(junk_definitions(1))]
+        script += ["not json", json.dumps(ideal_definitions()), json.dumps(junk_definitions(4))]
+        t_max = 3
+        saved = {}
+
+        def save(record, state):
+            saved.setdefault(record.iteration, json.dumps(to_json(state)))
+
+        def run(calls, resume=None):
+            return refine(
+                separable_dataset(),
+                StrategyConfig(name, k_confused=2, m_history=2),
+                AnnealingSchedule(),
+                mock_gateway(),
+                CallOnlyLlm(script, calls),
+                seed=7,
+                t_max=t_max,
+                init_mode="llm_generated",
+                parse_retries=1,
+                on_iteration=save,
+                resume=resume,
+            )
+
+        calls = []
+        full = run(calls)
+        assert calls == list(range(len(script)))
+        assert full.initial.definitions == drafted
+        assert [r.llm_latency_ms for r in full.trace] == [2.0, 3.0 + 4.0, 5.0]
+        assert [json.loads(saved[t])["llm_calls"] for t in range(t_max + 1)] == [2, 3, 5, 6]
+        for abort in range(t_max + 1):
+            state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
+            calls = []
+            resumed = run(calls, state)
+            assert calls == list(range(json.loads(saved[abort])["llm_calls"], len(script)))
             assert resumed.trace == full.trace[abort:]
             assert resumed.best_definitions == full.best_definitions
             assert resumed.phi_best_train == full.phi_best_train
@@ -509,7 +558,7 @@ class TestRefineLoop:
     def test_parse_retry_reprompts_with_notice(self):
         llm = RecordingLlm(["garbage", json.dumps(junk_definitions(1))])
         result, _ = _run([], t_max=1, parse_retries=1, llm=llm)
-        assert llm.calls == 2
+        assert len(llm.prompts) == 2
         assert llm.prompts[1].endswith("Respond with only the JSON object.")
         assert result.trace[0].accepted is True
 
@@ -559,7 +608,7 @@ class TestRefineLoop:
 
     def test_fixed_point_script_constant_trace(self):
         dataset = separable_dataset()
-        fixed = initial_definitions(dataset.categories, "minimal")
+        fixed, _ = initial_definitions(dataset.categories, "minimal")
         script = [json.dumps(fixed)] * 6
         result, _ = _run(script, dataset=dataset)
         hashes = {r.definitions_hash for r in result.trace}

@@ -288,6 +288,23 @@ class TestConfig:
             pytest.param({"schedule": {"t0": 0.01, "t_min": 0.1}}, "schedule", id="t0-below-t_min"),
             pytest.param({"t_maxx": 5}, "t_maxx", id="unknown-key"),
             pytest.param({"strategy": {"strategy": "m1"}}, "strategy.strategy", id="unknown-nested-key"),
+            # Retry-policy bounds and mock parameters that only a first request
+            # or the provider's constructor used to reject.
+            pytest.param(
+                {"embedder": {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed", "timeout": 0}},
+                "timeout",
+                id="embedder-timeout-zero",
+            ),
+            pytest.param(
+                {"llm": {"endpoint": "script:script.json", "model_id": "scripted", "backoff_base": -1}},
+                "backoff_base",
+                id="llm-backoff-negative",
+            ),
+            pytest.param(
+                {"embedder": {"endpoint": "mock:dim=0,seed=0", "model_id": "mock-embed"}},
+                "dim",
+                id="mock-dim-zero",
+            ),
         ],
     )
     def test_malformed_config_stops_before_the_run(self, tmp_path, capsys, extra, key):
@@ -610,11 +627,11 @@ class TestWriter:
         calls = [0]
         overlapped = []
 
-        def counting_complete(self, prompt):
+        def counting_complete(self, prompt, call):
             with called:
                 calls[0] += 1
                 called.notify_all()
-            return complete(self, prompt)
+            return complete(self, prompt, call)
 
         def waiting_fsync(fd):
             # The record of iteration t is synced while the loop asks for t + 1.
@@ -636,9 +653,9 @@ class TestWriter:
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
         complete, calls = ScriptedLlm.complete, []
 
-        def counting_complete(self, prompt):
+        def counting_complete(self, prompt, call):
             calls.append(prompt)
-            return complete(self, prompt)
+            return complete(self, prompt, call)
 
         with monkeypatch.context() as patched:
             patched.setattr(os, "fsync", _fsync_failing_on_call(3))
@@ -960,8 +977,8 @@ class TestRefineRuns:
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
-        # The drafting call consumes one script entry before iteration 1, so a
-        # resume must fast-forward the script past init plus completed steps.
+        # The drafting call is the run's call 0, before iteration 1, so a
+        # resume continues the script after the draft and the completed steps.
         drafted = {c: f"drafted definition of {c}" for c in TOY_CATEGORIES}
         full_script = [json.dumps(drafted)] + toy_script(5, ideal_at=3)
         extra = {"init": {"mode": "llm_generated"}}
@@ -983,6 +1000,23 @@ class TestRefineRuns:
         run_b = run_dir_for(RunConfig.from_file(cfg_b), "refine")
         assert (run_a / "trace.jsonl").read_bytes() == (run_b / "trace.jsonl").read_bytes()
         assert (run_a / "result.json").read_bytes() == (run_b / "result.json").read_bytes()
+
+    def test_resume_over_a_retry_policy_out_of_bounds_stops_with_one_error(self, tmp_path, capsys):
+        # A snapshot written before the bounds were checked at load may hold one.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:2], t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        snapshot = json.loads((run_dir / "config.json").read_text())
+        snapshot["llm"]["backoff_base"] = -1
+        (run_dir / "config.json").write_text(json.dumps(snapshot, indent=2) + "\n")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "backoff_base" in errors[0], err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_foreign_cache_file_stops_the_run(self, tmp_path, capsys):
         legacy = tmp_path / "embedding_cache.jsonl"
