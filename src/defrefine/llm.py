@@ -6,6 +6,7 @@ Both answer `complete(prompt, call)`, `call` being the run's 0-based LLM call nu
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ class LlmScript:
     delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
+        if not 0 <= self.delay_s < math.inf:
+            raise ValueError("delay_s must be a finite number >= 0")
 
 
 @dataclass(frozen=True)

@@ -379,11 +379,37 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, fi
     return None, calls, latency_ms
 
 
+class Splits:
+    """A dataset's splits as unit rows on one gateway, each embedded once.
+
+    `embedded(split)` embeds a split's documents the first time it is asked
+    for them, normalises the rows in place, and keeps them only if that
+    succeeded, so a provider error leaves the split to be fetched again. The
+    rows keep the gateway's column-major layout. Every caller shares the same
+    arrays and only reads them.
+    """
+
+    def __init__(self, dataset: Dataset, gateway: EmbeddingGateway):
+        self.dataset = dataset
+        self.gateway = gateway
+        self._embedded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def embedded(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """The split's documents as unit rows, and their gold category indices."""
+        found = self._embedded.get(split)
+        if found is None:
+            docs = split_view(self.dataset, split)
+            vectors = self.gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT)
+            index = self.dataset.category_index
+            found = unit_rows(vectors, "document", in_place=True), np.array([index[d.label] for d in docs])
+            self._embedded[split] = found
+        return found
+
+
 def refine(
-    dataset: Dataset,
+    splits: Splits,
     strategy: StrategyConfig,
     schedule: AnnealingSchedule,
-    gateway: EmbeddingGateway,
     llm,
     seed: int,
     t_max: int,
@@ -403,7 +429,8 @@ def refine(
     tracking. A proposal whose replies never parse is treated as rejected
     with no state change. Each definition set is scored once per split: the
     current set's train confusion matrix and dev metrics are kept until a
-    proposal replaces it.
+    proposal replaces it. The documents, their dataset and the gateway come
+    from `splits`; a split it already holds is not embedded again.
 
     The loop state is `resume`, or a new one at iteration 0. `on_iteration`
     receives a record and the state, which fully determines the rest of the
@@ -419,18 +446,17 @@ def refine(
         raise ValueError("t_max must be >= 0")
     if llm is None:
         raise ValueError("refine requires an llm gateway")
+    dataset = splits.dataset
     categories = list(dataset.categories)
     if len(categories) < 2:
         raise DataError("refinement requires at least 2 categories")
-    train_docs = split_view(dataset, "train")
-    dev_docs = split_view(dataset, "dev")
-    if not train_docs or not dev_docs:
+    if not split_view(dataset, "train") or not split_view(dataset, "dev"):
         raise DataError("refinement requires nonempty train and dev splits")
-    train_units, gold_train = embed_split(gateway, dataset, train_docs)
-    dev_units, gold_dev = embed_split(gateway, dataset, dev_docs)
+    train_units, gold_train = splits.embedded("train")
+    dev_units, gold_dev = splits.embedded("dev")
 
     def embed(defs: Mapping[str, str]) -> np.ndarray:
-        return gateway.embed_definitions(defs, categories)
+        return splits.gateway.embed_definitions(defs, categories)
 
     def score_train(def_vecs: np.ndarray) -> tuple[float, ConfusionMatrix]:
         report, cm = score(def_vecs, categories, train_units, gold_train)
@@ -514,11 +540,10 @@ def refine(
 
     vecs_best = vecs_cur if state.best == state.current else embed(state.best)
     dev_metrics = dev_best if dev_best is not None else score_dev(vecs_best)
-    test_docs = split_view(dataset, "test")
     test_metrics = None
     test_cm = None
-    if test_docs:
-        test_metrics, test_cm = score(vecs_best, categories, *embed_split(gateway, dataset, test_docs))
+    if split_view(dataset, "test"):
+        test_metrics, test_cm = score(vecs_best, categories, *splits.embedded("test"))
 
     return RefinementResult(
         best_definitions=dict(state.best),
@@ -529,14 +554,4 @@ def refine(
         test_metrics=test_metrics,
         test_confusion=test_cm,
     )
-
-
-def embed_split(
-    gateway: EmbeddingGateway, dataset: Dataset, docs: Sequence[Document]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A split's documents as unit rows, normalised once and in place, and
-    their gold category indices."""
-    vectors = gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT)
-    index = dataset.category_index
-    return unit_rows(vectors, "document", in_place=True), np.array([index[d.label] for d in docs])
 

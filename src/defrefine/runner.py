@@ -26,7 +26,7 @@ import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterator, Literal, Sequence
 
@@ -48,9 +48,9 @@ from .refinement import (
     InitialRecord,
     LoopState,
     RefinementResult,
+    Splits,
     StrategyConfig,
     TraceRecord,
-    embed_split,
     initial_definitions,
     refine,
     validate_definitions,
@@ -200,16 +200,22 @@ def build_gateway(cfg: RunConfig) -> EmbeddingGateway:
     return EmbeddingGateway(cfg.embedder, cache, provider)
 
 
+def _read_script(endpoint: str) -> LlmScript:
+    """The LLM script file a `script:` endpoint names; ConfigError naming the
+    file if it holds none."""
+    script_path = Path(endpoint[len(SCRIPT_PREFIX) :])
+    payload = _read_json(script_path, "llm script file")
+    if isinstance(payload, list):
+        payload = {"responses": payload}
+    return from_json(LlmScript, payload, f"llm script file {script_path}", ConfigError)
+
+
 def build_llm(cfg: RunConfig):
     if cfg.llm is None:
         return None
     endpoint = cfg.llm.endpoint
     if endpoint.startswith(SCRIPT_PREFIX):
-        script_path = Path(endpoint[len(SCRIPT_PREFIX) :])
-        payload = _read_json(script_path, "llm script file")
-        if isinstance(payload, list):
-            payload = {"responses": payload}
-        script = from_json(LlmScript, payload, f"llm script file {script_path}", ConfigError)
+        script = _read_script(endpoint)
         return ScriptedLlm(script.responses, delay_s=script.delay_s)
     return HttpLlm(cfg.llm)
 
@@ -304,6 +310,26 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return load_dataset(d.path, d.format, categories_path=d.categories_file, name=d.name)
 
 
+@dataclass
+class RunInputs:
+    """What a refinement builds from its config before it makes its run
+    directory. Sweep cells share one: they differ only in strategy and seed,
+    which none of this reads, and neither LLM client keeps state between calls."""
+
+    splits: Splits
+    llm: ScriptedLlm | HttpLlm
+    initial: dict[str, str] | None
+
+
+@contextmanager
+def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
+    """The run inputs of cfg, with the embedding store open until the block ends."""
+    dataset = _load_dataset(cfg)
+    gateway = build_gateway(cfg)
+    with closing(gateway.cache):
+        yield RunInputs(Splits(dataset, gateway), build_llm(cfg), _initial_defs(cfg, dataset))
+
+
 def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
     dataset = _load_dataset(cfg)
@@ -313,10 +339,9 @@ def cmd_baseline(cfg: RunConfig):
         definitions = _initial_defs(cfg, dataset)
         if definitions is None:
             definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
-        test_docs = split_view(dataset, "test")
-        if not test_docs:
+        if not split_view(dataset, "test"):
             raise DataError("baseline evaluation requires a nonempty test split")
-        test_units, gold = embed_split(gateway, dataset, test_docs)
+        test_units, gold = Splits(dataset, gateway).embedded("test")
         def_vecs = gateway.embed_definitions(definitions, dataset.categories)
         report, cm = score(def_vecs, dataset.categories, test_units, gold)
 
@@ -351,8 +376,11 @@ def _refuse_checkpointed(run_dir: Path) -> None:
         raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
 
 
-def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
-    """Run (or continue) one refinement loop with crash-safe persistence."""
+def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = None) -> RefinementResult:
+    """Run (or continue) one refinement loop with crash-safe persistence.
+
+    A fresh run may be given `inputs` set up from cfg (a sweep's cells share
+    them); otherwise it sets up its own and closes the store it opened."""
     if cfg.strategy is None:
         raise ConfigError("refine requires a strategy config")
     if cfg.llm is None:
@@ -370,12 +398,11 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
     else:
         _refuse_checkpointed(run_dir)
 
-    # Everything that can reject the config runs before the run directory exists.
-    dataset = _load_dataset(cfg)
-    gateway = build_gateway(cfg)
-    with closing(gateway.cache), ExitStack() as held:
-        llm = build_llm(cfg)
-        initial = _initial_defs(cfg, dataset)
+    with ExitStack() as held:
+        # Everything that can reject the config runs before the run directory exists.
+        if inputs is None:
+            inputs = held.enter_context(_set_up(cfg))
+        dataset = inputs.splits.dataset
         run_dir.mkdir(parents=True, exist_ok=True)
         held.enter_context(_run_lock(run_dir))
         if not resume:
@@ -434,15 +461,14 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
 
             try:
                 result = refine(
-                    dataset,
+                    inputs.splits,
                     cfg.strategy,
                     cfg.schedule,
-                    gateway,
-                    llm,
+                    inputs.llm,
                     seed=cfg.seed,
                     t_max=cfg.t_max,
                     init_mode=cfg.init.mode,
-                    initial=initial,
+                    initial=inputs.initial,
                     parse_retries=cfg.parse_retries,
                     sample_char_cap=cfg.sample_char_cap,
                     on_iteration=on_iteration,
@@ -471,7 +497,12 @@ def cmd_refine(cfg: RunConfig, resume: bool = False) -> RefinementResult:
 
 
 def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
-    """Run one refinement per (k, m) cell with a derived sub-seed per cell."""
+    """Run one refinement per (k, m) cell with a derived sub-seed per cell.
+
+    The cells share one set-up, so a bad dataset, store, script or
+    definitions file stops the sweep before the first cell. A provider, parse
+    or data error fails only its cell; a split whose embedding failed is
+    embedded again by the next cell."""
     if cfg.strategy is None:
         raise ConfigError("sweep requires a strategy config")
     if not k_values or not m_values:
@@ -480,8 +511,8 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     if bad:
         raise ConfigError(f"grid values must be in 1..5, got {bad}")
     cells = []
-    for k in k_values:
-        for m in m_values:
+    with _set_up(cfg) as inputs:
+        for k, m in product(k_values, m_values):
             cell_seed = derive_seed(cfg.seed, f"cell-k{k}-m{m}")
             cell_cfg = dataclasses.replace(
                 cfg,
@@ -490,7 +521,7 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
             )
             cell = {"k": k, "m": m, "seed": cell_seed}
             try:
-                result = cmd_refine(cell_cfg)
+                result = cmd_refine(cell_cfg, inputs=inputs)
                 cell["phi_best_train"] = result.phi_best_train
                 cell["run_dir"] = run_dir_for(cell_cfg, "refine").name
             except (ProviderError, DefinitionParseError, DataError) as exc:
@@ -604,6 +635,8 @@ def cmd_validate_config(path: str | Path) -> RunConfig:
     ):
         if file is not None and not file.exists():
             raise ConfigError(f"{what} not found: {file}")
+    if cfg.llm is not None and cfg.llm.endpoint.startswith(SCRIPT_PREFIX):
+        _read_script(cfg.llm.endpoint)
     print("config OK")
     return cfg
 

@@ -26,6 +26,7 @@ from defrefine.llm import ScriptedLlm
 from defrefine.records import to_json
 from defrefine.refinement import (
     AnnealingSchedule,
+    Splits,
     StrategyConfig,
     accept,
     initial_definitions,
@@ -124,7 +125,7 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
 
         def run(llm):
             return refine(
-                dataset, strategy, sched, mock_gateway(), llm,
+                Splits(dataset, mock_gateway()), strategy, sched, llm,
                 seed=33, t_max=t_max, parse_retries=0,
             )
 
@@ -190,10 +191,9 @@ def test_criterion_6_synthetic_end_to_end():
         script.append(json.dumps(ideal))
         script += [json.dumps(junk_definitions(i)) for i in range(5, t_max)]
         result = refine(
-            dataset,
+            Splits(dataset, mock_gateway()),
             StrategyConfig("m3", k_confused=2, m_history=2),
             AnnealingSchedule(),
-            mock_gateway(),
             ScriptedLlm(script),
             seed=5,
             t_max=t_max,

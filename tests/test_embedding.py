@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import re
 import shutil
 import threading
@@ -246,8 +247,8 @@ class TestStore:
 class _RecordingMock(MockEmbeddingProvider):
     """The mock provider, recording every text it is asked to embed."""
 
-    def __init__(self, dim: int = 8):
-        super().__init__(dim)
+    def __init__(self, dim: int = 8, seed: int = 0):
+        super().__init__(dim, seed)
         self.texts: list[str] = []
 
     def embed_batch(self, texts):
@@ -615,6 +616,72 @@ class TestServedFromDisk:
         assert _open_fds() == before + 1
         cache.close()
         assert _open_fds() == before
+
+
+class TestStoreDamage:
+    """Seeded random damage, as a property: each text comes back with the
+    exact bytes it was stored with, or is fetched again; never as another
+    vector. The provider of the damaged store has another seed, so a fetched
+    row tells itself apart from a stored one."""
+
+    TEXTS = [f"text {i}" for i in range(12)]
+    TRIALS = 300
+
+    @staticmethod
+    def _damage(path, rng) -> None:
+        """One to three byte flips or truncations, each past the store magic."""
+        with open(path, "r+b") as fh:
+            for _ in range(rng.randint(1, 3)):
+                size = os.fstat(fh.fileno()).st_size
+                if size <= len(STORE_MAGIC):
+                    return
+                at = rng.randrange(len(STORE_MAGIC), size)
+                if rng.random() < 0.25:
+                    fh.truncate(at)
+                    continue
+                fh.seek(at)
+                byte = fh.read(1)[0]
+                fh.seek(at)
+                fh.write(bytes([byte ^ rng.randrange(1, 256)]))
+
+    @pytest.mark.parametrize("when", ["before-open", "after-open"])
+    def test_random_damage_never_serves_another_vector(self, tmp_path, when):
+        # "after-open" damages the store under a gateway that holds it open,
+        # as a sweep does between its cells, after a read in half the trials.
+        rng = random.Random(f"store-damage-{when}")
+        path = tmp_path / "cache.bin"
+        writer = _three_batch_gateway(path, MockEmbeddingProvider(8))
+        writer.embed_texts(self.TEXTS, "document")
+        writer.cache.close()
+        pristine = path.read_bytes()
+        stored = MockEmbeddingProvider(8).embed_batch(self.TEXTS)
+        refetched = MockEmbeddingProvider(8, seed=1).embed_batch(self.TEXTS)
+        outcomes = {"stored": 0, "fetched": 0}
+        for trial in range(self.TRIALS):
+            path.write_bytes(pristine)
+            provider = _RecordingMock(8, seed=1)
+            if when == "before-open":
+                self._damage(path, rng)
+                gw = _three_batch_gateway(path, provider)
+            else:
+                gw = _three_batch_gateway(path, provider)
+                if rng.random() < 0.5:
+                    gw.embed_texts(self.TEXTS, "document")
+                self._damage(path, rng)
+            served = gw.embed_texts(self.TEXTS, "document")
+            fetched = [text in provider.texts for text in self.TEXTS]
+            assert len(provider.texts) == sum(fetched), trial
+            expected = np.where(np.array(fetched)[:, None], refetched, stored)
+            assert served.tobytes() == expected.tobytes(), trial
+            outcomes["fetched"] += sum(fetched)
+            outcomes["stored"] += len(fetched) - sum(fetched)
+            gw.cache.close()
+            # The fetched rows were appended: a new open serves the same bytes.
+            again = _three_batch_gateway(path, _RecordingMock(8, seed=2))
+            assert again.embed_texts(self.TEXTS, "document").tobytes() == served.tobytes(), trial
+            assert again._provider.texts == [], trial
+            again.cache.close()
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestMockProvider:

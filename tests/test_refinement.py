@@ -7,7 +7,7 @@ import random
 import pytest
 
 from defrefine import classifier
-from defrefine.corpus import Document, split_view
+from defrefine.corpus import Document
 from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
@@ -18,10 +18,10 @@ from defrefine.refinement import (
     FeedbackBundle,
     HistoryEntry,
     LoopState,
+    Splits,
     StrategyConfig,
     accept,
     build_prompt,
-    embed_split,
     energy_drop,
     initial_definitions,
     parse_definitions,
@@ -295,10 +295,9 @@ def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=Non
     t_max = t_max if t_max is not None else len(script)
     llm = llm or ScriptedLlm(script)
     result = refine(
-        dataset,
+        Splits(dataset, mock_gateway()),
         strategy,
         AnnealingSchedule(),
-        mock_gateway(),
         llm,
         seed=seed,
         t_max=t_max,
@@ -411,10 +410,9 @@ class TestRefineLoop:
 
         def run(resume=None):
             return refine(
-                separable_dataset(),
+                Splits(separable_dataset(), mock_gateway()),
                 strategy,
                 AnnealingSchedule(),
-                mock_gateway(),
                 ScriptedLlm(script),
                 seed=7,
                 t_max=len(script),
@@ -447,10 +445,9 @@ class TestRefineLoop:
 
         def run(resume=None):
             return refine(
-                separable_dataset(),
+                Splits(separable_dataset(), mock_gateway()),
                 StrategyConfig(name, k_confused=2, m_history=2),
                 AnnealingSchedule(),
-                mock_gateway(),
                 ScriptedLlm(script),
                 seed=7,
                 t_max=t_max,
@@ -486,10 +483,9 @@ class TestRefineLoop:
 
         def run(calls, resume=None):
             return refine(
-                separable_dataset(),
+                Splits(separable_dataset(), mock_gateway()),
                 StrategyConfig(name, k_confused=2, m_history=2),
                 AnnealingSchedule(),
-                mock_gateway(),
                 CallOnlyLlm(script, calls),
                 seed=7,
                 t_max=t_max,
@@ -550,8 +546,7 @@ class TestRefineLoop:
         # The classifier's (k, n) product `defs @ docs.T` is a plain gemm only
         # when `docs.T` is C-contiguous; row-major rows would score the same,
         # only slower.
-        dataset = separable_dataset()
-        units, gold = embed_split(mock_gateway(), dataset, split_view(dataset, "train"))
+        units, gold = Splits(separable_dataset(), mock_gateway()).embedded("train")
         assert units.T.flags.c_contiguous and not units.flags.c_contiguous
         assert len(gold) == len(units)
 
@@ -644,10 +639,9 @@ class TestRefineLoop:
         dataset = separable_dataset(n_dev=0)
         with pytest.raises(DataError):
             refine(
-                dataset,
+                Splits(dataset, mock_gateway()),
                 StrategyConfig("m1"),
                 AnnealingSchedule(),
-                mock_gateway(),
                 ScriptedLlm([]),
                 seed=0,
                 t_max=1,

@@ -19,7 +19,8 @@ import pytest
 
 from defrefine import records, runner
 from defrefine.corpus import Dataset, Document
-from defrefine.embeddings import EmbeddingCache
+from defrefine.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
+from defrefine.errors import ProviderError
 from defrefine.llm import ScriptedLlm
 from defrefine.refinement import TraceRecord
 from defrefine.runner import (
@@ -1067,23 +1068,106 @@ class TestSweep:
             best = max([initial["phi_train"]] + [r["phi_train_current"] for r in records])
             assert cell["phi_best_train"] == best
 
+    @staticmethod
+    def _direct_run(root: Path, k: int, m: int, script, t_max: int) -> Path:
+        """A `refine` of the sweep config's cell (k, m) at the cell's derived seed."""
+        root.mkdir(exist_ok=True)
+        cfg_path = write_config(
+            root,
+            separable_dataset(),
+            script,
+            t_max=t_max,
+            seed=derive_seed(11, f"cell-k{k}-m{m}"),
+            extra={"strategy": {"name": "m3", "k": k, "m": m}},
+        )
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        return run_dir_for(RunConfig.from_file(cfg_path), "refine")
+
     def test_single_cell_equals_direct_run_with_derived_seed(self, tmp_path):
+        # Every cell of a 2x2 grid, sharing one set-up, writes the bytes of a
+        # direct run at its derived seed.
         dir_sweep = tmp_path / "sweep"
         dir_sweep.mkdir()
-        cfg_sweep = write_config(dir_sweep, separable_dataset(), toy_script(3), t_max=3)
-        main(["sweep", "--config", str(cfg_sweep), "--k-values", "2", "--m-values", "2"])
+        cfg_sweep = write_config(dir_sweep, separable_dataset(), toy_script(3, ideal_at=2), t_max=3)
+        assert main(["sweep", "--config", str(cfg_sweep), "--k-values", "1,2", "--m-values", "1,2"]) == EXIT_OK
+        summary = json.loads((dir_sweep / "runs" / "sweep_summary.json").read_text())
+        assert len(summary["cells"]) == 4
+        for cell in summary["cells"]:
+            direct = self._direct_run(tmp_path / "single", cell["k"], cell["m"], toy_script(3, ideal_at=2), 3)
+            assert direct.name == cell["run_dir"]
+            for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+                swept = (dir_sweep / "runs" / cell["run_dir"] / name).read_bytes()
+                assert swept == (direct / name).read_bytes(), (cell["run_dir"], name)
 
-        dir_single = tmp_path / "single"
-        dir_single.mkdir()
-        derived = derive_seed(11, "cell-k2-m2")
-        cfg_single = write_config(
-            dir_single, separable_dataset(), toy_script(3), t_max=3, seed=derived
-        )
-        main(["refine", "--config", str(cfg_single)])
+    def test_set_up_runs_once_per_sweep(self, tmp_path, monkeypatch):
+        # A cold store: the dataset loads once, the store opens once, each
+        # split is embedded once, and the provider gets each document text once.
+        dataset = separable_dataset()
+        docs = tuple(d._replace(text=f"{d.text} #{i}") for i, d in enumerate(dataset.documents))
+        cfg_path = write_config(tmp_path, dataclasses.replace(dataset, documents=docs), toy_script(2), t_max=2)
+        loads, opens, sent, embedded = [], [], [], []
+        load_dataset, cache_init = runner.load_dataset, EmbeddingCache.__init__
+        embed_batch, embed_texts = MockEmbeddingProvider.embed_batch, EmbeddingGateway.embed_texts
 
-        trace_sweep = next((dir_sweep / "runs").glob("*-m3-*/trace.jsonl")).read_bytes()
-        trace_single = next((dir_single / "runs").glob("*-m3-*/trace.jsonl")).read_bytes()
-        assert trace_sweep == trace_single
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load_dataset(*args, **kwargs)
+
+        def counting_open(cache, *args, **kwargs):
+            opens.append(args)
+            cache_init(cache, *args, **kwargs)
+
+        def recording_batch(provider, texts):
+            sent.extend(texts)
+            return embed_batch(provider, texts)
+
+        def recording_embed(gateway, texts, role):
+            if role == "document":
+                embedded.append(len(texts))
+            return embed_texts(gateway, texts, role)
+
+        monkeypatch.setattr(runner, "load_dataset", counting_load)
+        monkeypatch.setattr(EmbeddingCache, "__init__", counting_open)
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", recording_batch)
+        monkeypatch.setattr(EmbeddingGateway, "embed_texts", recording_embed)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1,2"]) == EXIT_OK
+        assert len(list((tmp_path / "runs").glob("*-m3-*"))) == 4
+        assert len(loads) == 1 and len(opens) == 1
+        assert embedded == [9, 6, 6]  # train, dev, test
+        texts = [d.text for d in docs]
+        assert sorted(text for text in sent if text in texts) == sorted(texts)
+
+    def test_provider_error_while_embedding_fails_only_that_cell(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2, ideal_at=1), t_max=2)
+        embed_batch = MockEmbeddingProvider.embed_batch
+        calls = []
+
+        def fails_once(provider, texts):
+            calls.append(texts)
+            if len(calls) == 1:  # cell 1's train split, from a cold store
+                raise ProviderError("provider down")
+            return embed_batch(provider, texts)
+
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", fails_once)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"]) == EXIT_OK
+        summary = json.loads((tmp_path / "runs" / "sweep_summary.json").read_text())
+        first, second = summary["cells"]
+        assert first["error"] == "provider down" and "phi_best_train" not in first
+        assert summary["best"] == second
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", embed_batch)
+        direct = self._direct_run(tmp_path / "single", 2, 1, toy_script(2, ideal_at=1), 2)
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            swept = (tmp_path / "runs" / second["run_dir"] / name).read_bytes()
+            assert swept == (direct / name).read_bytes(), name
+
+    def test_malformed_dataset_stops_the_sweep_before_any_cell(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        with open(tmp_path / "data.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        rc = main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"])
+        assert rc == EXIT_DATA
+        assert "data.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_out_of_range_grid_is_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
@@ -1378,6 +1462,11 @@ class TestCacheIsClosed:
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
         assert self._all_closed(*caches)
 
+    def test_sweep_whose_cells_all_fail(self, tmp_path, caches):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(1), t_max=9)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"]) == EXIT_OK
+        assert len(caches[0]) == 1 and self._all_closed(*caches)
+
     def test_baseline_without_a_test_split(self, tmp_path, caches):
         cfg_path = write_config(tmp_path, separable_dataset(n_test=0), [], t_max=0)
         assert main(["baseline", "--config", str(cfg_path)]) == EXIT_DATA
@@ -1432,22 +1521,33 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") and "script.json" in line for line in err)
 
-    @pytest.mark.parametrize(
-        "script, key",
-        [
-            pytest.param({"responses": ["{}"], "delay_s": "x"}, "delay_s", id="delay-not-a-number"),
-            pytest.param([1, 2], "responses[0]", id="response-not-a-string"),
-            pytest.param({"responses": "abc"}, "responses", id="responses-not-a-list"),
-            pytest.param({"responses": ["{}"], "delay_s": -1}, "delay_s", id="negative-delay"),
-        ],
-    )
-    def test_script_file_that_is_not_a_script_is_usage_error(self, tmp_path, capsys, script, key):
+    # json writes and reads Infinity and NaN.
+    NOT_A_SCRIPT = [
+        pytest.param({"responses": ["{}"], "delay_s": "x"}, "delay_s", id="delay-not-a-number"),
+        pytest.param([1, 2], "responses[0]", id="response-not-a-string"),
+        pytest.param({"responses": "abc"}, "responses", id="responses-not-a-list"),
+        pytest.param({"responses": ["{}"], "delay_s": -1}, "delay_s", id="negative-delay"),
+        pytest.param({"responses": ["{}"], "delay_s": float("inf")}, "delay_s", id="infinite-delay"),
+        pytest.param({"responses": ["{}"], "delay_s": float("nan")}, "delay_s", id="nan-delay"),
+    ]
+
+    @staticmethod
+    def _refused_script(tmp_path, capsys, command, script, key) -> None:
         cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=2)
-        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "script.json" in errors[0] and key in errors[0], err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("script, key", NOT_A_SCRIPT)
+    def test_script_file_that_is_not_a_script_is_usage_error(self, tmp_path, capsys, script, key):
+        self._refused_script(tmp_path, capsys, "refine", script, key)
+
+    @pytest.mark.parametrize("script, key", NOT_A_SCRIPT)
+    def test_validate_config_refuses_what_refine_refuses(self, tmp_path, capsys, script, key):
+        # "config OK" means that refine accepts the script file.
+        self._refused_script(tmp_path, capsys, "validate-config", script, key)
 
     def test_malformed_definitions_file_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(
