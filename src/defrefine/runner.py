@@ -1,18 +1,4 @@
-"""Command-line entry point: baseline evaluation, refinement runs, grid sweeps, reports.
-
-A run directory holds a config snapshot, an append-only iteration trace
-(one JSON record per line, flushed and fsynced per record), a checkpoint
-that is rewritten atomically after every iteration, and a log of accepted
-definition sets. One writer thread writes each iteration's records in
-iteration order, at most one iteration behind the loop, so the disk work
-overlaps the next LLM call; the checkpoint is written after the trace record
-it covers is fsynced. A kill can lose the last completed iteration's
-records, which --resume redoes; a write error still stops the run. Any
-interrupted run can be continued with --resume and reproduces the
-uninterrupted trace byte for byte when the providers are deterministic.
-One process at a time writes a run directory: `refine` holds an exclusive
-flock on its `run.lock` from before the first write until `result.json`.
-"""
+"""Command-line entry point: baseline evaluation, refinement runs, grid sweeps, reports."""
 
 from __future__ import annotations
 
@@ -24,13 +10,12 @@ import logging
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
-from .classifier import unit_rows
 from .corpus import Dataset, load_dataset, split_view
 from .embeddings import (
     EmbedderConfig,
@@ -310,6 +295,167 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return load_dataset(d.path, d.format, categories_path=d.categories_file, name=d.name)
 
 
+class RunRecords(NamedTuple):
+    """What `report` reads from a run directory, every record checked."""
+
+    config: RunConfig
+    dataset: Dataset
+    initial: InitialRecord
+    trace: list[TraceRecord]
+    evolution: list[LogEntry]
+    best: dict[str, str]
+
+
+class RunDirectory:
+    """The files of one refinement run, their write order and their checks.
+
+    A run directory holds a config snapshot, an append-only iteration trace
+    (one JSON record per line, flushed and fsynced per record), a checkpoint
+    that is rewritten atomically after every iteration, and a log of accepted
+    definition sets. One writer thread writes each iteration's records in
+    iteration order, at most one iteration behind the loop, so the disk work
+    overlaps the next LLM call; the checkpoint is written after the trace record
+    it covers is fsynced. A kill can lose the last completed iteration's
+    records, which --resume redoes; a write error still stops the run. Any
+    interrupted run can be continued with --resume and reproduces the
+    uninterrupted trace byte for byte when the providers are deterministic.
+    One process at a time writes a run directory: `open` holds an exclusive
+    flock on its `run.lock` from before the first write until `result.json`.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._config = path / "config.json"
+        self._state = path / "state.json"
+        self._trace = path / "trace.jsonl"
+        self._defs_log = path / "definitions_log.jsonl"
+        self._initial = path / "initial.json"
+        self._result = path / "result.json"
+        self._pending: Future | None = None
+
+    def config(self) -> RunConfig:
+        """The run's config snapshot; ConfigError if it is missing or not a config."""
+        return RunConfig.from_file(self._config)
+
+    def refuse_checkpointed(self) -> None:
+        """A fresh run may not replace one that has checkpointed."""
+        if self._state.exists():
+            raise ConfigError(f"run directory already exists: {self.path} (pass --resume or change --out)")
+
+    @contextmanager
+    def open(self, cfg: RunConfig, resume: bool) -> Iterator[LoopState | None]:
+        """Make, lock and open the directory of cfg's run until the block ends;
+        yield the saved loop state of a resumed run that has one, else None.
+        ConfigError at once if another process holds `run.lock`. At exit it waits
+        for the pending records: a write error outranks the block's, it came first."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        with open(self.path / "run.lock", "a") as lock:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ConfigError(f"run directory in use by another process: {self.path}") from None
+            if not resume:
+                # Another run may have checkpointed here while this one set up.
+                self.refuse_checkpointed()
+                _write_json(self._config, cfg.to_snapshot())
+            saved = None
+            if resume and self._state.exists():
+                saved = _read_record(LoopState, self._state, "state file")
+                _truncate_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
+                _truncate_jsonl(self._defs_log, LogEntry, saved.iteration)
+            # Without a saved state the run starts over, replacing what a run killed
+            # before its first state.json left behind.
+            mode = "a" if saved is not None else "w"
+            with (
+                open(self._trace, mode, encoding="utf-8") as self._trace_out,
+                open(self._defs_log, mode, encoding="utf-8") as self._defs_out,
+                ThreadPoolExecutor(max_workers=1, thread_name_prefix="run-writer") as self._writer,
+            ):
+                try:
+                    yield saved
+                finally:
+                    self._wait()
+
+    def _persist(self, iteration: int, record: dict | str, entry: dict | None, state: dict) -> None:
+        """One iteration's records, in order: initial.json (the record)
+        or the fsynced trace line, the accepted set, then state.json."""
+        if iteration == 0:
+            _write_json(self._initial, record)
+        else:
+            self._trace_out.write(record)
+            self._trace_out.flush()
+            os.fsync(self._trace_out.fileno())
+        if entry is not None:
+            self._defs_out.write(json.dumps(entry) + "\n")
+            self._defs_out.flush()
+        _atomic_write_json(self._state, state)
+
+    def _wait(self) -> None:
+        """Wait for the pending iteration's records; re-raise its write error."""
+        job, self._pending = self._pending, None
+        if job is not None:
+            job.result()
+
+    def on_iteration(self, record: InitialRecord | TraceRecord, state: LoopState) -> None:
+        """Hand one iteration's records to the writer once the previous iteration's are written."""
+        # The state changes in place once this returns: take its records now.
+        t = state.iteration
+        entry = None
+        if t == 0 or record.accepted:
+            entry = to_json(LogEntry(t, state.phi_cur, state.current))
+        line = to_json(record) if t == 0 else json.dumps(to_json(record)) + "\n"
+        snapshot = to_json(state)
+        self._wait()
+        self._pending = self._writer.submit(self._persist, t, line, entry, snapshot)
+
+    def finish(self, result: RefinementResult, categories: Sequence[str]) -> None:
+        """Write the evaluation of the best definitions after every iteration's records."""
+        self._wait()
+        _write_json(self.path / "best_definitions.json", result.best_definitions)
+        summary = ResultRecord(
+            result.phi_best_train,
+            result.best_definitions,
+            metrics_to_dict(result.dev_metrics, categories),
+            metrics_to_dict(result.test_metrics, categories) if result.test_metrics else None,
+        )
+        _write_json(self._result, to_json(summary))
+        if result.test_confusion is not None:
+            confusion_to_csv(result.test_confusion, self.path / "confusion_test.csv")
+
+    def read(self) -> RunRecords:
+        """The run's records, dataset and best definition set (the result's, else
+        the log's best, the first of equal scores), each checked; DataError
+        naming the file, and the line, of the first that does not hold."""
+        initial = _read_record(InitialRecord, self._initial, "initial record")
+        if not self._trace.exists():
+            raise DataError(f"missing trace.jsonl: {self._trace}")
+        cfg = self.config()
+        trace = _read_records(self._trace, TraceRecord)
+        evolution = _read_records(self._defs_log, LogEntry)
+        result = _read_record(ResultRecord, self._result, "result file") if self._result.exists() else None
+        dataset = _load_dataset(cfg)
+        if result is not None:
+            where, best = f"result file {self._result}", result.best_definitions
+        elif evolution:
+            number, entry = max(enumerate(evolution, 1), key=lambda numbered: numbered[1].score)
+            where, best = f"{self._defs_log} line {number}", entry.definitions
+        else:
+            raise DataError(f"no definitions recorded in {self.path}")
+        try:
+            validate_definitions(best, dataset.categories)
+        except ValueError as exc:
+            raise DataError(f"{where} has no usable best definition set: {exc}") from exc
+        return RunRecords(cfg, dataset, initial, trace, evolution, best)
+
+
+@contextmanager
+def _open_splits(cfg: RunConfig, dataset: Dataset) -> Iterator[Splits]:
+    """The dataset's splits on cfg's embedder, with its store open until the block ends."""
+    gateway = build_gateway(cfg)
+    with closing(gateway.cache):
+        yield Splits(dataset, gateway)
+
+
 @dataclass
 class RunInputs:
     """What a refinement builds from its config before it makes its run
@@ -325,24 +471,22 @@ class RunInputs:
 def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
     """The run inputs of cfg, with the embedding store open until the block ends."""
     dataset = _load_dataset(cfg)
-    gateway = build_gateway(cfg)
-    with closing(gateway.cache):
-        yield RunInputs(Splits(dataset, gateway), build_llm(cfg), _initial_defs(cfg, dataset))
+    with _open_splits(cfg, dataset) as splits:
+        yield RunInputs(splits, build_llm(cfg), _initial_defs(cfg, dataset))
 
 
 def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
     dataset = _load_dataset(cfg)
-    gateway = build_gateway(cfg)
-    with closing(gateway.cache):
+    with _open_splits(cfg, dataset) as splits:
         llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
         definitions = _initial_defs(cfg, dataset)
         if definitions is None:
             definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
         if not split_view(dataset, "test"):
             raise DataError("baseline evaluation requires a nonempty test split")
-        test_units, gold = Splits(dataset, gateway).embedded("test")
-        def_vecs = gateway.embed_definitions(definitions, dataset.categories)
+        test_units, gold = splits.embedded("test")
+        def_vecs = splits.gateway.embed_definitions(definitions, dataset.categories)
         report, cm = score(def_vecs, dataset.categories, test_units, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
@@ -355,27 +499,6 @@ def cmd_baseline(cfg: RunConfig):
     return report
 
 
-@contextmanager
-def _run_lock(run_dir: Path) -> Iterator[None]:
-    """Hold `run.lock` in the run directory, or raise ConfigError at once if
-    another process does. The OS drops the lock when its process dies."""
-    fd = os.open(run_dir / "run.lock", os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise ConfigError(f"run directory in use by another process: {run_dir}") from None
-        yield
-    finally:
-        os.close(fd)
-
-
-def _refuse_checkpointed(run_dir: Path) -> None:
-    """A fresh run may not replace one that has checkpointed."""
-    if (run_dir / "state.json").exists():
-        raise ConfigError(f"run directory already exists: {run_dir} (pass --resume or change --out)")
-
-
 def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = None) -> RefinementResult:
     """Run (or continue) one refinement loop with crash-safe persistence.
 
@@ -385,113 +508,34 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
         raise ConfigError("refine requires a strategy config")
     if cfg.llm is None:
         raise ConfigError("refine requires an llm config")
-    run_dir = run_dir_for(cfg, "refine")
-    snapshot_path = run_dir / "config.json"
-    state_path = run_dir / "state.json"
-    trace_path = run_dir / "trace.jsonl"
-    defs_log_path = run_dir / "definitions_log.jsonl"
-
+    run = RunDirectory(run_dir_for(cfg, "refine"))
     if resume:
-        if not snapshot_path.exists():
-            raise ConfigError(f"cannot resume: missing config snapshot in {run_dir}")
-        cfg = RunConfig.from_file(snapshot_path)
+        cfg = run.config()
     else:
-        _refuse_checkpointed(run_dir)
+        run.refuse_checkpointed()
 
-    with ExitStack() as held:
-        # Everything that can reject the config runs before the run directory exists.
-        if inputs is None:
-            inputs = held.enter_context(_set_up(cfg))
-        dataset = inputs.splits.dataset
-        run_dir.mkdir(parents=True, exist_ok=True)
-        held.enter_context(_run_lock(run_dir))
-        if not resume:
-            # Another run may have checkpointed here while this one set up.
-            _refuse_checkpointed(run_dir)
-            _write_json(snapshot_path, cfg.to_snapshot())
-
-        saved = None
-        if resume and state_path.exists():
-            saved = _read_record(LoopState, state_path, "state file")
-            _truncate_jsonl(trace_path, TraceRecord, saved.iteration, at_least=saved.iteration)
-            _truncate_jsonl(defs_log_path, LogEntry, saved.iteration)
-
-        # Without a saved state the run starts over, replacing what a run killed
-        # before its first state.json left behind.
-        mode = "a" if saved is not None else "w"
-        with (
-            open(trace_path, mode, encoding="utf-8") as trace_handle,
-            open(defs_log_path, mode, encoding="utf-8") as defs_handle,
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="run-writer") as writer,
-        ):
-            pending: Future | None = None
-
-            def persist(iteration: int, record: dict | str, entry: dict | None, state: dict) -> None:
-                """One iteration's records, in order: initial.json (the record)
-                or the fsynced trace line, the accepted set, then state.json."""
-                if iteration == 0:
-                    _write_json(run_dir / "initial.json", record)
-                else:
-                    trace_handle.write(record)
-                    trace_handle.flush()
-                    os.fsync(trace_handle.fileno())
-                if entry is not None:
-                    defs_handle.write(json.dumps(entry) + "\n")
-                    defs_handle.flush()
-                _atomic_write_json(state_path, state)
-
-            def wait_for_writer() -> None:
-                """Wait for the pending iteration's records; re-raise its write error."""
-                nonlocal pending
-                job, pending = pending, None
-                if job is not None:
-                    job.result()
-
-            def on_iteration(record: InitialRecord | TraceRecord, state: LoopState) -> None:
-                # The state changes in place once this returns: take its records now.
-                nonlocal pending
-                t = state.iteration
-                entry = None
-                if t == 0 or record.accepted:
-                    entry = to_json(LogEntry(t, state.phi_cur, state.current))
-                line = to_json(record) if t == 0 else json.dumps(to_json(record)) + "\n"
-                snapshot = to_json(state)
-                wait_for_writer()
-                pending = writer.submit(persist, t, line, entry, snapshot)
-
-            try:
-                result = refine(
-                    inputs.splits,
-                    cfg.strategy,
-                    cfg.schedule,
-                    inputs.llm,
-                    seed=cfg.seed,
-                    t_max=cfg.t_max,
-                    init_mode=cfg.init.mode,
-                    initial=inputs.initial,
-                    parse_retries=cfg.parse_retries,
-                    sample_char_cap=cfg.sample_char_cap,
-                    on_iteration=on_iteration,
-                    resume=saved,
-                )
-            finally:
-                # A write error outranks a loop error: it came first.
-                wait_for_writer()
-
-        _write_json(run_dir / "best_definitions.json", result.best_definitions)
-        summary = ResultRecord(
-            result.phi_best_train,
-            result.best_definitions,
-            metrics_to_dict(result.dev_metrics, dataset.categories),
-            metrics_to_dict(result.test_metrics, dataset.categories) if result.test_metrics else None,
-        )
-        _write_json(run_dir / "result.json", to_json(summary))
-        if result.test_confusion is not None:
-            confusion_to_csv(result.test_confusion, run_dir / "confusion_test.csv")
+    # Everything that can reject the config runs before the run directory exists.
+    with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
+        with run.open(cfg, resume) as saved:
+            result = refine(
+                inputs.splits,
+                cfg.strategy,
+                cfg.schedule,
+                inputs.llm,
+                seed=cfg.seed,
+                t_max=cfg.t_max,
+                init_mode=cfg.init.mode,
+                initial=inputs.initial,
+                parse_retries=cfg.parse_retries,
+                sample_char_cap=cfg.sample_char_cap,
+                on_iteration=run.on_iteration,
+                resume=saved,
+            )
+            run.finish(result, inputs.splits.dataset.categories)
     test_phi = result.test_metrics.macro_f1 if result.test_metrics else float("nan")
     print(
         f"refine done: best train macro-F1 {result.phi_best_train:.4f}, "
-        f"test macro-F1 {test_phi:.4f} ({run_dir})"
+        f"test macro-F1 {test_phi:.4f} ({run.path})"
     )
     return result
 
@@ -499,33 +543,31 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
 def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     """Run one refinement per (k, m) cell with a derived sub-seed per cell.
 
-    The cells share one set-up, so a bad dataset, store, script or
-    definitions file stops the sweep before the first cell. A provider, parse
-    or data error fails only its cell; a split whose embedding failed is
-    embedded again by the next cell."""
+    Every cell's config is checked, and then the cells share one set-up, so a
+    bad grid value, dataset, store, script or definitions file stops the sweep
+    before the first cell. A provider, parse or data error fails only its
+    cell; a split whose embedding failed is embedded again by the next cell."""
     if cfg.strategy is None:
         raise ConfigError("sweep requires a strategy config")
     if not k_values or not m_values:
         raise ConfigError("sweep requires nonempty k and m grids")
-    bad = [v for v in list(k_values) + list(m_values) if not 1 <= v <= 5]
-    if bad:
-        raise ConfigError(f"grid values must be in 1..5, got {bad}")
+    cell_cfgs = []
+    for k, m in product(k_values, m_values):
+        try:
+            strategy = dataclasses.replace(cfg.strategy, k_confused=k, m_history=m)
+        except ValueError as exc:
+            raise ConfigError(f"sweep cell k={k} m={m}: {exc}") from exc
+        cell_cfgs.append(dataclasses.replace(cfg, strategy=strategy, seed=derive_seed(cfg.seed, f"cell-k{k}-m{m}")))
     cells = []
     with _set_up(cfg) as inputs:
-        for k, m in product(k_values, m_values):
-            cell_seed = derive_seed(cfg.seed, f"cell-k{k}-m{m}")
-            cell_cfg = dataclasses.replace(
-                cfg,
-                strategy=dataclasses.replace(cfg.strategy, k_confused=k, m_history=m),
-                seed=cell_seed,
-            )
-            cell = {"k": k, "m": m, "seed": cell_seed}
+        for cell_cfg in cell_cfgs:
+            cell = {"k": cell_cfg.strategy.k_confused, "m": cell_cfg.strategy.m_history, "seed": cell_cfg.seed}
             try:
                 result = cmd_refine(cell_cfg, inputs=inputs)
                 cell["phi_best_train"] = result.phi_best_train
                 cell["run_dir"] = run_dir_for(cell_cfg, "refine").name
             except (ProviderError, DefinitionParseError, DataError) as exc:
-                log.error("sweep cell k=%d m=%d failed: %s", k, m, exc)
+                log.error("sweep cell k=%d m=%d failed: %s", cell["k"], cell["m"], exc)
                 cell["error"] = str(exc)
             cells.append(cell)
     scored = [c for c in cells if "phi_best_train" in c]
@@ -540,86 +582,43 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     return summary
 
 
-def _best_definitions_for_report(
-    run_dir: Path, result: ResultRecord | None, entries: list[LogEntry], categories: Sequence[str]
-) -> dict[str, str]:
-    """The finished run's best set, or the best of the accepted sets `entries`
-    (the records of definitions_log.jsonl, one per line); DataError naming
-    the file, and the line, if it does not define every category."""
-    if result is not None:
-        where, best = f"result file {run_dir / 'result.json'}", result.best_definitions
-    elif entries:
-        # Incomplete run: reconstruct from the accepted-definitions log. The
-        # first of equal scores wins.
-        number, entry = max(enumerate(entries, 1), key=lambda numbered: numbered[1].score)
-        where, best = f"{run_dir / 'definitions_log.jsonl'} line {number}", entry.definitions
-    else:
-        raise DataError(f"no definitions recorded in {run_dir}")
-    try:
-        validate_definitions(best, categories)
-    except ValueError as exc:
-        raise DataError(f"{where} has no usable best definition set: {exc}") from exc
-    return best
-
-
 def cmd_report(run_dir: str | Path) -> list[Path]:
     """Emit plot-ready report files for a finished (or interrupted) run.
-    Every input is read and checked before the first file is written."""
-    run_dir = Path(run_dir)
-    trace_path = run_dir / "trace.jsonl"
-    initial = _read_record(InitialRecord, run_dir / "initial.json", "initial record")
-    if not trace_path.exists():
-        raise DataError(f"missing trace.jsonl: {trace_path}")
-    cfg = RunConfig.from_file(run_dir / "config.json")
-    records = _read_records(trace_path, TraceRecord)
-    evolution = _read_records(run_dir / "definitions_log.jsonl", LogEntry)
-    result_path = run_dir / "result.json"
-    result = _read_record(ResultRecord, result_path, "result file") if result_path.exists() else None
-    dataset = _load_dataset(cfg)
-    best = _best_definitions_for_report(run_dir, result, evolution, dataset.categories)
-
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
-    points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in records]
-    curve_path = reports / "f1_curve.json"
-    _write_json(curve_path, {"points": points})
-    written.append(curve_path)
-
-    evo_path = reports / "definitions_evolution.json"
-    _write_json(evo_path, to_json(evolution))
-    written.append(evo_path)
-
-    gateway = build_gateway(cfg)
-    with closing(gateway.cache):
-        def_vecs = gateway.embed_definitions(best, dataset.categories)
-        test_docs = split_view(dataset, "test")
+    Every input is read and checked, and every vector embedded, before the
+    first file is written."""
+    run = RunDirectory(Path(run_dir))
+    cfg, dataset, initial, trace, evolution, best = run.read()
+    test_docs = split_view(dataset, "test")
+    with _open_splits(cfg, dataset) as splits:
+        def_vecs = splits.gateway.embed_definitions(best, dataset.categories)
+        test_units = []
         if test_docs:
-            # A copy is normalised: the snapshot below needs the raw vectors.
-            doc_vecs = gateway.embed_texts([d.text for d in test_docs], "document")
-            gold = [dataset.category_index[d.label] for d in test_docs]
-            _, cm = score(def_vecs, dataset.categories, unit_rows(doc_vecs, "document"), gold)
-            cm_path = reports / "confusion_test.csv"
-            confusion_to_csv(cm, cm_path)
-            written.append(cm_path)
-        else:
-            doc_vecs = []
-            log.warning("no test split: skipping test confusion matrix")
+            test_units, gold = splits.embedded("test")
+            _, cm = score(def_vecs, dataset.categories, test_units, gold)
 
-    snapshot_path = reports / "embeddings_snapshot.jsonl"
+    reports = run.path / "reports"
+    reports.mkdir(parents=True, exist_ok=True)
+    points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
+    points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in trace]
+    written = [reports / "f1_curve.json", reports / "definitions_evolution.json"]
+    _write_json(written[0], {"points": points})
+    _write_json(written[1], to_json(evolution))
+    if test_docs:
+        written.append(reports / "confusion_test.csv")
+        confusion_to_csv(cm, written[-1])
+    else:
+        log.warning("no test split: skipping test confusion matrix")
+    written.append(reports / "embeddings_snapshot.jsonl")
     definition_rows = (
         {"kind": "definition", "category": category, "vector": vec.tolist()}
         for category, vec in zip(dataset.categories, def_vecs)
     )
     document_rows = (
         {"kind": "document", "id": doc.id, "label": doc.label, "vector": vec.tolist()}
-        for doc, vec in zip(test_docs, doc_vecs)
+        for doc, vec in zip(test_docs, test_units)
     )
-    with open(snapshot_path, "w", encoding="utf-8") as fh:
+    with open(written[-1], "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
-    written.append(snapshot_path)
     print(f"report written: {', '.join(p.name for p in written)} in {reports}")
     return written
 

@@ -1169,10 +1169,13 @@ class TestSweep:
         assert "data.jsonl" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_out_of_range_grid_is_usage_error(self, tmp_path):
+    def test_out_of_range_grid_is_usage_error(self, tmp_path, capsys):
+        # Every cell is checked before the first runs: the good cell k=1 is not run.
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
-        rc = main(["sweep", "--config", str(cfg_path), "--k-values", "6", "--m-values", "1"])
+        rc = main(["sweep", "--config", str(cfg_path), "--k-values", "1,6", "--m-values", "1"])
         assert rc == EXIT_USAGE
+        assert "sweep cell k=6 m=1: k_confused must be in 1..5" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_failed_cells_do_not_abort(self, tmp_path):
         # Script far too short for the budget: every cell fails, sweep still finishes.
@@ -1281,6 +1284,39 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_DATA
         assert str(run_dir / "initial.json") in capsys.readouterr().err
+
+    def test_snapshot_holds_the_unit_rows_classify_compares(self, tmp_path, monkeypatch):
+        embed_batch = MockEmbeddingProvider.embed_batch
+
+        def longer(provider, texts):
+            return 3 * embed_batch(provider, texts)
+
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", longer)
+        run_dir = self._finished_run(tmp_path)
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        snapshot = (run_dir / "reports" / "embeddings_snapshot.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in snapshot]
+        norms = [sum(x * x for x in row["vector"]) ** 0.5 for row in rows if row["kind"] == "document"]
+        assert len(norms) == 6
+        assert all(abs(norm - 1.0) < 1e-12 for norm in norms), norms
+
+    def test_provider_error_leaves_earlier_report_files_alone(self, tmp_path, monkeypatch, capsys):
+        run_dir = self._finished_run(tmp_path)
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        reports = run_dir / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        # A report now would write a shorter curve, had it anything to write.
+        trace = run_dir / "trace.jsonl"
+        trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:-1]))
+
+        def provider_down(gateway, texts, role):
+            raise ProviderError("provider down")
+
+        monkeypatch.setattr(EmbeddingGateway, "embed_texts", provider_down)
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_PROVIDER
+        assert "provider down" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
 
     def test_missing_trace_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "not-a-run")]) == EXIT_DATA
