@@ -105,35 +105,33 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_ELEMENTS // max(1, d))
     squares = np.empty((min(step, n), d))
     norms = np.empty(n)
-    for start in range(0, n, step):
-        block = matrix[start : start + step]
-        rows = squares[: len(block)]
-        np.copyto(rows, block)
-        # np.linalg.norm's own sum for axis=1, without its full-size temporary;
-        # a sum that overflows is an infinite norm, which the caller refuses.
-        with np.errstate(over="ignore"):
-            np.multiply(rows, rows, out=rows)
-        np.add.reduce(rows, axis=1, out=norms[start : start + step])
+    # np.linalg.norm's own sum for axis=1, without its full-size temporary;
+    # a sum that overflows is an infinite norm, which the caller refuses.
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            block = matrix[start : start + step]
+            rows = squares[: len(block)]
+            np.multiply(block, block, out=rows)
+            np.add.reduce(rows, axis=1, out=norms[start : start + step])
     return np.sqrt(norms, out=norms)
 
 
-def unit_rows(vectors, what: str, *, in_place: bool = False) -> np.ndarray:
-    """The rows scaled to unit length, as a float64 (n, d) array.
+def unit_rows(vectors, what: str) -> np.ndarray:
+    """The rows scaled to unit length, as a new float64 (n, d) array.
 
-    The result is a new array in the layout of `vectors` (a column-major
-    matrix stays column-major), unless `in_place` is set: then a float64
-    array the caller owns is normalised in its own memory and returned. The
-    norms come from `row_norms`, so the temporaries stay small, and each row
-    gets the same bits as `m / np.linalg.norm(m, axis=1)[:, None]` for the
-    row-major m of the same values. `what` names the rows in the error
-    raised for a row whose norm is zero or not finite; the array is then
-    left as it was.
+    The result has the layout of `vectors` (a column-major matrix stays
+    column-major). The norms come from `row_norms`, so the temporaries stay
+    small, and each row gets the same bits as
+    `m / np.linalg.norm(m, axis=1)[:, None]` for the row-major m of the same
+    values. `what` names the rows in the error raised for a row whose norm
+    is zero or not finite.
     """
-    matrix = _as_matrix(vectors, copy=not in_place)
+    matrix = _as_matrix(vectors, copy=True)
     norms = row_norms(matrix)
-    if not np.all(norms < np.inf):
+    # A NaN norm is neither; max and min pass it on.
+    if not norms.max() < np.inf:
         raise ValueError(f"non-finite norm of a {what} vector")
-    if not np.all(norms > 0.0):
+    if not norms.min() > 0.0:
         raise ValueError(f"zero-norm {what} vector")
     matrix /= norms[:, None]
     return matrix

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import json.scanner
 import random
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DataError
 
@@ -39,13 +42,16 @@ class Dataset:
 
     The category tuple defines the index order used by every downstream
     matrix (similarities, confusion counts), so it must never be reordered
-    after load. `load_dataset` checks ids, texts, labels and splits; the
-    constructor trusts its caller.
+    after load. `load_dataset` checks ids, texts, labels and splits, and
+    gives the sha256 of the bytes of the file and of the categories sidecar
+    it read; the constructor trusts its caller.
     """
 
     name: str
     categories: tuple[str, ...]
     documents: tuple[Document, ...]
+    sha256: str | None = field(default=None, compare=False)
+    categories_sha256: str | None = field(default=None, compare=False)
 
     @cached_property
     def category_index(self) -> dict[str, int]:
@@ -65,11 +71,13 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{path}: not valid UTF-8 ({exc.reason})")
 
 
-def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
+def _read_categories_sidecar(path: Path) -> tuple[tuple[str, ...], str]:
+    """The categories in a sidecar file, and the sha256 of its bytes."""
     if not path.exists():
         raise DataError(f"categories file not found: {path}")
+    raw = path.read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     lines = [line.strip() for line in text.splitlines()]
@@ -78,16 +86,41 @@ def _read_categories_sidecar(path: Path) -> tuple[str, ...]:
         raise DataError(f"{path}: empty categories file")
     if len(set(categories)) != len(categories):
         raise DataError(f"{path}: duplicate category names")
-    return categories
+    return categories, hashlib.sha256(raw).hexdigest()
 
 
-def _iter_jsonl_records(path: Path):
+class _Hashing(io.RawIOBase):
+    """A binary file that feeds each byte read from it to a hash."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        with memoryview(buffer) as view:
+            self._digest.update(view[:n])
+        return n
+
+
+@contextmanager
+def _hashed_text(path: Path, digest, **text_args) -> Iterator[io.TextIOWrapper]:
+    """The file opened as UTF-8 text, every byte read also going to digest,
+    so the file is read once for both."""
+    with open(path, "rb", buffering=0) as raw:
+        with io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest), 1 << 16), encoding="utf-8", **text_args) as fh:
+            yield fh
+
+
+def _iter_jsonl_records(path: Path, digest):
     """(line number, record) per nonblank line. Each line is first scanned as
     one JSON value at its start; unless only JSON whitespace follows it, the
     line goes to json.loads, so every message is json.loads's own."""
     # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
     # which UTF-8 text never decodes to, so the bad line can be named.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with _hashed_text(path, digest, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -110,9 +143,9 @@ def _iter_jsonl_records(path: Path):
             yield lineno, record
 
 
-def _iter_csv_records(path: Path):
+def _iter_csv_records(path: Path, digest):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with _hashed_text(path, digest, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 return
@@ -135,21 +168,24 @@ def load_dataset(
 
     Each record carries id, text, label, and split. The category order is
     taken from the optional sidecar file (one category per line) or derived
-    as the sorted set of labels.
+    as the sorted set of labels. The file is read once, and hashed as it is
+    read.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
+    digest = hashlib.sha256()
     if format == "jsonl":
-        records = _iter_jsonl_records(path)
+        records = _iter_jsonl_records(path, digest)
     elif format == "csv":
-        records = _iter_csv_records(path)
+        records = _iter_csv_records(path, digest)
     else:
         raise DataError(f"unknown dataset format {format!r}")
 
     declared: Optional[tuple[str, ...]] = None
+    categories_sha256 = None
     if categories_path is not None:
-        declared = _read_categories_sidecar(Path(categories_path))
+        declared, categories_sha256 = _read_categories_sidecar(Path(categories_path))
 
     documents: list[Document] = []
     seen_ids: set[str] = set()
@@ -173,7 +209,13 @@ def load_dataset(
         raise DataError(f"{path}: no records")
 
     categories = declared or tuple(sorted({d.label for d in documents}))
-    return Dataset(name=name or path.stem, categories=categories, documents=tuple(documents))
+    return Dataset(
+        name=name or path.stem,
+        categories=categories,
+        documents=tuple(documents),
+        sha256=digest.hexdigest(),
+        categories_sha256=categories_sha256,
+    )
 
 
 def split_view(dataset: Dataset, split: str) -> list[Document]:

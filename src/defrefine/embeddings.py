@@ -18,7 +18,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -105,9 +105,7 @@ _RECORD_HEAD = struct.Struct("<4sIII")
 _CRC_FROM = 8
 # The index keeps a stored key's place as one int, record number << _ROW_BITS
 # | row (a row count is 32 bits): ints, unlike tuples, are not tracked by the
-# garbage collector, so a large index does not slow its collections, and a
-# read takes the places of all its keys as one int64 array (which holds them
-# while a store has fewer than 2**31 records).
+# garbage collector, so a large index does not slow its collections.
 _ROW_BITS = 32
 _ROW_MASK = (1 << _ROW_BITS) - 1
 
@@ -193,9 +191,10 @@ class EmbeddingCache:
             first = (base + number) << _ROW_BITS
             self._stored.update(zip(keys, range(first, first + len(keys))))
 
-    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def read(self, keys: Sequence[bytes]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Yield (positions, rows) for the stored vectors among keys: rows[j]
-        is the vector of keys[positions[j]]. Keys never yielded are misses.
+        is the vector of keys[positions[j]], and the positions run up. Keys
+        never yielded are misses.
 
         One pair comes per intact record, each read with one preadv into one
         row-major scratch array, reused for every record, and checked again
@@ -207,10 +206,19 @@ class EmbeddingCache:
         if self._fresh:
             fresh_at = [i for i, key in enumerate(keys) if key in self._fresh]
             if fresh_at:
-                yield np.array(fresh_at), np.array([self._fresh[keys[i]] for i in fresh_at])
-        places = np.fromiter(map(self._stored.get, keys, repeat(-1)), np.int64, len(keys))
-        at = np.flatnonzero(places >= 0)
-        if not len(at):
+                yield fresh_at, np.array([self._fresh[keys[i]] for i in fresh_at])
+        # The hits grouped by record, each group in key order. Plain lists: a
+        # call of a few keys, as a definition set makes, costs far less than
+        # the same grouping in numpy calls.
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for i, place in enumerate(map(self._stored.get, keys)):
+            if place is not None:
+                group = groups.get(place >> _ROW_BITS)
+                if group is None:
+                    group = groups[place >> _ROW_BITS] = [], []
+                group[0].append(i)
+                group[1].append(place & _ROW_MASK)
+        if not groups:
             return
         with self._lock:
             if not self._at_path():
@@ -219,23 +227,15 @@ class EmbeddingCache:
             if self._read_fd is None:
                 self._read_fd = os.open(self._path, os.O_RDONLY)
             fd = self._read_fd
-        # The hits grouped by record, each group in key order.
-        places = places[at]
-        order = np.argsort(places >> _ROW_BITS, kind="stable")
-        at, places = at[order], places[order]
-        cuts = np.flatnonzero(np.diff(places >> _ROW_BITS)) + 1
-        groups = list(zip(np.split(at, cuts), np.split(places, cuts)))
-        numbers = [int(record_places[0]) >> _ROW_BITS for _, record_places in groups]
-        scratch = np.empty(max(self._records[number][1] * self._records[number][2] for number in numbers))
-        wanted = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), _KEY_BYTES)
-        for number, (record_at, record_places) in zip(numbers, groups):
+        scratch = np.empty(max(self._records[number][1] * self._records[number][2] for number in groups))
+        for number, (at, rows) in sorted(groups.items()):
             offset, n, dim = self._records[number]
-            rows = record_places & _ROW_MASK
             record = scratch[: n * dim].reshape(n, dim)
-            if not _read_record(fd, offset, record, wanted[record_at], rows):
+            whole = len(rows) == n and rows == list(range(n))
+            if not _read_record(fd, offset, record, b"".join([keys[i] for i in at]), None if whole else rows):
                 self._drop(number)
                 continue
-            yield record_at, record if np.array_equal(rows, np.arange(n)) else record[rows]
+            yield at, record if whole else record[rows]
 
     def _at_path(self) -> bool:
         """Whether the path still names the store the index describes."""
@@ -326,10 +326,11 @@ def _record_size(n: int, dim: int) -> int:
     return _RECORD_HEAD.size + n * (_KEY_BYTES + 8 * dim)
 
 
-def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> bool:
+def _read_record(fd: int, offset: int, dest: np.ndarray, keys: bytes, rows: Sequence[int] | None) -> bool:
     """Read the (n, dim) record at offset into dest, a C-contiguous (n, dim)
     float64 array (the store's row-major layout), with one preadv; whether it
-    is intact and holds keys[j] (a row of 32 uint8) at row rows[j]."""
+    is intact and its keys at `rows` (all n in order when None), joined, are
+    `keys`."""
     n, dim = dest.shape
     head, stored = bytearray(_RECORD_HEAD.size), bytearray(n * _KEY_BYTES)
     if os.preadv(fd, [head, stored, dest], offset) != _record_size(n, dim):
@@ -339,7 +340,9 @@ def _read_record(fd: int, offset: int, dest: np.ndarray, keys: np.ndarray, rows:
         return False
     if zlib.crc32(dest, zlib.crc32(stored, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
         return False
-    return np.array_equal(np.frombuffer(stored, np.uint8).reshape(n, _KEY_BYTES)[rows], keys)
+    if rows is not None:
+        stored = b"".join([stored[row * _KEY_BYTES : (row + 1) * _KEY_BYTES] for row in rows])
+    return stored == keys
 
 
 def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytearray:
@@ -498,14 +501,18 @@ class EmbeddingGateway:
     def cache(self) -> EmbeddingCache:
         return self._cache
 
-    def _admit(self, vectors) -> np.ndarray:
-        """Vectors as an (n, d) float64 array, once every row is checked; a
-        float64 array is checked as it is, in its layout, not copied.
+    def _admit(self, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """Vectors as an (n, d) float64 array, once every row is checked, and
+        the rows' norms; a float64 array is checked as it is, in its layout,
+        not copied.
 
-        A row passes when its norm from `row_norms` is finite and positive,
-        exactly when `unit_rows` can normalise it: a component that is not
-        finite, or a sum of squares that overflows, is refused as
-        non-finite, and one that is zero or underflows as all-zero.
+        Each block of rows is admitted once, where it enters the gateway: a
+        record the store yields, or a provider batch. A row passes when its
+        norm from `row_norms` is finite and positive, exactly when
+        `unit_rows` can normalise it: a component that is not finite, or a
+        sum of squares that overflows, is refused as non-finite, and one that
+        is zero or underflows as all-zero. A store written by older code may
+        hold such a row. Every block must have the gateway's width.
         """
         try:
             rows = np.asarray(vectors, dtype=np.float64)
@@ -513,21 +520,23 @@ class EmbeddingGateway:
             raise ProviderError(f"provider returned ragged or non-numeric embeddings: {exc}") from exc
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ProviderError("provider returned a non-vector embedding")
-        norms = row_norms(rows)
-        if not np.all(norms < np.inf):
-            raise ProviderError("provider returned an embedding with a non-finite component or norm")
-        if not np.all(norms > 0.0):
-            raise ProviderError(
-                "provider returned an all-zero embedding (or one whose norm underflows), which has no direction"
-            )
-        if self._dim is None:
-            self._dim = rows.shape[1]
-        elif rows.shape[1] != self._dim:
+        if self._dim is not None and rows.shape[1] != self._dim:
             raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {self._dim}")
-        return rows
+        norms = row_norms(rows)
+        # A NaN norm is neither; max and min pass it on.
+        if not norms.max() < np.inf:
+            raise ProviderError("an embedding has a non-finite component or norm")
+        if not norms.min() > 0.0:
+            raise ProviderError("an embedding is all-zero (or its norm underflows), so it has no direction")
+        self._dim = rows.shape[1]
+        return rows, norms
 
-    def embed_texts(self, texts: Sequence[str], role: str) -> np.ndarray:
+    def embed_texts(self, texts: Sequence[str], role: str, *, unit: bool = False) -> np.ndarray:
         """Embed texts under the given role as an (n, d) array; row i is input i.
+
+        With `unit`, each row is scaled to unit length, with the bits of
+        `classifier.unit_rows` of the raw rows: the norms `_admit` takes as
+        it checks each block, then one divide.
 
         The array is column-major: its `.T` is C-contiguous. A split of
         documents then enters the classifier's (k, n) product `defs @ docs.T`
@@ -535,9 +544,10 @@ class EmbeddingGateway:
         than from row-major rows; the values are the same in either layout.
         The output is allocated once: before the store is read when the
         gateway knows its width, else at the first block of rows. `place`
-        copies each block into it, a record the store yields or a provider
-        batch as its reply arrives, and holds the one width check between
-        them; `_admit` then checks the whole output.
+        copies each admitted block into it, a record the store yields or a
+        provider batch as its reply arrives. The bookkeeping of a call is in
+        Python ints, which for the few keys of a definition set cost less
+        than numpy calls.
         """
         if not texts:
             raise ValueError("texts must be nonempty")
@@ -545,39 +555,42 @@ class EmbeddingGateway:
         keys = cache_keys(self._cfg, role, payloads)
         out = np.empty((len(keys), self._dim), order="F") if self._dim else None
 
-        def place(at, rows: np.ndarray) -> None:
-            """out[at] = rows, once their width matches out's. Positions that
-            run up one by one are written as a slice, which into a
+        def place(at: list[int], rows: np.ndarray, norms: np.ndarray) -> None:
+            """out[at] = rows, divided by their norms with `unit`. Positions
+            that run up one by one are written as a slice, which into a
             column-major out is about three times cheaper than fancy
             indexing."""
             nonlocal out
             if out is None:
                 out = np.empty((len(keys), rows.shape[1]), order="F")
-            elif rows.shape[1] != out.shape[1]:
-                raise ProviderError(f"embedding dimension mismatch: {rows.shape[1]} != {out.shape[1]}")
-            start = int(at[0])
-            if at[-1] - start == len(at) - 1 and np.array_equal(at, np.arange(start, start + len(at))):
-                out[start : start + len(at)] = rows
+            start = at[0]
+            if at == list(range(start, start + len(at))):
+                block = out[start : start + len(at)]
+                block[...] = rows
+                if unit:
+                    block /= norms[:, None]
             else:
-                out[at] = rows
+                out[at] = rows / norms[:, None] if unit else rows
 
-        missing = np.ones(len(keys), dtype=bool)
+        missing = bytearray(b"\x01") * len(keys)
         for at, rows in self._cache.read(keys):
-            place(at, rows)
-            missing[at] = False
+            place(at, *self._admit(rows))
+            for i in at:
+                missing[i] = 0
         pending: dict[bytes, list[int]] = {}  # each missing key's positions
-        for i in np.flatnonzero(missing).tolist():
+        for i in compress(range(len(keys)), missing):
             pending.setdefault(keys[i], []).append(i)
-        for batch, rows in self._fetch([(key, payloads[at[0]]) for key, at in pending.items()]):
+        for batch, rows, norms in self._fetch([(key, payloads[at[0]]) for key, at in pending.items()]):
             at = [i for key in batch for i in pending[key]]
             if len(at) > len(batch):  # a text given more than once
-                rows = rows[[j for j, key in enumerate(batch) for _ in pending[key]]]
-            place(at, rows)
-        return self._admit(out)
+                repeats = [j for j, key in enumerate(batch) for _ in pending[key]]
+                rows, norms = rows[repeats], norms[repeats]
+            place(at, rows, norms)
+        return out
 
-    def _fetch(self, items: list[tuple[bytes, str]]) -> Iterator[tuple[list[bytes], np.ndarray]]:
-        """Embed (key, payload) misses in batches, yielding (keys, rows) per
-        batch once it is admitted and cached, in batch order.
+    def _fetch(self, items: list[tuple[bytes, str]]) -> Iterator[tuple[list[bytes], np.ndarray, np.ndarray]]:
+        """Embed (key, payload) misses in batches, yielding (keys, rows,
+        norms) per batch once it is admitted and cached, in batch order.
 
         Up to `concurrency` requests are in flight: one more is sent each time
         a reply is taken, so at most `concurrency` replies wait for the
@@ -589,12 +602,12 @@ class EmbeddingGateway:
         def run(batch):
             return self._provider.embed_batch([p for _, p in batch])
 
-        def store(batch, vectors) -> tuple[list[bytes], np.ndarray]:
+        def store(batch, vectors) -> tuple[list[bytes], np.ndarray, np.ndarray]:
             if len(vectors) != len(batch):
                 raise ProviderError("provider returned wrong number of embeddings")
-            keys, rows = [k for k, _ in batch], self._admit(vectors)
+            keys, (rows, norms) = [k for k, _ in batch], self._admit(vectors)
             self._cache.put(keys, rows)
-            return keys, rows
+            return keys, rows, norms
 
         if len(batches) <= 1 or cfg.concurrency <= 1:
             for batch in batches:

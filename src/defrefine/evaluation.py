@@ -57,13 +57,16 @@ def macro_f1(cm: ConfusionMatrix) -> MetricsReport:
     Any 0/0 ratio is defined as 0, and degenerate classes still count
     toward the average.
     """
-    counts = cm.counts
-    k = counts.shape[0]
+    # Python ints from one tolist(): on a k x k matrix this is cheaper than
+    # numpy's per-call overhead, and the ratios are the same exact ints.
+    rows = cm.counts.tolist()
+    k = len(rows)
+    column_sums = [sum(column) for column in zip(*rows)]
     precision, recall, f1 = [], [], []
-    for c in range(k):
-        tp = int(counts[c, c])
-        fp = int(counts[:, c].sum()) - tp
-        fn = int(counts[c, :].sum()) - tp
+    for c, row in enumerate(rows):
+        tp = row[c]
+        fp = column_sums[c] - tp
+        fn = sum(row) - tp
         p = tp / (tp + fp) if (tp + fp) > 0 else 0.0
         r = tp / (tp + fn) if (tp + fn) > 0 else 0.0
         f = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
@@ -81,13 +84,19 @@ def top_k_confused_pairs(cm: ConfusionMatrix, k_pairs: int) -> list[ConfusedPair
     """
     if k_pairs < 1:
         raise ValueError("k_pairs must be >= 1")
-    counts = cm.counts
-    a, b = np.triu_indices(counts.shape[0], 1)
-    totals = (counts + counts.T)[a, b]
-    kept = totals > 0
-    a, b, totals = a[kept], b[kept], totals[kept]
-    top = np.lexsort((b, a, -totals))[:k_pairs]
-    return [ConfusedPair(int(a[i]), int(b[i]), int(totals[i])) for i in top]
+    rows = cm.counts.tolist()
+    k = len(rows)
+    kk = k * k
+    # Each confused pair as one int, a * k + b - count * k², which sorts as
+    # (-count, a, b) does; ints sort several times faster than tuples.
+    ranked = [
+        a * k + b - total * kk
+        for a, (row, column) in enumerate(zip(rows, zip(*rows)))
+        for b in range(a + 1, k)
+        if (total := row[b] + column[b])
+    ]
+    ranked.sort()
+    return [ConfusedPair(*divmod(key % kk, k), -(key // kk)) for key in ranked[:k_pairs]]
 
 
 def score(def_vecs, categories: Sequence[str], docs, gold) -> tuple[MetricsReport, ConfusionMatrix]:
@@ -95,8 +104,9 @@ def score(def_vecs, categories: Sequence[str], docs, gold) -> tuple[MetricsRepor
 
     `def_vecs` is the definition set's (k, d) matrix, one row per category in
     `categories` order; `docs` is the split's (n, d) document matrix as unit
-    rows, from `classifier.unit_rows` (column-major, as the gateway returns
-    it, makes the product cheapest), and `gold` its category indices.
+    rows, from `Splits.embedded` or `classifier.unit_rows` (column-major, as
+    the gateway returns it, makes the product cheapest), and `gold` its
+    category indices.
     Predictions are the argmax of the exact float64 product of `docs` as
     given, ties to the lowest index: `classifier.classify` takes them from
     the cheaper (k, n) product when every document's best score leads by

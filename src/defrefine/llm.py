@@ -77,17 +77,17 @@ class ScriptedLlm:
     """
 
     def __init__(self, responses: Sequence[str], delay_s: float = 0.0):
-        self._responses = list(responses)
+        self.responses = tuple(responses)
         self._delay_s = delay_s
 
     def complete(self, prompt: str, call: int) -> Reply:
         if not prompt:
             raise ValueError("prompt must be nonempty")
-        if call >= len(self._responses):
+        if call >= len(self.responses):
             raise ScriptExhaustedError("script exhausted")
         if self._delay_s > 0:
             time.sleep(self._delay_s)
-        return Reply(self._responses[call], 0.0)
+        return Reply(self.responses[call], 0.0)
 
 
 class HttpLlm:

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import unit_rows
 from .corpus import Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
@@ -41,6 +40,8 @@ PARSE_RETRY_NOTICE = (
 )
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_-]+)?\n(.*?)```", re.DOTALL)
+_OBJECT_START_RE = re.compile(r"\{")
+_DECODER = json.JSONDecoder()
 
 
 @dataclass
@@ -213,12 +214,11 @@ def parse_definitions(llm_output: str, categories: Sequence[str]) -> dict[str, s
     if fenced:
         sources.append(fenced.group(1))
     sources.append(llm_output)
-    decoder = json.JSONDecoder()
     obj = None
     for text in sources:
-        for match in re.finditer(r"\{", text):
+        for match in _OBJECT_START_RE.finditer(text):
             try:
-                candidate, _ = decoder.raw_decode(text, match.start())
+                candidate, _ = _DECODER.raw_decode(text, match.start())
             except json.JSONDecodeError:
                 continue
             if isinstance(candidate, dict):
@@ -234,7 +234,8 @@ def parse_definitions(llm_output: str, categories: Sequence[str]) -> dict[str, s
         value = obj[c]
         if not isinstance(value, str) or not value.strip():
             raise DefinitionParseError(f"empty definition for category: {c}")
-    extra = [k for k in obj if k not in set(categories)]
+    known = set(categories)
+    extra = [k for k in obj if k not in known]
     if extra:
         log.warning("ignoring unexpected keys in LLM output: %s", ", ".join(sorted(extra)))
     return {c: obj[c] for c in categories}
@@ -382,11 +383,12 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, fi
 class Splits:
     """A dataset's splits as unit rows on one gateway, each embedded once.
 
-    `embedded(split)` embeds a split's documents the first time it is asked
-    for them, normalises the rows in place, and keeps them only if that
-    succeeded, so a provider error leaves the split to be fetched again. The
-    rows keep the gateway's column-major layout. Every caller shares the same
-    arrays and only reads them.
+    `embedded(split)` embeds a split's documents as unit rows the first time
+    it is asked for them (the gateway divides each block by the norms it
+    checked it with), and keeps them only if that succeeded, so a provider
+    error leaves the split to be fetched again. The rows keep the gateway's
+    column-major layout. Every caller shares the same arrays and only reads
+    them.
     """
 
     def __init__(self, dataset: Dataset, gateway: EmbeddingGateway):
@@ -399,9 +401,9 @@ class Splits:
         found = self._embedded.get(split)
         if found is None:
             docs = split_view(self.dataset, split)
-            vectors = self.gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT)
+            units = self.gateway.embed_texts([d.text for d in docs], ROLE_DOCUMENT, unit=True)
             index = self.dataset.category_index
-            found = unit_rows(vectors, "document", in_place=True), np.array([index[d.label] for d in docs])
+            found = units, np.array([index[d.label] for d in docs])
             self._embedded[split] = found
         return found
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -125,10 +126,16 @@ def _script_endpoint(endpoint: str, base_dir: Path) -> str:
 def _read_json(path: Path, what: str, error: type[Exception] = ConfigError):
     """The JSON value in a file; `error` naming the file if it is missing,
     not UTF-8 or not JSON (or nested too deep to parse)."""
+    return _read_json_and_sha256(path, what, error)[0]
+
+
+def _read_json_and_sha256(path: Path, what: str, error: type[Exception] = ConfigError) -> tuple[object, str]:
+    """`_read_json`, and the sha256 of the bytes it read."""
     if not path.exists():
         raise error(f"{what} not found: {path}")
+    raw = path.read_bytes()
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -205,18 +212,19 @@ def build_llm(cfg: RunConfig):
     return HttpLlm(cfg.llm)
 
 
-def _initial_defs(cfg: RunConfig, dataset: Dataset) -> dict[str, str] | None:
-    """Explicit definitions file, if configured; otherwise None (engine default)."""
+def _initial_defs(cfg: RunConfig, dataset: Dataset) -> tuple[dict[str, str] | None, str | None]:
+    """Explicit definitions file, if configured, and the sha256 of its bytes;
+    otherwise None (engine default) and None."""
     if cfg.init.definitions_file is None:
-        return None
-    payload = _read_json(cfg.init.definitions_file, "initial definitions file")
+        return None, None
+    payload, sha256 = _read_json_and_sha256(cfg.init.definitions_file, "initial definitions file")
     if not isinstance(payload, dict):
         raise ConfigError("initial definitions file must hold a JSON object")
     try:
         validate_definitions(payload, dataset.categories)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return {c: payload[c] for c in dataset.categories}
+    return {c: payload[c] for c in dataset.categories}, sha256
 
 
 def _write_json(path: Path, payload) -> None:
@@ -236,6 +244,25 @@ class LogEntry:
     iteration: int
     score: float
     definitions: dict[str, str]
+
+
+@dataclass
+class InputsRecord:
+    """`inputs.json`: what a run's input files held when it began, as sha256
+    hex digests: of the dataset file, the categories file and the initial
+    definitions file (None where the config names none), and of each reply
+    of a `script:` LLM file, in order (None for another LLM)."""
+
+    dataset: str
+    categories_file: str | None
+    definitions_file: str | None
+    llm_replies: list[str] | None
+
+
+def _reply_digests(llm) -> list[str] | None:
+    if not isinstance(llm, ScriptedLlm):
+        return None
+    return [hashlib.sha256(reply.encode("utf-8", "surrogatepass")).hexdigest() for reply in llm.responses]
 
 
 @dataclass
@@ -330,6 +357,7 @@ class RunDirectory:
         self._trace = path / "trace.jsonl"
         self._defs_log = path / "definitions_log.jsonl"
         self._initial = path / "initial.json"
+        self._inputs = path / "inputs.json"
         self._result = path / "result.json"
         self._pending: Future | None = None
 
@@ -342,12 +370,52 @@ class RunDirectory:
         if self._state.exists():
             raise ConfigError(f"run directory already exists: {self.path} (pass --resume or change --out)")
 
+    def _began_with(self) -> InputsRecord | None:
+        """The run's `inputs.json`; None, with a warning, in a directory from
+        before it, whose input files cannot be checked."""
+        if not self._inputs.exists():
+            log.warning("%s has no inputs.json: its input files cannot be checked", self.path)
+            return None
+        return _read_record(InputsRecord, self._inputs, "inputs record")
+
+    def _check_inputs(self, files: Sequence[tuple[str, object, object, object]]) -> None:
+        """ConfigError naming the first of `files`, each (what, path, its
+        digest in `inputs.json`, its digest now), that has changed."""
+        for what, path, began, held in files:
+            if began != held:
+                raise ConfigError(
+                    f"{what} {path} has changed since the run in {self.path} began; "
+                    "restore it, or start a new run in another directory"
+                )
+
+    def _check_resumed_inputs(self, cfg: RunConfig, inputs: InputsRecord, llm_calls: int) -> None:
+        """`_check_inputs` over every input a resumed run has used: the script's
+        first `llm_calls` replies, not the ones a grown script adds."""
+        if (then := self._began_with()) is None:
+            return
+        used = [None if r is None else r[:llm_calls] for r in (then.llm_replies, inputs.llm_replies)]
+        self._check_inputs(
+            [
+                ("dataset file", cfg.dataset.path, then.dataset, inputs.dataset),
+                ("categories file", cfg.dataset.categories_file, then.categories_file, inputs.categories_file),
+                ("initial definitions file", cfg.init.definitions_file, then.definitions_file, inputs.definitions_file),
+                ("llm script file", cfg.llm.endpoint.removeprefix(SCRIPT_PREFIX), *used),
+            ]
+        )
+
     @contextmanager
-    def open(self, cfg: RunConfig, resume: bool) -> Iterator[LoopState | None]:
+    def open(self, cfg: RunConfig, resume: bool, inputs: InputsRecord) -> Iterator[LoopState | None]:
         """Make, lock and open the directory of cfg's run until the block ends;
         yield the saved loop state of a resumed run that has one, else None.
-        ConfigError at once if another process holds `run.lock`. At exit it waits
-        for the pending records: a write error outranks the block's, it came first."""
+        ConfigError at once if another process holds `run.lock`, and before
+        a resumed run's files change if an input file it has used has: the
+        dataset, its categories file, the initial definitions file, or one of
+        the script replies the run has taken (a script may grow past them).
+        The run's `inputs` go to `inputs.json` with the iteration-0 records,
+        and a resume rewrites it once the checks pass, so it pins what the
+        run goes on with.
+        At exit it waits for the pending records: a write error outranks the
+        block's, it came first."""
         self.path.mkdir(parents=True, exist_ok=True)
         with open(self.path / "run.lock", "a") as lock:
             try:
@@ -361,11 +429,14 @@ class RunDirectory:
             saved = None
             if resume and self._state.exists():
                 saved = _read_record(LoopState, self._state, "state file")
+                self._check_resumed_inputs(cfg, inputs, saved.llm_calls)
                 _truncate_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
                 _truncate_jsonl(self._defs_log, LogEntry, saved.iteration)
+                _atomic_write_json(self._inputs, to_json(inputs))
             # Without a saved state the run starts over, replacing what a run killed
             # before its first state.json left behind.
             mode = "a" if saved is not None else "w"
+            self._inputs_json = to_json(inputs)
             with (
                 open(self._trace, mode, encoding="utf-8") as self._trace_out,
                 open(self._defs_log, mode, encoding="utf-8") as self._defs_out,
@@ -376,17 +447,19 @@ class RunDirectory:
                 finally:
                     self._wait()
 
-    def _persist(self, iteration: int, record: dict | str, entry: dict | None, state: dict) -> None:
-        """One iteration's records, in order: initial.json (the record)
-        or the fsynced trace line, the accepted set, then state.json."""
-        if iteration == 0:
-            _write_json(self._initial, record)
+    def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, state: dict) -> None:
+        """One iteration's records, in order: inputs.json and initial.json
+        (the record), or the fsynced trace line, the accepted set, then
+        state.json."""
+        if record.iteration == 0:
+            _atomic_write_json(self._inputs, self._inputs_json)
+            _write_json(self._initial, to_json(record))
         else:
-            self._trace_out.write(record)
+            self._trace_out.write(json.dumps(to_json(record)) + "\n")
             self._trace_out.flush()
             os.fsync(self._trace_out.fileno())
         if entry is not None:
-            self._defs_out.write(json.dumps(entry) + "\n")
+            self._defs_out.write(json.dumps(to_json(entry)) + "\n")
             self._defs_out.flush()
         _atomic_write_json(self._state, state)
 
@@ -398,15 +471,14 @@ class RunDirectory:
 
     def on_iteration(self, record: InitialRecord | TraceRecord, state: LoopState) -> None:
         """Hand one iteration's records to the writer once the previous iteration's are written."""
-        # The state changes in place once this returns: take its records now.
+        # The state changes in place once this returns: take its record now.
+        # The loop makes a new record, and new definition sets, each time and
+        # never changes them, so the writer serialises those.
         t = state.iteration
-        entry = None
-        if t == 0 or record.accepted:
-            entry = to_json(LogEntry(t, state.phi_cur, state.current))
-        line = to_json(record) if t == 0 else json.dumps(to_json(record)) + "\n"
+        entry = LogEntry(t, state.phi_cur, state.current) if t == 0 or record.accepted else None
         snapshot = to_json(state)
         self._wait()
-        self._pending = self._writer.submit(self._persist, t, line, entry, snapshot)
+        self._pending = self._writer.submit(self._persist, record, entry, snapshot)
 
     def finish(self, result: RefinementResult, categories: Sequence[str]) -> None:
         """Write the evaluation of the best definitions after every iteration's records."""
@@ -434,6 +506,14 @@ class RunDirectory:
         evolution = _read_records(self._defs_log, LogEntry)
         result = _read_record(ResultRecord, self._result, "result file") if self._result.exists() else None
         dataset = _load_dataset(cfg)
+        # A report reads the dataset files again, not the loop's other inputs.
+        if (then := self._began_with()) is not None:
+            self._check_inputs(
+                [
+                    ("dataset file", cfg.dataset.path, then.dataset, dataset.sha256),
+                    ("categories file", cfg.dataset.categories_file, then.categories_file, dataset.categories_sha256),
+                ]
+            )
         if result is not None:
             where, best = f"result file {self._result}", result.best_definitions
         elif evolution:
@@ -463,26 +543,30 @@ class RunInputs:
     which none of this reads, and neither LLM client keeps state between calls."""
 
     splits: Splits
-    llm: ScriptedLlm | HttpLlm
+    llm: ScriptedLlm | HttpLlm | None
     initial: dict[str, str] | None
+    files: InputsRecord
 
 
 @contextmanager
 def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
-    """The run inputs of cfg, with the embedding store open until the block ends."""
+    """The run inputs of cfg, with the embedding store open until the block
+    ends. Each input file is hashed as it is read, for `inputs.json`."""
     dataset = _load_dataset(cfg)
     with _open_splits(cfg, dataset) as splits:
-        yield RunInputs(splits, build_llm(cfg), _initial_defs(cfg, dataset))
+        llm = build_llm(cfg)
+        initial, definitions_sha256 = _initial_defs(cfg, dataset)
+        files = InputsRecord(dataset.sha256, dataset.categories_sha256, definitions_sha256, _reply_digests(llm))
+        yield RunInputs(splits, llm, initial, files)
 
 
 def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
-    dataset = _load_dataset(cfg)
-    with _open_splits(cfg, dataset) as splits:
-        llm = build_llm(cfg) if cfg.init.mode == "llm_generated" else None
-        definitions = _initial_defs(cfg, dataset)
+    with _set_up(cfg) as inputs:
+        dataset, splits = inputs.splits.dataset, inputs.splits
+        definitions = inputs.initial
         if definitions is None:
-            definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, llm, cfg.parse_retries)
+            definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, inputs.llm, cfg.parse_retries)
         if not split_view(dataset, "test"):
             raise DataError("baseline evaluation requires a nonempty test split")
         test_units, gold = splits.embedded("test")
@@ -516,7 +600,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
 
     # Everything that can reject the config runs before the run directory exists.
     with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
-        with run.open(cfg, resume) as saved:
+        with run.open(cfg, resume, inputs.files) as saved:
             result = refine(
                 inputs.splits,
                 cfg.strategy,

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defrefine import embeddings
+from defrefine import classifier, embeddings
+from defrefine.classifier import unit_rows
 from defrefine.embeddings import (
     EmbedderConfig,
     EmbeddingCache,
@@ -345,6 +346,7 @@ class TestServedFromDisk:
             slice(2, None, -1),
             [0, 0, 1],
             [0, 1, 2, 0, 1, 2],
+            [7, 0, 4, 1, 7],
             slice(2, 5),
             slice(1, 8),
             slice(None),
@@ -355,6 +357,7 @@ class TestServedFromDisk:
             "record-reversed",
             "repeated-text",
             "record-twice",
+            "alternating-records-with-a-repeat",
             "across-two-records",
             "partial-whole-partial",
             "all-records",
@@ -379,32 +382,71 @@ class TestServedFromDisk:
         assert _served(gw.cache, keys) == [row.tobytes() for row in served]
         gw.cache.close()
 
-    @pytest.mark.parametrize(
-        "case", ["warm-whole-records", "two-records-out-of-order", "text-twice", "cold", "warm-and-cold", "damaged"]
-    )
-    def test_output_is_column_major_with_the_providers_values(self, tmp_path, case):
-        # `.T` is C-contiguous, and each row holds the bytes the provider gave
-        # for its text, however the rows reached the output.
-        path = tmp_path / "cache.bin"
+    CASES = {
+        "warm-whole-records": TEXTS,
+        "two-records-out-of-order": ["text 7", "text 1", "text 6", "text 0"],
+        "text-twice": ["text 4", "text 2", "text 4"],
+        "cold": ["new 0", "new 1", "new 2", "new 3", "new 0"],
+        "warm-and-cold": ["new 0", "text 5", "new 1", "text 3", "text 5"],
+        "damaged": TEXTS,
+    }
+
+    def _case_gateway(self, path, case, provider):
+        """A gateway over a three-record store, its second record damaged
+        after open in the "damaged" case; the case's texts."""
         size = self._store(path)
-        texts = {
-            "warm-whole-records": self.TEXTS,
-            "two-records-out-of-order": ["text 7", "text 1", "text 6", "text 0"],
-            "text-twice": ["text 4", "text 2", "text 4"],
-            "cold": ["new 0", "new 1", "new 2", "new 3", "new 0"],
-            "warm-and-cold": ["new 0", "text 5", "new 1", "text 3", "text 5"],
-            "damaged": self.TEXTS,
-        }[case]
-        provider = _RecordingMock()
         gw = _three_batch_gateway(path, provider)
         if case == "damaged":
             self._flip_a_byte_of_the_second_record(path, size)
+        return gw, self.CASES[case]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_output_is_column_major_with_the_providers_values(self, tmp_path, case):
+        # `.T` is C-contiguous, and each row holds the bytes the provider gave
+        # for its text, however the rows reached the output.
+        provider = _RecordingMock()
+        gw, texts = self._case_gateway(tmp_path / "cache.bin", case, provider)
         served = gw.embed_texts(texts, "document")
         assert served.shape == (len(texts), 8) and served.dtype == np.float64
         assert served.T.flags.c_contiguous
         assert served.tobytes() == MockEmbeddingProvider(8).embed_batch(texts).tobytes()
         fetched = {"cold": texts[:4], "warm-and-cold": ["new 0", "new 1"], "damaged": self.TEXTS[3:6]}
         assert provider.texts == fetched.get(case, [])
+        gw.cache.close()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_unit_output_has_the_bits_of_unit_rows(self, tmp_path, case):
+        # Each block is divided by the norms it was checked with, as it is
+        # placed, and gets the bits of normalising the whole raw output.
+        gw, texts = self._case_gateway(tmp_path / "cache.bin", case, _RecordingMock())
+        units = gw.embed_texts(texts, "document", unit=True)
+        assert units.T.flags.c_contiguous
+        raw = MockEmbeddingProvider(8).embed_batch(texts)
+        assert units.tobytes() == unit_rows(raw, "document").tobytes()
+        assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
+        gw.cache.close()
+
+    @pytest.mark.parametrize("source", ["stored", "fetched"])
+    @pytest.mark.parametrize("positions", ["in-order", "scattered"])
+    def test_unit_rows_of_blocks_wider_than_a_norm_block(self, tmp_path, source, positions):
+        # At this width `row_norms` takes 8 rows at a time, so each 20-row
+        # record or batch is checked in three blocks; its rows reach the
+        # output as one slice, or by fancy indexing when scattered.
+        dim, texts = 4096, [f"text {i}" for i in range(20)]
+        assert len(texts) * dim > 2 * classifier._BLOCK_ELEMENTS
+        asked = texts if positions == "in-order" else texts[::-1] + texts[:2]
+        path = tmp_path / "cache.bin"
+        if source == "stored":
+            writer = EmbeddingGateway(_cfg(max_batch=20), EmbeddingCache(path), MockEmbeddingProvider(dim))
+            writer.embed_texts(texts, "document")
+            writer.cache.close()
+        provider = _RecordingMock(dim)
+        gw = EmbeddingGateway(_cfg(max_batch=20), EmbeddingCache(path), provider)
+        units = gw.embed_texts(asked, "document", unit=True)
+        assert units.T.flags.c_contiguous
+        assert provider.texts == ([] if source == "stored" else texts[::-1] if positions == "scattered" else texts)
+        raw = MockEmbeddingProvider(dim).embed_batch(asked)
+        assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
         gw.cache.close()
 
     def test_store_shared_by_embedders_of_two_dims(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from defrefine import classifier
@@ -513,31 +514,33 @@ class TestRefineLoop:
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
-        # train, dev and test are each made unit rows once, in the array the
-        # gateway returned, however many iterations run, and every classify
-        # call gets one of those arrays.
+        # train, dev and test are each embedded as unit rows once, however
+        # many iterations run, and every classify call gets one of those
+        # arrays; definitions stay raw.
         units = []
         docs_seen = []
-        unit_rows = classifier.unit_rows
+        embed_texts = EmbeddingGateway.embed_texts
         classify = classifier.classify
 
-        def counting_unit_rows(vectors, what, *, in_place=False):
-            out = unit_rows(vectors, what, in_place=in_place)
-            assert in_place and out is vectors
-            units.append((what, out))
+        def counting_embed_texts(self, texts, role, *, unit=False):
+            out = embed_texts(self, texts, role, unit=unit)
+            units.append((role, unit, out))
             return out
 
         def recording_classify(docs, defs):
             docs_seen.append(docs)
             return classify(docs, defs)
 
-        monkeypatch.setattr("defrefine.refinement.unit_rows", counting_unit_rows)
+        monkeypatch.setattr(EmbeddingGateway, "embed_texts", counting_embed_texts)
         monkeypatch.setattr(classifier, "classify", recording_classify)
         script = [json.dumps(junk_definitions(i)) for i in range(1, t_max)]
         script.append(json.dumps(ideal_definitions()))
         _run(script, t_max=t_max)
-        assert [what for what, _ in units] == ["document"] * 3
-        train, dev, test = (arr for _, arr in units)
+        documents = [(unit, arr) for role, unit, arr in units if role == "document"]
+        assert [unit for unit, _ in documents] == [True] * 3
+        assert all(not unit for role, unit, _ in units if role != "document")
+        train, dev, test = (arr for _, arr in documents)
+        assert all(np.allclose(np.linalg.norm(arr, axis=1), 1.0) for arr in (train, dev, test))
         assert all(any(docs is arr for arr in (train, dev, test)) for docs in docs_seen)
         assert sum(docs is train for docs in docs_seen) == 1 + t_max
         assert sum(docs is test for docs in docs_seen) == 1

@@ -1041,6 +1041,153 @@ class TestRefineRuns:
                 assert secret.encode() not in path.read_bytes(), path
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cut_run(tmp_path: Path, script, t_max, extra=None) -> tuple[Path, Path]:
+    """A run whose script ends after its first 3 replies, so it stops with a
+    checkpoint at iteration 3; the full script is then back in place. Its
+    config and run directory."""
+    cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=t_max, extra=extra)
+    assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    return cfg_path, run_dir_for(RunConfig.from_file(cfg_path), "refine")
+
+
+class TestInputsRecord:
+    """`inputs.json` pins the input files' bytes: a resume or a report over
+    changed inputs stops and changes nothing."""
+
+    def test_resume_over_relabelled_train_documents_stops(self, tmp_path, capsys):
+        # Before inputs.json, this resume exited 0: iterations 1-3 were scored
+        # on the old labels and 4-6 on the new ones.
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        data = tmp_path / "data.jsonl"
+        original = data.read_bytes()
+        dataset = separable_dataset()
+        train = [i for i, d in enumerate(dataset.documents) if d.split == "train"]
+        docs = list(dataset.documents)
+        for i, label in zip(train[:2], (docs[train[-1]].label, docs[train[0]].label)):
+            docs[i] = docs[i]._replace(label=label)
+        write_jsonl_dataset(data, dataclasses.replace(dataset, documents=tuple(docs)))
+        assert data.read_bytes() != original
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "dataset file" in err and str(data.name) in err and "has changed" in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+        # With the dataset restored, the run resumes as if uncut.
+        data.write_bytes(original)
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_record_holds_the_sha256_of_each_input(self, tmp_path):
+        script = toy_script(3)
+        extra = {"init": {"definitions_file": "defs.json"}}
+        (tmp_path / "defs.json").write_text(json.dumps(junk_definitions(0)))
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=3, extra=extra)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert json.loads((run_dir / "inputs.json").read_text()) == {
+            "dataset": _sha256((tmp_path / "data.jsonl").read_bytes()),
+            "categories_file": None,
+            "definitions_file": _sha256((tmp_path / "defs.json").read_bytes()),
+            "llm_replies": [_sha256(reply.encode()) for reply in script],
+        }
+
+    @pytest.mark.parametrize(
+        "change, stops",
+        [
+            ("categories", True),
+            ("definitions", True),
+            ("used-reply", True),
+            ("unused-reply", False),
+        ],
+    )
+    def test_resume_checks_each_input_the_run_has_used(self, tmp_path, capsys, change, stops):
+        # The script's replies from the run's llm_calls on are not yet used,
+        # so a script may be changed there, as `_cut_run` extends it.
+        script = toy_script(8, ideal_at=4)
+        (tmp_path / "categories.txt").write_text("\n".join(TOY_CATEGORIES) + "\n")
+        (tmp_path / "defs.json").write_text(json.dumps(junk_definitions(0)))
+        extra = {
+            "dataset": {"path": "data.jsonl", "format": "jsonl", "categories_file": "categories.txt"},
+            "init": {"definitions_file": "defs.json"},
+        }
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=8, extra=extra)
+        changed = {
+            "categories": ("categories.txt", "\n".join(TOY_CATEGORIES) + "\n\n"),
+            "definitions": ("defs.json", json.dumps(junk_definitions(99))),
+            "used-reply": ("script.json", json.dumps([json.dumps(junk_definitions(99))] + script[1:])),
+            "unused-reply": ("script.json", json.dumps(script[:3] + [json.dumps(junk_definitions(99))] + script[4:])),
+        }
+        name, text = changed[change]
+        (tmp_path / name).write_text(text)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        code = main(["refine", "--config", str(cfg_path), "--resume"])
+        if stops:
+            assert code == EXIT_USAGE
+            assert name in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        else:
+            assert code == EXIT_OK
+            assert len((run_dir / "trace.jsonl").read_text().splitlines()) == 8
+
+    def test_script_extended_twice_resumes_as_if_uncut(self, tmp_path):
+        # A resume pins the replies it goes on with, so a script that is
+        # extended, used up and extended again still resumes.
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        for end, code in ((5, EXIT_PROVIDER), (6, EXIT_OK)):
+            (tmp_path / "script.json").write_text(json.dumps(script[:end]))
+            assert main(["refine", "--config", str(cfg_path), "--resume"]) == code
+        assert json.loads((run_dir / "inputs.json").read_text())["llm_replies"] == [
+            _sha256(reply.encode()) for reply in script
+        ]
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_directory_without_the_record_resumes_with_a_warning(self, tmp_path, caplog):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        (run_dir / "inputs.json").unlink()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        assert "no inputs.json" in caplog.text
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_report_over_a_changed_dataset_stops(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        # report reads the dataset, not the script: a changed script passes.
+        (tmp_path / "script.json").write_text(json.dumps(toy_script(3)[::-1]))
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        shutil.rmtree(run_dir / "reports")
+        data = tmp_path / "data.jsonl"
+        data.write_text(data.read_text() + "\n")
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_USAGE
+        assert "data.jsonl" in capsys.readouterr().err
+        assert not (run_dir / "reports").exists()
+
+    def test_sweep_cells_share_one_record(self, tmp_path):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        runner.cmd_sweep(RunConfig.from_file(cfg_path), [1, 2], [1, 2])
+        records = {p.read_bytes() for p in (tmp_path / "runs").glob("*/inputs.json")}
+        assert len(list((tmp_path / "runs").glob("*/inputs.json"))) == 4
+        assert len(records) == 1
+
+
 class TestSweep:
     def test_grid_runs_every_cell(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
@@ -1121,10 +1268,10 @@ class TestSweep:
             sent.extend(texts)
             return embed_batch(provider, texts)
 
-        def recording_embed(gateway, texts, role):
+        def recording_embed(gateway, texts, role, **kwargs):
             if role == "document":
                 embedded.append(len(texts))
-            return embed_texts(gateway, texts, role)
+            return embed_texts(gateway, texts, role, **kwargs)
 
         monkeypatch.setattr(runner, "load_dataset", counting_load)
         monkeypatch.setattr(EmbeddingCache, "__init__", counting_open)
