@@ -1,11 +1,15 @@
-"""The one POST-with-retries policy shared by the HTTP embedding and LLM clients."""
+"""The one POST-with-retries policy shared by the HTTP embedding and LLM clients.
+
+This is the only module that imports `requests`, and only inside the functions
+that use it: the HTTP stack (~255 modules, ~10 MB of peak RSS) then loads at a
+client's first request, and a command that sends none never loads it.
+"""
 
 from __future__ import annotations
 
 import math
+import threading
 import time
-
-import requests
 
 from .errors import ProviderError
 
@@ -22,6 +26,26 @@ def check_retry_policy(cfg) -> None:
         raise ValueError("backoff_base must be a finite number >= 0")
 
 
+class LazySession:
+    """A client's `requests.Session`, made at its first `get()`.
+
+    The lock makes threads that send a client's first requests at once (the
+    embedder's pool, or cells sharing one LLM client) share one session.
+    """
+
+    def __init__(self) -> None:
+        self._session = None
+        self._lock = threading.Lock()
+
+    def get(self):
+        with self._lock:
+            if self._session is None:
+                import requests
+
+                self._session = requests.Session()
+            return self._session
+
+
 def post_json(session, cfg, body: dict, api_key: str | None, what: str):
     """POST body as JSON to cfg.endpoint; (response, latency in ms of that attempt).
 
@@ -30,6 +54,8 @@ def post_json(session, cfg, body: dict, api_key: str | None, what: str):
     status of 400 or above raises ProviderError at once. Error messages start
     with `what` ("embedding" or "llm").
     """
+    import requests
+
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     last_error = "no attempt made"
     for attempt in range(cfg.retries + 1):

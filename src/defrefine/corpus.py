@@ -8,6 +8,7 @@ import io
 import json
 import json.scanner
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -192,7 +193,14 @@ def load_dataset(
     declared_set = set(declared) if declared else None
     for lineno, record in records:
         get = record.get
-        doc = Document(get("id"), get("text"), get("label"), get("split"))
+        label, split = get("label"), get("split")
+        # json makes a new str for every value: keep one object per distinct
+        # label and split, not one per document.
+        try:
+            label, split = sys.intern(label), sys.intern(split)
+        except TypeError:
+            pass  # not a str, which the check below refuses
+        doc = Document(get("id"), get("text"), label, split)
         if "" in doc or not _STR_ONLY.issuperset(map(type, doc)):
             field = next(f for f, v in zip(_REQUIRED_FIELDS, doc) if type(v) is not str or not v)
             raise DataError(f"{path}: line {lineno}: missing or empty field {field!r}")

@@ -23,9 +23,8 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-import requests
 
-from ._http import check_retry_policy, post_json
+from ._http import LazySession, check_retry_policy, post_json
 from .classifier import row_norms
 from .errors import ConfigError, ProviderError
 
@@ -60,6 +59,8 @@ class EmbedderConfig:
             raise ValueError("max_batch must be >= 1")
         if self.max_input_chars < 1:
             raise ValueError("max_input_chars must be >= 1")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
         check_retry_policy(self)
 
     def prefix_for(self, role: str) -> str:
@@ -443,14 +444,14 @@ class HttpEmbeddingProvider:
     def __init__(self, cfg: EmbedderConfig, api_key: str | None = None):
         self._cfg = cfg
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._session = requests.Session()
+        self._session = LazySession()
         self.requests = 0
         self._lock = threading.Lock()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One (len(texts), d) float64 array; row i is the vector of texts[i]."""
         body = {"model": self._cfg.model_id, "input": list(texts)}
-        resp, _ = post_json(self._session, self._cfg, body, self._api_key, "embedding")
+        resp, _ = post_json(self._session.get(), self._cfg, body, self._api_key, "embedding")
         with self._lock:
             self.requests += 1
         return self._parse(resp, len(texts))

@@ -12,9 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import requests
-
-from ._http import check_retry_policy, post_json
+from ._http import LazySession, check_retry_policy, post_json
 from .errors import ProviderError, ScriptExhaustedError
 
 log = logging.getLogger(__name__)
@@ -101,7 +99,7 @@ class HttpLlm:
     def __init__(self, cfg: LlmConfig, api_key: str | None = None):
         self._cfg = cfg
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._session = requests.Session()
+        self._session = LazySession()
 
     def complete(self, prompt: str, call: int) -> Reply:
         if not prompt:
@@ -116,7 +114,7 @@ class HttpLlm:
             "temperature": cfg.sampling_temperature,
             "max_tokens": cfg.max_output_tokens,
         }
-        resp, latency_ms = post_json(self._session, cfg, body, self._api_key, "llm")
+        resp, latency_ms = post_json(self._session.get(), cfg, body, self._api_key, "llm")
         try:
             payload = resp.json()
             text = payload["choices"][0]["message"]["content"]

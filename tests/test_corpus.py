@@ -1,6 +1,7 @@
 """Loader validation and seeded sampling behavior."""
 
 import csv
+import dataclasses
 import json
 import random
 import re
@@ -36,6 +37,22 @@ def test_load_jsonl_roundtrip(tmp_path, toy_dataset):
     assert loaded.categories == toy_dataset.categories
     assert loaded.documents == toy_dataset.documents
     assert loaded.name == "toy"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_one_object_per_distinct_label_and_split(tmp_path, toy_dataset, fmt):
+    path = tmp_path / f"toy.{fmt}"
+    if fmt == "jsonl":
+        write_jsonl_dataset(path, toy_dataset)
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(Document._fields)
+            writer.writerows(toy_dataset.documents)
+    loaded = load_dataset(path, format=fmt)
+    assert loaded == dataclasses.replace(toy_dataset, name="toy")
+    assert len({id(d.label) for d in loaded.documents}) == len(toy_dataset.categories)
+    assert len({id(d.split) for d in loaded.documents}) == 3
 
 
 def test_categories_default_to_sorted_labels(tmp_path):

@@ -2,11 +2,13 @@
 
 import json
 import logging
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from defrefine.errors import ProviderError, ScriptExhaustedError
 from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, Reply, ScriptedLlm
@@ -142,3 +144,74 @@ class TestHttpLlm:
             LlmConfig(endpoint="http://x", model_id="m", sampling_temperature=-0.1)
         with pytest.raises(ValueError):
             LlmConfig(endpoint="http://x", model_id="m", max_output_tokens=0)
+
+
+class _EchoChatHttp(BaseHTTPRequestHandler):
+    """A chat endpoint whose reply is "echo: " and the prompt, from its own
+    thread per request."""
+
+    prompts: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][1]["content"]
+        type(self).prompts.append(prompt)
+        payload = json.dumps({"choices": [{"message": {"role": "assistant", "content": f"echo: {prompt}"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpLlmThreads:
+    def test_one_client_serves_eight_threads_at_once(self, monkeypatch):
+        """Cells sharing one client each get the reply to their own prompt,
+        and the threads that send the first requests share one Session."""
+        sessions = []
+
+        class CountedSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                sessions.append(self)
+
+        monkeypatch.setattr(requests, "Session", CountedSession)
+        _EchoChatHttp.prompts = []
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoChatHttp)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        llm = HttpLlm(_cfg(f"http://127.0.0.1:{server.server_port}/v1/chat/completions", retries=0), api_key="")
+        n = 8
+        start = threading.Barrier(n)
+        replies: dict[int, str] = {}
+        errors: list[Exception] = []
+
+        def cell(i: int) -> None:
+            try:
+                start.wait(timeout=10)
+                replies[i] = llm.complete(f"prompt {i}", i).text
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=cell, args=(i,)) for i in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+            server.shutdown()
+            server.server_close()
+            for session in sessions:
+                session.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert replies == {i: f"echo: prompt {i}" for i in range(n)}
+        assert sorted(_EchoChatHttp.prompts) == sorted(f"prompt {i}" for i in range(n))
+        assert len(sessions) == 1

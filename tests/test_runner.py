@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import threading
@@ -305,6 +306,17 @@ class TestConfig:
                 {"embedder": {"endpoint": "mock:dim=0,seed=0", "model_id": "mock-embed"}},
                 "dim",
                 id="mock-dim-zero",
+            ),
+            # Once sent one request at a time with no error.
+            pytest.param(
+                {"embedder": {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed", "concurrency": 0}},
+                "concurrency",
+                id="embedder-concurrency-zero",
+            ),
+            pytest.param(
+                {"embedder": {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed", "concurrency": -3}},
+                "concurrency",
+                id="embedder-concurrency-negative",
             ),
         ],
     )
@@ -1665,6 +1677,63 @@ class TestCacheIsClosed:
         # It fails before it builds a gateway: only refine opened a cache.
         assert len(caches[0]) == 1
         assert self._all_closed(*caches)
+
+
+# main(argv) in a new interpreter; its last stdout line is the exit code and
+# whether `requests` was imported (this test process imports it itself).
+_FRESH_MAIN = """
+import json, sys
+from defrefine.runner import main
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "requests": "requests" in sys.modules}))
+"""
+
+
+class TestImportBudget:
+    """A command that sends no request never imports `requests` and the
+    HTTP stack it brings (~255 modules, ~10 MB of peak RSS)."""
+
+    SENT_NONE = {"exit": EXIT_OK, "requests": False}
+
+    @staticmethod
+    def _fresh(*argv: str) -> dict:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(runner.__file__).parents[1]), *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_MAIN, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_mock_and_script_refine_then_report(self, tmp_path):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
+        assert self._fresh("refine", "--config", str(cfg_path)) == self.SENT_NONE
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert self._fresh("report", str(run_dir)) == self.SENT_NONE
+
+    def test_validate_config(self, tmp_path):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
+        assert self._fresh("validate-config", "--config", str(cfg_path)) == self.SENT_NONE
+
+    def test_report_and_baseline_of_an_http_embedder_over_a_warm_store(self, tmp_path, monkeypatch):
+        """Nothing listens at the embedder's address, so any request would
+        fail the command: both read every vector from the store."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            endpoint = f"http://127.0.0.1:{sock.getsockname()[1]}/v1/embeddings"
+        embedder = {"endpoint": endpoint, "model_id": "remote-embed", "retries": 0, "timeout": 1}
+        cfg_path = write_config(
+            tmp_path, separable_dataset(), toy_script(3), t_max=3, extra={"embedder": embedder, "cache_file": "store.bin"}
+        )
+        # The run warms the store under the HTTP endpoint's keys, with mock vectors.
+        monkeypatch.setattr(
+            runner,
+            "build_gateway",
+            lambda cfg: EmbeddingGateway(cfg.embedder, EmbeddingCache(cfg.cache_file), MockEmbeddingProvider(32)),
+        )
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert self._fresh("report", str(run_dir)) == self.SENT_NONE
+        assert self._fresh("baseline", "--config", str(cfg_path)) == self.SENT_NONE
 
 
 class TestExitCodes:
