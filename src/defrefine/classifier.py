@@ -9,10 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
-# Rows per block hold about this many elements, which bounds the row-major
-# scratch array of row_norms (256 KiB of float64).
-_BLOCK_ELEMENTS = 1 << 15
-
 # classify splits its (k, n) product into one column block per this many
 # multiply-adds: on 2 CPUs with OpenBLAS 0.3 at one thread a split lost at
 # 4.9 M and won from 6.6 M up.
@@ -76,12 +72,9 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _as_matrix(vectors, copy: bool = False) -> np.ndarray:
+def _as_matrix(vectors) -> np.ndarray:
     try:
-        if copy:
-            matrix = np.array(vectors, dtype=np.float64)
-        else:
-            matrix = np.asarray(vectors, dtype=np.float64)
+        matrix = np.asarray(vectors, dtype=np.float64)
     except ValueError as exc:
         raise ValueError("vector dimension mismatch") from exc
     if matrix.shape[:1] == (0,):
@@ -91,55 +84,8 @@ def _as_matrix(vectors, copy: bool = False) -> np.ndarray:
     return matrix
 
 
-def row_norms(matrix: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of the (n, d) float64 matrix.
-
-    Each norm has the bits of `np.linalg.norm(m, axis=1)` for the row-major
-    m of the same values, whatever the matrix's layout: the rows are squared
-    into one row-major scratch array a block at a time and summed along it.
-    A block holds at most `_BLOCK_ELEMENTS` elements (or one row), so the
-    scratch stays small. A row can be normalised exactly when its norm is
-    finite and positive.
-    """
-    n, d = matrix.shape
-    step = max(1, _BLOCK_ELEMENTS // max(1, d))
-    squares = np.empty((min(step, n), d))
-    norms = np.empty(n)
-    # np.linalg.norm's own sum for axis=1, without its full-size temporary;
-    # a sum that overflows is an infinite norm, which the caller refuses.
-    with np.errstate(over="ignore"):
-        for start in range(0, n, step):
-            block = matrix[start : start + step]
-            rows = squares[: len(block)]
-            np.multiply(block, block, out=rows)
-            np.add.reduce(rows, axis=1, out=norms[start : start + step])
-    return np.sqrt(norms, out=norms)
-
-
-def unit_rows(vectors, what: str) -> np.ndarray:
-    """The rows scaled to unit length, as a new float64 (n, d) array.
-
-    The result has the layout of `vectors` (a column-major matrix stays
-    column-major). The norms come from `row_norms`, so the temporaries stay
-    small, and each row gets the same bits as
-    `m / np.linalg.norm(m, axis=1)[:, None]` for the row-major m of the same
-    values. `what` names the rows in the error raised for a row whose norm
-    is zero or not finite.
-    """
-    matrix = _as_matrix(vectors, copy=True)
-    norms = row_norms(matrix)
-    # A NaN norm is neither; max and min pass it on.
-    if not norms.max() < np.inf:
-        raise ValueError(f"non-finite norm of a {what} vector")
-    if not norms.min() > 0.0:
-        raise ValueError(f"zero-norm {what} vector")
-    matrix /= norms[:, None]
-    return matrix
-
-
-def _operands(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
-    docs = _as_matrix(doc_units)
-    defs = unit_rows(def_vecs, "definition")
+def _operands(doc_units, def_units) -> tuple[np.ndarray, np.ndarray]:
+    docs, defs = _as_matrix(doc_units), _as_matrix(def_units)
     if defs.shape[0] < 2:
         raise ValueError("need at least 2 definition vectors")
     if docs.shape[1] != defs.shape[1]:
@@ -147,11 +93,11 @@ def _operands(doc_units, def_vecs) -> tuple[np.ndarray, np.ndarray]:
     return docs, defs
 
 
-def cosine_scores(doc_units, def_vecs) -> np.ndarray:
+def cosine_scores(doc_units, def_units) -> np.ndarray:
     """The n-by-k cosine score matrix, `np.clip(docs @ defs.T, -1, 1)`.
 
     Takes the same arguments as `classify`. This is the exact product, the
-    float64 product of the document matrix as given: its row-wise argmax,
+    float64 product of the two matrices as given: its row-wise argmax,
     ties to the lowest index, is what `classify` returns, and `classify`
     computes it, for the whole split and with no copy of it, when some
     document's best score in the faster (k, n) product does not lead every
@@ -159,7 +105,7 @@ def cosine_scores(doc_units, def_vecs) -> np.ndarray:
     at a near tie, a column-major and a row-major matrix of the same values
     may round to different scores. All arithmetic is double precision.
     """
-    docs, defs = _operands(doc_units, def_vecs)
+    docs, defs = _operands(doc_units, def_units)
     scores = docs @ defs.T
     return np.clip(scores, -1.0, 1.0, out=scores)
 
@@ -167,9 +113,10 @@ def cosine_scores(doc_units, def_vecs) -> np.ndarray:
 def _tie_margin(d: int) -> float:
     """The score gap above which the (k, n) and (n, k) products agree.
 
-    For rows of norm at most 1 + e, e = (d + 4) u, u = 2**-53 (unit_rows
-    gives those), any floating-point evaluation of a length-d dot product is
-    within g (1 + e)**2 of the exact one, g = d u / (1 - d u) (Higham,
+    For rows of norm at most 1 + e, e = (d + 4) u, u = 2**-53 (the embedding
+    gateway's unit rows are those), any floating-point evaluation of a
+    length-d dot product is within g (1 + e)**2 of the exact one,
+    g = d u / (1 - d u) (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.1), so two evaluations
     differ by at most `spread`, and a score passes +-1 by at most
     `overshoot`. A best score ahead of every other by more than 2 spread +
@@ -185,15 +132,16 @@ def _tie_margin(d: int) -> float:
     return 2.0 * (2.0 * spread + overshoot)
 
 
-def classify(doc_units, def_vecs) -> np.ndarray:
+def classify(doc_units, def_units) -> np.ndarray:
     """Assign each document the category with the most similar definition.
 
-    `doc_units` holds the documents as unit rows, `unit_rows(vectors,
-    "document")`, so a caller that classifies one split many times normalises
-    it once. `def_vecs` is an array-like of definition row vectors, an (k, d)
-    array or a list of d-vectors, and is unit-normalised here. Returns the
-    predicted category index per document: always the row-wise argmax of
-    `cosine_scores(doc_units, def_vecs)`, ties to the lowest index, for the
+    Both operands are unit rows, as `EmbeddingGateway.embed_texts(...,
+    unit=True)` and `embed_definitions` return them: `doc_units` the (n, d)
+    documents, `def_units` the (k, d) definitions, each an array or a list
+    of d-vectors. Nothing is normalised here, so a caller that classifies
+    one split many times normalises it once. Returns the predicted category
+    index per document: always the row-wise argmax of
+    `cosine_scores(doc_units, def_units)`, ties to the lowest index, for the
     document matrix as given, in either layout.
 
     The scores come from the cheaper (k, n) product `defs @ docs.T`, whose
@@ -207,14 +155,14 @@ def classify(doc_units, def_vecs) -> np.ndarray:
     exact scores tie. If any document is not certain (an exact or near tie,
     such as two (near-)duplicate definitions give), the whole split is
     classified from `cosine_scores`, since a subset of rows is not known to
-    give the full product's bits. The proof needs document rows of norm at
-    most 1 + (d + 4) 2**-53, which `unit_rows` gives; shorter rows are fine
-    too.
+    give the full product's bits. The proof needs rows of norm at most
+    1 + (d + 4) 2**-53 on both sides, which the gateway's unit rows have;
+    shorter rows are fine too.
     """
-    docs, defs = _operands(doc_units, def_vecs)
+    docs, defs = _operands(doc_units, def_units)
     predictions = _certain_argmax(_product(defs, docs.T), _tie_margin(docs.shape[1]))
     if predictions is None:
-        return np.argmax(cosine_scores(doc_units, def_vecs), axis=1)
+        return np.argmax(cosine_scores(doc_units, def_units), axis=1)
     return predictions
 
 

@@ -3,7 +3,8 @@
 Documents and definitions go through the same gateway: the text is given a
 role-specific instruction prefix, truncated to a fixed character budget, and
 either served from the cache or shipped to the provider in batches. Vectors
-are stored exactly as received; normalization is the classifier's concern.
+are stored exactly as received. The gateway is the one place that checks and
+normalises them: the classifier compares the unit rows it returns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ._http import LazySession, check_retry_policy, post_json
-from .classifier import row_norms
 from .errors import ConfigError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -37,6 +37,36 @@ API_KEY_ENV = "EMBED_API_KEY"
 
 # The types json gives a number; true and false come back as bool.
 _JSON_NUMBERS = frozenset({int, float})
+
+# Rows per block hold about this many elements, which bounds the row-major
+# scratch array of row_norms (256 KiB of float64).
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of the (n, d) float64 matrix.
+
+    Each norm has the bits of `np.linalg.norm(m, axis=1)` for the row-major
+    m of the same values, whatever the matrix's layout: the rows are squared
+    into one row-major scratch array a block at a time and summed along it.
+    A block holds at most `_BLOCK_ELEMENTS` elements (or one row), so the
+    scratch stays small. A row divided by its norm then has the bits of
+    `m / np.linalg.norm(m, axis=1)[:, None]`, and it can be normalised
+    exactly when its norm is finite and positive.
+    """
+    n, d = matrix.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, d))
+    squares = np.empty((min(step, n), d))
+    norms = np.empty(n)
+    # np.linalg.norm's own sum for axis=1, without its full-size temporary;
+    # a sum that overflows is an infinite norm, which the caller refuses.
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            block = matrix[start : start + step]
+            rows = squares[: len(block)]
+            np.multiply(block, block, out=rows)
+            np.add.reduce(rows, axis=1, out=norms[start : start + step])
+    return np.sqrt(norms, out=norms)
 
 
 @dataclass
@@ -509,10 +539,10 @@ class EmbeddingGateway:
 
         Each block of rows is admitted once, where it enters the gateway: a
         record the store yields, or a provider batch. A row passes when its
-        norm from `row_norms` is finite and positive, exactly when
-        `unit_rows` can normalise it: a component that is not finite, or a
-        sum of squares that overflows, is refused as non-finite, and one that
-        is zero or underflows as all-zero. A store written by older code may
+        norm from `row_norms` is finite and positive, exactly when it can be
+        scaled to unit length: a component that is not finite, or a sum of
+        squares that overflows, is refused as non-finite, and one that is
+        zero or underflows as all-zero. A store written by older code may
         hold such a row. Every block must have the gateway's width.
         """
         try:
@@ -536,8 +566,10 @@ class EmbeddingGateway:
         """Embed texts under the given role as an (n, d) array; row i is input i.
 
         With `unit`, each row is scaled to unit length, with the bits of
-        `classifier.unit_rows` of the raw rows: the norms `_admit` takes as
-        it checks each block, then one divide.
+        `m / np.linalg.norm(m, axis=1)[:, None]` for the row-major m of the
+        raw rows: the norms `_admit` takes as it checks each block, then one
+        divide. These are the rows the classifier compares; it normalises
+        nothing itself.
 
         The array is column-major: its `.T` is C-contiguous. A split of
         documents then enters the classifier's (k, n) product `defs @ docs.T`
@@ -623,8 +655,9 @@ class EmbeddingGateway:
                 yield store(batch, vectors)
 
     def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:
-        """A (k, d) array with one row per category, in category index order."""
+        """A (k, d) array of unit rows, one per category in category index
+        order, in `embed_texts`'s column-major layout."""
         missing = [c for c in categories if c not in definitions]
         if missing:
             raise ValueError(f"definitions missing categories: {', '.join(missing)}")
-        return self.embed_texts([definitions[c] for c in categories], ROLE_DEFINITION)
+        return self.embed_texts([definitions[c] for c in categories], ROLE_DEFINITION, unit=True)

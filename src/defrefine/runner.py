@@ -570,8 +570,8 @@ def cmd_baseline(cfg: RunConfig):
         if not split_view(dataset, "test"):
             raise DataError("baseline evaluation requires a nonempty test split")
         test_units, gold = splits.embedded("test")
-        def_vecs = splits.gateway.embed_definitions(definitions, dataset.categories)
-        report, cm = score(def_vecs, dataset.categories, test_units, gold)
+        def_units = splits.gateway.embed_definitions(definitions, dataset.categories)
+        report, cm = score(def_units, dataset.categories, test_units, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -635,6 +635,10 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
         raise ConfigError("sweep requires a strategy config")
     if not k_values or not m_values:
         raise ConfigError("sweep requires nonempty k and m grids")
+    for what, values in (("k", k_values), ("m", m_values)):
+        if len(set(values)) < len(values):
+            # Two cells would share one run directory.
+            raise ConfigError(f"sweep {what} grid repeats a value: {','.join(map(str, values))}")
     cell_cfgs = []
     for k, m in product(k_values, m_values):
         try:
@@ -674,11 +678,11 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     cfg, dataset, initial, trace, evolution, best = run.read()
     test_docs = split_view(dataset, "test")
     with _open_splits(cfg, dataset) as splits:
-        def_vecs = splits.gateway.embed_definitions(best, dataset.categories)
+        def_units = splits.gateway.embed_definitions(best, dataset.categories)
         test_units = []
         if test_docs:
             test_units, gold = splits.embedded("test")
-            _, cm = score(def_vecs, dataset.categories, test_units, gold)
+            _, cm = score(def_units, dataset.categories, test_units, gold)
 
     reports = run.path / "reports"
     reports.mkdir(parents=True, exist_ok=True)
@@ -695,7 +699,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     written.append(reports / "embeddings_snapshot.jsonl")
     definition_rows = (
         {"kind": "definition", "category": category, "vector": vec.tolist()}
-        for category, vec in zip(dataset.categories, def_vecs)
+        for category, vec in zip(dataset.categories, def_units)
     )
     document_rows = (
         {"kind": "document", "id": doc.id, "label": doc.label, "vector": vec.tolist()}

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from defrefine.corpus import Dataset, Document
-from defrefine.embeddings import EmbedderConfig, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
+from defrefine.embeddings import EmbedderConfig, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider, row_norms
 
 TOY_CATEGORIES = ("alpha", "beta", "gamma")
 
@@ -36,6 +37,15 @@ def separable_dataset(
                 docs.append(Document(f"d{i}", ideal[c], c, split))
                 i += 1
     return Dataset(name, tuple(categories), tuple(docs))
+
+
+def unit(vectors) -> np.ndarray:
+    """The rows scaled to unit length, as a new float64 array in their layout,
+    with the bits the embedding gateway gives them: `row_norms`, then one
+    divide, which is `m / np.linalg.norm(m, axis=1)[:, None]` for row-major m."""
+    matrix = np.array(vectors, dtype=np.float64)
+    matrix /= row_norms(matrix)[:, None]
+    return matrix
 
 
 def mock_gateway(dim=32, seed=0, cache_path=None) -> EmbeddingGateway:

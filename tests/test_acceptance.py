@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defrefine.classifier import classify, unit_rows
+from defrefine.classifier import classify
 from defrefine.evaluation import ConfusionMatrix, macro_f1
 from defrefine.llm import ScriptedLlm
 from defrefine.records import to_json
@@ -34,7 +34,7 @@ from defrefine.refinement import (
     temperature,
 )
 
-from conftest import ideal_definitions, junk_definitions, mock_gateway, separable_dataset
+from conftest import ideal_definitions, junk_definitions, mock_gateway, separable_dataset, unit
 from test_classifier import oracle_predict
 from test_evaluation import oracle_per_class_f1
 from test_refinement import RecordingLlm
@@ -62,7 +62,7 @@ def test_criterion_1_classifier_oracle_equivalence():
             d = int(rng.integers(2, 33))
             docs = rng.standard_normal((n, d))
             defs = rng.standard_normal((k, d))
-            preds = classify(unit_rows(docs, "document"), defs)
+            preds = classify(unit(docs), unit(defs))
             assert preds.tolist() == oracle_predict(docs.tolist(), defs.tolist())
         assert time.monotonic() - started < 1.0
 

@@ -10,8 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from defrefine import classifier
-from defrefine.classifier import classify, cosine_scores, unit_rows
+from defrefine import classifier, embeddings
+from defrefine.classifier import classify, cosine_scores
+
+from conftest import unit
 
 
 def cosine_similarity(a, b) -> float:
@@ -89,64 +91,18 @@ def classify_normalising_inside(doc_vecs, def_vecs):
     return scores, np.argmax(scores, axis=1)
 
 
-class TestUnitRows:
-    def test_rows_have_unit_length(self):
-        rng = np.random.default_rng(5)
-        units = unit_rows(rng.standard_normal((40, 7)) * 1e3, "document")
-        np.testing.assert_allclose(np.linalg.norm(units, axis=1), 1.0, atol=1e-15)
-
-    def test_returns_a_new_array(self):
-        docs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        before = docs.copy()
-        units = unit_rows(docs, "document")
-        assert units is not docs
-        np.testing.assert_array_equal(docs, before)
-
-    def test_uses_only_numpy_1_copy_modes(self, monkeypatch):
-        # pyproject allows numpy>=1.24: there np.array rejects copy=None and
-        # np.asarray takes no copy argument at all.
-        def numpy_1(real, copy_allowed):
-            def call(*args, **kwargs):
-                if "copy" in kwargs and (not copy_allowed or kwargs["copy"] is None):
-                    raise ValueError("NoneType copy mode not allowed.")
-                return real(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(np, "array", numpy_1(np.array, True))
-        monkeypatch.setattr(np, "asarray", numpy_1(np.asarray, False))
-        docs = np.array([[3.0, 4.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(unit_rows(docs, "document"), [[0.6, 0.8], [0.0, 1.0]])
-        predictions = classify(docs, [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(predictions, [1, 1])
-
-    def test_zero_norm_row_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm document vector"):
-            unit_rows([[1.0, 0.0], [0.0, 0.0]], "document")
-
-    @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
-    def test_row_with_a_non_finite_norm_rejected(self, value):
-        # Divided by an infinite norm, a row would become zeros.
-        with pytest.raises(ValueError, match="non-finite norm of a document vector"):
-            unit_rows([[1.0, 0.0], [value, value]], "document")
-
-    def test_zero_norm_definition_rejected_by_classify(self):
-        with pytest.raises(ValueError, match="zero-norm definition vector"):
-            classify([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
-
-
 class TestBitIdentity:
     """Unit rows made once give the same bits as normalising on every call,
     and classify's certified argmax is the argmax of those scores."""
 
     @staticmethod
     def _assert_same(docs, defs):
-        units = unit_rows(docs, "document")
-        scores = cosine_scores(units, defs)
+        units, def_units = unit(docs), unit(defs)
+        scores = cosine_scores(units, def_units)
         ref_scores, ref_preds = classify_normalising_inside(docs, defs)
         assert np.array_equal(scores, ref_scores)
         assert np.array_equal(np.argmax(scores, axis=1), ref_preds)
-        assert np.array_equal(classify(units, defs), np.argmax(ref_scores, axis=1))
+        assert np.array_equal(classify(units, def_units), np.argmax(ref_scores, axis=1))
 
     # The same product taken as (defs @ docs.T).T differs in the last bits at
     # (250, 64, 20) under OpenBLAS with one or two threads, and at
@@ -186,23 +142,18 @@ class TestBitIdentity:
         ],
     )
     def test_in_place_blockwise_unit_rows(self, blocks, order):
-        # A column-major matrix gets the bits of the row-major one, and keeps
-        # its layout; so does one divided in place by its `row_norms`, as the
-        # embedding gateway makes unit rows.
+        # A column-major matrix divided in place by its `row_norms`, as the
+        # embedding gateway makes unit rows, gets the bits of the row-major
+        # one and keeps its layout.
         d = 64
-        n = int(blocks * (classifier._BLOCK_ELEMENTS // d))
+        n = int(blocks * (embeddings._BLOCK_ELEMENTS // d))
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
         reference = m / np.linalg.norm(m, axis=1)[:, None]
-        given = np.array(m, order=order)
         owned = np.array(m, order=order)
-        owned /= classifier.row_norms(owned)[:, None]
+        owned /= embeddings.row_norms(owned)[:, None]
         assert np.array_equal(owned, reference)
         assert owned.flags[order + "_CONTIGUOUS"]
-        copied = unit_rows(given, "document")
-        assert np.array_equal(copied, reference)
-        assert copied.flags[order + "_CONTIGUOUS"]
-        assert np.array_equal(given, m)
 
     def test_list_and_float32_inputs(self):
         rng = np.random.default_rng(37)
@@ -210,6 +161,9 @@ class TestBitIdentity:
         defs = rng.standard_normal((4, 8))
         self._assert_same(docs, defs.tolist())
         self._assert_same(docs.tolist(), defs.astype(np.float32))
+        units, def_units = unit(docs), unit(defs)
+        assert np.array_equal(classify(units.tolist(), def_units.tolist()), classify(units, def_units))
+        assert np.array_equal(cosine_scores(units.tolist(), def_units.tolist()), cosine_scores(units, def_units))
 
 
 def swapped_pair(rng, n, d, k, tied, dtype=np.float64):
@@ -246,18 +200,18 @@ class TestCertifiedArgmax:
     (k, n) product too, which sends the whole split to the fallback."""
 
     @staticmethod
-    def _assert_exact(units, defs):
-        expected = np.argmax(cosine_scores(units, defs), axis=1)
-        assert np.array_equal(classify(units, defs), expected)
+    def _assert_exact(units, def_units):
+        expected = np.argmax(cosine_scores(units, def_units), axis=1)
+        assert np.array_equal(classify(units, def_units), expected)
 
     @pytest.mark.parametrize("n, d, k", [(37, 5, 3), (64, 33, 9), (250, 64, 20), (250, 1024, 20), (500, 256, 20)])
     def test_random_shapes(self, n, d, k):
         for seed in range(40):
             rng = np.random.default_rng([n, d, k, seed])
             docs, defs = rng.standard_normal((n, d)), rng.standard_normal((k, d))
-            self._assert_exact(unit_rows(docs, "document"), defs)
+            self._assert_exact(unit(docs), unit(defs))
             for docs, defs in (swapped_pair(rng, n, d, k, tied=n), near_duplicates(rng, n, d, k, dups=2, near=2)):
-                self._assert_exact(unit_rows(docs, "document"), defs)
+                self._assert_exact(unit(docs), unit(defs))
 
     # The gateway's layout: classify is the argmax of the exact product of
     # the column-major matrix itself, whose bits may differ from those of a
@@ -269,28 +223,28 @@ class TestCertifiedArgmax:
             docs, defs = rng.standard_normal((n, d)), rng.standard_normal((k, d))
             cases = ((docs, defs), swapped_pair(rng, n, d, k, tied=n), near_duplicates(rng, n, d, k, dups=2, near=2))
             for docs, defs in cases:
-                units = unit_rows(np.asfortranarray(docs), "document")
+                units = unit(np.asfortranarray(docs))
                 assert units.T.flags.c_contiguous
-                self._assert_exact(units, defs)
-                self._assert_exact(units, np.asfortranarray(defs))
+                self._assert_exact(units, unit(defs))
+                self._assert_exact(units, unit(np.asfortranarray(defs)))
 
     def test_exact_ties_go_to_the_lower_index_column_major(self):
         rng = np.random.default_rng(41)
         defs = rng.standard_normal((4, 16))
         defs[2] = defs[0]
         docs = np.vstack([defs[0], defs[0] + 0.01 * rng.standard_normal((30, 16))])
-        units = unit_rows(np.asfortranarray(docs), "document")
-        assert set(classify(units, defs).tolist()) == {0}
-        self._assert_exact(units, defs)
+        units = unit(np.asfortranarray(docs))
+        assert set(classify(units, unit(defs)).tolist()) == {0}
+        self._assert_exact(units, unit(defs))
 
     def test_exact_ties_go_to_the_lower_index(self):
         rng = np.random.default_rng(41)
         defs = rng.standard_normal((4, 16))
         defs[2] = defs[0]
-        units = unit_rows(np.vstack([defs[0], defs[0] + 0.01 * rng.standard_normal((30, 16))]), "document")
-        preds = classify(units, defs)
+        units = unit(np.vstack([defs[0], defs[0] + 0.01 * rng.standard_normal((30, 16))]))
+        preds = classify(units, unit(defs))
         assert set(preds.tolist()) == {0}
-        self._assert_exact(units, defs)
+        self._assert_exact(units, unit(defs))
 
     def test_near_ties(self):
         for seed in range(40):
@@ -299,7 +253,7 @@ class TestCertifiedArgmax:
                 near_duplicates(rng, 250, 64, 20, dups=20, near=250),
                 near_duplicates(rng, 250, 64, 20, dups=2, near=2),
             ):
-                self._assert_exact(unit_rows(docs, "document"), defs)
+                self._assert_exact(unit(docs), unit(defs))
 
     def test_clip_ties_go_to_the_lower_index(self):
         # A document equal to definition a, and b one ulp from a: both exact
@@ -308,14 +262,14 @@ class TestCertifiedArgmax:
         rng = np.random.default_rng(47)
         clipped = 0
         for _ in range(200):
-            a = unit_rows(rng.standard_normal((1, 8)), "definition")[0]
+            a = unit(rng.standard_normal((1, 8)))[0]
             b = a.copy()
             b[0] = np.nextafter(b[0], np.copysign(np.inf, b[0]))
             for defs in (np.array([a, b]), np.array([b, a])):
-                units = unit_rows(defs[:1], "document")
-                scores = cosine_scores(units, defs)
+                units = unit(defs[:1])
+                scores = cosine_scores(units, unit(defs))
                 clipped += bool(np.all(scores == 1.0))
-                self._assert_exact(units, defs)
+                self._assert_exact(units, unit(defs))
         assert clipped > 0
 
     def test_scaled_rows(self):
@@ -324,31 +278,31 @@ class TestCertifiedArgmax:
             docs, defs = near_duplicates(rng, 250, 64, 20, dups=2, near=2)
             docs *= 10.0 ** rng.uniform(-150, 150, size=(250, 1))
             defs *= 10.0 ** rng.uniform(-150, 150, size=(20, 1))
-            self._assert_exact(unit_rows(docs, "document"), defs)
+            self._assert_exact(unit(docs), unit(defs))
 
     def test_float32_and_list_inputs(self):
         for seed in range(40):
             docs, defs = swapped_pair(np.random.default_rng([59, seed]), 250, 64, 20, tied=2, dtype=np.float32)
-            units = unit_rows(docs, "document")
-            self._assert_exact(units, defs)
-            self._assert_exact(units.tolist(), defs.tolist())
+            units, def_units = unit(docs), unit(defs)
+            self._assert_exact(units, def_units)
+            self._assert_exact(units.tolist(), def_units.tolist())
 
     def test_exact_product_only_when_not_certain(self, monkeypatch):
         calls = []
         exact = classifier.cosine_scores
 
-        def spy(doc_units, def_vecs):
+        def spy(doc_units, def_units):
             calls.append(len(doc_units))
-            return exact(doc_units, def_vecs)
+            return exact(doc_units, def_units)
 
         monkeypatch.setattr(classifier, "cosine_scores", spy)
         rng = np.random.default_rng(61)
-        units = unit_rows(rng.standard_normal((2000, 32)), "document")
+        units = unit(rng.standard_normal((2000, 32)))
         defs = rng.standard_normal((10, 32))
-        classify(units, defs)
+        classify(units, unit(defs))
         assert calls == []
         defs[7] = defs[3]
-        classify(units, defs)
+        classify(units, unit(defs))
         assert calls == [2000]
 
 
@@ -371,14 +325,14 @@ class TestClassify:
             n, k, d = rng.integers(1, 51), rng.integers(2, 9), rng.integers(2, 33)
             docs = rng.standard_normal((n, d))
             defs = rng.standard_normal((k, d))
-            preds = classify(unit_rows(docs, "document"), defs)
+            preds = classify(unit(docs), unit(defs))
             assert preds.tolist() == oracle_predict(docs.tolist(), defs.tolist())
 
     def test_scores_in_range_and_match_pairwise_cosine(self):
         rng = np.random.default_rng(3)
         docs = rng.standard_normal((8, 12))
         defs = rng.standard_normal((4, 12))
-        scores = cosine_scores(unit_rows(docs, "document"), defs)
+        scores = cosine_scores(unit(docs), unit(defs))
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
         for i in range(8):
             for j in range(4):
@@ -390,9 +344,9 @@ class TestClassify:
         rng = np.random.default_rng(11)
         docs = rng.standard_normal((20, 10))
         defs = rng.standard_normal((5, 10))
-        units, units2 = unit_rows(docs, "document"), unit_rows(docs * 37.5, "document")
-        scores, preds = cosine_scores(units, defs), classify(units, defs)
-        scores2, preds2 = cosine_scores(units2, defs), classify(units2, defs)
+        units, units2, def_units = unit(docs), unit(docs * 37.5), unit(defs)
+        scores, preds = cosine_scores(units, def_units), classify(units, def_units)
+        scores2, preds2 = cosine_scores(units2, def_units), classify(units2, def_units)
         assert preds.tolist() == preds2.tolist()
         np.testing.assert_allclose(scores, scores2, atol=1e-12)
 
@@ -401,8 +355,8 @@ class TestClassify:
         docs = rng.standard_normal((30, 9))
         defs = rng.standard_normal((6, 9))
         perm = rng.permutation(6)
-        preds = classify(unit_rows(docs, "document"), defs)
-        preds_p = classify(unit_rows(docs, "document"), defs[perm])
+        preds = classify(unit(docs), unit(defs))
+        preds_p = classify(unit(docs), unit(defs[perm]))
         # Category j moved to position inv[j] in the permuted list.
         inv = np.argsort(perm)
         assert preds_p.tolist() == inv[preds].tolist()
@@ -410,12 +364,18 @@ class TestClassify:
     def test_identity_setup(self):
         rng = np.random.default_rng(19)
         defs = rng.standard_normal((7, 15))
-        preds = classify(unit_rows(defs, "document"), defs)
+        preds = classify(unit(defs), unit(defs))
         assert preds.tolist() == list(range(7))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             classify([[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_definition_rows_are_compared_as_given(self):
+        # The embedding gateway makes the unit rows; classify scales nothing.
+        scores = cosine_scores([[0.6, 0.8]], [[0.5, 0.0], [0.0, 0.25]])
+        assert scores.tolist() == [[0.3, 0.2]]
+        assert classify([[0.6, 0.8]], [[0.5, 0.0], [0.0, 0.25]]).tolist() == [0]
 
 
 class _BlockRecorder:
@@ -444,9 +404,9 @@ def split_into(monkeypatch):
     return split
 
 
-def _assert_exact(units, defs):
-    expected = np.argmax(cosine_scores(units, defs), axis=1)
-    assert np.array_equal(classify(units, defs), expected)
+def _assert_exact(units, def_units):
+    expected = np.argmax(cosine_scores(units, def_units), axis=1)
+    assert np.array_equal(classify(units, def_units), expected)
 
 
 class TestSplitProduct:
@@ -469,7 +429,7 @@ class TestSplitProduct:
                 swapped_pair(rng, n, d, k, tied=n - boundary + 1),
                 near_duplicates(rng, n, d, k, dups=2, near=n - boundary + 1),
             ):
-                _assert_exact(unit_rows(np.array(docs, order=order), "document"), defs)
+                _assert_exact(unit(np.array(docs, order=order)), unit(defs))
         bounds = [n * i // cpus for i in range(cpus + 1)]
         pool_widths = [b - a for a, b in zip(bounds[1:-1], bounds[2:])]
         assert recorder.widths == pool_widths * 80
@@ -478,28 +438,29 @@ class TestSplitProduct:
         calls = []
         exact = classifier.cosine_scores
 
-        def spy(doc_units, def_vecs):
+        def spy(doc_units, def_units):
             calls.append(len(doc_units))
-            return exact(doc_units, def_vecs)
+            return exact(doc_units, def_units)
 
         monkeypatch.setattr(classifier, "cosine_scores", spy)
         recorder = split_into(3)
         rng = np.random.default_rng(73)
         defs = rng.standard_normal((10, 32))
         defs[7] = defs[3]
+        def_units = unit(defs)
         others = [j for j in range(10) if j not in (3, 7)]
         docs = defs[[others[i % len(others)] for i in range(300)]] + 0.01 * rng.standard_normal((300, 32))
         for tied in (299, 200):  # the last column, and the first of the last block
             case = docs.copy()
             case[tied] = defs[3]
-            units = unit_rows(np.asfortranarray(case), "document")
+            units = unit(np.asfortranarray(case))
             calls.clear()
-            preds = classify(units, defs)
+            preds = classify(units, def_units)
             assert calls == [300]
             assert preds[tied] == 3
-            assert np.array_equal(preds, np.argmax(exact(units, defs), axis=1))
+            assert np.array_equal(preds, np.argmax(exact(units, def_units), axis=1))
         calls.clear()
-        classify(unit_rows(np.asfortranarray(docs), "document"), defs)
+        classify(unit(np.asfortranarray(docs)), def_units)
         assert calls == []
         assert recorder.widths == [100, 100] * 3
 
@@ -513,7 +474,7 @@ class TestSplitProduct:
         monkeypatch.setattr(classifier, "_workers", lambda: recorder)
         rng = np.random.default_rng(97)
         docs, defs = swapped_pair(rng, 100, 16, 5, tied=3)
-        _assert_exact(unit_rows(docs, "document"), defs)
+        _assert_exact(unit(docs), unit(defs))
         blocks = min(classifier._MAX_BLOCKS, len(os.sched_getaffinity(0))) if one_thread else 1
         assert recorder.widths == [50] * (blocks - 1)
 
@@ -542,7 +503,7 @@ class TestSplitProduct:
         recorder = split_into(3)
         rng = np.random.default_rng([79, n])
         docs, defs = swapped_pair(rng, n, 16, 5, tied=1)
-        _assert_exact(unit_rows(docs, "document"), defs)
+        _assert_exact(unit(docs), unit(defs))
         assert recorder.widths == [1] * (n - 1)
 
     def test_concurrent_callers(self, split_into):
@@ -551,17 +512,17 @@ class TestSplitProduct:
         for seed in range(2):
             rng = np.random.default_rng([83, seed])
             docs, defs = near_duplicates(rng, 400, 64, 12, dups=2, near=2)
-            units = unit_rows(np.asfortranarray(docs), "document")
-            cases.append((units, defs, np.argmax(cosine_scores(units, defs), axis=1)))
-            units = unit_rows(np.asfortranarray(rng.standard_normal((400, 64))), "document")
-            defs = rng.standard_normal((12, 64))
-            cases.append((units, defs, np.argmax(cosine_scores(units, defs), axis=1)))
+            units, def_units = unit(np.asfortranarray(docs)), unit(defs)
+            cases.append((units, def_units, np.argmax(cosine_scores(units, def_units), axis=1)))
+            units = unit(np.asfortranarray(rng.standard_normal((400, 64))))
+            def_units = unit(rng.standard_normal((12, 64)))
+            cases.append((units, def_units, np.argmax(cosine_scores(units, def_units), axis=1)))
         wrong = []
 
         def run(i):
             for _ in range(30):
-                for units, defs, expected in cases[i::2]:
-                    if not np.array_equal(classify(units, defs), expected):
+                for units, def_units, expected in cases[i::2]:
+                    if not np.array_equal(classify(units, def_units), expected):
                         wrong.append(i)
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
@@ -577,15 +538,15 @@ class TestSplitProduct:
         monkeypatch.setattr(classifier, "_SPLIT_MULTIPLY_ADDS", 1)
         monkeypatch.setattr(classifier, "_max_blocks", lambda: 2)
         rng = np.random.default_rng(89)
-        units = unit_rows(np.asfortranarray(rng.standard_normal((500, 32))), "document")
-        defs = rng.standard_normal((8, 32))
-        expected = classify(units, defs)
+        units = unit(np.asfortranarray(rng.standard_normal((500, 32))))
+        def_units = unit(rng.standard_normal((8, 32)))
+        expected = classify(units, def_units)
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child
             try:
                 signal.alarm(5)
-                os.write(write, classify(units, defs).astype(np.int64).tobytes())
+                os.write(write, classify(units, def_units).astype(np.int64).tobytes())
             finally:
                 os._exit(0)
         os.close(write)

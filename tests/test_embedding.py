@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defrefine import classifier, embeddings
-from defrefine.classifier import unit_rows
+from defrefine import embeddings
 from defrefine.embeddings import (
     EmbedderConfig,
     EmbeddingCache,
@@ -422,7 +421,6 @@ class TestServedFromDisk:
         units = gw.embed_texts(texts, "document", unit=True)
         assert units.T.flags.c_contiguous
         raw = MockEmbeddingProvider(8).embed_batch(texts)
-        assert units.tobytes() == unit_rows(raw, "document").tobytes()
         assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
         gw.cache.close()
 
@@ -433,7 +431,7 @@ class TestServedFromDisk:
         # record or batch is checked in three blocks; its rows reach the
         # output as one slice, or by fancy indexing when scattered.
         dim, texts = 4096, [f"text {i}" for i in range(20)]
-        assert len(texts) * dim > 2 * classifier._BLOCK_ELEMENTS
+        assert len(texts) * dim > 2 * embeddings._BLOCK_ELEMENTS
         asked = texts if positions == "in-order" else texts[::-1] + texts[:2]
         path = tmp_path / "cache.bin"
         if source == "stored":
@@ -813,13 +811,59 @@ class TestDefinitions:
         defs = {c: f"def {c}" for c in cats}
         vecs = gateway.embed_definitions(defs, cats)
         assert len(vecs) == 10
-        direct = gateway.embed_texts([defs[c] for c in cats], "definition")
+        direct = gateway.embed_texts([defs[c] for c in cats], "definition", unit=True)
         for a, b in zip(vecs, direct):
             np.testing.assert_array_equal(a, b)
 
     def test_missing_category_rejected(self, gateway):
         with pytest.raises(ValueError, match="missing"):
             gateway.embed_definitions({"a": "x"}, ("a", "b"))
+
+    @pytest.mark.parametrize("source", ["fetched", "stored"])
+    def test_unit_rows_in_column_major_layout(self, tmp_path, source):
+        # The provider's rows are three units long, so only rows the gateway
+        # normalised have the bits `row_norms` documents for the row-major
+        # raw rows; the store holds the raw rows.
+        cats = [f"c{i}" for i in range(5)]
+        defs = {c: f"def {c}" for c in cats}
+        path = tmp_path / "cache.bin"
+        if source == "stored":
+            writer = EmbeddingGateway(_cfg(), EmbeddingCache(path), _Longer(8))
+            writer.embed_definitions(defs, cats)
+            writer.cache.close()
+        provider = _Longer(8)
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(path), provider)
+        units = gw.embed_definitions(defs, cats)
+        assert provider.requests == (0 if source == "stored" else 1)
+        assert units.shape == (5, 8) and units.T.flags.c_contiguous
+        raw = _Longer(8).embed_batch([defs[c] for c in cats])
+        assert raw.flags.c_contiguous
+        assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
+        gw.cache.close()
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [(0.0, "all-zero"), (1e200, "non-finite"), (np.inf, "non-finite"), (np.nan, "non-finite")],
+        ids=["zero", "norm-overflows", "inf", "nan"],
+    )
+    def test_definition_with_no_direction_refused(self, value, match):
+        # The gateway, not the classifier, refuses a definition row that
+        # cannot be scaled to unit length.
+        class OneBad:
+            def embed_batch(self, texts):
+                return [[value, value] if t == "bad" else [1.0, 0.0] for t in texts]
+
+        gw = EmbeddingGateway(_cfg(), EmbeddingCache(), OneBad())
+        with pytest.raises(ProviderError, match=match):
+            gw.embed_definitions({"a": "fine", "b": "bad"}, ("a", "b"))
+        assert len(gw.cache) == 0
+
+
+class _Longer(MockEmbeddingProvider):
+    """The mock's vectors, three times as long."""
+
+    def embed_batch(self, texts):
+        return 3.0 * super().embed_batch(texts)
 
 
 class _FlakyProvider:

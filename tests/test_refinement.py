@@ -516,9 +516,12 @@ class TestRefineLoop:
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
         # train, dev and test are each embedded as unit rows once, however
         # many iterations run, and every classify call gets one of those
-        # arrays; definitions stay raw.
+        # arrays; each definition set is embedded as unit rows too, and
+        # classify gets the gateway's array as it is. Train and dev come
+        # before the first definition set, which keeps the peak RSS lower.
         units = []
         docs_seen = []
+        defs_seen = []
         embed_texts = EmbeddingGateway.embed_texts
         classify = classifier.classify
 
@@ -529,6 +532,7 @@ class TestRefineLoop:
 
         def recording_classify(docs, defs):
             docs_seen.append(docs)
+            defs_seen.append(defs)
             return classify(docs, defs)
 
         monkeypatch.setattr(EmbeddingGateway, "embed_texts", counting_embed_texts)
@@ -538,7 +542,10 @@ class TestRefineLoop:
         _run(script, t_max=t_max)
         documents = [(unit, arr) for role, unit, arr in units if role == "document"]
         assert [unit for unit, _ in documents] == [True] * 3
-        assert all(not unit for role, unit, _ in units if role != "document")
+        assert [role for role, _, _ in units[:3]] == ["document", "document", "definition"]
+        definitions = [arr for role, unit, arr in units if role == "definition" and unit]
+        assert len(definitions) == len(units) - 3
+        assert all(any(defs is arr for arr in definitions) for defs in defs_seen)
         train, dev, test = (arr for _, arr in documents)
         assert all(np.allclose(np.linalg.norm(arr, axis=1), 1.0) for arr in (train, dev, test))
         assert all(any(docs is arr for arr in (train, dev, test)) for docs in docs_seen)

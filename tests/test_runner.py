@@ -16,6 +16,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from defrefine import records, runner
@@ -1336,6 +1337,16 @@ class TestSweep:
         assert "sweep cell k=6 m=1: k_confused must be in 1..5" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("k_values, m_values, what", [("1,1", "1", "k"), ("1", "2,1,2", "m")], ids=["k", "m"])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, k_values, m_values, what):
+        # Two cells of one (k, m) would share a run directory: the second
+        # would fail after the first had run, and no summary be written.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        rc = main(["sweep", "--config", str(cfg_path), "--k-values", k_values, "--m-values", m_values])
+        assert rc == EXIT_USAGE
+        assert f"sweep {what} grid repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_failed_cells_do_not_abort(self, tmp_path):
         # Script far too short for the budget: every cell fails, sweep still finishes.
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(1), t_max=9)
@@ -1455,8 +1466,8 @@ class TestReport:
         assert main(["report", str(run_dir)]) == EXIT_OK
         snapshot = (run_dir / "reports" / "embeddings_snapshot.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in snapshot]
-        norms = [sum(x * x for x in row["vector"]) ** 0.5 for row in rows if row["kind"] == "document"]
-        assert len(norms) == 6
+        assert [row["kind"] for row in rows] == ["definition"] * 3 + ["document"] * 6
+        norms = [sum(x * x for x in row["vector"]) ** 0.5 for row in rows]
         assert all(abs(norm - 1.0) < 1e-12 for norm in norms), norms
 
     def test_provider_error_leaves_earlier_report_files_alone(self, tmp_path, monkeypatch, capsys):
@@ -1468,7 +1479,7 @@ class TestReport:
         trace = run_dir / "trace.jsonl"
         trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:-1]))
 
-        def provider_down(gateway, texts, role):
+        def provider_down(gateway, texts, role, *, unit=False):
             raise ProviderError("provider down")
 
         monkeypatch.setattr(EmbeddingGateway, "embed_texts", provider_down)
@@ -1624,6 +1635,29 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_DATA
         assert where in capsys.readouterr().err
+
+
+class TestNumpyFloor:
+    def test_refine_and_report_use_only_numpy_1_copy_modes(self, tmp_path, monkeypatch):
+        # pyproject allows numpy>=1.24: there np.array rejects copy=None and
+        # np.asarray takes no copy argument at all.
+        calls = {"array": 0, "asarray": 0}
+
+        def numpy_1(name, real, copy_allowed):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                if "copy" in kwargs and (not copy_allowed or kwargs["copy"] is None):
+                    raise ValueError("NoneType copy mode not allowed.")
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np, "array", numpy_1("array", np.array, True))
+        monkeypatch.setattr(np, "asarray", numpy_1("asarray", np.asarray, False))
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3, ideal_at=2), t_max=3)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["report", str(run_dir_for(RunConfig.from_file(cfg_path), "refine"))]) == EXIT_OK
+        assert min(calls.values()) > 0, calls
 
 
 class TestCacheIsClosed:
