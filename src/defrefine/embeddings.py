@@ -144,6 +144,27 @@ _ROW_MASK = (1 << _ROW_BITS) - 1
 _SCAN_CHUNK = 1 << 20
 
 
+def _not_a_store(path: Path) -> ConfigError:
+    return ConfigError(
+        f"{path} is not an embedding store; move it away or set cache_file to another path (it is left unchanged)"
+    )
+
+
+def check_store(path: Path) -> None:
+    """ConfigError, as `EmbeddingCache` raises it, if path is a directory or
+    a nonempty file that does not begin with STORE_MAGIC; reads only those
+    bytes."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(STORE_MAGIC))
+    except FileNotFoundError:
+        return
+    except IsADirectoryError:
+        raise _not_a_store(path) from None
+    if head and head != STORE_MAGIC:
+        raise _not_a_store(path)
+
+
 class EmbeddingCache:
     """Key index over an optional append-only binary store of vectors.
 
@@ -180,7 +201,11 @@ class EmbeddingCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self._path, "rb") as fh:
+        try:
+            fh = open(self._path, "rb")
+        except IsADirectoryError:
+            raise _not_a_store(self._path) from None
+        with fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             fd = fh.fileno()
             stat = os.fstat(fd)
@@ -189,10 +214,7 @@ class EmbeddingCache:
                 return
             self._file = stat.st_dev, stat.st_ino
             if os.pread(fd, len(STORE_MAGIC), 0) != STORE_MAGIC:
-                raise ConfigError(
-                    f"{self._path} is not an embedding store; move it away or set cache_file "
-                    "to another path (it is left unchanged)"
-                )
+                raise _not_a_store(self._path)
             records = []
             skipped = 0
             offset = len(STORE_MAGIC)

@@ -380,21 +380,37 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, fi
     return None, calls, latency_ms
 
 
+@dataclass(frozen=True)
+class ScoredStart:
+    """A start definition set as `refine` scores it at iteration 0: its unit
+    rows, its train macro-F1 and confusion matrix, and its dev metrics."""
+
+    definitions: dict[str, str]
+    units: np.ndarray
+    phi_train: float
+    train_confusion: ConfusionMatrix
+    dev: MetricsReport
+
+
 class Splits:
-    """A dataset's splits as unit rows on one gateway, each embedded once.
+    """A dataset's splits as unit rows on one gateway, each embedded once,
+    and the last start definition set scored on them.
 
     `embedded(split)` embeds a split's documents as unit rows the first time
     it is asked for them (the gateway divides each block by the norms it
     checked it with), and keeps them only if that succeeded, so a provider
     error leaves the split to be fetched again. The rows keep the gateway's
-    column-major layout. Every caller shares the same arrays and only reads
-    them.
+    column-major layout. `scored_start(definitions)` does the same for the
+    start set of a `refine`: sweep cells that start from one set score it
+    once. Every caller shares the same arrays, confusion matrices and
+    reports, and only reads them. Nothing here is locked: callers take turns.
     """
 
     def __init__(self, dataset: Dataset, gateway: EmbeddingGateway):
         self.dataset = dataset
         self.gateway = gateway
         self._embedded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._start: ScoredStart | None = None
 
     def embedded(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         """The split's documents as unit rows, and their gold category indices."""
@@ -406,6 +422,21 @@ class Splits:
             found = units, np.array([index[d.label] for d in docs])
             self._embedded[split] = found
         return found
+
+    def score(self, def_units: np.ndarray, split: str) -> tuple[MetricsReport, ConfusionMatrix]:
+        """The metrics and confusion matrix of definition unit rows on a split."""
+        return score(def_units, self.dataset.categories, *self.embedded(split))
+
+    def scored_start(self, definitions: dict[str, str]) -> ScoredStart:
+        """A start set's unit rows and scores: the last start's, if it held the
+        same definitions, else computed and kept (only if that succeeded)."""
+        start = self._start
+        if start is None or start.definitions != definitions:
+            units = self.gateway.embed_definitions(definitions, self.dataset.categories)
+            train, cm = self.score(units, "train")
+            start = ScoredStart(dict(definitions), units, train.macro_f1, cm, self.score(units, "dev")[0])
+            self._start = start
+        return start
 
 
 def refine(
@@ -432,7 +463,8 @@ def refine(
     with no state change. Each definition set is scored once per split: the
     current set's train confusion matrix and dev metrics are kept until a
     proposal replaces it. The documents, their dataset and the gateway come
-    from `splits`; a split it already holds is not embedded again.
+    from `splits`; a split it already holds is not embedded again, and a
+    start set equal to the last one it scored is not scored again.
 
     The loop state is `resume`, or a new one at iteration 0. `on_iteration`
     receives a record and the state, which fully determines the rest of the
@@ -456,18 +488,18 @@ def refine(
         raise DataError("refinement requires nonempty train and dev splits")
     # The splits before the first definition set: embedding a set first
     # raised the refine-20k benchmark's peak RSS from 104.3 to 109.1 MB.
-    train_units, gold_train = splits.embedded("train")
-    dev_units, gold_dev = splits.embedded("dev")
+    splits.embedded("train")
+    splits.embedded("dev")
 
     def embed(defs: Mapping[str, str]) -> np.ndarray:
         return splits.gateway.embed_definitions(defs, categories)
 
     def score_train(def_units: np.ndarray) -> tuple[float, ConfusionMatrix]:
-        report, cm = score(def_units, categories, train_units, gold_train)
+        report, cm = splits.score(def_units, "train")
         return report.macro_f1, cm
 
     def score_dev(def_units: np.ndarray) -> MetricsReport:
-        return score(def_units, categories, dev_units, gold_dev)[0]
+        return splits.score(def_units, "dev")[0]
 
     llm_calls = 0
     if resume is not None:
@@ -477,9 +509,8 @@ def refine(
         current = {c: initial[c] for c in categories}
     else:
         current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
-    vecs_cur = embed(current)
-    phi, cm_cur = score_train(vecs_cur)
-    dev_cur = score_dev(vecs_cur)
+    start = splits.scored_start(current)
+    vecs_cur, phi, cm_cur, dev_cur = start.units, start.phi_train, start.train_confusion, start.dev
 
     state = resume
     initial_info: InitialRecord | None = None
@@ -547,7 +578,7 @@ def refine(
     test_metrics = None
     test_cm = None
     if split_view(dataset, "test"):
-        test_metrics, test_cm = score(vecs_best, categories, *splits.embedded("test"))
+        test_metrics, test_cm = splits.score(vecs_best, "test")
 
     return RefinementResult(
         best_definitions=dict(state.best),

@@ -24,6 +24,7 @@ from .embeddings import (
     EmbeddingGateway,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
+    check_store,
 )
 from .errors import ConfigError, DataError, DefinitionParseError, ProviderError
 from .evaluation import confusion_to_csv, metrics_to_dict, score
@@ -91,6 +92,10 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= {low}")
         if self.init.mode == "llm_generated" and self.llm is None:
             raise ValueError("init.mode llm_generated requires an llm section")
+
+    @property
+    def store_path(self) -> Path:
+        return self.cache_file or self.out_dir / "embedding_cache.bin"
 
     def to_snapshot(self) -> dict:
         return to_json(self)
@@ -188,7 +193,7 @@ def build_gateway(cfg: RunConfig) -> EmbeddingGateway:
         provider = MockEmbeddingProvider(**_parse_mock_endpoint(endpoint))
     else:
         provider = HttpEmbeddingProvider(cfg.embedder)
-    cache = EmbeddingCache(cfg.cache_file or cfg.out_dir / "embedding_cache.bin")
+    cache = EmbeddingCache(cfg.store_path)
     return EmbeddingGateway(cfg.embedder, cache, provider)
 
 
@@ -627,9 +632,10 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
 def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     """Run one refinement per (k, m) cell with a derived sub-seed per cell.
 
-    Every cell's config is checked, and then the cells share one set-up, so a
-    bad grid value, dataset, store, script or definitions file stops the sweep
-    before the first cell. A provider, parse or data error fails only its
+    Every cell's config and run directory are checked, and then the cells
+    share one set-up, so a bad grid value, a checkpointed cell, or a bad
+    dataset, store, script or definitions file stops the sweep before the
+    first cell. A provider, parse or data error fails only its
     cell; a split whose embedding failed is embedded again by the next cell."""
     if cfg.strategy is None:
         raise ConfigError("sweep requires a strategy config")
@@ -646,6 +652,8 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
         except ValueError as exc:
             raise ConfigError(f"sweep cell k={k} m={m}: {exc}") from exc
         cell_cfgs.append(dataclasses.replace(cfg, strategy=strategy, seed=derive_seed(cfg.seed, f"cell-k{k}-m{m}")))
+    for cell_cfg in cell_cfgs:
+        RunDirectory(run_dir_for(cell_cfg, "refine")).refuse_checkpointed()
     cells = []
     with _set_up(cfg) as inputs:
         for cell_cfg in cell_cfgs:
@@ -722,6 +730,7 @@ def cmd_validate_config(path: str | Path) -> RunConfig:
     ):
         if file is not None and not file.exists():
             raise ConfigError(f"{what} not found: {file}")
+    check_store(cfg.store_path)
     if cfg.llm is not None and cfg.llm.endpoint.startswith(SCRIPT_PREFIX):
         _read_script(cfg.llm.endpoint)
     print("config OK")

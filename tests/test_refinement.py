@@ -657,6 +657,39 @@ class TestRefineLoop:
                 t_max=1,
             )
 
+    def test_refines_on_one_splits_score_each_start_set_once(self, monkeypatch):
+        # A start set equal to the last one scored is not embedded or scored
+        # again; a different one is scored as it is, and every run's
+        # iteration 0 and trace equal those of a run on its own splits.
+        dataset = separable_dataset()
+        script = [json.dumps(junk_definitions(i)) for i in range(1, 4)]
+        starts = [ideal_definitions(), dict(ideal_definitions()), junk_definitions(9), ideal_definitions()]
+
+        def run(splits, initial):
+            schedule, llm = AnnealingSchedule(), ScriptedLlm(script)
+            return refine(splits, StrategyConfig("m3", 2, 2), schedule, llm, seed=3, t_max=3, initial=initial)
+
+        alone = [run(Splits(dataset, mock_gateway()), initial) for initial in starts]
+        embedded = []
+        embed_definitions = EmbeddingGateway.embed_definitions
+
+        def recording_embed(gateway, definitions, categories):
+            embedded.append(dict(definitions))
+            return embed_definitions(gateway, definitions, categories)
+
+        monkeypatch.setattr(EmbeddingGateway, "embed_definitions", recording_embed)
+        shared = Splits(dataset, mock_gateway())
+        scored = []
+        for initial, expected in zip(starts, alone):
+            embedded.clear()
+            result = run(shared, initial)
+            scored.append(embedded[0] == initial)  # else the first is a proposal
+            assert result.initial == expected.initial
+            assert result.trace == expected.trace
+            assert result.dev_metrics == expected.dev_metrics
+        assert scored == [True, False, True, True]
+        assert alone[0].initial.phi_train == 1.0 > alone[2].initial.phi_train
+
     def test_zero_iterations_returns_initial_best(self):
         result, _ = _run([], t_max=0)
         assert result.trace == []

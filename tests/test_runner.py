@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defrefine import records, runner
+from defrefine import classifier, records, runner
 from defrefine.corpus import Dataset, Document
-from defrefine.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
+from defrefine.embeddings import STORE_MAGIC, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
 from defrefine.errors import ProviderError
 from defrefine.llm import ScriptedLlm
 from defrefine.refinement import TraceRecord
@@ -330,6 +330,28 @@ class TestConfig:
         assert "Traceback" not in err
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "content, refused",
+        [(b"hello", True), (b"[1]\n" * 4, True), (None, True), (b"", False), (STORE_MAGIC, False)],
+        ids=["short-text", "text", "directory", "empty", "empty-store"],
+    )
+    def test_validate_config_checks_the_store(self, tmp_path, capsys, content, refused):
+        # validate-config reads only the store's first bytes, and refuses what
+        # refine refuses: a file that does not begin as a store, or a directory.
+        store = tmp_path / "store.bin"
+        if content is None:
+            store.mkdir()
+        else:
+            store.write_bytes(content)
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2, extra={"cache_file": "store.bin"})
+        rc = main(["validate-config", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == (EXIT_USAGE if refused else EXIT_OK)
+        assert ("store.bin is not an embedding store" in err) == refused
+        assert (main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE) == refused
+        if refused and content is not None:
+            assert store.read_bytes() == content
 
     def test_missing_categories_file(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -1255,19 +1277,23 @@ class TestSweep:
         for cell in summary["cells"]:
             direct = self._direct_run(tmp_path / "single", cell["k"], cell["m"], toy_script(3, ideal_at=2), 3)
             assert direct.name == cell["run_dir"]
-            for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            for name in ("initial.json", "trace.jsonl", "definitions_log.jsonl", "result.json"):
                 swept = (dir_sweep / "runs" / cell["run_dir"] / name).read_bytes()
                 assert swept == (direct / name).read_bytes(), (cell["run_dir"], name)
 
     def test_set_up_runs_once_per_sweep(self, tmp_path, monkeypatch):
         # A cold store: the dataset loads once, the store opens once, each
-        # split is embedded once, and the provider gets each document text once.
+        # split is embedded once, and the provider gets each document text
+        # once. The cells' one start set is embedded once and scored on the
+        # train split once.
         dataset = separable_dataset()
         docs = tuple(d._replace(text=f"{d.text} #{i}") for i, d in enumerate(dataset.documents))
         cfg_path = write_config(tmp_path, dataclasses.replace(dataset, documents=docs), toy_script(2), t_max=2)
-        loads, opens, sent, embedded = [], [], [], []
+        loads, opens, sent, embedded, starts, start_train_scores = [], [], [], [], [], []
         load_dataset, cache_init = runner.load_dataset, EmbeddingCache.__init__
         embed_batch, embed_texts = MockEmbeddingProvider.embed_batch, EmbeddingGateway.embed_texts
+        classify = classifier.classify
+        start_texts = [f"A webpage about {c}." for c in TOY_CATEGORIES]
 
         def counting_load(*args, **kwargs):
             loads.append(args)
@@ -1282,29 +1308,42 @@ class TestSweep:
             return embed_batch(provider, texts)
 
         def recording_embed(gateway, texts, role, **kwargs):
+            out = embed_texts(gateway, texts, role, **kwargs)
             if role == "document":
                 embedded.append(len(texts))
-            return embed_texts(gateway, texts, role, **kwargs)
+            elif list(texts) == start_texts:
+                starts.append(out)
+            return out
+
+        def recording_classify(doc_units, def_units):
+            if len(doc_units) == 9 and any(def_units is start for start in starts):
+                start_train_scores.append(def_units)
+            return classify(doc_units, def_units)
 
         monkeypatch.setattr(runner, "load_dataset", counting_load)
         monkeypatch.setattr(EmbeddingCache, "__init__", counting_open)
         monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", recording_batch)
         monkeypatch.setattr(EmbeddingGateway, "embed_texts", recording_embed)
+        monkeypatch.setattr(classifier, "classify", recording_classify)
         assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1,2"]) == EXIT_OK
         assert len(list((tmp_path / "runs").glob("*-m3-*"))) == 4
         assert len(loads) == 1 and len(opens) == 1
         assert embedded == [9, 6, 6]  # train, dev, test
+        assert len(starts) == 1 and len(start_train_scores) == 1
         texts = [d.text for d in docs]
         assert sorted(text for text in sent if text in texts) == sorted(texts)
 
-    def test_provider_error_while_embedding_fails_only_that_cell(self, tmp_path, monkeypatch):
+    def _first_cell_fails_on(self, tmp_path, monkeypatch, fails):
+        """A 2x1 sweep whose provider fails once, on the first batch that
+        `fails(texts)` picks: cell 1 fails, and cell 2 writes the bytes of a
+        direct run."""
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2, ideal_at=1), t_max=2)
         embed_batch = MockEmbeddingProvider.embed_batch
-        calls = []
+        failed = []
 
         def fails_once(provider, texts):
-            calls.append(texts)
-            if len(calls) == 1:  # cell 1's train split, from a cold store
+            if not failed and fails(texts):
+                failed.append(texts)
                 raise ProviderError("provider down")
             return embed_batch(provider, texts)
 
@@ -1312,13 +1351,35 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"]) == EXIT_OK
         summary = json.loads((tmp_path / "runs" / "sweep_summary.json").read_text())
         first, second = summary["cells"]
-        assert first["error"] == "provider down" and "phi_best_train" not in first
+        assert failed and first["error"] == "provider down" and "phi_best_train" not in first
         assert summary["best"] == second
         monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", embed_batch)
         direct = self._direct_run(tmp_path / "single", 2, 1, toy_script(2, ideal_at=1), 2)
-        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+        for name in ("initial.json", "trace.jsonl", "definitions_log.jsonl", "result.json"):
             swept = (tmp_path / "runs" / second["run_dir"] / name).read_bytes()
             assert swept == (direct / name).read_bytes(), name
+
+    def test_provider_error_while_embedding_fails_only_that_cell(self, tmp_path, monkeypatch):
+        # Cell 1's train split, from a cold store.
+        self._first_cell_fails_on(tmp_path, monkeypatch, lambda texts: True)
+
+    def test_provider_error_while_scoring_the_start_keeps_nothing(self, tmp_path, monkeypatch):
+        # Cell 1's start set: cell 2 embeds and scores the start itself.
+        self._first_cell_fails_on(tmp_path, monkeypatch, lambda texts: "A webpage about alpha." in texts)
+
+    def test_rerun_into_the_same_out_dir_stops_before_any_cell(self, tmp_path, capsys):
+        # A later cell's checkpoint refuses the sweep before an earlier,
+        # new cell runs, and the first sweep's summary stays.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1", "--m-values", "1"]) == EXIT_OK
+        summary = (tmp_path / "runs" / "sweep_summary.json").read_bytes()
+        capsys.readouterr()
+        rc = main(["sweep", "--config", str(cfg_path), "--k-values", "2,1", "--m-values", "1"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "run directory already exists" in err and "-k1-m1-" in err
+        assert not list((tmp_path / "runs").glob("*-k2-m1-*"))
+        assert (tmp_path / "runs" / "sweep_summary.json").read_bytes() == summary
 
     def test_malformed_dataset_stops_the_sweep_before_any_cell(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
