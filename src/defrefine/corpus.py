@@ -8,6 +8,7 @@ import io
 import json
 import json.scanner
 import random
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,6 +27,8 @@ _STR_ONLY = frozenset({str})
 # scanner); raises StopIteration or ValueError where it finds no value.
 _scan_value = json.scanner.make_scanner(json.JSONDecoder())
 _JSON_WHITESPACE = " \t\r\n"
+# What UTF-8 cannot encode: a "\ud800" JSON escape decodes to one.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class Document(NamedTuple):
@@ -123,11 +126,8 @@ def _iter_jsonl_records(path: Path, digest):
     # which UTF-8 text never decodes to, so the bad line can be named.
     with _hashed_text(path, digest, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DataError(f"{path}: line {lineno}: not valid UTF-8") from None
+            if not line.isascii() and LONE_SURROGATE.search(line):
+                raise DataError(f"{path}: line {lineno}: not valid UTF-8")
             try:
                 record, end = _scan_value(line, 0)
             except (StopIteration, ValueError):
@@ -204,6 +204,8 @@ def load_dataset(
         if "" in doc or not _STR_ONLY.issuperset(map(type, doc)):
             field = next(f for f, v in zip(_REQUIRED_FIELDS, doc) if type(v) is not str or not v)
             raise DataError(f"{path}: line {lineno}: missing or empty field {field!r}")
+        if not (doc.text.isascii() and doc.label.isascii()) and LONE_SURROGATE.search(doc.text + doc.label):
+            raise DataError(f"{path}: line {lineno}: its text or label is not valid Unicode")
         if doc.split not in SPLITS:
             raise DataError(f"{path}: line {lineno}: unknown split {doc.split!r}")
         if doc.id in seen_ids:

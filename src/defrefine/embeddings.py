@@ -182,8 +182,8 @@ class EmbeddingCache:
     is dropped and its keys read as misses, to be fetched. The caller places
     the rows; the store never sees its output. A store removed (or replaced)
     at the path while open is forgotten at the next read or put, and the
-    next put recreates it at the path. Only a cache without a path keeps its
-    rows in memory. Puts are serialized by a lock.
+    next put recreates it at the path. A cache without a path stores nothing,
+    so every key is a miss. Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -192,7 +192,6 @@ class EmbeddingCache:
         # dim), or None once the record is dropped.
         self._stored: dict[bytes, int] = {}
         self._records: list[tuple[int, int, int] | None] = []
-        self._fresh: dict[bytes, np.ndarray] = {}  # only without a path
         self._lock = threading.Lock()
         self._fd: int | None = None
         self._read_fd: int | None = None
@@ -254,12 +253,8 @@ class EmbeddingCache:
         (sync marker, size, crc, and the key at each row) before it is
         yielded; rows may be a view of that scratch, valid until the next
         pair is taken. A record that fails is dropped with a warning, so its
-        keys are misses. A cache without a path yields its rows as one pair.
+        keys are misses.
         """
-        if self._fresh:
-            fresh_at = [i for i, key in enumerate(keys) if key in self._fresh]
-            if fresh_at:
-                yield fresh_at, np.array([self._fresh[keys[i]] for i in fresh_at])
         # The hits grouped by record, each group in key order. Plain lists: a
         # call of a few keys, as a definition set makes, costs far less than
         # the same grouping in numpy calls.
@@ -327,18 +322,17 @@ class EmbeddingCache:
             raise ValueError(f"need one nonempty row per key, got {rows.shape} for {len(keys)} keys")
         if any(type(k) is not bytes or len(k) != _KEY_BYTES for k in keys):
             raise ValueError(f"cache keys must be {_KEY_BYTES}-byte strings")
+        if self._path is None:
+            return
         with self._lock:
             if self._file is not None and not self._at_path():
                 self._forget()
-            fresh = [i for i, k in enumerate(keys) if k not in self._stored and k not in self._fresh]
+            fresh = [i for i, k in enumerate(keys) if k not in self._stored]
             if not fresh:
                 return
             if len(fresh) < len(keys):
                 keys, rows = [keys[i] for i in fresh], rows[fresh]
-            if self._path is None:
-                self._fresh.update(zip(keys, rows))
-            else:
-                self._index([(self._append(_encode_record(keys, rows)), rows.shape, keys)])
+            self._index([(self._append(_encode_record(keys, rows)), rows.shape, keys)])
 
     def _append(self, record: bytearray) -> int:
         """Append one record; the offset it was written at."""
@@ -372,7 +366,7 @@ class EmbeddingCache:
         self._fd = self._read_fd = None
 
     def __len__(self) -> int:
-        return len(self._stored) + len(self._fresh)
+        return len(self._stored)
 
 
 def _record_size(n: int, dim: int) -> int:
@@ -678,8 +672,6 @@ class EmbeddingGateway:
 
     def embed_definitions(self, definitions: Mapping[str, str], categories: Sequence[str]) -> np.ndarray:
         """A (k, d) array of unit rows, one per category in category index
-        order, in `embed_texts`'s column-major layout."""
-        missing = [c for c in categories if c not in definitions]
-        if missing:
-            raise ValueError(f"definitions missing categories: {', '.join(missing)}")
+        order, in `embed_texts`'s column-major layout. Every caller passes a
+        set that `refinement.validate_definitions` has checked."""
         return self.embed_texts([definitions[c] for c in categories], ROLE_DEFINITION, unit=True)

@@ -123,7 +123,8 @@ class HttpLlm:
             raise ProviderError(f"malformed llm response: {exc}") from exc
         if not isinstance(text, str) or not text:
             raise ProviderError("empty llm response")
-        if len(text.encode("utf-8")) > MAX_RESPONSE_BYTES:
+        # A lone surrogate is measured, not refused here: parse_definitions refuses it.
+        if len(text.encode("utf-8", "surrogatepass")) > MAX_RESPONSE_BYTES:
             raise ProviderError("llm response exceeds size cap")
         log.info("llm call %d completed in %.0f ms (usage=%s)", call, latency_ms, usage)
         return Reply(text, latency_ms)

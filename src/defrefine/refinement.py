@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Document, sample_instance, split_view
+from .corpus import LONE_SURROGATE, Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
 from .evaluation import ConfusedPair, ConfusionMatrix, MetricsReport, score, top_k_confused_pairs
@@ -166,12 +166,21 @@ class RefinementResult:
     test_confusion: ConfusionMatrix | None
 
 
-def validate_definitions(definitions: Mapping[str, str], categories: Sequence[str]) -> None:
-    """Require exactly one nonempty definition per category."""
+def validate_definitions(raw, categories: Sequence[str], error=ValueError, where="definitions") -> dict[str, str]:
+    """The one rule for a definition set: `raw` gives each category a nonempty
+    string that UTF-8 can encode (no lone surrogate). A new dict in category
+    order without other keys; else `error`, naming `where` and the category."""
+    if not isinstance(raw, Mapping):
+        raise error(f"{where} is not a JSON object of definitions")
+    definitions = {}
     for c in categories:
-        value = definitions.get(c)
+        value = raw.get(c)
         if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"missing or empty definition for category {c!r}")
+            raise error(f"{where} has a missing or empty definition for category {c!r}")
+        if not value.isascii() and LONE_SURROGATE.search(value):
+            raise error(f"{where} has a definition for category {c!r} that is not valid Unicode")
+        definitions[c] = value
+    return definitions
 
 
 def definitions_hash(definitions: Mapping[str, str]) -> str:
@@ -206,8 +215,8 @@ def parse_definitions(llm_output: str, categories: Sequence[str]) -> dict[str, s
     """Extract a definition set from LLM output.
 
     The first JSON object found anywhere in the text is used; code fences and
-    surrounding prose are tolerated. Every category must be present with a
-    nonempty string; extra keys are ignored with a warning.
+    surrounding prose are tolerated. It must pass `validate_definitions`;
+    extra keys are ignored with a warning.
     """
     sources = []
     fenced = _FENCE_RE.search(llm_output)
@@ -228,17 +237,11 @@ def parse_definitions(llm_output: str, categories: Sequence[str]) -> dict[str, s
             break
     if obj is None:
         raise DefinitionParseError("no JSON object found in LLM output")
-    for c in categories:
-        if c not in obj:
-            raise DefinitionParseError(f"missing category: {c}")
-        value = obj[c]
-        if not isinstance(value, str) or not value.strip():
-            raise DefinitionParseError(f"empty definition for category: {c}")
-    known = set(categories)
-    extra = [k for k in obj if k not in known]
+    definitions = validate_definitions(obj, categories, DefinitionParseError, "LLM output")
+    extra = [k for k in obj if k not in definitions]
     if extra:
         log.warning("ignoring unexpected keys in LLM output: %s", ", ".join(sorted(extra)))
-    return {c: obj[c] for c in categories}
+    return definitions
 
 
 _OUTPUT_INSTRUCTION = (
@@ -505,8 +508,7 @@ def refine(
     if resume is not None:
         current = resume.current
     elif initial is not None:
-        validate_definitions(initial, categories)
-        current = {c: initial[c] for c in categories}
+        current = validate_definitions(initial, categories, where="initial definitions")
     else:
         current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
     start = splits.scored_start(current)

@@ -220,16 +220,10 @@ def build_llm(cfg: RunConfig):
 def _initial_defs(cfg: RunConfig, dataset: Dataset) -> tuple[dict[str, str] | None, str | None]:
     """Explicit definitions file, if configured, and the sha256 of its bytes;
     otherwise None (engine default) and None."""
-    if cfg.init.definitions_file is None:
+    if (path := cfg.init.definitions_file) is None:
         return None, None
-    payload, sha256 = _read_json_and_sha256(cfg.init.definitions_file, "initial definitions file")
-    if not isinstance(payload, dict):
-        raise ConfigError("initial definitions file must hold a JSON object")
-    try:
-        validate_definitions(payload, dataset.categories)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return {c: payload[c] for c in dataset.categories}, sha256
+    payload, sha256 = _read_json_and_sha256(path, "initial definitions file")
+    return validate_definitions(payload, dataset.categories, ConfigError, f"initial definitions file {path}"), sha256
 
 
 def _write_json(path: Path, payload) -> None:
@@ -409,14 +403,16 @@ class RunDirectory:
         )
 
     @contextmanager
-    def open(self, cfg: RunConfig, resume: bool, inputs: InputsRecord) -> Iterator[LoopState | None]:
+    def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[LoopState | None]:
         """Make, lock and open the directory of cfg's run until the block ends;
         yield the saved loop state of a resumed run that has one, else None.
         ConfigError at once if another process holds `run.lock`, and before
         a resumed run's files change if an input file it has used has: the
         dataset, its categories file, the initial definitions file, or one of
         the script replies the run has taken (a script may grow past them).
-        The run's `inputs` go to `inputs.json` with the iteration-0 records,
+        DataError, also before they change, if a definition set of the saved
+        state fails `validate_definitions`.
+        The run's input files go to `inputs.json` with the iteration-0 records,
         and a resume rewrites it once the checks pass, so it pins what the
         run goes on with.
         At exit it waits for the pending records: a write error outranks the
@@ -434,14 +430,15 @@ class RunDirectory:
             saved = None
             if resume and self._state.exists():
                 saved = _read_record(LoopState, self._state, "state file")
-                self._check_resumed_inputs(cfg, inputs, saved.llm_calls)
+                self._check_resumed_inputs(cfg, inputs.files, saved.llm_calls)
+                self._check_saved_definitions(saved, inputs.splits.dataset.categories)
                 _truncate_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
                 _truncate_jsonl(self._defs_log, LogEntry, saved.iteration)
-                _atomic_write_json(self._inputs, to_json(inputs))
+                _atomic_write_json(self._inputs, to_json(inputs.files))
             # Without a saved state the run starts over, replacing what a run killed
             # before its first state.json left behind.
             mode = "a" if saved is not None else "w"
-            self._inputs_json = to_json(inputs)
+            self._inputs_json = to_json(inputs.files)
             with (
                 open(self._trace, mode, encoding="utf-8") as self._trace_out,
                 open(self._defs_log, mode, encoding="utf-8") as self._defs_out,
@@ -451,6 +448,15 @@ class RunDirectory:
                     yield saved
                 finally:
                     self._wait()
+
+    def _check_saved_definitions(self, saved: LoopState, categories: Sequence[str]) -> None:
+        """Put each definition set of the saved state through `validate_definitions`."""
+        where = f"state file {self._state} key"
+        saved.current = validate_definitions(saved.current, categories, DataError, f"{where} current")
+        saved.best = validate_definitions(saved.best, categories, DataError, f"{where} best")
+        for i, entry in enumerate(saved.history):
+            at = f"{where} history[{i}].definitions"
+            entry.definitions = validate_definitions(entry.definitions, categories, DataError, at)
 
     def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, state: dict) -> None:
         """One iteration's records, in order: inputs.json and initial.json
@@ -526,10 +532,7 @@ class RunDirectory:
             where, best = f"{self._defs_log} line {number}", entry.definitions
         else:
             raise DataError(f"no definitions recorded in {self.path}")
-        try:
-            validate_definitions(best, dataset.categories)
-        except ValueError as exc:
-            raise DataError(f"{where} has no usable best definition set: {exc}") from exc
+        best = validate_definitions(best, dataset.categories, DataError, where)
         return RunRecords(cfg, dataset, initial, trace, evolution, best)
 
 
@@ -605,7 +608,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
 
     # Everything that can reject the config runs before the run directory exists.
     with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
-        with run.open(cfg, resume, inputs.files) as saved:
+        with run.open(cfg, resume, inputs) as saved:
             result = refine(
                 inputs.splits,
                 cfg.strategy,

@@ -232,6 +232,17 @@ def test_jsonl_ending_in_a_cut_character_names_the_line(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("old", ['"x"', '"l"'], ids=["text", "label"])
+@pytest.mark.parametrize("value", ['"\\ud800"', '"caf\\u00e9 \\udc80"', '"\\ude00\\ud83d"'])
+def test_jsonl_text_or_label_with_a_lone_surrogate_names_the_line(tmp_path, old, value):
+    # The line is valid UTF-8, but its JSON escape decodes to a lone surrogate,
+    # which UTF-8 cannot encode: the first embed of the split would fail.
+    path = tmp_path / "d.jsonl"
+    path.write_text(_B + "\n" + _A.replace(old, value) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2: its text or label is not valid Unicode")):
+        load_dataset(path)
+
+
 def test_csv_that_is_not_utf8_errors(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(b"id,text,label,split\na,caf\xff,l,train\n")

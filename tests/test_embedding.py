@@ -27,6 +27,7 @@ from defrefine.embeddings import (
     cache_keys,
 )
 from defrefine.errors import ConfigError, ProviderError
+from defrefine.refinement import validate_definitions
 
 from conftest import mock_gateway
 
@@ -60,10 +61,12 @@ class TestApplyPrefix:
 
 
 class TestCache:
-    def test_second_call_hits_cache(self, gateway):
+    def test_second_call_hits_cache(self, tmp_path):
+        gateway = mock_gateway(cache_path=tmp_path / "cache.bin")
         gateway.embed_texts(["same text"], "document")
         gateway.embed_texts(["same text"], "document")
         assert gateway._provider.requests == 1
+        gateway.cache.close()
 
     def test_batch_count(self):
         gw = mock_gateway()
@@ -71,21 +74,24 @@ class TestCache:
         gw.embed_texts([f"text {i}" for i in range(250)], "document")
         assert gw._provider.requests == 3
 
-    def test_one_definition_change_adds_one_key(self, gateway):
+    def test_one_definition_change_adds_one_key(self, tmp_path):
+        gateway = mock_gateway(cache_path=tmp_path / "cache.bin")
         defs = {c: f"def {c}" for c in ("a", "b", "c")}
         gateway.embed_definitions(defs, ("a", "b", "c"))
         before = len(gateway.cache)
         defs["b"] = "revised def b"
         gateway.embed_definitions(defs, ("a", "b", "c"))
         assert len(gateway.cache) == before + 1
+        gateway.cache.close()
 
-    def test_roles_do_not_share_cache_entries(self):
-        gw = mock_gateway()
+    def test_roles_do_not_share_cache_entries(self, tmp_path):
+        gw = mock_gateway(cache_path=tmp_path / "cache.bin")
         gw._cfg.document_prefix = "query: "
         gw._cfg.definition_prefix = "label: "
         gw.embed_texts(["shared"], "document")
         gw.embed_texts(["shared"], "definition")
         assert len(gw.cache) == 2
+        gw.cache.close()
 
     def test_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -815,9 +821,10 @@ class TestDefinitions:
         for a, b in zip(vecs, direct):
             np.testing.assert_array_equal(a, b)
 
-    def test_missing_category_rejected(self, gateway):
-        with pytest.raises(ValueError, match="missing"):
-            gateway.embed_definitions({"a": "x"}, ("a", "b"))
+    def test_missing_category_rejected(self):
+        # Every set reaches embed_definitions through this rule.
+        with pytest.raises(ValueError, match="missing or empty definition for category 'b'"):
+            validate_definitions({"a": "x"}, ("a", "b"))
 
     @pytest.mark.parametrize("source", ["fetched", "stored"])
     def test_unit_rows_in_column_major_layout(self, tmp_path, source):
@@ -899,7 +906,7 @@ class TestValidation:
             gw.embed_texts(["b"], "document")
 
     @pytest.mark.parametrize("concurrency", [1, 3])
-    def test_batches_before_a_failed_one_stay_cached(self, concurrency):
+    def test_batches_before_a_failed_one_stay_cached(self, tmp_path, concurrency):
         class FailsOnBad:
             inner = MockEmbeddingProvider(8)
 
@@ -908,12 +915,14 @@ class TestValidation:
                     raise ProviderError("refused")
                 return self.inner.embed_batch(texts)
 
-        gw = EmbeddingGateway(_cfg(max_batch=2, concurrency=concurrency), EmbeddingCache(), FailsOnBad())
+        cache = EmbeddingCache(tmp_path / "cache.bin")
+        gw = EmbeddingGateway(_cfg(max_batch=2, concurrency=concurrency), cache, FailsOnBad())
         with pytest.raises(ProviderError, match="refused"):
             gw.embed_texts(["a", "b", "bad", "c", "d", "e"], "document")
         assert len(gw.cache) == 2
         gw.embed_texts(["a", "b"], "document")
         assert len(gw.cache) == 2
+        cache.close()
 
     @pytest.mark.parametrize("concurrency", [1, 2, 4])
     def test_requests_stay_concurrency_batches_ahead(self, concurrency):

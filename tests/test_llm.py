@@ -10,8 +10,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 import requests
 
-from defrefine.errors import ProviderError, ScriptExhaustedError
+from defrefine.errors import DefinitionParseError, ProviderError, ScriptExhaustedError
 from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, Reply, ScriptedLlm
+from defrefine.refinement import parse_definitions
 
 
 class TestScriptedLlm:
@@ -135,6 +136,21 @@ class TestHttpLlm:
 
     def test_size_cap(self, chat_server):
         _ChatHttp.reply_text = "x" * (MAX_RESPONSE_BYTES + 1)
+        llm = HttpLlm(_cfg(chat_server), api_key="")
+        with pytest.raises(ProviderError, match="size cap"):
+            llm.complete("p", 0)
+
+    def test_reply_with_a_lone_surrogate_reaches_the_parser(self, chat_server):
+        # The reply's JSON holds a "\ud800" escape, so its content holds a lone
+        # surrogate: the client returns it, and parse_definitions refuses it.
+        _ChatHttp.reply_text = '{"a": "caf\u00e9 \ud800"}'
+        reply = HttpLlm(_cfg(chat_server), api_key="").complete("p", 0)
+        assert reply.text == '{"a": "caf\u00e9 \ud800"}'
+        with pytest.raises(DefinitionParseError, match="not valid Unicode"):
+            parse_definitions(reply.text, ["a"])
+
+    def test_size_cap_counts_a_lone_surrogate_as_three_bytes(self, chat_server):
+        _ChatHttp.reply_text = "\ud800" * (MAX_RESPONSE_BYTES // 3 + 1)
         llm = HttpLlm(_cfg(chat_server), api_key="")
         with pytest.raises(ProviderError, match="size cap"):
             llm.complete("p", 0)

@@ -28,6 +28,7 @@ from defrefine.refinement import (
     parse_definitions,
     refine,
     temperature,
+    validate_definitions,
 )
 
 from conftest import (
@@ -207,7 +208,7 @@ class TestParseDefinitions:
         assert parse_definitions(text, ["Food"]) == {"Food": "x"}
 
     def test_missing_category(self):
-        with pytest.raises(DefinitionParseError, match="missing category: Health"):
+        with pytest.raises(DefinitionParseError, match="missing or empty definition for category 'Health'"):
             parse_definitions('{"Food": "x"}', ["Food", "Health"])
 
     def test_empty_definition(self):
@@ -218,6 +219,10 @@ class TestParseDefinitions:
         with pytest.raises(DefinitionParseError, match="no JSON object"):
             parse_definitions("[1, 2, 3] and some prose", ["Food"])
 
+    def test_lone_surrogate_is_unparseable(self):
+        with pytest.raises(DefinitionParseError, match="category 'Health' that is not valid Unicode"):
+            parse_definitions('{"Food": "x", "Health": "caf\\u00e9 \\udc80"}', ["Food", "Health"])
+
     def test_extra_keys_ignored_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             out = parse_definitions('{"Food": "x", "Bonus": "y"}', ["Food"])
@@ -227,6 +232,35 @@ class TestParseDefinitions:
     def test_output_keys_follow_category_order(self):
         out = parse_definitions('{"b": "2", "a": "1"}', ["a", "b"])
         assert list(out) == ["a", "b"]
+
+
+class TestValidateDefinitions:
+    def test_returns_a_new_set_in_category_order_without_other_keys(self):
+        raw = {"b": "2", "extra": "x", "a": "caf\u00e9 \U0001f600"}
+        out = validate_definitions(raw, ["a", "b"])
+        assert list(out.items()) == [("a", "caf\u00e9 \U0001f600"), ("b", "2")]
+        assert raw == {"b": "2", "extra": "x", "a": "caf\u00e9 \U0001f600"}
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (["a", "b"], "where is not a JSON object"),
+            ({"a": "x"}, "where has a missing or empty definition for category 'b'"),
+            ({"a": "x", "b": 2}, "where has a missing or empty definition for category 'b'"),
+            ({"a": "x", "b": " \n"}, "where has a missing or empty definition for category 'b'"),
+            ({"a": "x", "b": "\ud800"}, "where has a definition for category 'b' that is not valid Unicode"),
+        ],
+        ids=["not-a-mapping", "missing", "not-a-string", "blank", "lone-surrogate"],
+    )
+    def test_raises_the_callers_error_naming_where_and_the_category(self, raw, match):
+        with pytest.raises(DataError, match=match):
+            validate_definitions(raw, ["a", "b"], DataError, "where")
+
+    def test_refine_takes_its_initial_set_through_the_rule(self, toy_dataset):
+        splits = Splits(toy_dataset, mock_gateway())
+        initial = {**ideal_definitions(), TOY_CATEGORIES[0]: "\ud800"}
+        with pytest.raises(ValueError, match="initial definitions has a definition"):
+            refine(splits, StrategyConfig("m2"), AnnealingSchedule(), ScriptedLlm([]), seed=0, t_max=0, initial=initial)
 
 
 class TestEnergyAndSchedule:

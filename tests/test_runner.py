@@ -843,6 +843,21 @@ def _state_without(key):
     return lambda state: json.dumps({k: v for k, v in state.items() if k != key})
 
 
+def _definitions_damaged(key, category, value=None):
+    """A damage to state.json: in its definition set under `key` (each one, for
+    history), `category` set to `value`, or dropped for None."""
+
+    def damaged(defs: dict) -> dict:
+        return {c: d for c, d in defs.items() if c != category} if value is None else {**defs, category: value}
+
+    def damage(state):
+        if key == "history":
+            return json.dumps({**state, key: [{**h, "definitions": damaged(h["definitions"])} for h in state[key]]})
+        return json.dumps({**state, key: damaged(state[key])})
+
+    return damage
+
+
 class TestRefineRuns:
     def test_trace_has_t_max_records(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(5), t_max=5)
@@ -886,6 +901,22 @@ class TestRefineRuns:
         assert (run_a / "definitions_log.jsonl").read_bytes() == (
             run_b / "definitions_log.jsonl"
         ).read_bytes()
+
+    def test_reply_that_is_not_valid_unicode_is_asked_again(self, tmp_path):
+        # The reply's "\ud800" escape decodes to a lone surrogate, which no
+        # embedder can be sent: the reply is unparseable, as one that is not
+        # JSON, and its call counts.
+        script = toy_script(3, ideal_at=2)
+        bad = json.dumps({**ideal_definitions(), TOY_CATEGORIES[1]: "\ud800"})
+        runs = {}
+        for name, reply in (("surrogate", bad), ("not-json", "{not json")):
+            (tmp_path / name).mkdir()
+            cfg_path = write_config(tmp_path / name, separable_dataset(), script[:1] + [reply] + script[1:], t_max=3)
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+            runs[name] = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert json.loads((runs["surrogate"] / "state.json").read_text())["llm_calls"] == 4
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (runs["surrogate"] / name).read_bytes() == (runs["not-json"] / name).read_bytes(), name
 
     def test_resume_with_a_short_trace_is_data_error(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
@@ -945,6 +976,9 @@ class TestRefineRuns:
             pytest.param(_state_with(current=[]), id="definitions-not-object"),
             pytest.param(_state_with(best={c: 1 for c in TOY_CATEGORIES}), id="definition-not-str"),
             pytest.param(_state_with(history=[{"definitions": {}, "score": None}]), id="history-score"),
+            pytest.param(_definitions_damaged("current", "beta"), id="current-missing-category"),
+            pytest.param(_definitions_damaged("best", "alpha", "caf\u00e9 \ud800"), id="best-not-unicode"),
+            pytest.param(_definitions_damaged("history", "gamma", " "), id="history-empty-definition"),
         ],
     )
     def test_damaged_state_is_data_error(self, tmp_path, capsys, damage):
@@ -1908,6 +1942,30 @@ class TestExitCodes:
         assert main(["baseline", "--config", str(cfg_path)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") and "definitions.json" in line for line in err)
+
+    @pytest.mark.parametrize("command", ["refine", "baseline"])
+    @pytest.mark.parametrize(
+        "definitions, match",
+        [
+            ({**ideal_definitions(), "alpha": "caf\u00e9 \ud800"}, "category 'alpha' that is not valid Unicode"),
+            ({c: d for c, d in ideal_definitions().items() if c != "beta"}, "empty definition for category 'beta'"),
+            (list(ideal_definitions().values()), "is not a JSON object"),
+        ],
+        ids=["lone-surrogate", "missing-category", "not-an-object"],
+    )
+    def test_definitions_file_without_a_valid_set_is_usage_error(self, tmp_path, capsys, command, definitions, match):
+        cfg_path = write_config(
+            tmp_path,
+            separable_dataset(),
+            toy_script(2),
+            t_max=2,
+            extra={"init": {"definitions_file": "definitions.json"}},
+        )
+        (tmp_path / "definitions.json").write_text(json.dumps(definitions))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "definitions.json" in errors[0] and match in errors[0], errors
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
