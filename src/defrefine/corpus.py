@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 SPLITS = ("train", "dev", "test")
 _REQUIRED_FIELDS = ("id", "text", "label", "split")
@@ -77,9 +77,8 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
 
 def _read_categories_sidecar(path: Path) -> tuple[tuple[str, ...], str]:
     """The categories in a sidecar file, and the sha256 of its bytes."""
-    if not path.exists():
-        raise DataError(f"categories file not found: {path}")
-    raw = path.read_bytes()
+    with open_input(path, "categories file", DataError) as fh:
+        raw = fh.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -111,9 +110,9 @@ class _Hashing(io.RawIOBase):
 
 @contextmanager
 def _hashed_text(path: Path, digest, **text_args) -> Iterator[io.TextIOWrapper]:
-    """The file opened as UTF-8 text, every byte read also going to digest,
-    so the file is read once for both."""
-    with open(path, "rb", buffering=0) as raw:
+    """The dataset file opened as UTF-8 text, every byte read also going to
+    digest, so the file is read once for both."""
+    with open_input(path, "dataset file", DataError) as raw:
         with io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest), 1 << 16), encoding="utf-8", **text_args) as fh:
             yield fh
 
@@ -173,8 +172,6 @@ def load_dataset(
     read.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     digest = hashlib.sha256()
     if format == "jsonl":
         records = _iter_jsonl_records(path, digest)

@@ -150,21 +150,6 @@ def _not_a_store(path: Path) -> ConfigError:
     )
 
 
-def check_store(path: Path) -> None:
-    """ConfigError, as `EmbeddingCache` raises it, if path is a directory or
-    a nonempty file that does not begin with STORE_MAGIC; reads only those
-    bytes."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(STORE_MAGIC))
-    except FileNotFoundError:
-        return
-    except IsADirectoryError:
-        raise _not_a_store(path) from None
-    if head and head != STORE_MAGIC:
-        raise _not_a_store(path)
-
-
 class EmbeddingCache:
     """Key index over an optional append-only binary store of vectors.
 
@@ -196,14 +181,19 @@ class EmbeddingCache:
         self._fd: int | None = None
         self._read_fd: int | None = None
         self._file: tuple[int, int] | None = None  # (st_dev, st_ino) of the store indexed
-        if self._path is not None and self._path.exists():
+        if self._path is not None:
             self._load()
 
     def _load(self) -> None:
+        """Index the store at the path; a missing store is an empty one."""
         try:
             fh = open(self._path, "rb")
+        except FileNotFoundError:
+            return
         except IsADirectoryError:
             raise _not_a_store(self._path) from None
+        except OSError as exc:
+            raise ConfigError(f"embedding store {self._path} cannot be read: {exc.strerror}") from None
         with fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             fd = fh.fileno()

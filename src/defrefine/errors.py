@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way an input file is opened."""
+
+import io
 
 
 class DefRefineError(Exception):
@@ -23,3 +25,18 @@ class DefinitionParseError(DefRefineError):
 
 class ConfigError(DefRefineError):
     """Invalid run configuration or command usage."""
+
+
+def open_input(path, what: str, error: type[DefRefineError], missing_ok: bool = False):
+    """The file at path opened for unbuffered binary reading, or an empty one if
+    it is missing and `missing_ok`; else `error` naming it, as `what`, if it is
+    missing or cannot be read (a directory, a path under a regular file, no
+    read permission)."""
+    try:
+        return open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        if missing_ok:
+            return io.BytesIO()
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{what} {path} cannot be read: {exc.strerror}") from None

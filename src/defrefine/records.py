@@ -3,7 +3,9 @@
 A record is a dataclass written as one JSON object, its fields in key order.
 A field's `key` metadata, if any, is its JSON key; its type comes from the
 annotation and its default from the field, and a field without a default is
-required. A `Path` is a string and a `random.Random` is its state.
+required. A `Path` is a string and a `random.Random` is its state. A string
+must be valid Unicode: no lone surrogate, which a "\ud800" escape decodes to
+and UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import typing
 from dataclasses import MISSING
 from pathlib import Path
 from typing import Literal
+
+from .corpus import LONE_SURROGATE
 
 # Type -> (the JSON values it takes, its name in errors). A float keeps an
 # integer as written. A bool is an int to isinstance, so only a bool takes one.
@@ -106,6 +110,8 @@ def from_json(cls, value, where: str, error: type[Exception], base_dir: Path | N
         accepted, what = _ACCEPTS[kind]
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
             raise error(f"{name(at)} must be {what}, got {value!r:.60}")
+        if accepted is str and not value.isascii() and LONE_SURROGATE.search(value):
+            raise error(f"{name(at)} must be valid Unicode, got {value!r:.60}")
         if dataclasses.is_dataclass(hint):
             return record(hint, value, at)
         if kind is list:

@@ -24,9 +24,8 @@ from .embeddings import (
     EmbeddingGateway,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
-    check_store,
 )
-from .errors import ConfigError, DataError, DefinitionParseError, ProviderError
+from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, open_input
 from .evaluation import confusion_to_csv, metrics_to_dict, score
 from .llm import HttpLlm, LlmConfig, LlmScript, ScriptedLlm
 from .records import from_json, to_json
@@ -130,15 +129,14 @@ def _script_endpoint(endpoint: str, base_dir: Path) -> str:
 
 def _read_json(path: Path, what: str, error: type[Exception] = ConfigError):
     """The JSON value in a file; `error` naming the file if it is missing,
-    not UTF-8 or not JSON (or nested too deep to parse)."""
+    cannot be read, is not UTF-8 or not JSON (or nested too deep to parse)."""
     return _read_json_and_sha256(path, what, error)[0]
 
 
 def _read_json_and_sha256(path: Path, what: str, error: type[Exception] = ConfigError) -> tuple[object, str]:
     """`_read_json`, and the sha256 of the bytes it read."""
-    if not path.exists():
-        raise error(f"{what} not found: {path}")
-    raw = path.read_bytes()
+    with open_input(path, what, error) as fh:
+        raw = fh.read()
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -226,6 +224,15 @@ def _initial_defs(cfg: RunConfig, dataset: Dataset) -> tuple[dict[str, str] | No
     return validate_definitions(payload, dataset.categories, ConfigError, f"initial definitions file {path}"), sha256
 
 
+def _make_dir(path: Path) -> None:
+    """Make an output directory and its parents; ConfigError naming it if a
+    regular file stands at the path or at one of its parents."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {path} cannot be made: {exc.strerror}") from None
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -282,10 +289,10 @@ def _read_record(cls, path: Path, what: str):
 def _jsonl(path: Path, cls) -> Iterator[tuple[bytes, object]]:
     """Each newline-terminated line of a JSONL file with its `cls` record, or
     with the DataError naming the file and line if it holds none; a trailing
-    partial write is dropped."""
-    if not path.exists():
-        return
-    for number, line in enumerate(path.read_bytes().split(b"\n")[:-1], 1):
+    partial write is dropped. A missing file has no lines."""
+    with open_input(path, "run file", DataError, missing_ok=True) as fh:
+        lines = fh.read().split(b"\n")[:-1]
+    for number, line in enumerate(lines, 1):
         where = f"{path} line {number}"
         try:
             record = from_json(cls, json.loads(line.decode("utf-8")), where, DataError)
@@ -406,7 +413,8 @@ class RunDirectory:
     def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[LoopState | None]:
         """Make, lock and open the directory of cfg's run until the block ends;
         yield the saved loop state of a resumed run that has one, else None.
-        ConfigError at once if another process holds `run.lock`, and before
+        ConfigError at once if a regular file blocks the directory's path or
+        another process holds `run.lock`, and before
         a resumed run's files change if an input file it has used has: the
         dataset, its categories file, the initial definitions file, or one of
         the script replies the run has taken (a script may grow past them).
@@ -417,7 +425,7 @@ class RunDirectory:
         run goes on with.
         At exit it waits for the pending records: a write error outranks the
         block's, it came first."""
-        self.path.mkdir(parents=True, exist_ok=True)
+        _make_dir(self.path)
         with open(self.path / "run.lock", "a") as lock:
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -582,7 +590,7 @@ def cmd_baseline(cfg: RunConfig):
         report, cm = score(def_units, dataset.categories, test_units, gold)
 
     run_dir = run_dir_for(cfg, "baseline")
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(run_dir)
     _write_json(run_dir / "config.json", cfg.to_snapshot())
     _write_json(run_dir / "definitions.json", definitions)
     _write_json(run_dir / "metrics_test.json", metrics_to_dict(report, dataset.categories))
@@ -672,7 +680,7 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     scored = [c for c in cells if "phi_best_train" in c]
     best = max(scored, key=lambda c: c["phi_best_train"]) if scored else None
     summary = {"k_values": list(k_values), "m_values": list(m_values), "cells": cells, "best": best}
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg.out_dir)
     _write_json(cfg.out_dir / "sweep_summary.json", summary)
     for cell in cells:
         phi = cell.get("phi_best_train")
@@ -696,7 +704,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             _, cm = score(def_units, dataset.categories, test_units, gold)
 
     reports = run.path / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
+    _make_dir(reports)
     points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
     points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in trace]
     written = [reports / "f1_curve.json", reports / "definitions_evolution.json"]
@@ -723,19 +731,14 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
 
 
 def cmd_validate_config(path: str | Path) -> RunConfig:
+    """Check a config and its input files with `refine`'s own set-up, which
+    embeds nothing and sends no request; a data error is a config error here."""
     cfg = RunConfig.from_file(path)
-    if cfg.embedder.endpoint.startswith("mock:"):
-        _parse_mock_endpoint(cfg.embedder.endpoint)
-    for what, file in (
-        ("dataset file", cfg.dataset.path),
-        ("categories file", cfg.dataset.categories_file),
-        ("initial definitions file", cfg.init.definitions_file),
-    ):
-        if file is not None and not file.exists():
-            raise ConfigError(f"{what} not found: {file}")
-    check_store(cfg.store_path)
-    if cfg.llm is not None and cfg.llm.endpoint.startswith(SCRIPT_PREFIX):
-        _read_script(cfg.llm.endpoint)
+    try:
+        with _set_up(cfg):
+            pass
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     print("config OK")
     return cfg
 

@@ -2,14 +2,17 @@
 
 import csv
 import dataclasses
+import errno
 import json
+import os
 import random
 import re
 
 import pytest
 
+from defrefine import errors
 from defrefine.corpus import Dataset, Document, load_dataset, sample_instance, split_view
-from defrefine.errors import DataError
+from defrefine.errors import ConfigError, DataError, open_input
 
 from conftest import write_jsonl_dataset
 
@@ -255,6 +258,34 @@ def test_categories_sidecar_that_is_not_utf8_errors(tmp_path):
     sidecar = tmp_path / "cats.txt"
     sidecar.write_bytes(b"l\ncaf\xff\n")
     with pytest.raises(DataError, match=re.escape(f"{sidecar}: not valid UTF-8")):
+        load_dataset(path, categories_path=sidecar)
+
+
+@pytest.mark.parametrize("error", [ConfigError, DataError])
+def test_open_input_names_a_file_it_may_not_read(tmp_path, monkeypatch, error):
+    # Root may read any file, whatever its mode, so the denial comes from a
+    # stand-in for the open that open_input calls.
+    path = _write_rows(tmp_path / "d.jsonl", [json.loads(_A)])
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+    monkeypatch.setattr(errors, "open", denied, raising=False)
+    with pytest.raises(error, match=f"^dataset file {re.escape(str(path))} cannot be read: Permission denied$"):
+        open_input(path, "dataset file", error)
+    with pytest.raises(DataError, match=f"^dataset file {re.escape(str(path))} cannot be read: Permission denied$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_input_path_that_is_not_a_readable_file_errors(tmp_path, fmt):
+    data = tmp_path / f"dir.{fmt}"
+    data.mkdir()
+    with pytest.raises(DataError, match=f"^dataset file {re.escape(str(data))} cannot be read: Is a directory$"):
+        load_dataset(data, format=fmt)
+    path = _write_rows(tmp_path / "d.jsonl", [json.loads(_A)])
+    sidecar = path / "cats.txt"  # under a regular file
+    with pytest.raises(DataError, match=f"^categories file {re.escape(str(sidecar))} cannot be read: Not a directory$"):
         load_dataset(path, categories_path=sidecar)
 
 

@@ -102,6 +102,7 @@ BASE = {"count": 1, "ratio": 0.5, "flag": False}
         pytest.param({"flag": True}, {"flag": True}, id="bool"),
         pytest.param({"label": None}, {"label": None}, id="none-where-optional"),
         pytest.param({"label": "x"}, {"label": "x"}, id="optional-set"),
+        pytest.param({"label": "caf\u00e9 \U0001f600"}, {"label": "caf\u00e9 \U0001f600"}, id="non-ascii"),
         pytest.param({"mode": "b"}, {"mode": "b"}, id="literal-member"),
         pytest.param({"names": ["x", "y"]}, {"names": ["x", "y"]}, id="list"),
         pytest.param({"table": {"x": 1}}, {"table": {"x": 1}}, id="dict"),
@@ -132,6 +133,14 @@ def test_values_that_fit(changes, expected):
         pytest.param({**BASE, "table": {"x": "1"}}, "sample key table.x must be an integer", id="dict-value"),
         pytest.param({**BASE, "anything": []}, "sample key anything must be a JSON object", id="list-for-dict"),
         pytest.param({**BASE, "where": 3}, "sample key where must be a string", id="int-for-path"),
+        # A "\ud800" escape decodes to a lone surrogate, which UTF-8 cannot encode.
+        pytest.param({**BASE, "label": "a\ud800"}, "sample key label must be valid Unicode", id="lone-surrogate"),
+        pytest.param({**BASE, "where": "\udfff"}, "sample key where must be valid Unicode", id="lone-surrogate-path"),
+        pytest.param(
+            {**BASE, "names": ["x", "caf\u00e9 \udc80"]},
+            "sample key names[1] must be valid Unicode",
+            id="lone-surrogate-in-list",
+        ),
         pytest.param({**BASE, "extra": 1}, "sample has unknown key extra", id="unknown-key"),
         pytest.param({"ratio": 0.5, "flag": False}, "sample is missing key count", id="missing-key"),
         pytest.param([1], "sample must be a JSON object", id="not-an-object"),

@@ -337,8 +337,8 @@ class TestConfig:
         ids=["short-text", "text", "directory", "empty", "empty-store"],
     )
     def test_validate_config_checks_the_store(self, tmp_path, capsys, content, refused):
-        # validate-config reads only the store's first bytes, and refuses what
-        # refine refuses: a file that does not begin as a store, or a directory.
+        # validate-config opens the store with refine's own set-up, so it refuses
+        # what refine refuses: a file that does not begin as a store, or a directory.
         store = tmp_path / "store.bin"
         if content is None:
             store.mkdir()
@@ -1969,3 +1969,146 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def _a_directory(name: str):
+    """Make a directory stand where the file `name` should be."""
+
+    def make(tmp_path: Path) -> None:
+        (tmp_path / name).unlink(missing_ok=True)
+        (tmp_path / name).mkdir()
+
+    return make
+
+
+def _a_file(name: str):
+    """Make a regular file stand where the directory `name` should be."""
+    return lambda tmp_path: (tmp_path / name).write_bytes(b"")
+
+
+def _nothing(tmp_path: Path) -> None:
+    pass
+
+
+def _tree(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def _one_error_line(err: str, code: int) -> str:
+    """The one error line a failed command prints, checked against its exit code."""
+    lines = [line for line in err.splitlines() if re.match(r"(error|data error|provider error): ", line)]
+    assert len(lines) == 1, err
+    assert lines[0].startswith({EXIT_USAGE: "error: ", EXIT_DATA: "data error: "}[code]), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+MOCK_EMBEDDER = {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed"}
+
+
+class TestUnreadableInputs:
+    """An input path that is a directory or lies under a regular file, or a
+    config string that is not valid Unicode, ends in its documented exit code
+    and one error line naming it, before anything is written; so does an
+    output path that a regular file blocks."""
+
+    # (config keys, how the path goes bad, what the error names, the exit code
+    # of refine, baseline and sweep); validate-config exits 1 on each.
+    CASES = [
+        pytest.param({}, _a_directory("config.json"), "config.json", EXIT_USAGE, id="config-directory"),
+        pytest.param({}, _a_directory("data.jsonl"), "data.jsonl", EXIT_DATA, id="jsonl-dataset-directory"),
+        pytest.param(
+            {"dataset": {"path": "data.csv", "format": "csv"}},
+            _a_directory("data.csv"),
+            "data.csv",
+            EXIT_DATA,
+            id="csv-dataset-directory",
+        ),
+        pytest.param(
+            {"dataset": {"path": "data.jsonl", "categories_file": "categories.txt"}},
+            _a_directory("categories.txt"),
+            "categories.txt",
+            EXIT_DATA,
+            id="categories-directory",
+        ),
+        pytest.param({}, _a_directory("script.json"), "script.json", EXIT_USAGE, id="script-directory"),
+        pytest.param(
+            {"init": {"definitions_file": "definitions.json"}},
+            _a_directory("definitions.json"),
+            "definitions.json",
+            EXIT_USAGE,
+            id="definitions-directory",
+        ),
+        pytest.param(
+            {"cache_file": "data.jsonl/cache.bin"}, _nothing, "data.jsonl/cache.bin", EXIT_USAGE, id="store-under-a-file"
+        ),
+        # The store's default path is under out_dir, so the set-up finds it blocked.
+        pytest.param({}, _a_file("runs"), "runs", EXIT_USAGE, id="out-dir-a-file"),
+        pytest.param({"out_dir": "data.jsonl/runs"}, _nothing, "data.jsonl/runs", EXIT_USAGE, id="out-dir-under-a-file"),
+        pytest.param(
+            {"embedder": {**MOCK_EMBEDDER, "document_prefix": "\ud800"}},
+            _nothing,
+            "config key embedder.document_prefix must be valid Unicode",
+            EXIT_USAGE,
+            id="lone-surrogate-prefix",
+        ),
+        pytest.param(
+            {"embedder": {**MOCK_EMBEDDER, "model_id": "mock-\udfff"}},
+            _nothing,
+            "config key embedder.model_id must be valid Unicode",
+            EXIT_USAGE,
+            id="lone-surrogate-model-id",
+        ),
+    ]
+
+    @pytest.mark.parametrize("command", ["refine", "baseline", "sweep", "validate-config"])
+    @pytest.mark.parametrize("extra, make, named, code", CASES)
+    def test_bad_input_stops_before_anything_is_written(self, tmp_path, capsys, command, extra, make, named, code):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2, extra=extra)
+        make(tmp_path)
+        before = _tree(tmp_path)
+        argv = [command, "--config", str(cfg_path)]
+        if command == "sweep":
+            argv += ["--k-values", "1,2", "--m-values", "1"]
+        elif command == "validate-config":
+            code = EXIT_USAGE
+        assert main(argv) == code
+        assert named in _one_error_line(capsys.readouterr().err, code)
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "out_dir, make", [("runs", _a_file("runs")), ("data.jsonl/runs", _nothing)], ids=["a-file", "under-a-file"]
+    )
+    @pytest.mark.parametrize("command", ["refine", "baseline", "sweep"])
+    def test_blocked_output_directory_stops_before_anything_is_written(self, tmp_path, capsys, command, out_dir, make):
+        # With the store elsewhere the set-up passes, and making the run's
+        # directory fails. validate-config makes no output directory. baseline
+        # scores before it makes its directory, so only its store is written.
+        extra = {"cache_file": "cache.bin", "out_dir": out_dir}
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2, extra=extra)
+        make(tmp_path)
+        before = _tree(tmp_path)
+        argv = [command, "--config", str(cfg_path)]
+        if command == "sweep":
+            argv += ["--k-values", "1,2", "--m-values", "1"]
+        assert main(argv) == EXIT_USAGE
+        line = _one_error_line(capsys.readouterr().err, EXIT_USAGE)
+        assert f"output directory {tmp_path / out_dir}/" in line and "cannot be made" in line
+        assert _tree(tmp_path) == sorted(before + ["cache.bin"] if command == "baseline" else before)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["report", "{run}"], "trace.jsonl"), (["refine", "--config", "{config}", "--resume"], "state.json")],
+        ids=["report-trace", "resume-state"],
+    )
+    def test_run_file_that_is_a_directory_is_a_data_error(self, tmp_path, capsys, argv, name):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        _a_directory(name)(run_dir)
+        capsys.readouterr()
+        before = _tree(run_dir)
+        assert main([arg.format(run=run_dir, config=cfg_path) for arg in argv]) == EXIT_DATA
+        line = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{run_dir / name} cannot be read: Is a directory" in line
+        assert _tree(run_dir) == before
