@@ -155,20 +155,21 @@ class EmbeddingCache:
 
     The store is STORE_MAGIC followed by one record per put: a header (sync
     marker, crc32, row count, dim), the rows' fixed-width keys, then the
-    float64 rows. Each record is appended with one write under an exclusive
-    flock, so processes can share a store. Opening scans the file record by
-    record under a shared flock and checks every record; a torn or corrupt
-    record costs only itself, because the scan resyncs at the next sync
-    marker. Memory then holds only where each stored key's row is, and a put
-    indexes the record it appends the same way, so no rows are kept: `read`
-    yields the stored rows among the caller's keys record by record, reading
-    each record it needs with one preadv into a row-major scratch array and
-    checking it again first, so a record damaged after open or after its put
-    is dropped and its keys read as misses, to be fetched. The caller places
-    the rows; the store never sees its output. A store removed (or replaced)
-    at the path while open is forgotten at the next read or put, and the
-    next put recreates it at the path. A cache without a path stores nothing,
-    so every key is a miss. Puts are serialized by a lock.
+    float64 rows. Each record is appended with one writev under an exclusive
+    flock, straight from the caller's keys and rows, so processes can share a
+    store. Opening scans the file record by record under a shared flock and
+    checks every record; a torn or corrupt record costs only itself, because
+    the scan resyncs at the next sync marker. Memory then holds only where
+    each stored key's row is, and a put indexes the record it appends the
+    same way, so no rows are kept: `read` yields the stored rows among the
+    caller's keys record by record, reading each record it needs with one
+    preadv into a row-major scratch array and checking it again first, so a
+    record damaged after open or after its put is dropped and its keys read
+    as misses, to be fetched. The caller places the rows; the store never
+    sees its output. A store removed (or replaced) at the path while open is
+    forgotten at the next read or put, and the next put recreates it at the
+    path. A cache without a path stores nothing, so every key is a miss.
+    Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -242,8 +243,8 @@ class EmbeddingCache:
         row-major scratch array, reused for every record, and checked again
         (sync marker, size, crc, and the key at each row) before it is
         yielded; rows may be a view of that scratch, valid until the next
-        pair is taken. A record that fails is dropped with a warning, so its
-        keys are misses.
+        pair is taken, which the caller may scale in place. A record that
+        fails is dropped with a warning, so its keys are misses.
         """
         # The hits grouped by record, each group in key order. Plain lists: a
         # call of a few keys, as a definition set makes, costs far less than
@@ -322,10 +323,17 @@ class EmbeddingCache:
                 return
             if len(fresh) < len(keys):
                 keys, rows = [keys[i] for i in fresh], rows[fresh]
-            self._index([(self._append(_encode_record(keys, rows)), rows.shape, keys)])
+            self._index([(self._append(keys, rows), rows.shape, keys)])
 
-    def _append(self, record: bytearray) -> int:
-        """Append one record; the offset it was written at."""
+    def _append(self, keys: Sequence[bytes], rows: np.ndarray) -> int:
+        """Append one record of keys and rows; the offset it was written at.
+        Its header, joined keys and the rows' own buffer go in one writev, a
+        short write finished by more, so the rows are never copied first."""
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        n, dim = rows.shape
+        joined = b"".join(keys)
+        crc = zlib.crc32(rows, zlib.crc32(joined, zlib.crc32(struct.pack("<II", n, dim))))
+        views = [memoryview(b).cast("B") for b in (_RECORD_HEAD.pack(_RECORD_SYNC, crc, n, dim), joined, rows)]
         if self._fd is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -335,12 +343,14 @@ class EmbeddingCache:
         try:
             offset = os.fstat(self._fd).st_size
             if offset == 0:
-                record = STORE_MAGIC + record
+                views.insert(0, memoryview(STORE_MAGIC))
                 offset = len(STORE_MAGIC)
-            view = memoryview(record)
-            written = os.write(self._fd, view)
-            while written < len(view):
-                written += os.write(self._fd, view[written:])
+            while views:
+                written = os.writev(self._fd, views)
+                while views and written >= len(views[0]):
+                    written -= len(views.pop(0))
+                if written:
+                    views[0] = views[0][written:]
         finally:
             fcntl.flock(self._fd, fcntl.LOCK_UN)
         return offset
@@ -380,19 +390,6 @@ def _read_record(fd: int, offset: int, dest: np.ndarray, keys: bytes, rows: Sequ
     if rows is not None:
         stored = b"".join([stored[row * _KEY_BYTES : (row + 1) * _KEY_BYTES] for row in rows])
     return stored == keys
-
-
-def _encode_record(keys: Sequence[bytes], rows: np.ndarray) -> bytearray:
-    n, dim = rows.shape
-    keys_at = _RECORD_HEAD.size
-    rows_at = keys_at + n * _KEY_BYTES
-    record = bytearray(_record_size(n, dim))
-    record[keys_at:rows_at] = b"".join(keys)
-    np.frombuffer(record, "<f8", n * dim, rows_at).reshape(n, dim)[...] = rows
-    struct.pack_into("<II", record, _CRC_FROM, n, dim)
-    crc = zlib.crc32(memoryview(record)[_CRC_FROM:])
-    _RECORD_HEAD.pack_into(record, 0, _RECORD_SYNC, crc, n, dim)
-    return record
 
 
 def _record_head(head, offset: int, size: int) -> tuple[int, int, int] | None:
@@ -457,7 +454,9 @@ class MockEmbeddingProvider:
         self._lock = threading.Lock()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """One (len(texts), dim) float64 array; row i is the vector of texts[i]."""
+        """One new (len(texts), dim) float64 array; row i is the vector of
+        texts[i]. The array is handed to the gateway, which may scale it in
+        place once the store holds it."""
         with self._lock:
             self.requests += 1
         out = np.empty((len(texts), self.dim))
@@ -485,7 +484,9 @@ class HttpEmbeddingProvider:
         self._lock = threading.Lock()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """One (len(texts), d) float64 array; row i is the vector of texts[i]."""
+        """One new (len(texts), d) float64 array; row i is the vector of
+        texts[i]. The array is handed to the gateway, which may scale it in
+        place once the store holds it."""
         body = {"model": self._cfg.model_id, "input": list(texts)}
         resp, _ = post_json(self._session.get(), self._cfg, body, self._api_key, "embedding")
         with self._lock:
@@ -583,8 +584,10 @@ class EmbeddingGateway:
         than from row-major rows; the values are the same in either layout.
         The output is allocated once: before the store is read when the
         gateway knows its width, else at the first block of rows. `place`
-        copies each admitted block into it, a record the store yields or a
-        provider batch as its reply arrives. The bookkeeping of a call is in
+        takes each admitted block in its own row-major buffer, a record the
+        store yields (its read scratch) or a provider batch once the store
+        holds it, divides it in place with `unit`, and makes the one
+        transposing copy into the output. The bookkeeping of a call is in
         Python ints, which for the few keys of a definition set cost less
         than numpy calls.
         """
@@ -595,21 +598,21 @@ class EmbeddingGateway:
         out = np.empty((len(keys), self._dim), order="F") if self._dim else None
 
         def place(at: list[int], rows: np.ndarray, norms: np.ndarray) -> None:
-            """out[at] = rows, divided by their norms with `unit`. Positions
-            that run up one by one are written as a slice, which into a
-            column-major out is about three times cheaper than fancy
-            indexing."""
+            """out[at] = rows, divided by their norms with `unit` first, in
+            rows' own buffer: a row-major divide, then one copy into the
+            column-major out. Positions that run up one by one are written as
+            a slice, which into a column-major out is about three times
+            cheaper than fancy indexing."""
             nonlocal out
             if out is None:
                 out = np.empty((len(keys), rows.shape[1]), order="F")
+            if unit:
+                rows /= norms[:, None]
             start = at[0]
             if at == list(range(start, start + len(at))):
-                block = out[start : start + len(at)]
-                block[...] = rows
-                if unit:
-                    block /= norms[:, None]
+                out[start : start + len(at)] = rows
             else:
-                out[at] = rows / norms[:, None] if unit else rows
+                out[at] = rows
 
         missing = bytearray(b"\x01") * len(keys)
         for at, rows in self._cache.read(keys):

@@ -233,6 +233,16 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"output directory {path} cannot be made: {exc.strerror}") from None
 
 
+def _check_out_dir(path: Path) -> None:
+    """ConfigError naming the output directory if its nearest existing path
+    is not a directory, so that no output directory under it can be made."""
+    for at in (path, *path.parents):
+        if at.is_dir():
+            return
+        if at.exists():
+            raise ConfigError(f"output directory {path} cannot be made: {at} is not a directory")
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -567,7 +577,9 @@ class RunInputs:
 @contextmanager
 def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
     """The run inputs of cfg, with the embedding store open until the block
-    ends. Each input file is hashed as it is read, for `inputs.json`."""
+    ends. Each input file is hashed as it is read, for `inputs.json`, and
+    an output directory that a regular file blocks is refused first."""
+    _check_out_dir(cfg.out_dir)
     dataset = _load_dataset(cfg)
     with _open_splits(cfg, dataset) as splits:
         llm = build_llm(cfg)

@@ -223,6 +223,47 @@ class TestStore:
         _write_store(path, [3])
         _assert_holds_exactly(path, [1, 3])
 
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        # Each writev writes at most 5 bytes, so every record, the file magic
+        # too, takes many calls that stop inside a buffer.
+        real_write = os.write
+        calls = []
+
+        def short_writev(fd, buffers):
+            calls.append(fd)
+            first = next(view for view in map(memoryview, buffers) if view.nbytes)
+            return real_write(fd, first.cast("B")[:5])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        path = tmp_path / "cache.bin"
+        cache = EmbeddingCache(path)
+        for tag in (1, 2):
+            cache.put(*_batch(tag))
+            keys, rows = _batch(tag)
+            assert _served(cache, keys) == [row.tobytes() for row in rows]
+        cache.close()
+        assert len(calls) >= path.stat().st_size // 5
+        assert path.read_bytes() == (DATA / "store_two_records.bin").read_bytes()
+        _assert_holds_exactly(path, [1, 2])
+
+    def test_put_copies_no_rows(self, tmp_path):
+        # The rows go to the file from the caller's array, not through an
+        # encoded copy of the record.
+        keys, rows = _batch(0, n=100, dim=1024)
+        path = tmp_path / "cache.bin"
+        tracemalloc.start()
+        try:
+            cache = EmbeddingCache(path)
+            cache.put(keys, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache.close()
+        assert peak < rows.nbytes / 4
+        reopened = EmbeddingCache(path)
+        assert _served(reopened, keys) == [row.tobytes() for row in rows]
+        reopened.close()
+
     def test_foreign_file_is_rejected_and_left_unchanged(self, tmp_path):
         path = tmp_path / "embedding_cache.jsonl"
         legacy = json.dumps({"key": "k", "vector": [0.5, 0.25]}).encode() + b"\n"
@@ -452,6 +493,27 @@ class TestServedFromDisk:
         raw = MockEmbeddingProvider(dim).embed_batch(asked)
         assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
         gw.cache.close()
+
+    @pytest.mark.parametrize("texts", [TEXTS, ["a", "b", "a", "c", "b", "a"]], ids=["distinct", "repeated"])
+    def test_store_keeps_the_raw_rows_of_a_unit_split(self, tmp_path, texts):
+        # The gateway scales a provider batch in place only once the store
+        # holds it; with a repeated text the batch reaches the output by fancy
+        # indexing. The rows are three times unit length, so a scaled row on
+        # disk would show.
+        path = tmp_path / "cache.bin"
+        cold = EmbeddingGateway(_cfg(max_batch=2, concurrency=1), EmbeddingCache(path), _Longer(8))
+        units = cold.embed_texts(texts, "document", unit=True)
+        cold.cache.close()
+        raw = _Longer(8).embed_batch(texts)
+        assert units.tobytes() == (raw / np.linalg.norm(raw, axis=1)[:, None]).tobytes()
+
+        class Refuses:
+            def embed_batch(self, texts):
+                raise AssertionError(f"asked to embed {texts}")
+
+        warm = EmbeddingGateway(_cfg(), EmbeddingCache(path), Refuses())
+        assert warm.embed_texts(texts, "document").tobytes() == raw.tobytes()
+        warm.cache.close()
 
     def test_store_shared_by_embedders_of_two_dims(self, tmp_path):
         path = tmp_path / "cache.bin"

@@ -2079,11 +2079,10 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize(
         "out_dir, make", [("runs", _a_file("runs")), ("data.jsonl/runs", _nothing)], ids=["a-file", "under-a-file"]
     )
-    @pytest.mark.parametrize("command", ["refine", "baseline", "sweep"])
+    @pytest.mark.parametrize("command", ["refine", "baseline", "sweep", "validate-config"])
     def test_blocked_output_directory_stops_before_anything_is_written(self, tmp_path, capsys, command, out_dir, make):
-        # With the store elsewhere the set-up passes, and making the run's
-        # directory fails. validate-config makes no output directory. baseline
-        # scores before it makes its directory, so only its store is written.
+        # With the store elsewhere, the set-up refuses out_dir itself, before
+        # it reads an input: nothing is embedded, stored or made.
         extra = {"cache_file": "cache.bin", "out_dir": out_dir}
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2, extra=extra)
         make(tmp_path)
@@ -2093,8 +2092,9 @@ class TestUnreadableInputs:
             argv += ["--k-values", "1,2", "--m-values", "1"]
         assert main(argv) == EXIT_USAGE
         line = _one_error_line(capsys.readouterr().err, EXIT_USAGE)
-        assert f"output directory {tmp_path / out_dir}/" in line and "cannot be made" in line
-        assert _tree(tmp_path) == sorted(before + ["cache.bin"] if command == "baseline" else before)
+        blocker = tmp_path / Path(out_dir).parts[0]
+        assert f"output directory {tmp_path / out_dir} cannot be made: {blocker} is not a directory" in line
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "argv, name",
