@@ -140,7 +140,8 @@ _CRC_FROM = 8
 _ROW_BITS = 32
 _ROW_MASK = (1 << _ROW_BITS) - 1
 
-# Opening scans the store in reads of at most this many bytes.
+# After a damaged record, opening searches for the next sync marker in reads
+# of at most this many bytes.
 _SCAN_CHUNK = 1 << 20
 
 
@@ -157,19 +158,20 @@ class EmbeddingCache:
     marker, crc32, row count, dim), the rows' fixed-width keys, then the
     float64 rows. Each record is appended with one writev under an exclusive
     flock, straight from the caller's keys and rows, so processes can share a
-    store. Opening scans the file record by record under a shared flock and
-    checks every record; a torn or corrupt record costs only itself, because
-    the scan resyncs at the next sync marker. Memory then holds only where
-    each stored key's row is, and a put indexes the record it appends the
-    same way, so no rows are kept: `read` yields the stored rows among the
-    caller's keys record by record, reading each record it needs with one
-    preadv into a row-major scratch array and checking it again first, so a
-    record damaged after open or after its put is dropped and its keys read
-    as misses, to be fetched. The caller places the rows; the store never
-    sees its output. A store removed (or replaced) at the path while open is
-    forgotten at the next read or put, and the next put recreates it at the
-    path. A cache without a path stores nothing, so every key is a miss.
-    Puts are serialized by a lock.
+    store. Opening scans the file record by record under a shared flock,
+    reading each record whole with one preadv into one reused row-major
+    scratch array and checking it with the function that serves its rows; a
+    torn or corrupt record costs only itself, because the scan resyncs at the
+    next sync marker. Memory then holds only where each stored key's row is,
+    and a put indexes the record it appends the same way, so no rows are
+    kept: `read` yields the stored rows among the caller's keys record by
+    record, reading each record it needs the same way and checking it again
+    first, so a record damaged after open or after its put is dropped and
+    its keys read as misses, to be fetched. The caller places the rows; the
+    store never sees its output. A store removed (or replaced) at the path
+    while open is forgotten at the next read or put, and the next put
+    recreates it at the path. A cache without a path stores nothing, so
+    every key is a miss. Puts are serialized by a lock.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -207,18 +209,23 @@ class EmbeddingCache:
                 raise _not_a_store(self._path)
             records = []
             skipped = 0
+            scratch = np.empty(0)  # the rows of the record being checked
             offset = len(STORE_MAGIC)
             while offset < size:
-                shape = _scan_record(fd, offset, size)
-                if shape is None:
+                shape = _record_head(os.pread(fd, _RECORD_HEAD.size, offset), offset, size)
+                keys = None
+                if shape is not None:
+                    n, dim = shape
+                    if scratch.size < n * dim:
+                        scratch = np.empty(n * dim)
+                    keys = _read_record(fd, offset, scratch[: n * dim].reshape(n, dim))
+                if keys is None:
                     resync = _next_sync(fd, offset + 1, size)
                     skipped += resync - offset
                     offset = resync
                     continue
-                n, dim = shape
-                keys = os.pread(fd, n * _KEY_BYTES, offset + _RECORD_HEAD.size)
                 records.append((offset, shape, [keys[i : i + _KEY_BYTES] for i in range(0, len(keys), _KEY_BYTES)]))
-                offset += _record_size(n, dim)
+                offset += _record_size(*shape)
         self._index(records)
         if skipped:
             log.warning("embedding cache %s: skipped %d bytes of damaged records", self._path, skipped)
@@ -271,7 +278,10 @@ class EmbeddingCache:
             offset, n, dim = self._records[number]
             record = scratch[: n * dim].reshape(n, dim)
             whole = len(rows) == n and rows == list(range(n))
-            if not _read_record(fd, offset, record, b"".join([keys[i] for i in at]), None if whole else rows):
+            stored = _read_record(fd, offset, record)
+            if stored is not None and not whole:
+                stored = b"".join([stored[row * _KEY_BYTES : (row + 1) * _KEY_BYTES] for row in rows])
+            if stored != b"".join([keys[i] for i in at]):
                 self._drop(number)
                 continue
             yield at, record if whole else record[rows]
@@ -373,53 +383,32 @@ def _record_size(n: int, dim: int) -> int:
     return _RECORD_HEAD.size + n * (_KEY_BYTES + 8 * dim)
 
 
-def _read_record(fd: int, offset: int, dest: np.ndarray, keys: bytes, rows: Sequence[int] | None) -> bool:
+def _read_record(fd: int, offset: int, dest: np.ndarray) -> bytes | None:
     """Read the (n, dim) record at offset into dest, a C-contiguous (n, dim)
-    float64 array (the store's row-major layout), with one preadv; whether it
-    is intact and its keys at `rows` (all n in order when None), joined, are
-    `keys`."""
+    float64 array (the store's row-major layout), with one preadv; its n
+    keys, joined, if it is intact (sync marker, shape, size and crc), else
+    None. Opening and `read` both check a record with this."""
     n, dim = dest.shape
-    head, stored = bytearray(_RECORD_HEAD.size), bytearray(n * _KEY_BYTES)
-    if os.preadv(fd, [head, stored, dest], offset) != _record_size(n, dim):
-        return False
+    head, keys = bytearray(_RECORD_HEAD.size), bytearray(n * _KEY_BYTES)
+    if os.preadv(fd, [head, keys, dest], offset) != _record_size(n, dim):
+        return None
     sync, crc, *shape = _RECORD_HEAD.unpack(head)
     if sync != _RECORD_SYNC or shape != [n, dim]:
-        return False
-    if zlib.crc32(dest, zlib.crc32(stored, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
-        return False
-    if rows is not None:
-        stored = b"".join([stored[row * _KEY_BYTES : (row + 1) * _KEY_BYTES] for row in rows])
-    return stored == keys
+        return None
+    if zlib.crc32(dest, zlib.crc32(keys, zlib.crc32(memoryview(head)[_CRC_FROM:]))) != crc:
+        return None
+    return bytes(keys)
 
 
-def _record_head(head, offset: int, size: int) -> tuple[int, int, int] | None:
-    """(crc, row count, dim) from the header at the start of `head`, if the
-    record at offset it belongs to is nonempty and ends within `size` bytes."""
+def _record_head(head: bytes, offset: int, size: int) -> tuple[int, int] | None:
+    """(row count, dim) from the header `head` of the record at offset, if
+    the record is nonempty and ends within `size` bytes."""
     if len(head) < _RECORD_HEAD.size:
         return None
-    sync, crc, n, dim = _RECORD_HEAD.unpack_from(head)
+    sync, _, n, dim = _RECORD_HEAD.unpack(head)
     if sync != _RECORD_SYNC or n == 0 or dim == 0 or offset + _record_size(n, dim) > size:
         return None
-    return crc, n, dim
-
-
-def _scan_record(fd: int, offset: int, size: int) -> tuple[int, int] | None:
-    """(row count, dim) of an intact record at offset within the first `size`
-    bytes of the file, else None; read in chunks of at most _SCAN_CHUNK."""
-    head = os.pread(fd, _RECORD_HEAD.size, offset)
-    parsed = _record_head(head, offset, size)
-    if parsed is None:
-        return None
-    crc, n, dim = parsed
-    running = zlib.crc32(head[_CRC_FROM:])
-    at, end = offset + _RECORD_HEAD.size, offset + _record_size(n, dim)
-    while at < end:
-        chunk = os.pread(fd, min(_SCAN_CHUNK, end - at), at)
-        if not chunk:
-            return None
-        running = zlib.crc32(chunk, running)
-        at += len(chunk)
-    return (n, dim) if running == crc else None
+    return n, dim
 
 
 def _next_sync(fd: int, start: int, size: int) -> int:

@@ -442,6 +442,23 @@ class Splits:
         return start
 
 
+def check_dataset(dataset: Dataset, strategy: StrategyConfig) -> None:
+    """The dataset rules of a refinement, checked before anything is written
+    or asked of the LLM: at least 2 categories, nonempty train and dev
+    splits, and for m2 and m3, whose feedback samples a train document of
+    each category in the confused pairs, a train document in every category."""
+    if len(dataset.categories) < 2:
+        raise DataError("refinement requires at least 2 categories")
+    if ("train", None) not in dataset.strata or ("dev", None) not in dataset.strata:
+        raise DataError("refinement requires nonempty train and dev splits")
+    if strategy.strategy != "m1":
+        missing = [c for c in dataset.categories if ("train", c) not in dataset.strata]
+        if missing:
+            raise DataError(
+                f"strategy {strategy.strategy} needs a train document in every category; none in: {', '.join(missing)}"
+            )
+
+
 def refine(
     splits: Splits,
     strategy: StrategyConfig,
@@ -485,10 +502,7 @@ def refine(
         raise ValueError("refine requires an llm gateway")
     dataset = splits.dataset
     categories = list(dataset.categories)
-    if len(categories) < 2:
-        raise DataError("refinement requires at least 2 categories")
-    if not split_view(dataset, "train") or not split_view(dataset, "dev"):
-        raise DataError("refinement requires nonempty train and dev splits")
+    check_dataset(dataset, strategy)
     # The splits before the first definition set: embedding a set first
     # raised the refine-20k benchmark's peak RSS from 104.3 to 109.1 MB.
     splits.embedded("train")

@@ -37,6 +37,7 @@ from .refinement import (
     Splits,
     StrategyConfig,
     TraceRecord,
+    check_dataset,
     initial_definitions,
     refine,
     validate_definitions,
@@ -628,6 +629,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
 
     # Everything that can reject the config runs before the run directory exists.
     with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
+        check_dataset(inputs.splits.dataset, cfg.strategy)
         with run.open(cfg, resume, inputs) as saved:
             result = refine(
                 inputs.splits,
@@ -657,9 +659,10 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
 
     Every cell's config and run directory are checked, and then the cells
     share one set-up, so a bad grid value, a checkpointed cell, or a bad
-    dataset, store, script or definitions file stops the sweep before the
-    first cell. A provider, parse or data error fails only its
-    cell; a split whose embedding failed is embedded again by the next cell."""
+    dataset, store, script or definitions file, or a dataset that refine's
+    rules refuse, stops the sweep before the first cell. A provider, parse or
+    data error fails only its cell; a split whose embedding failed is
+    embedded again by the next cell."""
     if cfg.strategy is None:
         raise ConfigError("sweep requires a strategy config")
     if not k_values or not m_values:
@@ -679,6 +682,7 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
         RunDirectory(run_dir_for(cell_cfg, "refine")).refuse_checkpointed()
     cells = []
     with _set_up(cfg) as inputs:
+        check_dataset(inputs.splits.dataset, cfg.strategy)
         for cell_cfg in cell_cfgs:
             cell = {"k": cell_cfg.strategy.k_confused, "m": cell_cfg.strategy.m_history, "seed": cell_cfg.seed}
             try:
@@ -744,11 +748,13 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
 
 def cmd_validate_config(path: str | Path) -> RunConfig:
     """Check a config and its input files with `refine`'s own set-up, which
-    embeds nothing and sends no request; a data error is a config error here."""
+    embeds nothing and sends no request, and, given a strategy, its dataset
+    with `refine`'s rules; a data error is a config error here."""
     cfg = RunConfig.from_file(path)
     try:
-        with _set_up(cfg):
-            pass
+        with _set_up(cfg) as inputs:
+            if cfg.strategy is not None:
+                check_dataset(inputs.splits.dataset, cfg.strategy)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     print("config OK")

@@ -39,6 +39,12 @@ def separable_dataset(
     return Dataset(name, tuple(categories), tuple(docs))
 
 
+def last_category_only_in_test() -> Dataset:
+    """`separable_dataset` with its last category's documents in test only."""
+    docs = separable_dataset().documents
+    return Dataset("toy", TOY_CATEGORIES, tuple(d for d in docs if d.label != TOY_CATEGORIES[-1] or d.split == "test"))
+
+
 def unit(vectors) -> np.ndarray:
     """The rows scaled to unit length, as a new float64 array in their layout,
     with the bits the embedding gateway gives them: `row_norms`, then one

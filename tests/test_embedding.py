@@ -215,6 +215,34 @@ class TestStore:
         path.write_bytes(bytes(data))
         _assert_holds_exactly(path, [1, 3])
 
+    def test_open_reads_each_record_once(self, tmp_path, monkeypatch):
+        # The store magic, then per record its 16-byte header, which sizes
+        # the record, and the whole record, which is checked and indexed from
+        # that one read; no byte of a record is read twice.
+        path = tmp_path / "cache.bin"
+        ends = _write_store(path, [1, 2, 3])
+        reads = []
+        pread, preadv = os.pread, os.preadv
+
+        def spy_pread(fd, length, offset):
+            reads.append((offset, length))
+            return pread(fd, length, offset)
+
+        def spy_preadv(fd, buffers, offset):
+            reads.append((offset, sum(memoryview(b).nbytes for b in buffers)))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(embeddings.os, "pread", spy_pread)
+        monkeypatch.setattr(embeddings.os, "preadv", spy_preadv)
+        cache = EmbeddingCache(path)
+        assert len(cache) == 9
+        starts = [len(STORE_MAGIC), *ends[:-1]]
+        expected = [(0, len(STORE_MAGIC))]
+        for start, end in zip(starts, ends):
+            expected += [(start, 16), (start, end - start)]
+        assert reads == expected
+        cache.close()
+
     def test_append_after_torn_tail(self, tmp_path):
         path = tmp_path / "cache.bin"
         ends = _write_store(path, [1, 2])

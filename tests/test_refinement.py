@@ -35,6 +35,7 @@ from conftest import (
     TOY_CATEGORIES,
     ideal_definitions,
     junk_definitions,
+    last_category_only_in_test,
     mock_gateway,
     separable_dataset,
 )
@@ -690,6 +691,17 @@ class TestRefineLoop:
                 seed=0,
                 t_max=1,
             )
+
+    @pytest.mark.parametrize("strategy", ["m2", "m3"])
+    def test_confusion_strategies_require_a_train_document_per_category(self, strategy):
+        # A class with no train document can enter a confused pair as a
+        # predicted class, and its sample would be drawn from nothing; the
+        # run stops before the LLM is asked anything.
+        dataset = last_category_only_in_test()
+        llm = RecordingLlm([json.dumps(junk_definitions(1))])
+        with pytest.raises(DataError, match=f"strategy {strategy} needs a train document in every category; none in: gamma"):
+            refine(Splits(dataset, mock_gateway()), StrategyConfig(strategy), AnnealingSchedule(), llm, seed=0, t_max=1)
+        assert llm.prompts == []
 
     def test_refines_on_one_splits_score_each_start_set_once(self, monkeypatch):
         # A start set equal to the last one scored is not embedded or scored

@@ -40,6 +40,7 @@ from conftest import (
     TOY_CATEGORIES,
     ideal_definitions,
     junk_definitions,
+    last_category_only_in_test,
     separable_dataset,
     write_jsonl_dataset,
 )
@@ -2112,3 +2113,50 @@ class TestUnreadableInputs:
         line = _one_error_line(capsys.readouterr().err, EXIT_DATA)
         assert f"{run_dir / name} cannot be read: Is a directory" in line
         assert _tree(run_dir) == before
+
+
+class TestDatasetRules:
+    """A dataset that refine's rules refuse stops refine, sweep and
+    validate-config right after the set-up: before a run directory is made
+    or the LLM is asked."""
+
+    # (dataset, strategy, what the error says)
+    DATASETS = [
+        pytest.param(
+            separable_dataset(n_dev=0), "m3", "refinement requires nonempty train and dev splits", id="no-dev-document"
+        ),
+        # m2 samples a train document of each class in the confused pairs,
+        # and gamma can enter one as a predicted class.
+        pytest.param(
+            last_category_only_in_test(),
+            "m2",
+            "strategy m2 needs a train document in every category; none in: gamma",
+            id="category-without-a-train-document",
+        ),
+    ]
+
+    @pytest.mark.parametrize("command, code", [("refine", EXIT_DATA), ("sweep", EXIT_DATA), ("validate-config", EXIT_USAGE)])
+    @pytest.mark.parametrize("dataset, strategy, message", DATASETS)
+    def test_refused_before_anything_is_written(self, tmp_path, capsys, command, code, dataset, strategy, message):
+        extra = {"strategy": {"name": strategy, "k": 2, "m": 2}}
+        cfg_path = write_config(tmp_path, dataset, toy_script(2), t_max=2, extra=extra)
+        before = _tree(tmp_path)
+        argv = [command, "--config", str(cfg_path)]
+        if command == "sweep":
+            argv += ["--k-values", "1,2", "--m-values", "1"]
+        assert main(argv) == code
+        assert message in _one_error_line(capsys.readouterr().err, code)
+        assert not (tmp_path / "runs").exists()
+        assert _tree(tmp_path) == before
+
+    def test_m1_needs_no_train_document_per_category(self, tmp_path, capsys):
+        # m1 samples its example from the whole train split.
+        extra = {"strategy": {"name": "m1", "k": 2, "m": 2}}
+        cfg_path = write_config(tmp_path, last_category_only_in_test(), toy_script(2), t_max=2, extra=extra)
+        assert main(["validate-config", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+
+    def test_baseline_needs_only_a_test_split(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(n_dev=0), toy_script(2), t_max=2)
+        assert main(["baseline", "--config", str(cfg_path)]) == EXIT_OK
+        assert "baseline test macro-F1: " in capsys.readouterr().out
