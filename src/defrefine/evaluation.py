@@ -9,8 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import classifier
-
 
 @dataclass
 class ConfusionMatrix:
@@ -97,25 +95,6 @@ def top_k_confused_pairs(cm: ConfusionMatrix, k_pairs: int) -> list[ConfusedPair
     ]
     ranked.sort()
     return [ConfusedPair(*divmod(key % kk, k), -(key // kk)) for key in ranked[:k_pairs]]
-
-
-def score(def_units, categories: Sequence[str], docs, gold) -> tuple[MetricsReport, ConfusionMatrix]:
-    """Classify the embedded documents under a definition set and score them.
-
-    `def_units` is the definition set's (k, d) matrix of unit rows, one per
-    category in `categories` order, from `EmbeddingGateway.embed_definitions`;
-    `docs` is the split's (n, d) document matrix as unit rows, from
-    `Splits.embedded` (column-major, as the gateway returns it, makes the
-    product cheapest), and `gold` its category indices.
-    Predictions are the argmax of the exact float64 product of `docs` as
-    given, ties to the lowest index: `classifier.classify` takes them from
-    the cheaper (k, n) product when every document's best score leads by
-    more than the rounding bound `classifier._tie_margin(d)`, (14 d + 16)
-    2**-53, and otherwise from `classifier.cosine_scores` for the whole split.
-    """
-    preds = classifier.classify(docs, def_units)
-    cm = confusion_matrix(gold, preds, categories)
-    return macro_f1(cm), cm
 
 
 def confusion_to_csv(cm: ConfusionMatrix, path: str | Path) -> None:

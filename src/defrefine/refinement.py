@@ -10,6 +10,7 @@ window that the history-aware prompt exposes to the LLM.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -21,10 +22,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import classifier
 from .corpus import LONE_SURROGATE, Dataset, Document, sample_instance, split_view
 from .embeddings import ROLE_DOCUMENT, EmbeddingGateway
 from .errors import DataError, DefinitionParseError
-from .evaluation import ConfusedPair, ConfusionMatrix, MetricsReport, score, top_k_confused_pairs
+from .evaluation import ConfusedPair, ConfusionMatrix, MetricsReport, confusion_matrix, macro_f1, top_k_confused_pairs
 from .seeding import make_rng
 
 log = logging.getLogger(__name__)
@@ -384,15 +386,16 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, fi
 
 
 @dataclass(frozen=True)
-class ScoredStart:
-    """A start definition set as `refine` scores it at iteration 0: its unit
-    rows, its train macro-F1 and confusion matrix, and its dev metrics."""
+class ScoredSet:
+    """A definition set as `refine` scores it: its unit rows, its train
+    macro-F1 and confusion matrix, and its dev metrics once they are
+    computed (`None` until then)."""
 
     definitions: dict[str, str]
     units: np.ndarray
     phi_train: float
     train_confusion: ConfusionMatrix
-    dev: MetricsReport
+    dev: MetricsReport | None = None
 
 
 class Splits:
@@ -403,17 +406,18 @@ class Splits:
     it is asked for them (the gateway divides each block by the norms it
     checked it with), and keeps them only if that succeeded, so a provider
     error leaves the split to be fetched again. The rows keep the gateway's
-    column-major layout. `scored_start(definitions)` does the same for the
-    start set of a `refine`: sweep cells that start from one set score it
-    once. Every caller shares the same arrays, confusion matrices and
-    reports, and only reads them. Nothing here is locked: callers take turns.
+    column-major layout. `scored(definitions)` embeds a definition set and
+    scores it on train. `scored_start` keeps the start set of a `refine`,
+    scored on dev too, so sweep cells that start from one set score it once.
+    Every caller shares the same arrays, confusion matrices and reports, and
+    only reads them. Nothing here is locked: callers take turns.
     """
 
     def __init__(self, dataset: Dataset, gateway: EmbeddingGateway):
         self.dataset = dataset
         self.gateway = gateway
         self._embedded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._start: ScoredStart | None = None
+        self._start: ScoredSet | None = None
 
     def embedded(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         """The split's documents as unit rows, and their gold category indices."""
@@ -427,18 +431,38 @@ class Splits:
         return found
 
     def score(self, def_units: np.ndarray, split: str) -> tuple[MetricsReport, ConfusionMatrix]:
-        """The metrics and confusion matrix of definition unit rows on a split."""
-        return score(def_units, self.dataset.categories, *self.embedded(split))
+        """The metrics and confusion matrix of a definition set on a split.
 
-    def scored_start(self, definitions: dict[str, str]) -> ScoredStart:
-        """A start set's unit rows and scores: the last start's, if it held the
+        `def_units` is the set's (k, d) matrix of unit rows, one per category
+        in dataset order, from `EmbeddingGateway.embed_definitions`.
+        Predictions are the argmax of the exact float64 product of the split's
+        rows as `embedded` keeps them (column-major makes it cheapest), ties
+        to the lowest index: `classifier.classify` takes them from the cheaper
+        (k, n) product when every document's best score leads by more than
+        the rounding bound `classifier._tie_margin(d)`, (14 d + 16) 2**-53,
+        and otherwise from `classifier.cosine_scores` for the whole split.
+        """
+        docs, gold = self.embedded(split)
+        cm = confusion_matrix(gold, classifier.classify(docs, def_units), self.dataset.categories)
+        return macro_f1(cm), cm
+
+    def scored(self, definitions: Mapping[str, str]) -> ScoredSet:
+        """A definition set embedded and scored on train; its dev metrics are
+        left to `with_dev`."""
+        units = self.gateway.embed_definitions(definitions, self.dataset.categories)
+        train, cm = self.score(units, "train")
+        return ScoredSet(dict(definitions), units, train.macro_f1, cm)
+
+    def with_dev(self, scored: ScoredSet) -> ScoredSet:
+        """`scored` with its dev metrics."""
+        return dataclasses.replace(scored, dev=self.score(scored.units, "dev")[0])
+
+    def scored_start(self, definitions: dict[str, str]) -> ScoredSet:
+        """A start set scored on train and dev: the last start, if it held the
         same definitions, else computed and kept (only if that succeeded)."""
         start = self._start
         if start is None or start.definitions != definitions:
-            units = self.gateway.embed_definitions(definitions, self.dataset.categories)
-            train, cm = self.score(units, "train")
-            start = ScoredStart(dict(definitions), units, train.macro_f1, cm, self.score(units, "dev")[0])
-            self._start = start
+            start = self._start = self.with_dev(self.scored(definitions))
         return start
 
 
@@ -480,11 +504,12 @@ def refine(
     score it, apply the acceptance rule, update the best-so-far, append
     accepted states to the bounded history, and record dev macro-F1 for
     tracking. A proposal whose replies never parse is treated as rejected
-    with no state change. Each definition set is scored once per split: the
-    current set's train confusion matrix and dev metrics are kept until a
-    proposal replaces it. The documents, their dataset and the gateway come
-    from `splits`; a split it already holds is not embedded again, and a
-    start set equal to the last one it scored is not scored again.
+    with no state change. Each definition set is embedded once and scored
+    once per split: the current and the best set are kept as `ScoredSet`s,
+    and dev is scored only for accepted sets. The documents, their dataset
+    and the gateway come from `splits`; a split it already holds is not
+    embedded again, and a start set equal to the last one it scored is not
+    scored again.
 
     The loop state is `resume`, or a new one at iteration 0. `on_iteration`
     receives a record and the state, which fully determines the rest of the
@@ -508,16 +533,6 @@ def refine(
     splits.embedded("train")
     splits.embedded("dev")
 
-    def embed(defs: Mapping[str, str]) -> np.ndarray:
-        return splits.gateway.embed_definitions(defs, categories)
-
-    def score_train(def_units: np.ndarray) -> tuple[float, ConfusionMatrix]:
-        report, cm = splits.score(def_units, "train")
-        return report.macro_f1, cm
-
-    def score_dev(def_units: np.ndarray) -> MetricsReport:
-        return splits.score(def_units, "dev")[0]
-
     llm_calls = 0
     if resume is not None:
         current = resume.current
@@ -525,48 +540,47 @@ def refine(
         current = validate_definitions(initial, categories, where="initial definitions")
     else:
         current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
-    start = splits.scored_start(current)
-    vecs_cur, phi, cm_cur, dev_cur = start.units, start.phi_train, start.train_confusion, start.dev
+    cur = splits.scored_start(current)
 
     state = resume
     initial_info: InitialRecord | None = None
     if state is None:
+        phi = cur.phi_train
         history = [HistoryEntry(dict(current), phi)]
         sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
         state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
-        initial_info = InitialRecord(0, phi, dev_cur.macro_f1, dict(current), definitions_hash(current))
+        initial_info = InitialRecord(0, phi, cur.dev.macro_f1, dict(current), definitions_hash(current))
         if on_iteration is not None:
             on_iteration(initial_info, state)
-    # Dev metrics of the best set, known whenever it is the current set.
-    dev_best = dev_cur if state.best == state.current else None
+    # The best set's scores, known whenever it has been the current set in this call.
+    best = cur if state.best == state.current else None
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
     trace: list[TraceRecord] = []
 
     for t in range(state.iteration + 1, t_max + 1):
-        feedback = _assemble_feedback(strategy, dataset, cm_cur, state.history, state.sample_rng)
+        feedback = _assemble_feedback(strategy, dataset, cur.train_confusion, state.history, state.sample_rng)
         prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
         proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
         state.llm_calls += calls
         temp = temperature(t, schedule, t_max)
 
-        phi_prop: float | None = None
+        prop: ScoredSet | None = None
         delta_e: float | None = None
         accepted = False
         if proposal is not None:
-            vecs_prop = embed(proposal)
-            phi_prop, cm_prop = score_train(vecs_prop)
-            delta_e = energy_drop(state.phi_best, phi_prop)
+            prop = splits.scored(proposal)
+            delta_e = energy_drop(state.phi_best, prop.phi_train)
             accepted = accept(delta_e, temp, state.accept_rng) if metropolis else True
         if accepted:
-            state.current, vecs_cur, state.phi_cur, cm_cur = proposal, vecs_prop, phi_prop, cm_prop
-            dev_cur = score_dev(vecs_cur)
+            cur = splits.with_dev(prop)
+            state.current, state.phi_cur = proposal, cur.phi_train
             # phi_cur <= phi_best holds between iterations, so only an
             # accepted proposal can raise the best.
             if state.phi_cur > state.phi_best:
                 state.phi_best = state.phi_cur
                 state.best = dict(state.current)
-                dev_best = dev_cur
+                best = cur
             state.history.append(HistoryEntry(dict(state.current), state.phi_cur))
             del state.history[: max(0, len(state.history) - strategy.m_history)]
         state.iteration = t
@@ -578,10 +592,10 @@ def refine(
             m=strategy.m_history,
             temperature=temp,
             phi_train_current=state.phi_cur,
-            phi_train_proposed=phi_prop,
+            phi_train_proposed=prop.phi_train if prop is not None else None,
             delta_e=delta_e,
             accepted=accepted,
-            phi_dev=dev_cur.macro_f1,
+            phi_dev=cur.dev.macro_f1,
             definitions_hash=definitions_hash(state.current),
             llm_latency_ms=latency_ms,
         )
@@ -589,19 +603,19 @@ def refine(
         if on_iteration is not None:
             on_iteration(record, state)
 
-    vecs_best = vecs_cur if state.best == state.current else embed(state.best)
-    dev_metrics = dev_best if dev_best is not None else score_dev(vecs_best)
+    if best is None:  # a resumed run's best, set before the resume and no longer current
+        best = splits.with_dev(splits.scored(state.best))
     test_metrics = None
     test_cm = None
     if split_view(dataset, "test"):
-        test_metrics, test_cm = splits.score(vecs_best, "test")
+        test_metrics, test_cm = splits.score(best.units, "test")
 
     return RefinementResult(
         best_definitions=dict(state.best),
         phi_best_train=state.phi_best,
         trace=trace,
         initial=initial_info,
-        dev_metrics=dev_metrics,
+        dev_metrics=best.dev,
         test_metrics=test_metrics,
         test_confusion=test_cm,
     )

@@ -26,7 +26,7 @@ from .embeddings import (
     MockEmbeddingProvider,
 )
 from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, open_input
-from .evaluation import confusion_to_csv, metrics_to_dict, score
+from .evaluation import confusion_to_csv, metrics_to_dict
 from .llm import HttpLlm, LlmConfig, LlmScript, ScriptedLlm
 from .records import from_json, to_json
 from .refinement import (
@@ -593,14 +593,13 @@ def cmd_baseline(cfg: RunConfig):
     """Evaluate the initial definitions on the test split."""
     with _set_up(cfg) as inputs:
         dataset, splits = inputs.splits.dataset, inputs.splits
+        if not split_view(dataset, "test"):
+            raise DataError("baseline evaluation requires a nonempty test split")
         definitions = inputs.initial
         if definitions is None:
             definitions, _ = initial_definitions(dataset.categories, cfg.init.mode, inputs.llm, cfg.parse_retries)
-        if not split_view(dataset, "test"):
-            raise DataError("baseline evaluation requires a nonempty test split")
-        test_units, gold = splits.embedded("test")
         def_units = splits.gateway.embed_definitions(definitions, dataset.categories)
-        report, cm = score(def_units, dataset.categories, test_units, gold)
+        report, cm = splits.score(def_units, "test")
 
     run_dir = run_dir_for(cfg, "baseline")
     _make_dir(run_dir)
@@ -716,8 +715,8 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
         def_units = splits.gateway.embed_definitions(best, dataset.categories)
         test_units = []
         if test_docs:
-            test_units, gold = splits.embedded("test")
-            _, cm = score(def_units, dataset.categories, test_units, gold)
+            _, cm = splits.score(def_units, "test")
+            test_units = splits.embedded("test")[0]
 
     reports = run.path / "reports"
     _make_dir(reports)

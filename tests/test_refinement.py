@@ -418,19 +418,27 @@ class TestRefineLoop:
         assert parsed == 4
         assert rows.count(n_train) == 1 + parsed
 
-    @pytest.mark.parametrize("resume_after", [None, 2])
+    @pytest.mark.parametrize("resume_after", [None, 2, 4])
     def test_each_definition_set_is_embedded_once(self, monkeypatch, resume_after):
         # m2 accepts every parsed proposal, so each is scored on train and on
-        # dev, from one embedding. The best set, no longer current at the end,
-        # is embedded once more for dev and test.
-        embedded = []
-        embed_definitions = EmbeddingGateway.embed_definitions
+        # dev, from one embedding, and the best set is kept with its scores:
+        # dev is scored for the start set and each accepted proposal. Only a
+        # resumed run whose best set predates the resume, and is no longer
+        # current, embeds and scores that set once more for dev and test.
+        n_dev = 2 * len(TOY_CATEGORIES)  # apart from train's 9 rows and test's 3
+        embedded, rows = [], []
+        embed_definitions, classify = EmbeddingGateway.embed_definitions, classifier.classify
 
-        def counting(gateway, definitions, categories):
+        def counting_embed(gateway, definitions, categories):
             embedded.append(dict(definitions))
             return embed_definitions(gateway, definitions, categories)
 
-        monkeypatch.setattr(EmbeddingGateway, "embed_definitions", counting)
+        def counting_classify(docs, defs):
+            rows.append(len(docs))
+            return classify(docs, defs)
+
+        monkeypatch.setattr(EmbeddingGateway, "embed_definitions", counting_embed)
+        monkeypatch.setattr(classifier, "classify", counting_classify)
         script = [
             json.dumps(junk_definitions(1)),
             "not json",
@@ -446,7 +454,7 @@ class TestRefineLoop:
 
         def run(resume=None):
             return refine(
-                Splits(separable_dataset(), mock_gateway()),
+                Splits(separable_dataset(n_train=3, n_dev=2, n_test=1), mock_gateway()),
                 strategy,
                 AnnealingSchedule(),
                 ScriptedLlm(script),
@@ -458,14 +466,17 @@ class TestRefineLoop:
             )
 
         result = run()
+        assert result.trace[-1].accepted and result.best_definitions != json.loads(script[-1])
+        start = checkpoints[resume_after or 0].current  # a resume replaces it in the live state
         if resume_after is not None:
             embedded.clear()
+            rows.clear()
             result = run(checkpoints[resume_after])
         proposals = [json.loads(reply) for reply in script[resume_after or 0 :] if reply != "not json"]
-        assert result.trace[-1].accepted and result.best_definitions != proposals[-1]
-        assert embedded[1:-1] == proposals
-        assert embedded[-1] == result.best_definitions
-        assert len(embedded) == len(proposals) + 2
+        best_again = [result.best_definitions] if resume_after == len(script) else []
+        assert embedded[0] == start
+        assert embedded[1:] == proposals + best_again
+        assert rows.count(n_dev) == len(embedded)
 
     @pytest.mark.parametrize("name", ["m1", "m2", "m3"])
     def test_resume_from_every_iteration_matches_uninterrupted(self, name):

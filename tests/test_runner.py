@@ -576,11 +576,17 @@ class TestConfigSnapshot:
 
 
 class TestStateSnapshot:
-    """state.json bytes are pinned: old run directories must still resume."""
+    """state.json bytes are pinned: old run directories must still resume.
+    So are the bytes of the run's trace, definitions log and result."""
 
     GOLDEN_SHA256 = {
         0: "73fa012709467dd9788d02a920fc69357b0834f7852919dd40caf473f44c9f80",
         6: "9163aa7e07b94a259a8df427573ea646dbdea6b16033816940eaa847d0add8d1",
+    }
+    GOLDEN_FILES_SHA256 = {
+        "trace.jsonl": "d002b086042a7406c97b325dbbf37ae1430ca1415ff106b2aba612938e7480a7",
+        "definitions_log.jsonl": "aefbc28d997d5d16f179316021d80bfec97f547e6d123211dc89c842756c88ed",
+        "result.json": "fc090ed01cd38f6670cf3cfa5c1ae0771b277d49724c2afaf89a4e47a37becc2",
     }
 
     def test_scripted_m3_run(self, tmp_path, monkeypatch):
@@ -605,6 +611,8 @@ class TestStateSnapshot:
         assert len(written) == 7
         digests = {i: hashlib.sha256(written[i]).hexdigest() for i in self.GOLDEN_SHA256}
         assert digests == self.GOLDEN_SHA256
+        files = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in self.GOLDEN_FILES_SHA256}
+        assert files == self.GOLDEN_FILES_SHA256
 
 
 def _fsync_failing_on_call(n):
@@ -1792,9 +1800,20 @@ class TestCacheIsClosed:
         assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"]) == EXIT_OK
         assert len(caches[0]) == 1 and self._all_closed(*caches)
 
-    def test_baseline_without_a_test_split(self, tmp_path, caches):
-        cfg_path = write_config(tmp_path, separable_dataset(n_test=0), [], t_max=0)
+    @pytest.mark.parametrize("mode", ["minimal", "llm_generated"])
+    def test_baseline_without_a_test_split(self, tmp_path, caches, monkeypatch, mode):
+        # The missing split is refused before the LLM drafts a start set.
+        complete, calls = ScriptedLlm.complete, []
+
+        def counting_complete(self, prompt, call):
+            calls.append(call)
+            return complete(self, prompt, call)
+
+        monkeypatch.setattr(ScriptedLlm, "complete", counting_complete)
+        script = [json.dumps(ideal_definitions())]
+        cfg_path = write_config(tmp_path, separable_dataset(n_test=0), script, t_max=0, extra={"init": {"mode": mode}})
         assert main(["baseline", "--config", str(cfg_path)]) == EXIT_DATA
+        assert calls == []
         assert self._all_closed(*caches)
 
     def test_report_without_recorded_definitions(self, tmp_path, caches):
