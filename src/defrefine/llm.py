@@ -1,6 +1,7 @@
 """Chat-completion gateways: an HTTP provider and a scripted deterministic mock.
 
-Both answer `complete(prompt, call)`, `call` being the run's 0-based LLM call number, with a `Reply`.
+Both answer `complete(prompt, call)`, `call` being the run's 0-based LLM call
+number, with the reply's text.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._http import LazySession, check_retry_policy, post_json
 from .errors import ProviderError, ScriptExhaustedError
@@ -38,16 +38,21 @@ class LlmConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sampling_temperature < 0:
-            raise ValueError("sampling_temperature must be >= 0")
+        if not 0 <= self.sampling_temperature < math.inf:
+            raise ValueError("sampling_temperature must be a finite number >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         check_retry_policy(self)
 
 
 @dataclass
-class LlmScript:
-    """An LLM script file: the replies in order, and a real delay per call."""
+class ScriptedLlm:
+    """An LLM script file, played back: reply i answers the run's call i.
+
+    It keeps no position, so a resumed run continues at its saved call count.
+    `delay_s` is a real wait per call, for crash-timing tests; the reply is
+    the same with or without it.
+    """
 
     responses: list[str]
     delay_s: float = 0.0
@@ -56,36 +61,14 @@ class LlmScript:
         if not 0 <= self.delay_s < math.inf:
             raise ValueError("delay_s must be a finite number >= 0")
 
-
-@dataclass(frozen=True)
-class Reply:
-    """One LLM reply: its text and the wall time of the request that got it."""
-
-    text: str
-    latency_ms: float
-
-
-class ScriptedLlm:
-    """Plays back a fixed list of responses: reply i answers the run's call i.
-
-    It keeps no position, so a resumed run continues at its saved call count.
-    Reported latency is always 0.0 so traces produced with the mock are
-    bit-reproducible. An optional real delay per call is available for
-    crash-timing tests and never affects the reported latency.
-    """
-
-    def __init__(self, responses: Sequence[str], delay_s: float = 0.0):
-        self.responses = tuple(responses)
-        self._delay_s = delay_s
-
-    def complete(self, prompt: str, call: int) -> Reply:
+    def complete(self, prompt: str, call: int) -> str:
         if not prompt:
             raise ValueError("prompt must be nonempty")
         if call >= len(self.responses):
             raise ScriptExhaustedError("script exhausted")
-        if self._delay_s > 0:
-            time.sleep(self._delay_s)
-        return Reply(self.responses[call], 0.0)
+        if self.delay_s > 0:
+            time.sleep(self.delay_s)
+        return self.responses[call]
 
 
 class HttpLlm:
@@ -93,7 +76,8 @@ class HttpLlm:
 
     Request shape: {"model", "messages", "temperature", "max_tokens"}; the
     reply is the first choice's message content. The prompt is passed through
-    verbatim as the user message under a fixed system message.
+    verbatim as the user message under a fixed system message. A call's wall
+    time goes to its INFO log line, not to the caller.
     """
 
     def __init__(self, cfg: LlmConfig, api_key: str | None = None):
@@ -101,7 +85,7 @@ class HttpLlm:
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._session = LazySession()
 
-    def complete(self, prompt: str, call: int) -> Reply:
+    def complete(self, prompt: str, call: int) -> str:
         if not prompt:
             raise ValueError("prompt must be nonempty")
         cfg = self._cfg
@@ -127,4 +111,4 @@ class HttpLlm:
         if len(text.encode("utf-8", "surrogatepass")) > MAX_RESPONSE_BYTES:
             raise ProviderError("llm response exceeds size cap")
         log.info("llm call %d completed in %.0f ms (usage=%s)", call, latency_ms, usage)
-        return Reply(text, latency_ms)
+        return text

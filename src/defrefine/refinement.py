@@ -87,14 +87,18 @@ class AnnealingSchedule:
     t_min: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0 < self.t_min <= self.t0:
-            raise ValueError("require 0 < t_min <= t0")
+        if not 0 < self.t_min <= self.t0 < math.inf:
+            raise ValueError("require 0 < t_min <= t0 < inf")
 
 
 @dataclass
 class HistoryEntry:
     definitions: dict[str, str]
     score: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.score <= 1:
+            raise ValueError("score must be a macro-F1 in [0, 1]")
 
 
 @dataclass
@@ -125,6 +129,9 @@ class LoopState:
     def __post_init__(self) -> None:
         if min(self.iteration, self.llm_calls) < 0:
             raise ValueError("iteration and llm_calls must be >= 0")
+        # Macro-F1s, and the loop only raises the best to the current score.
+        if not 0 <= self.phi_cur <= self.phi_best <= 1:
+            raise ValueError("require 0 <= phi_cur <= phi_best <= 1")
 
 
 @dataclass
@@ -154,7 +161,10 @@ class TraceRecord:
     accepted: bool
     phi_dev: float
     definitions_hash: str
-    llm_latency_ms: float
+    # Always 0.0: a wall-clock value would make two runs' traces differ. The
+    # field stays because the benchmark's digests pin the trace's bytes; it
+    # goes when they are next re-recorded (ROADMAP item 1).
+    llm_latency_ms: float = 0.0
 
 
 @dataclass
@@ -276,7 +286,7 @@ def initial_definitions(
     lines += [f"- {c}" for c in categories]
     lines += ["", _OUTPUT_INSTRUCTION]
     prompt = "\n".join(lines)
-    definitions, calls, _ = _propose(llm, prompt, categories, parse_retries, 0)
+    definitions, calls = _propose(llm, prompt, categories, parse_retries, 0)
     if definitions is None:
         raise DefinitionParseError("could not parse initial definitions after retries")
     return definitions, calls
@@ -368,21 +378,19 @@ def _propose(llm, prompt: str, categories: Sequence[str], parse_retries: int, fi
     """Call the LLM, from the run's call number first_call on, until its reply
     parses, re-prompting on bad JSON.
 
-    Returns (definitions or None, llm calls made, total latency ms).
+    Returns (definitions or None, llm calls made).
     """
     calls = 0
-    latency_ms = 0.0
     current_prompt = prompt
     for _ in range(parse_retries + 1):
         reply = llm.complete(current_prompt, first_call + calls)
         calls += 1
-        latency_ms += reply.latency_ms
         try:
-            return parse_definitions(reply.text, categories), calls, latency_ms
+            return parse_definitions(reply, categories), calls
         except DefinitionParseError as exc:
             log.warning("proposal rejected: %s", exc)
             current_prompt = prompt + PARSE_RETRY_NOTICE
-    return None, calls, latency_ms
+    return None, calls
 
 
 @dataclass(frozen=True)
@@ -561,7 +569,7 @@ def refine(
     for t in range(state.iteration + 1, t_max + 1):
         feedback = _assemble_feedback(strategy, dataset, cur.train_confusion, state.history, state.sample_rng)
         prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
-        proposal, calls, latency_ms = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
+        proposal, calls = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
         state.llm_calls += calls
         temp = temperature(t, schedule, t_max)
 
@@ -597,7 +605,6 @@ def refine(
             accepted=accepted,
             phi_dev=cur.dev.macro_f1,
             definitions_hash=definitions_hash(state.current),
-            llm_latency_ms=latency_ms,
         )
         trace.append(record)
         if on_iteration is not None:

@@ -27,7 +27,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, open_input
 from .evaluation import confusion_to_csv, metrics_to_dict
-from .llm import HttpLlm, LlmConfig, LlmScript, ScriptedLlm
+from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .records import from_json, to_json
 from .refinement import (
     AnnealingSchedule,
@@ -196,23 +196,21 @@ def build_gateway(cfg: RunConfig) -> EmbeddingGateway:
     return EmbeddingGateway(cfg.embedder, cache, provider)
 
 
-def _read_script(endpoint: str) -> LlmScript:
+def _read_script(endpoint: str) -> ScriptedLlm:
     """The LLM script file a `script:` endpoint names; ConfigError naming the
     file if it holds none."""
     script_path = Path(endpoint[len(SCRIPT_PREFIX) :])
     payload = _read_json(script_path, "llm script file")
     if isinstance(payload, list):
         payload = {"responses": payload}
-    return from_json(LlmScript, payload, f"llm script file {script_path}", ConfigError)
+    return from_json(ScriptedLlm, payload, f"llm script file {script_path}", ConfigError)
 
 
 def build_llm(cfg: RunConfig):
     if cfg.llm is None:
         return None
-    endpoint = cfg.llm.endpoint
-    if endpoint.startswith(SCRIPT_PREFIX):
-        script = _read_script(endpoint)
-        return ScriptedLlm(script.responses, delay_s=script.delay_s)
+    if cfg.llm.endpoint.startswith(SCRIPT_PREFIX):
+        return _read_script(cfg.llm.endpoint)
     return HttpLlm(cfg.llm)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import sys
 import threading
 import time
@@ -11,38 +12,38 @@ import pytest
 import requests
 
 from defrefine.errors import DefinitionParseError, ProviderError, ScriptExhaustedError
-from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, Reply, ScriptedLlm
+from defrefine.llm import DEFAULT_SYSTEM_MESSAGE, MAX_RESPONSE_BYTES, HttpLlm, LlmConfig, ScriptedLlm
 from defrefine.refinement import parse_definitions
 
 
 class TestScriptedLlm:
     def test_plays_back_in_order(self):
         llm = ScriptedLlm(["A", "B"])
-        assert llm.complete("p", 0).text == "A"
-        assert llm.complete("p", 1).text == "B"
+        assert llm.complete("p", 0) == "A"
+        assert llm.complete("p", 1) == "B"
 
     def test_exhaustion(self):
         llm = ScriptedLlm(["only"])
         llm.complete("p", 0)
         with pytest.raises(ScriptExhaustedError, match="script exhausted"):
             llm.complete("p", 1)
-        assert llm.complete("p", 0).text == "only"
+        assert llm.complete("p", 0) == "only"
 
     def test_replies_follow_the_call_number_out_of_order(self):
         llm = ScriptedLlm(["A", "B", "C"])
-        assert [llm.complete("p", call).text for call in (2, 0, 1, 2, 0)] == ["C", "A", "B", "C", "A"]
+        assert [llm.complete("p", call) for call in (2, 0, 1, 2, 0)] == ["C", "A", "B", "C", "A"]
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
             ScriptedLlm(["A"]).complete("", 0)
 
     @pytest.mark.parametrize("delay_s", [0.0, 0.02])
-    def test_reported_latency_is_fixed(self, delay_s):
+    def test_delay_waits_then_replies(self, delay_s):
         llm = ScriptedLlm(["A"], delay_s=delay_s)
         started = time.monotonic()
         reply = llm.complete("p", 0)
         assert time.monotonic() - started >= delay_s
-        assert reply == Reply("A", 0.0)
+        assert reply == "A"
 
 
 class _ChatHttp(BaseHTTPRequestHandler):
@@ -97,7 +98,7 @@ class TestHttpLlm:
     def test_wire_format_and_temperature(self, chat_server):
         llm = HttpLlm(_cfg(chat_server, sampling_temperature=1.0, max_output_tokens=256), api_key="")
         reply = llm.complete("revise these", 0)
-        assert reply.text == '{"ok": true}'
+        assert reply == '{"ok": true}'
         body = _ChatHttp.bodies[0]
         assert body["model"] == "chat-model"
         assert body["temperature"] == 1.0
@@ -105,22 +106,19 @@ class TestHttpLlm:
         assert body["messages"][0] == {"role": "system", "content": DEFAULT_SYSTEM_MESSAGE}
         # The prompt passes through verbatim.
         assert body["messages"][1] == {"role": "user", "content": "revise these"}
-        assert reply.latency_ms >= 0.0
 
     def test_reply_and_log_line_name_the_call(self, chat_server, caplog):
         llm = HttpLlm(_cfg(chat_server), api_key="")
         with caplog.at_level(logging.INFO, logger="defrefine.llm"):
             reply = llm.complete("p", 7)
-        assert isinstance(reply, Reply)
-        assert reply.text == '{"ok": true}'
-        assert reply.latency_ms >= 0.0
+        assert reply == '{"ok": true}'
         (line,) = [r.getMessage() for r in caplog.records if r.name == "defrefine.llm"]
         assert line.startswith("llm call 7 completed in ")
 
     def test_retries_then_succeeds(self, chat_server):
         _ChatHttp.statuses = [503]
         llm = HttpLlm(_cfg(chat_server, retries=2), api_key="")
-        assert llm.complete("p", 0).text == '{"ok": true}'
+        assert llm.complete("p", 0) == '{"ok": true}'
         assert len(_ChatHttp.bodies) == 2
 
     def test_unreachable_after_retries(self):
@@ -145,9 +143,9 @@ class TestHttpLlm:
         # surrogate: the client returns it, and parse_definitions refuses it.
         _ChatHttp.reply_text = '{"a": "caf\u00e9 \ud800"}'
         reply = HttpLlm(_cfg(chat_server), api_key="").complete("p", 0)
-        assert reply.text == '{"a": "caf\u00e9 \ud800"}'
+        assert reply == '{"a": "caf\u00e9 \ud800"}'
         with pytest.raises(DefinitionParseError, match="not valid Unicode"):
-            parse_definitions(reply.text, ["a"])
+            parse_definitions(reply, ["a"])
 
     def test_size_cap_counts_a_lone_surrogate_as_three_bytes(self, chat_server):
         _ChatHttp.reply_text = "\ud800" * (MAX_RESPONSE_BYTES // 3 + 1)
@@ -160,6 +158,21 @@ class TestHttpLlm:
             LlmConfig(endpoint="http://x", model_id="m", sampling_temperature=-0.1)
         with pytest.raises(ValueError):
             LlmConfig(endpoint="http://x", model_id="m", max_output_tokens=0)
+
+    @pytest.mark.parametrize(
+        "temperature",
+        [
+            pytest.param(-0.1, id="negative"),
+            pytest.param(math.nan, id="nan"),
+            pytest.param(math.inf, id="infinite"),
+        ],
+    )
+    def test_sampling_temperature_out_of_bounds_is_refused(self, temperature):
+        with pytest.raises(ValueError, match="sampling_temperature must be a finite number >= 0"):
+            LlmConfig(endpoint="http://x", model_id="m", sampling_temperature=temperature)
+
+    def test_sampling_temperature_zero_is_allowed(self):
+        assert LlmConfig(endpoint="http://x", model_id="m", sampling_temperature=0).sampling_temperature == 0
 
 
 class _EchoChatHttp(BaseHTTPRequestHandler):
@@ -208,7 +221,7 @@ class TestHttpLlmThreads:
         def cell(i: int) -> None:
             try:
                 start.wait(timeout=10)
-                replies[i] = llm.complete(f"prompt {i}", i).text
+                replies[i] = llm.complete(f"prompt {i}", i)
             except Exception as exc:  # reported by the assertions below
                 errors.append(exc)
 

@@ -14,7 +14,7 @@ import pytest
 from defrefine import records
 from defrefine.embeddings import EmbedderConfig
 from defrefine.errors import ConfigError, DataError
-from defrefine.llm import LlmConfig, LlmScript
+from defrefine.llm import LlmConfig, ScriptedLlm
 from defrefine.records import from_json, to_json
 from defrefine.refinement import AnnealingSchedule, HistoryEntry, InitialRecord, LoopState, StrategyConfig, TraceRecord
 from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ResultRecord, RunConfig
@@ -28,7 +28,7 @@ RECORDS = [
     pytest.param(TraceRecord(4, "m2", 1, 5, 0.05, 1.0, 1.0, -0.5, True, 1.0, "cd34", 12.5), id="trace-accepted"),
     pytest.param(LogEntry(2, 0.75, DEFS), id="log-entry"),
     pytest.param(ResultRecord(1.0, DEFS, {"macro_f1": 1.0, "per_class": {}}, None), id="result"),
-    pytest.param(LlmScript(["{}", "not json"], delay_s=0.5), id="llm-script"),
+    pytest.param(ScriptedLlm(["{}", "not json"], delay_s=0.5), id="llm-script"),
     pytest.param(
         RunConfig(
             dataset=DatasetConfig(Path("/data/corpus.csv"), "csv", Path("/data/categories.txt"), "dmoz"),
@@ -155,7 +155,7 @@ def test_values_that_do_not_fit(raw, message, error):
 
 def test_nested_keys_are_named():
     with pytest.raises(ConfigError, match=r"^llm script file s\.json key responses\[0\] must be a string, got 1"):
-        from_json(LlmScript, {"responses": [1, 2]}, "llm script file s.json", ConfigError)
+        from_json(ScriptedLlm, {"responses": [1, 2]}, "llm script file s.json", ConfigError)
     raw = {"dataset": {"path": "d.jsonl"}, "embedder": {"endpoint": "e", "model_id": "m"}, "seed": 1}
     with pytest.raises(ConfigError, match="^config key strategy.name must be a string, got 3"):
         from_json(RunConfig, {**raw, "strategy": {"name": 3}}, "config", ConfigError)

@@ -1,8 +1,11 @@
 """Prompt construction, proposal parsing, acceptance rule, and loop contracts."""
 
+import hashlib
 import json
 import math
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from defrefine.corpus import Document
 from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
-from defrefine.llm import Reply, ScriptedLlm
+from defrefine.llm import HttpLlm, LlmConfig, ScriptedLlm
 from defrefine.records import from_json, to_json
 from defrefine.refinement import (
     AnnealingSchedule,
@@ -54,8 +57,8 @@ class RecordingLlm:
 
 
 class CallOnlyLlm:
-    """The bare client contract: `complete` and nothing else. Reply `call`
-    takes `call` ms, so the trace shows which calls an iteration made."""
+    """The bare client contract: `complete` and nothing else. It keeps each
+    call number it is asked for in `calls`."""
 
     def __init__(self, responses, calls):
         self._responses = responses
@@ -63,7 +66,41 @@ class CallOnlyLlm:
 
     def complete(self, prompt, call):
         self._calls.append(call)
-        return Reply(self._responses[call], float(call))
+        return self._responses[call]
+
+
+class _PromptHashChat(BaseHTTPRequestHandler):
+    """A chat endpoint whose reply is picked from `replies` by the sha256 of
+    the prompt alone, so equal prompts get equal replies in any run."""
+
+    replies: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        digest = hashlib.sha256(body["messages"][1]["content"].encode("utf-8")).digest()
+        text = self.replies[int.from_bytes(digest[:8], "big") % len(self.replies)]
+        payload = json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def prompt_hash_chat():
+    """The URL of a loopback `_PromptHashChat` endpoint."""
+    _PromptHashChat.replies = [json.dumps(junk_definitions(i)) for i in range(1, 7)]
+    _PromptHashChat.replies += [json.dumps(ideal_definitions()), "not json"]
+    server = HTTPServer(("127.0.0.1", 0), _PromptHashChat)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    server.shutdown()
+    server.server_close()
 
 
 def _feedback_m1():
@@ -284,6 +321,23 @@ class TestEnergyAndSchedule:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             AnnealingSchedule(t0=0.01, t_min=0.1)
+
+    @pytest.mark.parametrize(
+        "t0, t_min",
+        [
+            pytest.param(math.inf, math.inf, id="both-infinite"),
+            pytest.param(math.inf, 0.01, id="t0-infinite"),
+            pytest.param(math.nan, 0.01, id="t0-nan"),
+            pytest.param(0.1, math.nan, id="t_min-nan"),
+            pytest.param(0.1, 0.0, id="t_min-zero"),
+        ],
+    )
+    def test_schedule_out_of_bounds_is_refused(self, t0, t_min):
+        with pytest.raises(ValueError, match="require 0 < t_min <= t0 < inf"):
+            AnnealingSchedule(t0=t0, t_min=t_min)
+
+    def test_schedule_bounds_are_inclusive_where_temperature_allows(self):
+        assert temperature(5, AnnealingSchedule(t0=0.1, t_min=0.1), 10) == 0.1
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -546,7 +600,6 @@ class TestRefineLoop:
         full = run(calls)
         assert calls == list(range(len(script)))
         assert full.initial.definitions == drafted
-        assert [r.llm_latency_ms for r in full.trace] == [2.0, 3.0 + 4.0, 5.0]
         assert [json.loads(saved[t])["llm_calls"] for t in range(t_max + 1)] == [2, 3, 5, 6]
         for abort in range(t_max + 1):
             state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
@@ -557,6 +610,38 @@ class TestRefineLoop:
             assert resumed.best_definitions == full.best_definitions
             assert resumed.phi_best_train == full.phi_best_train
             assert json.dumps(to_json(state)) == saved[t_max]
+
+    def test_http_runs_write_equal_traces_and_resume_to_them(self, prompt_hash_chat):
+        # Every reply depends on its prompt alone, so two runs through the HTTP
+        # client, and a resume from each of their checkpoints, agree on every
+        # trace line's bytes: no wall-clock value enters a record.
+        t_max = 6
+        saved = {}
+
+        def save(record, state):
+            saved.setdefault(record.iteration, json.dumps(to_json(state)))
+
+        def run(resume=None):
+            llm = HttpLlm(LlmConfig(prompt_hash_chat, "stub", retries=0, backoff_base=0), api_key="")
+            result = refine(
+                Splits(separable_dataset(), mock_gateway()),
+                StrategyConfig("m3", k_confused=2, m_history=2),
+                AnnealingSchedule(),
+                llm,
+                seed=7,
+                t_max=t_max,
+                parse_retries=1,
+                on_iteration=save,
+                resume=resume,
+            )
+            return [json.dumps(to_json(record)) for record in result.trace]
+
+        full = run()
+        # Accepted proposals, then Metropolis rejections.
+        assert [json.loads(line)["accepted"] for line in full] == [True] * 3 + [False] * 3
+        assert run() == full
+        for abort in range(t_max + 1):
+            assert run(from_json(LoopState, json.loads(saved[abort]), "state", ValueError)) == full[abort:]
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):

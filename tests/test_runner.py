@@ -6,6 +6,7 @@ import errno
 import fcntl
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -848,6 +849,11 @@ def _state_with(**changes):
     return lambda state: json.dumps({**state, **changes})
 
 
+def _history_scores(score):
+    """A damage to state.json: every history entry's score set to `score`."""
+    return lambda state: json.dumps({**state, "history": [{**h, "score": score} for h in state["history"]]})
+
+
 def _state_without(key):
     return lambda state: json.dumps({k: v for k, v in state.items() if k != key})
 
@@ -985,6 +991,14 @@ class TestRefineRuns:
             pytest.param(_state_with(current=[]), id="definitions-not-object"),
             pytest.param(_state_with(best={c: 1 for c in TOY_CATEGORIES}), id="definition-not-str"),
             pytest.param(_state_with(history=[{"definitions": {}, "score": None}]), id="history-score"),
+            # A macro-F1 lies in [0, 1], and the loop keeps phi_cur <= phi_best.
+            pytest.param(_state_with(phi_best=2.0), id="phi-best-above-one"),
+            pytest.param(_state_with(phi_best=math.inf), id="phi-best-infinite"),
+            pytest.param(_state_with(phi_best=math.nan), id="phi-best-nan"),
+            pytest.param(_state_with(phi_cur=-0.25), id="phi-cur-negative"),
+            pytest.param(_state_with(phi_cur=1.0, phi_best=0.5), id="phi-cur-above-best"),
+            pytest.param(_history_scores(1.5), id="history-score-above-one"),
+            pytest.param(_history_scores(math.nan), id="history-score-nan"),
             pytest.param(_definitions_damaged("current", "beta"), id="current-missing-category"),
             pytest.param(_definitions_damaged("best", "alpha", "caf\u00e9 \ud800"), id="best-not-unicode"),
             pytest.param(_definitions_damaged("history", "gamma", " "), id="history-empty-definition"),
@@ -2027,10 +2041,11 @@ MOCK_EMBEDDER = {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed"}
 
 
 class TestUnreadableInputs:
-    """An input path that is a directory or lies under a regular file, or a
-    config string that is not valid Unicode, ends in its documented exit code
-    and one error line naming it, before anything is written; so does an
-    output path that a regular file blocks."""
+    """An input path that is a directory or lies under a regular file, a
+    config string that is not valid Unicode, or a config number that is not
+    finite, ends in its documented exit code and one error line naming it,
+    before anything is written; so does an output path that a regular file
+    blocks."""
 
     # (config keys, how the path goes bad, what the error names, the exit code
     # of refine, baseline and sweep); validate-config exits 1 on each.
@@ -2078,6 +2093,21 @@ class TestUnreadableInputs:
             "config key embedder.model_id must be valid Unicode",
             EXIT_USAGE,
             id="lone-surrogate-model-id",
+        ),
+        # JSON's NaN and Infinity read as floats, which `< 0` checks let pass.
+        pytest.param(
+            {"llm": {"endpoint": "script:script.json", "model_id": "scripted", "sampling_temperature": math.nan}},
+            _nothing,
+            "config key llm: sampling_temperature must be a finite number >= 0",
+            EXIT_USAGE,
+            id="nan-sampling-temperature",
+        ),
+        pytest.param(
+            {"schedule": {"t0": math.inf, "t_min": math.inf}},
+            _nothing,
+            "config key schedule: require 0 < t_min <= t0 < inf",
+            EXIT_USAGE,
+            id="infinite-schedule",
         ),
     ]
 
