@@ -10,13 +10,12 @@ import json.scanner
 import random
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .errors import DataError, open_input
+from .errors import DataError, read_input
 
 SPLITS = ("train", "dev", "test")
 _REQUIRED_FIELDS = ("id", "text", "label", "split")
@@ -77,8 +76,7 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
 
 def _read_categories_sidecar(path: Path) -> tuple[tuple[str, ...], str]:
     """The categories in a sidecar file, and the sha256 of its bytes."""
-    with open_input(path, "categories file", DataError) as fh:
-        raw = fh.read()
+    raw = read_input(path, "categories file", DataError)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -92,38 +90,13 @@ def _read_categories_sidecar(path: Path) -> tuple[tuple[str, ...], str]:
     return categories, hashlib.sha256(raw).hexdigest()
 
 
-class _Hashing(io.RawIOBase):
-    """A binary file that feeds each byte read from it to a hash."""
-
-    def __init__(self, raw, digest):
-        self._raw, self._digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        with memoryview(buffer) as view:
-            self._digest.update(view[:n])
-        return n
-
-
-@contextmanager
-def _hashed_text(path: Path, digest, **text_args) -> Iterator[io.TextIOWrapper]:
-    """The dataset file opened as UTF-8 text, every byte read also going to
-    digest, so the file is read once for both."""
-    with open_input(path, "dataset file", DataError) as raw:
-        with io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest), 1 << 16), encoding="utf-8", **text_args) as fh:
-            yield fh
-
-
-def _iter_jsonl_records(path: Path, digest):
+def _iter_jsonl_records(path: Path, raw: bytes):
     """(line number, record) per nonblank line. Each line is first scanned as
     one JSON value at its start; unless only JSON whitespace follows it, the
     line goes to json.loads, so every message is json.loads's own."""
     # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
     # which UTF-8 text never decodes to, so the bad line can be named.
-    with _hashed_text(path, digest, errors="surrogateescape") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii() and LONE_SURROGATE.search(line):
                 raise DataError(f"{path}: line {lineno}: not valid UTF-8")
@@ -143,9 +116,9 @@ def _iter_jsonl_records(path: Path, digest):
             yield lineno, record
 
 
-def _iter_csv_records(path: Path, digest):
+def _iter_csv_records(path: Path, raw: bytes):
     try:
-        with _hashed_text(path, digest, newline="") as fh:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 return
@@ -168,27 +141,24 @@ def load_dataset(
 
     Each record carries id, text, label, and split. The category order is
     taken from the optional sidecar file (one category per line) or derived
-    as the sorted set of labels. The file is read once, and hashed as it is
-    read.
+    as the sorted set of labels. The file is read whole once: its bytes are
+    both hashed and parsed.
     """
     path = Path(path)
-    digest = hashlib.sha256()
-    if format == "jsonl":
-        records = _iter_jsonl_records(path, digest)
-    elif format == "csv":
-        records = _iter_csv_records(path, digest)
-    else:
+    iter_records = {"jsonl": _iter_jsonl_records, "csv": _iter_csv_records}.get(format)
+    if iter_records is None:
         raise DataError(f"unknown dataset format {format!r}")
 
     declared: Optional[tuple[str, ...]] = None
     categories_sha256 = None
     if categories_path is not None:
         declared, categories_sha256 = _read_categories_sidecar(Path(categories_path))
+    raw = read_input(path, "dataset file", DataError)
 
     documents: list[Document] = []
     seen_ids: set[str] = set()
     declared_set = set(declared) if declared else None
-    for lineno, record in records:
+    for lineno, record in iter_records(path, raw):
         get = record.get
         label, split = get("label"), get("split")
         # json makes a new str for every value: keep one object per distinct
@@ -220,7 +190,7 @@ def load_dataset(
         name=name or path.stem,
         categories=categories,
         documents=tuple(documents),
-        sha256=digest.hexdigest(),
+        sha256=hashlib.sha256(raw).hexdigest(),
         categories_sha256=categories_sha256,
     )
 

@@ -1,6 +1,4 @@
-"""Exception types shared across the package, and the one way an input file is opened."""
-
-import io
+"""Exception types shared across the package, and the one way an input file is read."""
 
 
 class DefRefineError(Exception):
@@ -27,16 +25,17 @@ class ConfigError(DefRefineError):
     """Invalid run configuration or command usage."""
 
 
-def open_input(path, what: str, error: type[DefRefineError], missing_ok: bool = False):
-    """The file at path opened for unbuffered binary reading, or an empty one if
-    it is missing and `missing_ok`; else `error` naming it, as `what`, if it is
-    missing or cannot be read (a directory, a path under a regular file, no
-    read permission)."""
+def read_input(path, what: str, error: type[DefRefineError], missing_ok: bool = False) -> bytes:
+    """The bytes of the file at path, read whole, or b"" if it is missing and
+    `missing_ok`; else `error` naming it, as `what`, if it is missing or cannot
+    be opened or read (a directory, a path under a regular file, no read
+    permission, a disk error)."""
     try:
-        return open(path, "rb", buffering=0)
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read()
     except FileNotFoundError:
         if missing_ok:
-            return io.BytesIO()
+            return b""
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"{what} {path} cannot be read: {exc.strerror}") from None

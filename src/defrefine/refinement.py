@@ -91,14 +91,22 @@ class AnnealingSchedule:
             raise ValueError("require 0 < t_min <= t0 < inf")
 
 
+def check_f1(record, *names: str) -> None:
+    """ValueError naming the first of the record's fields `names` that holds
+    neither None nor a macro-F1 in [0, 1]; NaN and the infinities are none."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not 0 <= value <= 1:
+            raise ValueError(f"{name} must be a macro-F1 in [0, 1]")
+
+
 @dataclass
 class HistoryEntry:
     definitions: dict[str, str]
     score: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.score <= 1:
-            raise ValueError("score must be a macro-F1 in [0, 1]")
+        check_f1(self, "score")
 
 
 @dataclass
@@ -144,6 +152,9 @@ class InitialRecord:
     definitions: dict[str, str]
     definitions_hash: str
 
+    def __post_init__(self) -> None:
+        check_f1(self, "phi_train", "phi_dev")
+
 
 @dataclass
 class TraceRecord:
@@ -165,6 +176,9 @@ class TraceRecord:
     # field stays because the benchmark's digests pin the trace's bytes; it
     # goes when they are next re-recorded (ROADMAP item 1).
     llm_latency_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_f1(self, "phi_train_current", "phi_train_proposed", "phi_dev")
 
 
 @dataclass

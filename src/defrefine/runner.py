@@ -25,7 +25,7 @@ from .embeddings import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
 )
-from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, open_input
+from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, read_input
 from .evaluation import confusion_to_csv, metrics_to_dict
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .records import from_json, to_json
@@ -38,6 +38,7 @@ from .refinement import (
     StrategyConfig,
     TraceRecord,
     check_dataset,
+    check_f1,
     initial_definitions,
     refine,
     validate_definitions,
@@ -136,8 +137,7 @@ def _read_json(path: Path, what: str, error: type[Exception] = ConfigError):
 
 def _read_json_and_sha256(path: Path, what: str, error: type[Exception] = ConfigError) -> tuple[object, str]:
     """`_read_json`, and the sha256 of the bytes it read."""
-    with open_input(path, what, error) as fh:
-        raw = fh.read()
+    raw = read_input(path, what, error)
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -260,6 +260,9 @@ class LogEntry:
     score: float
     definitions: dict[str, str]
 
+    def __post_init__(self) -> None:
+        check_f1(self, "score")
+
 
 @dataclass
 class InputsRecord:
@@ -289,6 +292,9 @@ class ResultRecord:
     dev: dict
     test: dict | None
 
+    def __post_init__(self) -> None:
+        check_f1(self, "phi_best_train")
+
 
 def _read_record(cls, path: Path, what: str):
     """The `cls` record in a run file; DataError naming the file if it holds none."""
@@ -299,8 +305,7 @@ def _jsonl(path: Path, cls) -> Iterator[tuple[bytes, object]]:
     """Each newline-terminated line of a JSONL file with its `cls` record, or
     with the DataError naming the file and line if it holds none; a trailing
     partial write is dropped. A missing file has no lines."""
-    with open_input(path, "run file", DataError, missing_ok=True) as fh:
-        lines = fh.read().split(b"\n")[:-1]
+    lines = read_input(path, "run file", DataError, missing_ok=True).split(b"\n")[:-1]
     for number, line in enumerate(lines, 1):
         where = f"{path} line {number}"
         try:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from defrefine import errors
 from defrefine.corpus import Dataset, Document
 from defrefine.embeddings import EmbedderConfig, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider, row_norms
 
@@ -66,6 +70,34 @@ def write_jsonl_dataset(path: Path, dataset: Dataset) -> Path:
                 json.dumps({"id": d.id, "text": d.text, "label": d.label, "split": d.split}) + "\n"
             )
     return path
+
+
+class UnreadableFile(io.RawIOBase):
+    """A file that opens, and fails every read as one on a failing disk does."""
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def fail_input(monkeypatch, where: str, path: Path | None = None) -> str:
+    """Make `errors.read_input` fail on the file at path, or on every file if
+    None: at its open ("open"), as a denied permission would (root may read
+    any file, whatever its mode), or at its read ("read") with EIO. Returns
+    the reason that the error names."""
+    real_open = open
+
+    def stand_in(file, *args, **kwargs):
+        if path is not None and Path(file).resolve() != path.resolve():
+            return real_open(file, *args, **kwargs)
+        if where == "open":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return UnreadableFile()
+
+    monkeypatch.setattr(errors, "open", stand_in, raising=False)
+    return os.strerror(errno.EACCES if where == "open" else errno.EIO)
 
 
 def junk_definitions(tag, categories=TOY_CATEGORIES) -> dict[str, str]:

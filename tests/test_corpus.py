@@ -2,19 +2,17 @@
 
 import csv
 import dataclasses
-import errno
 import json
-import os
 import random
 import re
 
 import pytest
 
-from defrefine import errors
+from defrefine import runner
 from defrefine.corpus import Dataset, Document, load_dataset, sample_instance, split_view
-from defrefine.errors import ConfigError, DataError, open_input
+from defrefine.errors import ConfigError, DataError, read_input
 
-from conftest import write_jsonl_dataset
+from conftest import fail_input, write_jsonl_dataset
 
 # Per-category dev/test sizes of the 17-class news benchmark shape; train is
 # always 200. Used to build a synthetic file with the same split geometry.
@@ -261,20 +259,18 @@ def test_categories_sidecar_that_is_not_utf8_errors(tmp_path):
         load_dataset(path, categories_path=sidecar)
 
 
+@pytest.mark.parametrize("where", ["open", "read"])
 @pytest.mark.parametrize("error", [ConfigError, DataError])
-def test_open_input_names_a_file_it_may_not_read(tmp_path, monkeypatch, error):
-    # Root may read any file, whatever its mode, so the denial comes from a
-    # stand-in for the open that open_input calls.
+def test_read_input_names_a_file_it_may_not_read(tmp_path, monkeypatch, error, where):
+    # The failure comes at the open or, as from a failing disk, at the read.
     path = _write_rows(tmp_path / "d.jsonl", [json.loads(_A)])
-
-    def denied(file, *args, **kwargs):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
-
-    monkeypatch.setattr(errors, "open", denied, raising=False)
-    with pytest.raises(error, match=f"^dataset file {re.escape(str(path))} cannot be read: Permission denied$"):
-        open_input(path, "dataset file", error)
-    with pytest.raises(DataError, match=f"^dataset file {re.escape(str(path))} cannot be read: Permission denied$"):
+    reason = fail_input(monkeypatch, where)
+    with pytest.raises(error, match=f"^dataset file {re.escape(str(path))} cannot be read: {reason}$"):
+        read_input(path, "dataset file", error)
+    with pytest.raises(DataError, match=f"^dataset file {re.escape(str(path))} cannot be read: {reason}$"):
         load_dataset(path)
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} cannot be read: {reason}$"):
+        runner._read_json(path, "config file")
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

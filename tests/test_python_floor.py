@@ -1,4 +1,5 @@
-"""Every Python file parses as the oldest Python that pyproject.toml supports."""
+"""Every Python file parses as the oldest Python that pyproject.toml supports,
+and uses no standard-library name that Python lacks."""
 
 import ast
 import re
@@ -41,3 +42,89 @@ def test_source_parses_at_the_floor(path):
 def test_newer_syntax_fails_at_the_floor(source):
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=_floor())
+
+
+# Standard-library names added after 3.10, the floor, each (module, name), or
+# (module, None) for a module added whole; a builtin's module is "builtins".
+NEWER_STDLIB = [
+    ("hashlib", "file_digest"),  # 3.11
+    ("datetime", "UTC"),  # 3.11
+    ("enum", "StrEnum"),  # 3.11
+    ("typing", "Self"),  # 3.11
+    ("typing", "Never"),  # 3.11
+    ("typing", "assert_never"),  # 3.11
+    ("tomllib", None),  # 3.11
+    ("contextlib", "chdir"),  # 3.11
+    ("asyncio", "TaskGroup"),  # 3.11
+    ("asyncio", "timeout"),  # 3.11
+    ("builtins", "ExceptionGroup"),  # 3.11
+    ("builtins", "BaseExceptionGroup"),  # 3.11
+    ("math", "exp2"),  # 3.11
+    ("itertools", "batched"),  # 3.12
+    ("typing", "override"),  # 3.12
+]
+
+
+def _newer_stdlib_uses(source: str) -> list[str]:
+    """Each use in source of a name in NEWER_STDLIB: an import of it or of its
+    module, an attribute of its module (under any alias), or a builtin."""
+    names = set(NEWER_STDLIB)
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if (alias.name, None) in names]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module, None) in names:
+                found.append(node.module)
+            found += [f"{node.module}.{alias.name}" for alias in node.names if (node.module, alias.name) in names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = imported.get(node.value.id)
+            if (module, node.attr) in names:
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and ("builtins", node.id) in names:
+            found.append(node.id)
+    return found
+
+
+@pytest.mark.parametrize("path", _sources(), ids=lambda path: str(path.relative_to(ROOT)))
+def test_source_uses_no_standard_library_name_newer_than_the_floor(path):
+    assert _newer_stdlib_uses(path.read_text(encoding="utf-8")) == []
+
+
+def _label(module: str, name: str | None) -> str:
+    """How `_newer_stdlib_uses` names a use of (module, name)."""
+    return module if name is None else name if module == "builtins" else f"{module}.{name}"
+
+
+def _snippet(module: str, name: str | None) -> str:
+    if name is None:
+        return f"import {module}\n"
+    if module == "builtins":
+        return f"raise {name}('x', [ValueError()])\n"
+    return f"import {module}\n{module}.{name}\n"
+
+
+@pytest.mark.parametrize("module, name", NEWER_STDLIB, ids=[_label(*entry) for entry in NEWER_STDLIB])
+def test_newer_standard_library_name_is_found(module, name):
+    assert _newer_stdlib_uses(_snippet(module, name)) == [_label(module, name)]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        pytest.param("from hashlib import file_digest\n", ["hashlib.file_digest"], id="from-import"),
+        pytest.param("import hashlib as h\nh.file_digest(f, 'sha256')\n", ["hashlib.file_digest"], id="aliased-module"),
+        pytest.param("from tomllib import loads\n", ["tomllib"], id="from-new-module"),
+        pytest.param("import itertools\nitertools.pairwise([1, 2])\n", [], id="name-at-the-floor"),
+        pytest.param("import hashlib\nhashlib.sha256(b'')\n", [], id="older-name-of-the-module"),
+    ],
+)
+def test_newer_standard_library_name_is_found_in_each_form(source, found):
+    assert _newer_stdlib_uses(source) == found

@@ -39,6 +39,7 @@ from defrefine.seeding import derive_seed
 
 from conftest import (
     TOY_CATEGORIES,
+    fail_input,
     ideal_definitions,
     junk_definitions,
     last_category_only_in_test,
@@ -1019,7 +1020,19 @@ class TestRefineRuns:
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     @pytest.mark.parametrize(
-        "junk", ["[1]", "{}", '{"iteration": "2"}', '{"iteration": true}', "[" * 100000], ids=lambda junk: junk[:20]
+        "junk",
+        [
+            "[1]",
+            "{}",
+            '{"iteration": "2"}',
+            '{"iteration": true}',
+            "[" * 100000,
+            # A record in all but its dev score, which is no macro-F1.
+            '{"phi_dev": NaN, "iteration": 2, "strategy": "m3", "k": 2, "m": 2, "temperature": 0.1, '
+            '"phi_train_current": 0.5, "phi_train_proposed": 0.5, "delta_e": 0.0, "accepted": true, '
+            '"definitions_hash": "ab12"}',
+        ],
+        ids=lambda junk: junk[:20],
     )
     def test_trace_line_that_is_not_a_record_is_skipped(self, tmp_path, capsys, junk):
         script = toy_script(6, ideal_at=4)
@@ -1711,6 +1724,40 @@ class TestReport:
         assert f"{path}{where}" in capsys.readouterr().err
         assert not (run_dir / "reports").exists()
 
+    @pytest.mark.parametrize(
+        "name, number, damage",
+        [
+            # A train score of 7.0 and a dev score of NaN on the first trace
+            # line: f1_curve.json would hold them, the NaN as a bare token
+            # that strict JSON readers refuse.
+            pytest.param("trace.jsonl", 1, {"phi_train_current": 7.0, "phi_dev": math.nan}, id="trace-first-line"),
+            pytest.param("trace.jsonl", 4, {"phi_train_proposed": -0.5}, id="trace-proposed-negative"),
+            pytest.param("definitions_log.jsonl", 1, {"score": math.inf}, id="log-infinite"),
+            pytest.param("initial.json", None, {"phi_train": 1.5}, id="initial-above-one"),
+            pytest.param("initial.json", None, {"phi_dev": -math.inf}, id="initial-dev-infinite"),
+            pytest.param("result.json", None, {"phi_best_train": math.nan}, id="result-nan"),
+        ],
+    )
+    def test_score_that_is_not_a_macro_f1_is_data_error(self, tmp_path, capsys, name, number, damage):
+        m2 = {"strategy": {"name": "m2", "k": 2, "m": 2}}
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(4, ideal_at=2), t_max=4, extra=m2)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        path = run_dir / name
+        if number is None:
+            path.write_text(json.dumps({**json.loads(path.read_text()), **damage}))
+            where = str(path)
+        else:
+            lines = path.read_text().splitlines()
+            lines[number - 1] = json.dumps({**json.loads(lines[number - 1]), **damage})
+            path.write_text("".join(line + "\n" for line in lines))
+            where = f"{path} line {number}"
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_DATA
+        line = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{where}: {next(iter(damage))} must be a macro-F1 in [0, 1]" in line
+        assert not (run_dir / "reports").exists()
+
     def test_data_error_leaves_earlier_report_files_alone(self, tmp_path):
         run_dir = self._finished_run(tmp_path)
         reports = run_dir / "reports"
@@ -2041,11 +2088,11 @@ MOCK_EMBEDDER = {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed"}
 
 
 class TestUnreadableInputs:
-    """An input path that is a directory or lies under a regular file, a
-    config string that is not valid Unicode, or a config number that is not
-    finite, ends in its documented exit code and one error line naming it,
-    before anything is written; so does an output path that a regular file
-    blocks."""
+    """An input path that is a directory or lies under a regular file, an
+    input file whose open or read fails, a config string that is not valid
+    Unicode, or a config number that is not finite, ends in its documented
+    exit code and one error line naming it, before anything is written; so
+    does an output path that a regular file blocks."""
 
     # (config keys, how the path goes bad, what the error names, the exit code
     # of refine, baseline and sweep); validate-config exits 1 on each.
@@ -2144,6 +2191,34 @@ class TestUnreadableInputs:
         line = _one_error_line(capsys.readouterr().err, EXIT_USAGE)
         blocker = tmp_path / Path(out_dir).parts[0]
         assert f"output directory {tmp_path / out_dir} cannot be made: {blocker} is not a directory" in line
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("where", ["open", "read"])
+    @pytest.mark.parametrize(
+        "name, code",
+        [
+            ("config.json", EXIT_USAGE),
+            ("data.jsonl", EXIT_DATA),
+            ("categories.txt", EXIT_DATA),
+            ("script.json", EXIT_USAGE),
+            ("definitions.json", EXIT_USAGE),
+        ],
+    )
+    def test_input_that_fails_at_its_open_or_read_stops_before_anything_is_written(
+        self, tmp_path, capsys, monkeypatch, name, code, where
+    ):
+        extra = {
+            "dataset": {"path": "data.jsonl", "categories_file": "categories.txt"},
+            "init": {"definitions_file": "definitions.json"},
+        }
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2, extra=extra)
+        (tmp_path / "categories.txt").write_text("\n".join(TOY_CATEGORIES) + "\n")
+        (tmp_path / "definitions.json").write_text(json.dumps(ideal_definitions()))
+        before = _tree(tmp_path)
+        reason = fail_input(monkeypatch, where, tmp_path / name)
+        assert main(["refine", "--config", str(cfg_path)]) == code
+        line = _one_error_line(capsys.readouterr().err, code)
+        assert f"{tmp_path / name} cannot be read: {reason}" in line
         assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize(
