@@ -317,7 +317,8 @@ class EmbeddingCache:
         )
 
     def put(self, keys: Sequence[bytes], rows: np.ndarray) -> None:
-        """Store row i under keys[i]; keys already present keep their vector."""
+        """Store row i under keys[i]; keys already present keep their vector.
+        ConfigError naming the store if the append fails."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[0] != len(keys) or rows.shape[1] == 0:
             raise ValueError(f"need one nonempty row per key, got {rows.shape} for {len(keys)} keys")
@@ -333,7 +334,10 @@ class EmbeddingCache:
                 return
             if len(fresh) < len(keys):
                 keys, rows = [keys[i] for i in fresh], rows[fresh]
-            self._index([(self._append(keys, rows), rows.shape, keys)])
+            try:
+                self._index([(self._append(keys, rows), rows.shape, keys)])
+            except OSError as exc:  # a full disk, say: a torn record costs only itself
+                raise ConfigError(f"embedding store {self._path} cannot be written: {exc.strerror}") from None
 
     def _append(self, keys: Sequence[bytes], rows: np.ndarray) -> int:
         """Append one record of keys and rows; the offset it was written at.

@@ -5,7 +5,7 @@ A field's `key` metadata, if any, is its JSON key; its type comes from the
 annotation and its default from the field, and a field without a default is
 required. A `Path` is a string and a `random.Random` is its state. A string
 must be valid Unicode: no lone surrogate, which a "\ud800" escape decodes to
-and UTF-8 cannot encode.
+and UTF-8 cannot encode; a `RawText` field is the one exception.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ from typing import Literal
 
 from .corpus import LONE_SURROGATE
 
+
+class RawText(str):
+    """A field type: a string kept verbatim, a lone surrogate included, as an
+    LLM reply may hold one. It reads as a plain `str`."""
+
+
 # Type -> (the JSON values it takes, its name in errors). A float keeps an
 # integer as written. A bool is an int to isinstance, so only a bool takes one.
 _ACCEPTS = {
@@ -27,6 +33,7 @@ _ACCEPTS = {
     int: (int, "an integer"),
     float: ((int, float), "a number"),
     str: (str, "a string"),
+    RawText: (str, "a string"),
     Path: (str, "a string"),
     list: (list, "a list"),
     dict: (dict, "a JSON object"),
@@ -110,7 +117,7 @@ def from_json(cls, value, where: str, error: type[Exception], base_dir: Path | N
         accepted, what = _ACCEPTS[kind]
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
             raise error(f"{name(at)} must be {what}, got {value!r:.60}")
-        if accepted is str and not value.isascii() and LONE_SURROGATE.search(value):
+        if accepted is str and kind is not RawText and not value.isascii() and LONE_SURROGATE.search(value):
             raise error(f"{name(at)} must be valid Unicode, got {value!r:.60}")
         if dataclasses.is_dataclass(hint):
             return record(hint, value, at)

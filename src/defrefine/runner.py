@@ -28,7 +28,7 @@ from .embeddings import (
 from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, read_input
 from .evaluation import confusion_to_csv, metrics_to_dict
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
-from .records import from_json, to_json
+from .records import RawText, from_json, to_json
 from .refinement import (
     AnnealingSchedule,
     InitialRecord,
@@ -242,6 +242,15 @@ def _check_out_dir(path: Path) -> None:
             raise ConfigError(f"output directory {path} cannot be made: {at} is not a directory")
 
 
+@contextmanager
+def _disk_errors(where: Path) -> Iterator[None]:
+    """An OSError in the block (a full disk, say) is a ConfigError naming its file, else `where`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename or where}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -265,22 +274,24 @@ class LogEntry:
 
 
 @dataclass
+class ReplyRecord:
+    """One line of `llm_replies.jsonl`: the text that answered an LLM call,
+    and the sha256 of the prompt it answered."""
+
+    call: int
+    prompt_sha256: str
+    text: RawText
+
+
+@dataclass
 class InputsRecord:
     """`inputs.json`: what a run's input files held when it began, as sha256
     hex digests: of the dataset file, the categories file and the initial
-    definitions file (None where the config names none), and of each reply
-    of a `script:` LLM file, in order (None for another LLM)."""
+    definitions file (None where the config names none)."""
 
     dataset: str
     categories_file: str | None
     definitions_file: str | None
-    llm_replies: list[str] | None
-
-
-def _reply_digests(llm) -> list[str] | None:
-    if not isinstance(llm, ScriptedLlm):
-        return None
-    return [hashlib.sha256(reply.encode("utf-8", "surrogatepass")).hexdigest() for reply in llm.responses]
 
 
 @dataclass
@@ -327,14 +338,17 @@ def _read_records(path: Path, cls) -> list:
     return records
 
 
-def _truncate_jsonl(path: Path, cls, iteration: int, at_least: int = 0) -> None:
-    """Keep the `cls` records of a JSONL file up to `iteration`, dropping
-    every line that holds none; DataError, with the file untouched, if fewer
-    than `at_least` of them are left."""
-    kept = [line for line, record in _jsonl(path, cls) if isinstance(record, cls) and record.iteration <= iteration]
+def _rewrite_jsonl(path: Path, cls, upto: int | None = None, at_least: int = 0) -> list:
+    """Keep the `cls` records of a JSONL file (up to iteration `upto`, if
+    given), dropping every line that holds none, and return them; DataError,
+    with the file untouched, if fewer than `at_least` of them are left."""
+    kept = [(line, r) for line, r in _jsonl(path, cls) if isinstance(r, cls) and (upto is None or r.iteration <= upto)]
     if len(kept) < at_least:
         raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
-    path.write_bytes(b"".join(line + b"\n" for line in kept))
+    tmp = path.with_suffix(path.suffix + ".tmp")  # replaced whole, as a kill may stop the write
+    tmp.write_bytes(b"".join(line + b"\n" for line, _ in kept))
+    os.replace(tmp, path)
+    return [record for _, record in kept]
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -351,6 +365,7 @@ class RunRecords(NamedTuple):
     trace: list[TraceRecord]
     evolution: list[LogEntry]
     best: dict[str, str]
+    script: ScriptedLlm | None
 
 
 class RunDirectory:
@@ -358,14 +373,16 @@ class RunDirectory:
 
     A run directory holds a config snapshot, an append-only iteration trace
     (one JSON record per line, flushed and fsynced per record), a checkpoint
-    that is rewritten atomically after every iteration, and a log of accepted
-    definition sets. One writer thread writes each iteration's records in
-    iteration order, at most one iteration behind the loop, so the disk work
-    overlaps the next LLM call; the checkpoint is written after the trace record
-    it covers is fsynced. A kill can lose the last completed iteration's
-    records, which --resume redoes; a write error still stops the run. Any
-    interrupted run can be continued with --resume and reproduces the
-    uninterrupted trace byte for byte when the providers are deterministic.
+    that is rewritten atomically after every iteration, a log of accepted
+    definition sets, and a journal of LLM replies, which `complete` answers
+    from. One writer thread writes each iteration's records in iteration
+    order, at most one iteration behind the loop, so the disk work overlaps
+    the next LLM call; the checkpoint is written after the journal and the
+    trace record it covers are fsynced. A kill can lose the last completed
+    iteration's records, which --resume redoes with the journal's replies; a
+    write error still stops the run. An interrupted run continued with
+    --resume reproduces the uninterrupted trace byte for byte when the
+    embedder is deterministic.
     One process at a time writes a run directory: `open` holds an exclusive
     flock on its `run.lock` from before the first write until `result.json`.
     """
@@ -379,6 +396,7 @@ class RunDirectory:
         self._initial = path / "initial.json"
         self._inputs = path / "inputs.json"
         self._result = path / "result.json"
+        self._journal = path / "llm_replies.jsonl"
         self._pending: Future | None = None
 
     def config(self) -> RunConfig:
@@ -392,48 +410,45 @@ class RunDirectory:
 
     def _began_with(self) -> InputsRecord | None:
         """The run's `inputs.json`; None, with a warning, in a directory from
-        before it, whose input files cannot be checked."""
+        before it, whose input files cannot be checked. The script digests of
+        a record from before the reply journal are not read."""
         if not self._inputs.exists():
             log.warning("%s has no inputs.json: its input files cannot be checked", self.path)
             return None
-        return _read_record(InputsRecord, self._inputs, "inputs record")
+        raw = _read_json(self._inputs, "inputs record", DataError)
+        if isinstance(raw, dict):
+            raw.pop("llm_replies", None)
+        return from_json(InputsRecord, raw, f"inputs record {self._inputs}", DataError)
 
-    def _check_inputs(self, files: Sequence[tuple[str, object, object, object]]) -> None:
-        """ConfigError naming the first of `files`, each (what, path, its
-        digest in `inputs.json`, its digest now), that has changed."""
-        for what, path, began, held in files:
-            if began != held:
+    def _check_inputs(self, cfg: RunConfig, now: dict[str, str | None]) -> None:
+        """ConfigError naming the first input file whose digest in `now`, by
+        its `inputs.json` key, differs from the one the run began with."""
+        if (then := self._began_with()) is None:
+            return
+        files = {
+            "dataset": ("dataset file", cfg.dataset.path),
+            "categories_file": ("categories file", cfg.dataset.categories_file),
+            "definitions_file": ("initial definitions file", cfg.init.definitions_file),
+        }
+        for key, digest in now.items():
+            if getattr(then, key) != digest:
+                what, path = files[key]
                 raise ConfigError(
                     f"{what} {path} has changed since the run in {self.path} began; "
                     "restore it, or start a new run in another directory"
                 )
-
-    def _check_resumed_inputs(self, cfg: RunConfig, inputs: InputsRecord, llm_calls: int) -> None:
-        """`_check_inputs` over every input a resumed run has used: the script's
-        first `llm_calls` replies, not the ones a grown script adds."""
-        if (then := self._began_with()) is None:
-            return
-        used = [None if r is None else r[:llm_calls] for r in (then.llm_replies, inputs.llm_replies)]
-        self._check_inputs(
-            [
-                ("dataset file", cfg.dataset.path, then.dataset, inputs.dataset),
-                ("categories file", cfg.dataset.categories_file, then.categories_file, inputs.categories_file),
-                ("initial definitions file", cfg.init.definitions_file, then.definitions_file, inputs.definitions_file),
-                ("llm script file", cfg.llm.endpoint.removeprefix(SCRIPT_PREFIX), *used),
-            ]
-        )
 
     @contextmanager
     def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[LoopState | None]:
         """Make, lock and open the directory of cfg's run until the block ends;
         yield the saved loop state of a resumed run that has one, else None.
         ConfigError at once if a regular file blocks the directory's path or
-        another process holds `run.lock`, and before
-        a resumed run's files change if an input file it has used has: the
-        dataset, its categories file, the initial definitions file, or one of
-        the script replies the run has taken (a script may grow past them).
-        DataError, also before they change, if a definition set of the saved
-        state fails `validate_definitions`.
+        another process holds `run.lock`, and before a resumed run's files
+        change if an input file it reads again has: the dataset, its
+        categories file or the initial definitions file. DataError, also
+        before they change, if a definition set of the saved state fails
+        `validate_definitions`. A fresh run empties the journal; a resume
+        keeps all of it, and its replies answer the calls they hold.
         The run's input files go to `inputs.json` with the iteration-0 records,
         and a resume rewrites it once the checks pass, so it pins what the
         run goes on with.
@@ -452,11 +467,14 @@ class RunDirectory:
             saved = None
             if resume and self._state.exists():
                 saved = _read_record(LoopState, self._state, "state file")
-                self._check_resumed_inputs(cfg, inputs.files, saved.llm_calls)
+                self._check_inputs(cfg, to_json(inputs.files))
                 self._check_saved_definitions(saved, inputs.splits.dataset.categories)
-                _truncate_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
-                _truncate_jsonl(self._defs_log, LogEntry, saved.iteration)
+                _rewrite_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
+                _rewrite_jsonl(self._defs_log, LogEntry, saved.iteration)
                 _atomic_write_json(self._inputs, to_json(inputs.files))
+            # A torn last line goes before the journal is appended to.
+            self._replies = {r.call: r for r in _rewrite_jsonl(self._journal, ReplyRecord)} if resume else {}
+            self._llm = inputs.llm
             # Without a saved state the run starts over, replacing what a run killed
             # before its first state.json left behind.
             mode = "a" if saved is not None else "w"
@@ -464,6 +482,7 @@ class RunDirectory:
             with (
                 open(self._trace, mode, encoding="utf-8") as self._trace_out,
                 open(self._defs_log, mode, encoding="utf-8") as self._defs_out,
+                open(self._journal, "a" if resume else "w", encoding="utf-8") as self._journal_out,
                 ThreadPoolExecutor(max_workers=1, thread_name_prefix="run-writer") as self._writer,
             ):
                 try:
@@ -480,10 +499,29 @@ class RunDirectory:
             at = f"{where} history[{i}].definitions"
             entry.definitions = validate_definitions(entry.definitions, categories, DataError, at)
 
+    def complete(self, prompt: str, call: int) -> str:
+        """The text that answers the run's LLM call: the journal's, once the
+        prompt's sha256 matches the one it answered, else the client's,
+        journaled and flushed before it returns. DataError naming the journal
+        and the call if the prompts differ."""
+        digest = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
+        held = self._replies.get(call)
+        if held is not None:
+            if held.prompt_sha256 != digest:
+                raise DataError(f"{self._journal} holds call {call} for another prompt; start a new run elsewhere")
+            return held.text
+        text = self._llm.complete(prompt, call)
+        self._journal_out.write(json.dumps(to_json(ReplyRecord(call, digest, text))) + "\n")
+        self._journal_out.flush()
+        return text
+
     def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, state: dict) -> None:
-        """One iteration's records, in order: inputs.json and initial.json
-        (the record), or the fsynced trace line, the accepted set, then
-        state.json."""
+        """One iteration's records, in order: the fsynced journal, once the
+        run has taken a reply, then inputs.json and initial.json (the
+        record), or the fsynced trace line, the accepted set, then
+        state.json, which counts no reply the journal could lose."""
+        if state["llm_calls"]:
+            os.fsync(self._journal_out.fileno())
         if record.iteration == 0:
             _atomic_write_json(self._inputs, self._inputs_json)
             _write_json(self._initial, to_json(record))
@@ -530,7 +568,9 @@ class RunDirectory:
     def read(self) -> RunRecords:
         """The run's records, dataset and best definition set (the result's, else
         the log's best, the first of equal scores), each checked; DataError
-        naming the file, and the line, of the first that does not hold."""
+        naming the file, and the line, of the first that does not hold. And
+        the journal's replies as a script, if it holds every call from 0 and
+        a script file can hold them; else None, with a warning."""
         initial = _read_record(InitialRecord, self._initial, "initial record")
         if not self._trace.exists():
             raise DataError(f"missing trace.jsonl: {self._trace}")
@@ -540,13 +580,7 @@ class RunDirectory:
         result = _read_record(ResultRecord, self._result, "result file") if self._result.exists() else None
         dataset = _load_dataset(cfg)
         # A report reads the dataset files again, not the loop's other inputs.
-        if (then := self._began_with()) is not None:
-            self._check_inputs(
-                [
-                    ("dataset file", cfg.dataset.path, then.dataset, dataset.sha256),
-                    ("categories file", cfg.dataset.categories_file, then.categories_file, dataset.categories_sha256),
-                ]
-            )
+        self._check_inputs(cfg, {"dataset": dataset.sha256, "categories_file": dataset.categories_sha256})
         if result is not None:
             where, best = f"result file {self._result}", result.best_definitions
         elif evolution:
@@ -555,7 +589,23 @@ class RunDirectory:
         else:
             raise DataError(f"no definitions recorded in {self.path}")
         best = validate_definitions(best, dataset.categories, DataError, where)
-        return RunRecords(cfg, dataset, initial, trace, evolution, best)
+        return RunRecords(cfg, dataset, initial, trace, evolution, best, self._script())
+
+    def _script(self) -> ScriptedLlm | None:
+        """`read`'s script of the journal's replies."""
+        if not self._journal.exists():
+            log.warning("%s has no llm_replies.jsonl: skipping llm_script.json", self.path)
+            return None
+        texts = {r.call: r.text for _, r in _jsonl(self._journal, ReplyRecord) if isinstance(r, ReplyRecord)}
+        calls = sorted(texts)
+        if calls != list(range(len(calls))):
+            log.warning("%s lacks a call: skipping llm_script.json", self._journal)
+            return None
+        try:
+            return from_json(ScriptedLlm, {"responses": [texts[c] for c in calls]}, "llm script", DataError)
+        except DataError as exc:  # a reply that holds a lone surrogate
+            log.warning("%s does not make a script file (%s): skipping llm_script.json", self._journal, exc)
+            return None
 
 
 @contextmanager
@@ -588,7 +638,7 @@ def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
     with _open_splits(cfg, dataset) as splits:
         llm = build_llm(cfg)
         initial, definitions_sha256 = _initial_defs(cfg, dataset)
-        files = InputsRecord(dataset.sha256, dataset.categories_sha256, definitions_sha256, _reply_digests(llm))
+        files = InputsRecord(dataset.sha256, dataset.categories_sha256, definitions_sha256)
         yield RunInputs(splits, llm, initial, files)
 
 
@@ -605,11 +655,12 @@ def cmd_baseline(cfg: RunConfig):
         report, cm = splits.score(def_units, "test")
 
     run_dir = run_dir_for(cfg, "baseline")
-    _make_dir(run_dir)
-    _write_json(run_dir / "config.json", cfg.to_snapshot())
-    _write_json(run_dir / "definitions.json", definitions)
-    _write_json(run_dir / "metrics_test.json", metrics_to_dict(report, dataset.categories))
-    confusion_to_csv(cm, run_dir / "confusion_test.csv")
+    with _disk_errors(run_dir):
+        _make_dir(run_dir)
+        _write_json(run_dir / "config.json", cfg.to_snapshot())
+        _write_json(run_dir / "definitions.json", definitions)
+        _write_json(run_dir / "metrics_test.json", metrics_to_dict(report, dataset.categories))
+        confusion_to_csv(cm, run_dir / "confusion_test.csv")
     print(f"baseline test macro-F1: {report.macro_f1:.4f} ({run_dir})")
     return report
 
@@ -632,12 +683,12 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
     # Everything that can reject the config runs before the run directory exists.
     with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
         check_dataset(inputs.splits.dataset, cfg.strategy)
-        with run.open(cfg, resume, inputs) as saved:
+        with _disk_errors(run.path), run.open(cfg, resume, inputs) as saved:
             result = refine(
                 inputs.splits,
                 cfg.strategy,
                 cfg.schedule,
-                inputs.llm,
+                run,
                 seed=cfg.seed,
                 t_max=cfg.t_max,
                 init_mode=cfg.init.mode,
@@ -698,8 +749,9 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
     scored = [c for c in cells if "phi_best_train" in c]
     best = max(scored, key=lambda c: c["phi_best_train"]) if scored else None
     summary = {"k_values": list(k_values), "m_values": list(m_values), "cells": cells, "best": best}
-    _make_dir(cfg.out_dir)
-    _write_json(cfg.out_dir / "sweep_summary.json", summary)
+    with _disk_errors(cfg.out_dir):
+        _make_dir(cfg.out_dir)
+        _write_json(cfg.out_dir / "sweep_summary.json", summary)
     for cell in cells:
         phi = cell.get("phi_best_train")
         status = f"{phi:.4f}" if phi is not None else f"FAILED ({cell['error']})"
@@ -712,7 +764,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     Every input is read and checked, and every vector embedded, before the
     first file is written."""
     run = RunDirectory(Path(run_dir))
-    cfg, dataset, initial, trace, evolution, best = run.read()
+    cfg, dataset, initial, trace, evolution, best, script = run.read()
     test_docs = split_view(dataset, "test")
     with _open_splits(cfg, dataset) as splits:
         def_units = splits.gateway.embed_definitions(best, dataset.categories)
@@ -722,28 +774,32 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             test_units = splits.embedded("test")[0]
 
     reports = run.path / "reports"
-    _make_dir(reports)
-    points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
-    points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in trace]
-    written = [reports / "f1_curve.json", reports / "definitions_evolution.json"]
-    _write_json(written[0], {"points": points})
-    _write_json(written[1], to_json(evolution))
-    if test_docs:
-        written.append(reports / "confusion_test.csv")
-        confusion_to_csv(cm, written[-1])
-    else:
-        log.warning("no test split: skipping test confusion matrix")
-    written.append(reports / "embeddings_snapshot.jsonl")
-    definition_rows = (
-        {"kind": "definition", "category": category, "vector": vec.tolist()}
-        for category, vec in zip(dataset.categories, def_units)
-    )
-    document_rows = (
-        {"kind": "document", "id": doc.id, "label": doc.label, "vector": vec.tolist()}
-        for doc, vec in zip(test_docs, test_units)
-    )
-    with open(written[-1], "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
+    with _disk_errors(reports):
+        _make_dir(reports)
+        points = [{"iteration": 0, "phi_train": initial.phi_train, "phi_dev": initial.phi_dev}]
+        points += [{"iteration": r.iteration, "phi_train": r.phi_train_current, "phi_dev": r.phi_dev} for r in trace]
+        written = [reports / "f1_curve.json", reports / "definitions_evolution.json"]
+        _write_json(written[0], {"points": points})
+        _write_json(written[1], to_json(evolution))
+        if test_docs:
+            written.append(reports / "confusion_test.csv")
+            confusion_to_csv(cm, written[-1])
+        else:
+            log.warning("no test split: skipping test confusion matrix")
+        if script is not None:
+            written.append(reports / "llm_script.json")
+            _write_json(written[-1], {"responses": script.responses})
+        written.append(reports / "embeddings_snapshot.jsonl")
+        definition_rows = (
+            {"kind": "definition", "category": category, "vector": vec.tolist()}
+            for category, vec in zip(dataset.categories, def_units)
+        )
+        document_rows = (
+            {"kind": "document", "id": doc.id, "label": doc.label, "vector": vec.tolist()}
+            for doc, vec in zip(test_docs, test_units)
+        )
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
     print(f"report written: {', '.join(p.name for p in written)} in {reports}")
     return written
 

@@ -17,7 +17,7 @@ from defrefine.errors import ConfigError, DataError
 from defrefine.llm import LlmConfig, ScriptedLlm
 from defrefine.records import from_json, to_json
 from defrefine.refinement import AnnealingSchedule, HistoryEntry, InitialRecord, LoopState, StrategyConfig, TraceRecord
-from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ResultRecord, RunConfig
+from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ReplyRecord, ResultRecord, RunConfig
 from defrefine.seeding import make_rng
 
 DEFS = {"alpha": "About alpha.", "beta": "About beta."}
@@ -29,6 +29,7 @@ RECORDS = [
     pytest.param(LogEntry(2, 0.75, DEFS), id="log-entry"),
     pytest.param(ResultRecord(1.0, DEFS, {"macro_f1": 1.0, "per_class": {}}, None), id="result"),
     pytest.param(ScriptedLlm(["{}", "not json"], delay_s=0.5), id="llm-script"),
+    pytest.param(ReplyRecord(3, "ab12", '{"alpha": "caf\u00e9 \ud800"}'), id="reply-with-lone-surrogate"),
     pytest.param(
         RunConfig(
             dataset=DatasetConfig(Path("/data/corpus.csv"), "csv", Path("/data/categories.txt"), "dmoz"),
@@ -85,6 +86,7 @@ class Sample:
     table: dict[str, int] = field(default_factory=dict)
     anything: dict = field(default_factory=dict)
     where: Path | None = None
+    raw: records.RawText = ""
 
     def __post_init__(self) -> None:
         if self.count < 0:
@@ -107,7 +109,8 @@ BASE = {"count": 1, "ratio": 0.5, "flag": False}
         pytest.param({"names": ["x", "y"]}, {"names": ["x", "y"]}, id="list"),
         pytest.param({"table": {"x": 1}}, {"table": {"x": 1}}, id="dict"),
         pytest.param({"anything": {"x": [None, 1.5]}}, {"anything": {"x": [None, 1.5]}}, id="bare-dict"),
-        pytest.param({}, {"label": None, "mode": "a", "names": [], "table": {}}, id="defaults"),
+        pytest.param({"raw": "a\ud800"}, {"raw": "a\ud800"}, id="lone-surrogate-in-raw-text"),
+        pytest.param({}, {"label": None, "mode": "a", "names": [], "table": {}, "raw": ""}, id="defaults"),
     ],
 )
 def test_values_that_fit(changes, expected):
@@ -133,6 +136,7 @@ def test_values_that_fit(changes, expected):
         pytest.param({**BASE, "table": {"x": "1"}}, "sample key table.x must be an integer", id="dict-value"),
         pytest.param({**BASE, "anything": []}, "sample key anything must be a JSON object", id="list-for-dict"),
         pytest.param({**BASE, "where": 3}, "sample key where must be a string", id="int-for-path"),
+        pytest.param({**BASE, "raw": 3}, "sample key raw must be a string", id="int-for-raw-text"),
         # A "\ud800" escape decodes to a lone surrogate, which UTF-8 cannot encode.
         pytest.param({**BASE, "label": "a\ud800"}, "sample key label must be valid Unicode", id="lone-surrogate"),
         pytest.param({**BASE, "where": "\udfff"}, "sample key where must be valid Unicode", id="lone-surrogate-path"),

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -617,24 +618,35 @@ class TestStateSnapshot:
         assert files == self.GOLDEN_FILES_SHA256
 
 
-def _fsync_failing_on_call(n):
-    """os.fsync raising EIO on its n-th call, which syncs the trace record of iteration n."""
+class _Killed(BaseException):
+    """A kill, where a test stops a run."""
+
+
+def _syncs(fd: int, path: Path) -> bool:
+    """Whether fd is open on the file at path."""
+    return path.exists() and os.path.samestat(os.fstat(fd), os.stat(path))
+
+
+def _fsync_failing_on_record(trace: Path, n: int, code: int = errno.EIO):
+    """os.fsync raising OSError(code) on its n-th sync of the run's trace
+    file, which syncs the record of iteration n."""
     fsync, calls = os.fsync, []
 
     def failing(fd):
-        calls.append(fd)
-        if len(calls) == n:
-            raise OSError(errno.EIO, "disk went away")
+        if _syncs(fd, trace):
+            calls.append(fd)
+            if len(calls) == n:
+                raise OSError(code, os.strerror(code))
         fsync(fd)
 
     return failing
 
 
-def _uncut_run(tmp_path: Path, script, t_max) -> Path:
+def _uncut_run(tmp_path: Path, script, t_max, extra=None) -> Path:
     """The run directory of an uninterrupted run in tmp_path / "uncut"."""
     base = tmp_path / "uncut"
-    base.mkdir()
-    cfg_path = write_config(base, separable_dataset(), script, t_max=t_max)
+    base.mkdir(exist_ok=True)
+    cfg_path = write_config(base, separable_dataset(), script, t_max=t_max, extra=extra)
     assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
     return run_dir_for(RunConfig.from_file(cfg_path), "refine")
 
@@ -665,6 +677,20 @@ class TestWriter:
         assert [iteration for iteration, _ in checks] == list(range(7))
         assert all(iteration <= lines for iteration, lines in checks), checks
 
+    def test_journal_is_synced_before_each_trace_record(self, tmp_path, monkeypatch):
+        # state.json never counts a reply that a power loss could drop.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        fsync, synced = os.fsync, []
+
+        def naming(fd):
+            synced.append(next(name for name in ("llm_replies.jsonl", "trace.jsonl") if _syncs(fd, run_dir / name)))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", naming)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        assert synced == ["llm_replies.jsonl", "trace.jsonl"] * 3
+
     def test_writes_overlap_the_next_llm_call(self, tmp_path, monkeypatch):
         t_max = 4
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(t_max), t_max=t_max)
@@ -683,7 +709,7 @@ class TestWriter:
         def waiting_fsync(fd):
             # The record of iteration t is synced while the loop asks for t + 1.
             t = len(trace_path.read_text().splitlines())
-            if t < t_max:
+            if t < t_max and _syncs(fd, trace_path):
                 with called:
                     overlapped.append(called.wait_for(lambda: calls[0] > t, timeout=2.0))
             fsync(fd)
@@ -693,7 +719,7 @@ class TestWriter:
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
         assert overlapped == [True] * (t_max - 1)
 
-    def test_write_error_stops_the_run_and_resume_repairs_it(self, tmp_path, monkeypatch):
+    def test_write_error_stops_the_run_and_resume_repairs_it(self, tmp_path, monkeypatch, capsys):
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=6)
@@ -705,10 +731,10 @@ class TestWriter:
             return complete(self, prompt, call)
 
         with monkeypatch.context() as patched:
-            patched.setattr(os, "fsync", _fsync_failing_on_call(3))
+            patched.setattr(os, "fsync", _fsync_failing_on_record(run_dir / "trace.jsonl", 3))
             patched.setattr(ScriptedLlm, "complete", counting_complete)
-            with pytest.raises(OSError, match="disk went away"):
-                main(["refine", "--config", str(cfg_path)])
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "Input/output error" in _one_error_line(capsys.readouterr().err, EXIT_USAGE)
         # Raised at most one iteration later, with the checkpoint behind the failed record.
         assert len(calls) <= 4
         assert json.loads((run_dir / "state.json").read_text())["iteration"] <= 2
@@ -718,12 +744,77 @@ class TestWriter:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    def test_write_error_outranks_a_later_loop_error(self, tmp_path, monkeypatch):
+    def test_write_error_outranks_a_later_loop_error(self, tmp_path, monkeypatch, capsys):
         # The record of iteration 3 fails to sync; the script then runs out.
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
-        monkeypatch.setattr(os, "fsync", _fsync_failing_on_call(3))
-        with pytest.raises(OSError, match="disk went away"):
-            main(["refine", "--config", str(cfg_path)])
+        trace = run_dir_for(RunConfig.from_file(cfg_path), "refine") / "trace.jsonl"
+        monkeypatch.setattr(os, "fsync", _fsync_failing_on_record(trace, 3))
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "Input/output error" in _one_error_line(capsys.readouterr().err, EXIT_USAGE)
+
+    @pytest.mark.parametrize("at", ["fsync", "writev"])
+    def test_full_disk_ends_in_one_error_line_and_resumes(self, tmp_path, monkeypatch, capsys, at):
+        # The writer job's fsync of a trace record, or the store's append of
+        # a proposal's vectors, fails as a full disk would.
+        script = toy_script(6, ideal_at=4)
+        writev, appends = os.writev, []
+
+        def counting(fd, buffers):
+            appends.append(fd)
+            return writev(fd, buffers)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "writev", counting)
+            uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=6)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        if at == "fsync":
+            failing = _fsync_failing_on_record(run_dir / "trace.jsonl", 3, errno.ENOSPC)
+            names = str(run_dir)
+        else:
+            appended = []
+
+            def failing(fd, buffers):
+                appended.append(fd)
+                if len(appended) == len(appends) - 1:  # the last proposal's vectors
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return writev(fd, buffers)
+
+            names = str(run_dir.parent / "embedding_cache.bin")
+        with monkeypatch.context() as patched:
+            patched.setattr(os, at, failing)
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
+        line = _one_error_line(capsys.readouterr().err, EXIT_USAGE)
+        assert names in line and "No space left on device" in line, line
+        assert (run_dir / "state.json").exists() and not (run_dir / "result.json").exists()
+
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "definitions_log.jsonl"])
+    def test_resume_stopped_while_it_rewrites_a_file_resumes_again(self, tmp_path, monkeypatch, name):
+        # A resume cuts the trace and the log back to the checkpoint. Stopped
+        # 10 bytes into that rewrite, as a kill would leave it, the file it
+        # rewrites must still hold every record the next resume needs.
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        write_bytes = Path.write_bytes
+
+        def stopped(path, data):
+            if path.name.startswith(name):
+                write_bytes(path, data[:10])
+                raise _Killed
+            return write_bytes(path, data)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "write_bytes", stopped)
+            with pytest.raises(_Killed):
+                main(["refine", "--config", str(cfg_path), "--resume"])
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for file in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / file).read_bytes() == (run_dir / file).read_bytes(), file
 
 
 class TestRunLock:
@@ -1203,7 +1294,6 @@ class TestInputsRecord:
             "dataset": _sha256((tmp_path / "data.jsonl").read_bytes()),
             "categories_file": None,
             "definitions_file": _sha256((tmp_path / "defs.json").read_bytes()),
-            "llm_replies": [_sha256(reply.encode()) for reply in script],
         }
 
     @pytest.mark.parametrize(
@@ -1211,16 +1301,20 @@ class TestInputsRecord:
         [
             ("categories", True),
             ("definitions", True),
-            ("used-reply", True),
+            ("used-reply", False),
             ("unused-reply", False),
         ],
     )
     def test_resume_checks_each_input_the_run_has_used(self, tmp_path, capsys, change, stops):
-        # The script's replies from the run's llm_calls on are not yet used,
-        # so a script may be changed there, as `_cut_run` extends it.
+        # The replies the run has taken are in its journal, and a resume never
+        # reads them from the script again; the replies from the run's
+        # llm_calls on are not yet used, so a script may be changed there, as
+        # `_cut_run` extends it.
         script = toy_script(8, ideal_at=4)
-        (tmp_path / "categories.txt").write_text("\n".join(TOY_CATEGORIES) + "\n")
-        (tmp_path / "defs.json").write_text(json.dumps(junk_definitions(0)))
+        for base in (tmp_path, tmp_path / "uncut"):
+            base.mkdir(exist_ok=True)
+            (base / "categories.txt").write_text("\n".join(TOY_CATEGORIES) + "\n")
+            (base / "defs.json").write_text(json.dumps(junk_definitions(0)))
         extra = {
             "dataset": {"path": "data.jsonl", "format": "jsonl", "categories_file": "categories.txt"},
             "init": {"definitions_file": "defs.json"},
@@ -1244,19 +1338,22 @@ class TestInputsRecord:
         else:
             assert code == EXIT_OK
             assert len((run_dir / "trace.jsonl").read_text().splitlines()) == 8
+        if change == "used-reply":
+            uncut = _uncut_run(tmp_path, script, t_max=8, extra=extra)
+            for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+                assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_script_extended_twice_resumes_as_if_uncut(self, tmp_path):
-        # A resume pins the replies it goes on with, so a script that is
-        # extended, used up and extended again still resumes.
+        # The journal keeps each reply as the run takes it, so a script that
+        # is extended, used up and extended again still resumes.
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
         for end, code in ((5, EXIT_PROVIDER), (6, EXIT_OK)):
             (tmp_path / "script.json").write_text(json.dumps(script[:end]))
             assert main(["refine", "--config", str(cfg_path), "--resume"]) == code
-        assert json.loads((run_dir / "inputs.json").read_text())["llm_replies"] == [
-            _sha256(reply.encode()) for reply in script
-        ]
+        journal = [json.loads(line) for line in (run_dir / "llm_replies.jsonl").read_text().splitlines()]
+        assert [(reply["call"], reply["text"]) for reply in journal] == list(enumerate(script))
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
@@ -1291,6 +1388,172 @@ class TestInputsRecord:
         records = {p.read_bytes() for p in (tmp_path / "runs").glob("*/inputs.json")}
         assert len(list((tmp_path / "runs").glob("*/inputs.json"))) == 4
         assert len(records) == 1
+
+
+class _CountingChat(BaseHTTPRequestHandler):
+    """A chat endpoint whose n-th request served gets `replies[n]` (the last
+    once they run out), whatever it asks: a reply changes per request, as
+    a sampled LLM's does. It keeps each prompt it was sent in `prompts`."""
+
+    replies: list = []
+    prompts: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.prompts.append(body["messages"][1]["content"])
+        text = self.replies[min(len(self.prompts), len(self.replies)) - 1]
+        payload = json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def counting_chat():
+    """Start a loopback `_CountingChat`; its `serve(replies)` sets the
+    replies, forgets the prompts and gives the endpoint's URL."""
+    server = HTTPServer(("127.0.0.1", 0), _CountingChat)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def serve(replies):
+        _CountingChat.replies, _CountingChat.prompts = list(replies), []
+        return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+
+    yield serve
+    server.shutdown()
+    server.server_close()
+
+
+def _http_config(base: Path, url: str, t_max: int) -> Path:
+    """A refine config in base whose LLM is the chat endpoint at url."""
+    base.mkdir(exist_ok=True)
+    llm = {"llm": {"endpoint": url, "model_id": "stub", "retries": 0, "backoff_base": 0}}
+    return write_config(base, separable_dataset(), [], t_max=t_max, extra=llm)
+
+
+def _journal(run_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in (run_dir / "llm_replies.jsonl").read_text().splitlines()]
+
+
+class TestReplyJournal:
+    """`llm_replies.jsonl` keeps every reply as it arrives: a resume answers
+    the calls it holds from it, and `report` makes it a script file."""
+
+    # The third request gets a reply with a lone surrogate, which an HTTP
+    # reply may hold and no definition set may: that proposal is unparseable
+    # and the fourth request answers its parse retry.
+    REPLIES = [json.dumps(junk_definitions(1)), json.dumps(junk_definitions(2)), '{"alpha": "\ud800"}']
+    REPLIES += [json.dumps(junk_definitions(3)), json.dumps(ideal_definitions()), json.dumps(junk_definitions(4))]
+    REPLIES += [json.dumps(junk_definitions(5))]
+
+    def test_resume_asks_no_call_the_journal_holds(self, tmp_path, monkeypatch, counting_chat, caplog):
+        # A sampled LLM answers a call asked again differently. The run is
+        # stopped at iteration 3's records, after its two replies are
+        # journaled and before its trace line is written.
+        t_max = 6
+        uncut_cfg = _http_config(tmp_path / "uncut", counting_chat(self.REPLIES), t_max)
+        assert main(["refine", "--config", str(uncut_cfg)]) == EXIT_OK
+        uncut = run_dir_for(RunConfig.from_file(uncut_cfg), "refine")
+        cfg_path = _http_config(tmp_path, counting_chat(self.REPLIES), t_max)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        on_iteration = runner.RunDirectory.on_iteration
+
+        def killed_at_3(run, record, state):
+            if record.iteration == 3:
+                raise _Killed
+            on_iteration(run, record, state)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(runner.RunDirectory, "on_iteration", killed_at_3)
+            with pytest.raises(_Killed):
+                main(["refine", "--config", str(cfg_path)])
+        assert json.loads((run_dir / "state.json").read_text())["llm_calls"] == 2
+        assert [reply["call"] for reply in _journal(run_dir)] == [0, 1, 2, 3]
+        assert len(_CountingChat.prompts) == 4
+
+        caplog.clear()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        assert len(_CountingChat.prompts) == 7  # calls 4 to 6 alone
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+        # The lone surrogate replayed from the journal to the same unparseable proposal.
+        assert _journal(run_dir)[2]["text"] == self.REPLIES[2]
+        assert "not valid Unicode" in caplog.text
+
+        # No script file can hold that reply, so report skips the script.
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        assert not (run_dir / "reports" / "llm_script.json").exists()
+        assert "does not make a script file" in caplog.text
+
+    def test_report_script_replays_the_run(self, tmp_path, counting_chat):
+        replies = [reply for reply in self.REPLIES if "\ud800" not in reply]
+        cfg_path = _http_config(tmp_path, counting_chat(replies), t_max=5)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        script = json.loads((run_dir / "reports" / "llm_script.json").read_text())
+        assert script == {"responses": [reply["text"] for reply in _journal(run_dir)]}
+
+        endpoint = f"script:{run_dir / 'reports' / 'llm_script.json'}"
+        # README's recipe: the run's own config snapshot, its script and another out_dir.
+        argv = ["refine", "--config", str(run_dir / "config.json"), "--llm-endpoint", endpoint]
+        argv += ["--out", str(tmp_path / "replay")]
+        assert main(argv) == EXIT_OK
+        replay = tmp_path / "replay" / run_dir.name
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
+            assert (replay / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_reply_to_another_prompt_stops_the_resume(self, tmp_path, capsys):
+        # The cut run's checkpoint is at call 3; a journal line for call 3
+        # answered some other prompt.
+        script = toy_script(6, ideal_at=4)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        line = json.dumps({"call": 3, "prompt_sha256": _sha256(b"another prompt"), "text": script[3]})
+        with open(run_dir / "llm_replies.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        state = (run_dir / "state.json").read_bytes()
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert str(run_dir / "llm_replies.jsonl") in error and "call 3" in error, error
+        assert (run_dir / "state.json").read_bytes() == state
+
+    def test_directory_from_before_the_journal_resumes_and_reports(self, tmp_path, caplog):
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        (run_dir / "llm_replies.jsonl").unlink()
+        inputs = json.loads((run_dir / "inputs.json").read_text())
+        inputs["llm_replies"] = [_sha256(reply.encode()) for reply in script[:3]]
+        (run_dir / "inputs.json").write_text(json.dumps(inputs))
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        assert "has no llm_replies.jsonl" in caplog.text
+
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert "llm_replies" not in json.loads((run_dir / "inputs.json").read_text())
+        # The journal holds the calls from the resume on: a script needs them all.
+        assert [reply["call"] for reply in _journal(run_dir)] == [3, 4, 5]
+        shutil.rmtree(run_dir / "reports")
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        assert "lacks a call" in caplog.text
+        assert not (run_dir / "reports" / "llm_script.json").exists()
+
+    def test_fresh_run_empties_the_journal(self, tmp_path):
+        # A run killed before its first checkpoint starts over.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        run_dir.mkdir(parents=True)
+        (run_dir / "llm_replies.jsonl").write_text('{"call": 0, "prompt_sha256": "", "text": "stale"}\n')
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        assert [reply["text"] for reply in _journal(run_dir)] == toy_script(2)
 
 
 class TestSweep:
@@ -1571,7 +1834,7 @@ class TestReport:
 
     def test_run_killed_before_iteration_0_is_data_error(self, tmp_path, monkeypatch, capsys):
         # A kill while the splits are embedded leaves the config snapshot and
-        # two empty JSONL files, but no initial.json.
+        # three empty JSONL files, but no initial.json.
         def killed(*args, **kwargs):
             raise KeyboardInterrupt
 
@@ -1581,7 +1844,7 @@ class TestReport:
             main(["refine", "--config", str(cfg_path)])
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
         left = sorted(p.name for p in run_dir.iterdir())
-        assert left == ["config.json", "definitions_log.jsonl", "run.lock", "trace.jsonl"]
+        assert left == ["config.json", "definitions_log.jsonl", "llm_replies.jsonl", "run.lock", "trace.jsonl"]
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_DATA
         assert str(run_dir / "initial.json") in capsys.readouterr().err
