@@ -174,7 +174,7 @@ class TraceRecord:
     definitions_hash: str
     # Always 0.0: a wall-clock value would make two runs' traces differ. The
     # field stays because the benchmark's digests pin the trace's bytes; it
-    # goes when they are next re-recorded (ROADMAP item 1).
+    # goes when they are next re-recorded (ROADMAP item 17).
     llm_latency_ms: float = 0.0
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Command-line entry point: baseline evaluation, refinement runs, grid sweeps, reports."""
+"""Command-line entry point: baseline evaluation, refinement runs, grid sweeps, reports, replays."""
 
 from __future__ import annotations
 
@@ -6,14 +6,17 @@ import argparse
 import dataclasses
 import fcntl
 import hashlib
+import io
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, redirect_stdout
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from typing import Iterator, Literal, NamedTuple, Sequence
 
@@ -25,7 +28,7 @@ from .embeddings import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
 )
-from .errors import ConfigError, DataError, DefinitionParseError, ProviderError, read_input
+from .errors import ConfigError, DataError, DefinitionParseError, DefRefineError, ProviderError, read_input
 from .evaluation import confusion_to_csv, metrics_to_dict
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .records import RawText, from_json, to_json
@@ -338,17 +341,28 @@ def _read_records(path: Path, cls) -> list:
     return records
 
 
-def _rewrite_jsonl(path: Path, cls, upto: int | None = None, at_least: int = 0) -> list:
-    """Keep the `cls` records of a JSONL file (up to iteration `upto`, if
-    given), dropping every line that holds none, and return them; DataError,
-    with the file untouched, if fewer than `at_least` of them are left."""
-    kept = [(line, r) for line, r in _jsonl(path, cls) if isinstance(r, cls) and (upto is None or r.iteration <= upto)]
+def _resumable(path: Path, cls, upto: int | None = None, at_least: int = 0) -> list[tuple[bytes, object]]:
+    """The lines of a JSONL file that a resume keeps, with their `cls`
+    records: each record, up to iteration `upto` if given. Only the lines
+    after the last record may hold none (a write a kill cut short), and they
+    are dropped; DataError naming the file and line of one that a record
+    follows, or if fewer than `at_least` records are kept."""
+    lines = list(_jsonl(path, cls))
+    last = max((i for i, (_, r) in enumerate(lines) if isinstance(r, cls)), default=-1)
+    for _, record in lines[:last]:
+        if isinstance(record, DataError):
+            raise DataError(f"unresumable corruption: {record}, and a record follows it")
+    kept = [(line, r) for line, r in lines[: last + 1] if upto is None or r.iteration <= upto]
     if len(kept) < at_least:
         raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
+    return kept
+
+
+def _rewrite_jsonl(path: Path, kept: list[tuple[bytes, object]]) -> None:
+    """Replace a JSONL file with the lines `_resumable` kept."""
     tmp = path.with_suffix(path.suffix + ".tmp")  # replaced whole, as a kill may stop the write
     tmp.write_bytes(b"".join(line + b"\n" for line, _ in kept))
     os.replace(tmp, path)
-    return [record for _, record in kept]
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -365,7 +379,6 @@ class RunRecords(NamedTuple):
     trace: list[TraceRecord]
     evolution: list[LogEntry]
     best: dict[str, str]
-    script: ScriptedLlm | None
 
 
 class RunDirectory:
@@ -447,8 +460,9 @@ class RunDirectory:
         change if an input file it reads again has: the dataset, its
         categories file or the initial definitions file. DataError, also
         before they change, if a definition set of the saved state fails
-        `validate_definitions`. A fresh run empties the journal; a resume
-        keeps all of it, and its replies answer the calls they hold.
+        `validate_definitions` or a line of the trace, the definitions log
+        or the journal fails `_resumable`. A fresh run empties the journal;
+        a resume keeps all of it, and its replies answer the calls they hold.
         The run's input files go to `inputs.json` with the iteration-0 records,
         and a resume rewrites it once the checks pass, so it pins what the
         run goes on with.
@@ -464,16 +478,21 @@ class RunDirectory:
                 # Another run may have checkpointed here while this one set up.
                 self.refuse_checkpointed()
                 _write_json(self._config, cfg.to_snapshot())
-            saved = None
+            saved, rewrites = None, {}
             if resume and self._state.exists():
                 saved = _read_record(LoopState, self._state, "state file")
                 self._check_inputs(cfg, to_json(inputs.files))
                 self._check_saved_definitions(saved, inputs.splits.dataset.categories)
-                _rewrite_jsonl(self._trace, TraceRecord, saved.iteration, at_least=saved.iteration)
-                _rewrite_jsonl(self._defs_log, LogEntry, saved.iteration)
+                rewrites[self._trace] = _resumable(self._trace, TraceRecord, saved.iteration, saved.iteration)
+                rewrites[self._defs_log] = _resumable(self._defs_log, LogEntry, saved.iteration)
+            if resume:  # a torn last line goes before the journal is appended to
+                rewrites[self._journal] = _resumable(self._journal, ReplyRecord)
+            # Every check has passed: only now do the files change.
+            for path, kept in rewrites.items():
+                _rewrite_jsonl(path, kept)
+            if saved is not None:
                 _atomic_write_json(self._inputs, to_json(inputs.files))
-            # A torn last line goes before the journal is appended to.
-            self._replies = {r.call: r for r in _rewrite_jsonl(self._journal, ReplyRecord)} if resume else {}
+            self._replies = {r.call: r for _, r in rewrites.get(self._journal, [])}
             self._llm = inputs.llm
             # Without a saved state the run starts over, replacing what a run killed
             # before its first state.json left behind.
@@ -568,9 +587,7 @@ class RunDirectory:
     def read(self) -> RunRecords:
         """The run's records, dataset and best definition set (the result's, else
         the log's best, the first of equal scores), each checked; DataError
-        naming the file, and the line, of the first that does not hold. And
-        the journal's replies as a script, if it holds every call from 0 and
-        a script file can hold them; else None, with a warning."""
+        naming the file, and the line, of the first that does not hold."""
         initial = _read_record(InitialRecord, self._initial, "initial record")
         if not self._trace.exists():
             raise DataError(f"missing trace.jsonl: {self._trace}")
@@ -589,29 +606,17 @@ class RunDirectory:
         else:
             raise DataError(f"no definitions recorded in {self.path}")
         best = validate_definitions(best, dataset.categories, DataError, where)
-        return RunRecords(cfg, dataset, initial, trace, evolution, best, self._script())
-
-    def _script(self) -> ScriptedLlm | None:
-        """`read`'s script of the journal's replies."""
-        if not self._journal.exists():
-            log.warning("%s has no llm_replies.jsonl: skipping llm_script.json", self.path)
-            return None
-        texts = {r.call: r.text for _, r in _jsonl(self._journal, ReplyRecord) if isinstance(r, ReplyRecord)}
-        calls = sorted(texts)
-        if calls != list(range(len(calls))):
-            log.warning("%s lacks a call: skipping llm_script.json", self._journal)
-            return None
-        try:
-            return from_json(ScriptedLlm, {"responses": [texts[c] for c in calls]}, "llm script", DataError)
-        except DataError as exc:  # a reply that holds a lone surrogate
-            log.warning("%s does not make a script file (%s): skipping llm_script.json", self._journal, exc)
-            return None
+        return RunRecords(cfg, dataset, initial, trace, evolution, best)
 
 
 @contextmanager
-def _open_splits(cfg: RunConfig, dataset: Dataset) -> Iterator[Splits]:
-    """The dataset's splits on cfg's embedder, with its store open until the block ends."""
-    gateway = build_gateway(cfg)
+def _open_splits(cfg: RunConfig, dataset: Dataset, offline: _Offline | None = None) -> Iterator[Splits]:
+    """The dataset's splits on cfg's embedder, with its store open until the
+    block ends; with `offline` as the provider, if given, so none is built."""
+    if offline is None:
+        gateway = build_gateway(cfg)
+    else:
+        gateway = EmbeddingGateway(cfg.embedder, EmbeddingCache(cfg.store_path), offline)
     with closing(gateway.cache):
         yield Splits(dataset, gateway)
 
@@ -623,20 +628,22 @@ class RunInputs:
     which none of this reads, and neither LLM client keeps state between calls."""
 
     splits: Splits
-    llm: ScriptedLlm | HttpLlm | None
+    llm: ScriptedLlm | HttpLlm | _Offline | None
     initial: dict[str, str] | None
     files: InputsRecord
 
 
 @contextmanager
-def _set_up(cfg: RunConfig) -> Iterator[RunInputs]:
+def _set_up(cfg: RunConfig, offline: _Offline | None = None) -> Iterator[RunInputs]:
     """The run inputs of cfg, with the embedding store open until the block
     ends. Each input file is hashed as it is read, for `inputs.json`, and
-    an output directory that a regular file blocks is refused first."""
+    an output directory that a regular file blocks is refused first. Given
+    `offline`, it is both the LLM client and the embedding provider, and
+    neither is built from cfg."""
     _check_out_dir(cfg.out_dir)
     dataset = _load_dataset(cfg)
-    with _open_splits(cfg, dataset) as splits:
-        llm = build_llm(cfg)
+    with _open_splits(cfg, dataset, offline) as splits:
+        llm = build_llm(cfg) if offline is None else offline
         initial, definitions_sha256 = _initial_defs(cfg, dataset)
         files = InputsRecord(dataset.sha256, dataset.categories_sha256, definitions_sha256)
         yield RunInputs(splits, llm, initial, files)
@@ -668,8 +675,9 @@ def cmd_baseline(cfg: RunConfig):
 def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = None) -> RefinementResult:
     """Run (or continue) one refinement loop with crash-safe persistence.
 
-    A fresh run may be given `inputs` set up from cfg (a sweep's cells share
-    them); otherwise it sets up its own and closes the store it opened."""
+    A run may be given `inputs` set up from cfg (a sweep's cells share them,
+    and `verify` sets up offline ones); otherwise it sets up its own and
+    closes the store it opened."""
     if cfg.strategy is None:
         raise ConfigError("refine requires a strategy config")
     if cfg.llm is None:
@@ -764,7 +772,7 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
     Every input is read and checked, and every vector embedded, before the
     first file is written."""
     run = RunDirectory(Path(run_dir))
-    cfg, dataset, initial, trace, evolution, best, script = run.read()
+    cfg, dataset, initial, trace, evolution, best = run.read()
     test_docs = split_view(dataset, "test")
     with _open_splits(cfg, dataset) as splits:
         def_units = splits.gateway.embed_definitions(best, dataset.categories)
@@ -786,9 +794,6 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             confusion_to_csv(cm, written[-1])
         else:
             log.warning("no test split: skipping test confusion matrix")
-        if script is not None:
-            written.append(reports / "llm_script.json")
-            _write_json(written[-1], {"responses": script.responses})
         written.append(reports / "embeddings_snapshot.jsonl")
         definition_rows = (
             {"kind": "definition", "category": category, "vector": vec.tolist()}
@@ -802,6 +807,62 @@ def cmd_report(run_dir: str | Path) -> list[Path]:
             fh.writelines(json.dumps(row) + "\n" for row in chain(definition_rows, document_rows))
     print(f"report written: {', '.join(p.name for p in written)} in {reports}")
     return written
+
+
+class _Offline:
+    """`verify`'s LLM client and embedding provider. A replay answers every
+    LLM call from the run's journal and every vector from its store, so any
+    call that reaches this is a DataError naming the file that lacks it."""
+
+    def __init__(self, journal: Path, store: Path):
+        self._journal, self._store = journal, store
+
+    def complete(self, prompt: str, call: int) -> str:
+        raise DataError(f"{self._journal} lacks call {call}, which the replay asks")
+
+    def embed_batch(self, texts: Sequence[str]):
+        raise DataError(f"embedding store {self._store} lacks {len(texts)} vectors that the replay embeds")
+
+
+# The run files that `verify` checks byte for byte.
+VERIFIED_FILES = ("trace.jsonl", "definitions_log.jsonl", "result.json")
+
+
+def cmd_verify(run_dir: str | Path) -> None:
+    """Check that a finished run's VERIFIED_FILES follow, byte for byte, from
+    its config, input files, reply journal and embedding store: `refine
+    --resume` replays it in a temporary directory from copies of its config
+    and journal, on its own store, with `_Offline` for both clients.
+    DataError naming the first file and line that differ, a call the journal
+    lacks or a store miss; `--resume`'s ConfigError for a changed input file.
+    Nothing is written into the run directory or the store."""
+    run = RunDirectory(Path(run_dir))
+    cfg = run.config()
+    for path in (run._result, run._journal):
+        if not path.exists():
+            raise DataError(f"{path} not found: verify replays a finished run from its reply journal")
+    with _set_up(cfg, _Offline(run._journal, cfg.store_path)) as inputs:
+        run._check_inputs(cfg, to_json(inputs.files))
+        with tempfile.TemporaryDirectory(prefix="defrefine-verify-") as tmp:
+            replay_cfg = dataclasses.replace(cfg, out_dir=Path(tmp))
+            replay = run_dir_for(replay_cfg, "refine")
+            replay.mkdir()
+            for path in (run._config, run._journal):
+                shutil.copyfile(path, replay / path.name)
+            try:
+                with redirect_stdout(io.StringIO()):  # its summary names the replay's directory
+                    cmd_refine(replay_cfg, resume=True, inputs=inputs)
+            except DefRefineError as exc:  # named as the run's files, not the copies
+                raise type(exc)(str(exc).replace(str(replay), str(run.path))) from None
+            for name in VERIFIED_FILES:
+                ours = read_input(run.path / name, "run file", DataError).split(b"\n")
+                replayed = (replay / name).read_bytes().split(b"\n")
+                for number, (line, again) in enumerate(zip_longest(ours, replayed), 1):
+                    if line != again:
+                        raise DataError(
+                            f"{run.path / name} line {number} differs from the replay of the run's journal and store"
+                        )
+    print(f"verified: {', '.join(VERIFIED_FILES)} follow from the journal and store ({run.path})")
 
 
 def cmd_validate_config(path: str | Path) -> RunConfig:
@@ -896,6 +957,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--m-values", default="1,2,3,4,5", help="comma-separated m grid")
     p_report = sub.add_parser("report", help="emit report files for a run directory")
     p_report.add_argument("run_dir", help="run directory to report on")
+    p_verify = sub.add_parser("verify", help="replay a finished run offline and check its files")
+    p_verify.add_argument("run_dir", help="run directory to verify")
     p_validate = sub.add_parser("validate-config", help="check a config file")
     p_validate.add_argument("--config", required=True, help="JSON run configuration")
 
@@ -916,6 +979,8 @@ def main(argv=None) -> int:
             )
         elif args.command == "report":
             cmd_report(args.run_dir)
+        elif args.command == "verify":
+            cmd_verify(args.run_dir)
         elif args.command == "validate-config":
             cmd_validate_config(args.config)
     except ConfigError as exc:

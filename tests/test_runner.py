@@ -13,6 +13,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -1173,6 +1174,30 @@ class TestRefineRuns:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_line_that_a_record_follows_stops_the_resume(self, tmp_path, capsys):
+        # Before, the resume dropped both lines and exited 0: its log lost
+        # iteration 0's entry, and its journal lost call 1.
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        originals = {}
+        for name, number in (("definitions_log.jsonl", 1), ("llm_replies.jsonl", 2)):
+            lines = (run_dir / name).read_bytes().splitlines(keepends=True)
+            originals[name] = b"".join(lines)
+            (run_dir / name).write_bytes(b"".join(lines[: number - 1] + [b"{not json}\n"] + lines[number:]))
+        for name, number in (("definitions_log.jsonl", 1), ("llm_replies.jsonl", 2)):
+            before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+            capsys.readouterr()
+            assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+            error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+            assert f"{run_dir / name} line {number}" in error, error
+            assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+            (run_dir / name).write_bytes(originals[name])
+
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_llm_generated_init_resumes_across_script_position(self, tmp_path):
         # The drafting call is the run's call 0, before iteration 1, so a
         # resume continues the script after the draft and the completed steps.
@@ -1443,7 +1468,7 @@ def _journal(run_dir: Path) -> list[dict]:
 
 class TestReplyJournal:
     """`llm_replies.jsonl` keeps every reply as it arrives: a resume answers
-    the calls it holds from it, and `report` makes it a script file."""
+    the calls it holds from it, and `verify` replays the run from it."""
 
     # The third request gets a reply with a lone surrogate, which an HTTP
     # reply may hold and no definition set may: that proposal is unparseable
@@ -1452,7 +1477,7 @@ class TestReplyJournal:
     REPLIES += [json.dumps(junk_definitions(3)), json.dumps(ideal_definitions()), json.dumps(junk_definitions(4))]
     REPLIES += [json.dumps(junk_definitions(5))]
 
-    def test_resume_asks_no_call_the_journal_holds(self, tmp_path, monkeypatch, counting_chat, caplog):
+    def test_resume_asks_no_call_the_journal_holds(self, tmp_path, monkeypatch, counting_chat, caplog, offline):
         # A sampled LLM answers a call asked again differently. The run is
         # stopped at iteration 3's records, after its two replies are
         # journaled and before its trace line is written.
@@ -1486,28 +1511,17 @@ class TestReplyJournal:
         assert _journal(run_dir)[2]["text"] == self.REPLIES[2]
         assert "not valid Unicode" in caplog.text
 
-        # No script file can hold that reply, so report skips the script.
-        assert main(["report", str(run_dir)]) == EXIT_OK
-        assert not (run_dir / "reports" / "llm_script.json").exists()
-        assert "does not make a script file" in caplog.text
+        # No script file can hold that reply; verify replays it from the journal.
+        assert main(["verify", str(run_dir)]) == EXIT_OK
+        assert len(_CountingChat.prompts) == 7
 
-    def test_report_script_replays_the_run(self, tmp_path, counting_chat):
-        replies = [reply for reply in self.REPLIES if "\ud800" not in reply]
-        cfg_path = _http_config(tmp_path, counting_chat(replies), t_max=5)
+    def test_verify_sends_no_request(self, tmp_path, counting_chat, offline):
+        cfg_path = _http_config(tmp_path, counting_chat(self.REPLIES), t_max=5)
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
-        assert main(["report", str(run_dir)]) == EXIT_OK
-        script = json.loads((run_dir / "reports" / "llm_script.json").read_text())
-        assert script == {"responses": [reply["text"] for reply in _journal(run_dir)]}
-
-        endpoint = f"script:{run_dir / 'reports' / 'llm_script.json'}"
-        # README's recipe: the run's own config snapshot, its script and another out_dir.
-        argv = ["refine", "--config", str(run_dir / "config.json"), "--llm-endpoint", endpoint]
-        argv += ["--out", str(tmp_path / "replay")]
-        assert main(argv) == EXIT_OK
-        replay = tmp_path / "replay" / run_dir.name
-        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
-            assert (replay / name).read_bytes() == (run_dir / name).read_bytes(), name
+        asked = len(_CountingChat.prompts)
+        assert main(["verify", str(run_dir)]) == EXIT_OK
+        assert len(_CountingChat.prompts) == asked
 
     def test_reply_to_another_prompt_stops_the_resume(self, tmp_path, capsys):
         # The cut run's checkpoint is at call 3; a journal line for call 3
@@ -1524,7 +1538,7 @@ class TestReplyJournal:
         assert str(run_dir / "llm_replies.jsonl") in error and "call 3" in error, error
         assert (run_dir / "state.json").read_bytes() == state
 
-    def test_directory_from_before_the_journal_resumes_and_reports(self, tmp_path, caplog):
+    def test_directory_from_before_the_journal_resumes_and_reports(self, tmp_path, capsys, offline):
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
@@ -1533,18 +1547,23 @@ class TestReplyJournal:
         inputs["llm_replies"] = [_sha256(reply.encode()) for reply in script[:3]]
         (run_dir / "inputs.json").write_text(json.dumps(inputs))
         assert main(["report", str(run_dir)]) == EXIT_OK
-        assert "has no llm_replies.jsonl" in caplog.text
+        shutil.rmtree(run_dir / "reports")
 
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
         assert "llm_replies" not in json.loads((run_dir / "inputs.json").read_text())
-        # The journal holds the calls from the resume on: a script needs them all.
+        # The journal holds the calls from the resume on: a replay needs them all.
         assert [reply["call"] for reply in _journal(run_dir)] == [3, 4, 5]
-        shutil.rmtree(run_dir / "reports")
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == EXIT_DATA
+        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{run_dir / 'llm_replies.jsonl'} lacks call 0" in error, error
         assert main(["report", str(run_dir)]) == EXIT_OK
-        assert "lacks a call" in caplog.text
-        assert not (run_dir / "reports" / "llm_script.json").exists()
+        (run_dir / "llm_replies.jsonl").unlink()
+        assert main(["verify", str(run_dir)]) == EXIT_DATA
+        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{run_dir / 'llm_replies.jsonl'} not found" in error, error
 
     def test_fresh_run_empties_the_journal(self, tmp_path):
         # A run killed before its first checkpoint starts over.
@@ -1554,6 +1573,162 @@ class TestReplyJournal:
         (run_dir / "llm_replies.jsonl").write_text('{"call": 0, "prompt_sha256": "", "text": "stale"}\n')
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
         assert [reply["text"] for reply in _journal(run_dir)] == toy_script(2)
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """Under `verify`, building an LLM client or an embedding provider, or
+    reading a script file, fails the test."""
+    verify = runner.cmd_verify
+
+    def forbidden(name):
+        def built(*args, **kwargs):
+            raise AssertionError(f"verify called runner.{name}")
+
+        return built
+
+    def guarded(run_dir):
+        with pytest.MonkeyPatch.context() as patched:
+            builders = ("build_gateway", "build_llm", "_read_script", "HttpLlm")
+            for name in builders + ("MockEmbeddingProvider", "HttpEmbeddingProvider"):
+                patched.setattr(runner, name, forbidden(name))
+            return verify(run_dir)
+
+    monkeypatch.setattr(runner, "cmd_verify", guarded)
+
+
+def _digests(*roots: Path) -> dict[Path, str]:
+    """The sha256 of every file under roots."""
+    return {p: _sha256(p.read_bytes()) for root in roots for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestVerify:
+    """`verify RUN_DIR` replays a finished run from its journal and its store
+    and checks its trace, definitions log and result byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def temp_dir(self, tmp_path, monkeypatch, offline):
+        """verify's temporary directories go here; each test checks it is left empty."""
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        yield temp
+        assert list(temp.iterdir()) == []
+
+    @staticmethod
+    def _run(tmp_path: Path, script=None, t_max=6, extra=None) -> Path:
+        script = toy_script(t_max, ideal_at=4) if script is None else script
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=t_max, extra=extra)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        return run_dir_for(RunConfig.from_file(cfg_path), "refine")
+
+    @staticmethod
+    def _verify(run_dir: Path, capsys, code: int) -> str:
+        """verify's exit code, checked, and its one error line, if it fails."""
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert "verified" in out and not err.strip(), err
+            return ""
+        return _one_error_line(err, code)
+
+    def test_scripted_run_whose_script_is_gone_verifies_and_stays_unchanged(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        (tmp_path / "script.json").unlink()
+        before = _digests(tmp_path)
+        assert (tmp_path / "runs" / "embedding_cache.bin") in before
+        self._verify(run_dir, capsys, EXIT_OK)
+        assert _digests(tmp_path) == before
+
+    def test_llm_generated_start_verifies(self, tmp_path, capsys):
+        drafted = json.dumps({c: f"drafted definition of {c}" for c in TOY_CATEGORIES})
+        extra = {"init": {"mode": "llm_generated"}}
+        run_dir = self._run(tmp_path, [drafted] + toy_script(5, ideal_at=3), t_max=5, extra=extra)
+        self._verify(run_dir, capsys, EXIT_OK)
+
+    def test_replay_reads_the_configured_store(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path, extra={"cache_file": "store.bin"})
+        assert not (tmp_path / "runs" / "embedding_cache.bin").exists()
+        before = _digests(tmp_path)
+        self._verify(run_dir, capsys, EXIT_OK)
+        assert _digests(tmp_path) == before
+        (tmp_path / "store.bin").unlink()
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"embedding store {tmp_path / 'store.bin'} lacks" in error, error
+        assert not (tmp_path / "store.bin").exists()
+
+    def test_every_sweep_cell_verifies(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3, ideal_at=2), t_max=3)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1,2"]) == EXIT_OK
+        cells = sorted(p.parent for p in (tmp_path / "runs").glob("*/result.json"))
+        assert len(cells) == 4
+        for cell in cells:
+            self._verify(cell, capsys, EXIT_OK)
+
+    @pytest.mark.parametrize("name", runner.VERIFIED_FILES)
+    def test_changed_byte_is_named_with_its_line(self, tmp_path, capsys, name):
+        run_dir = self._run(tmp_path)
+        path = run_dir / name
+        data = bytearray(path.read_bytes())
+        at = data.index(b"\n", data.index(b"\n") + 1) + 5  # on line 3
+        data[at] ^= 1
+        path.write_bytes(bytes(data))
+        before = _digests(tmp_path)
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"{path} line 3 differs" in error, error
+        assert _digests(tmp_path) == before
+
+    def test_changed_reply_is_a_store_miss(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        journal = run_dir / "llm_replies.jsonl"
+        replies = _journal(run_dir)
+        replies[1]["text"] = json.dumps(junk_definitions(99))
+        journal.write_text("".join(json.dumps(reply) + "\n" for reply in replies))
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"embedding store {tmp_path / 'runs' / 'embedding_cache.bin'} lacks" in error, error
+
+    def test_removed_journal_line_names_its_call(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        journal = run_dir / "llm_replies.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[:2] + lines[3:]))
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"{journal} lacks call 2" in error, error
+
+    def test_reply_to_another_prompt_names_the_run_journal(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        journal = run_dir / "llm_replies.jsonl"
+        replies = _journal(run_dir)
+        replies[2]["prompt_sha256"] = _sha256(b"another prompt")
+        journal.write_text("".join(json.dumps(reply) + "\n" for reply in replies))
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"{journal} holds call 2 for another prompt" in error, error
+
+    def test_store_without_its_last_record_is_a_miss(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        store = tmp_path / "runs" / "embedding_cache.bin"
+        cache = EmbeddingCache(store)
+        last = cache._records[-1][0]
+        cache.close()
+        with open(store, "r+b") as fh:
+            fh.truncate(last)
+        before = _digests(tmp_path)
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"embedding store {store} lacks" in error, error
+        assert _digests(tmp_path) == before
+
+    def test_unfinished_run_is_refused(self, tmp_path, capsys):
+        cfg_path, run_dir = _cut_run(tmp_path, toy_script(6, ideal_at=4), t_max=6)
+        error = self._verify(run_dir, capsys, EXIT_DATA)
+        assert f"{run_dir / 'result.json'} not found" in error, error
+
+    def test_changed_dataset_is_the_resume_error(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        data = tmp_path / "data.jsonl"
+        data.write_text(data.read_text().replace("ideal text for alpha", "ideal text for alphA", 1))
+        error = self._verify(run_dir, capsys, EXIT_USAGE)
+        assert f"dataset file {data} has changed since the run in {run_dir} began" in error, error
 
 
 class TestSweep:
@@ -2186,6 +2361,14 @@ class TestImportBudget:
     def test_validate_config(self, tmp_path):
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3)
         assert self._fresh("validate-config", "--config", str(cfg_path)) == self.SENT_NONE
+
+    def test_verify_of_an_http_llm_run(self, tmp_path, counting_chat):
+        cfg_path = _http_config(tmp_path, counting_chat(TestReplyJournal.REPLIES), t_max=5)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        asked = len(_CountingChat.prompts)
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        assert self._fresh("verify", str(run_dir)) == self.SENT_NONE
+        assert len(_CountingChat.prompts) == asked
 
     def test_report_and_baseline_of_an_http_embedder_over_a_warm_store(self, tmp_path, monkeypatch):
         """Nothing listens at the embedder's address, so any request would
