@@ -49,7 +49,7 @@ class LlmConfig:
 class ScriptedLlm:
     """An LLM script file, played back: reply i answers the run's call i.
 
-    It keeps no position, so a resumed run continues at its saved call count.
+    It keeps no position: a reply depends on its call number alone.
     `delay_s` is a real wait per call, for crash-timing tests; the reply is
     the same with or without it.
     """

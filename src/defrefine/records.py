@@ -3,16 +3,15 @@
 A record is a dataclass written as one JSON object, its fields in key order.
 A field's `key` metadata, if any, is its JSON key; its type comes from the
 annotation and its default from the field, and a field without a default is
-required. A `Path` is a string and a `random.Random` is its state. A string
-must be valid Unicode: no lone surrogate, which a "\ud800" escape decodes to
-and UTF-8 cannot encode; a `RawText` field is the one exception.
+required. A `Path` is a string. A string must be valid Unicode: no lone
+surrogate, which a "\ud800" escape decodes to and UTF-8 cannot encode; a
+`RawText` field is the one exception.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import random
 import typing
 from dataclasses import MISSING
 from pathlib import Path
@@ -64,9 +63,6 @@ def to_json(value):
         return {k: to_json(getattr(value, f.name)) for k, (f, _) in _schema(type(value)).items()}
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, random.Random):
-        version, internal, gauss = value.getstate()
-        return [version, list(internal), gauss]
     return value
 
 
@@ -106,14 +102,6 @@ def from_json(cls, value, where: str, error: type[Exception], base_dir: Path | N
             if value not in args:
                 raise error(f"{name(at)} must be one of {list(args)}, got {value!r:.60}")
             return value
-        if kind is random.Random:
-            rng = random.Random()
-            try:
-                version, internal, gauss = value
-                rng.setstate((version, tuple(internal), gauss))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise error(f"{name(at)} is not an rng state: {exc}") from exc
-            return rng
         accepted, what = _ACCEPTS[kind]
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
             raise error(f"{name(at)} must be {what}, got {value!r:.60}")

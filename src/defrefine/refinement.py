@@ -105,9 +105,6 @@ class HistoryEntry:
     definitions: dict[str, str]
     score: float
 
-    def __post_init__(self) -> None:
-        check_f1(self, "score")
-
 
 @dataclass
 class FeedbackBundle:
@@ -122,7 +119,8 @@ class FeedbackBundle:
 @dataclass
 class LoopState:
     """Everything that determines the rest of the loop after `iteration`;
-    `refine` updates it in place. Its record is `state.json`."""
+    `refine` updates it in place. It is never saved: a run directory keeps
+    only its progress, and a resume replays the run from iteration 0."""
 
     iteration: int
     current: dict[str, str]
@@ -130,16 +128,9 @@ class LoopState:
     best: dict[str, str]
     phi_best: float
     history: list[HistoryEntry]
-    sample_rng: random.Random = field(metadata={"key": "sample_rng_state"})
-    accept_rng: random.Random = field(metadata={"key": "accept_rng_state"})
+    sample_rng: random.Random
+    accept_rng: random.Random
     llm_calls: int
-
-    def __post_init__(self) -> None:
-        if min(self.iteration, self.llm_calls) < 0:
-            raise ValueError("iteration and llm_calls must be >= 0")
-        # Macro-F1s, and the loop only raises the best to the current score.
-        if not 0 <= self.phi_cur <= self.phi_best <= 1:
-            raise ValueError("require 0 <= phi_cur <= phi_best <= 1")
 
 
 @dataclass
@@ -186,7 +177,7 @@ class RefinementResult:
     best_definitions: dict[str, str]
     phi_best_train: float
     trace: list[TraceRecord]
-    initial: InitialRecord | None
+    initial: InitialRecord
     dev_metrics: MetricsReport
     test_metrics: MetricsReport | None
     test_confusion: ConfusionMatrix | None
@@ -517,7 +508,6 @@ def refine(
     parse_retries: int = 3,
     sample_char_cap: int = DEFAULT_SAMPLE_CHAR_CAP,
     on_iteration: Callable[[InitialRecord | TraceRecord, LoopState], None] | None = None,
-    resume: LoopState | None = None,
 ) -> RefinementResult:
     """Run the refinement loop for up to t_max iterations.
 
@@ -533,15 +523,15 @@ def refine(
     embedded again, and a start set equal to the last one it scored is not
     scored again.
 
-    The loop state is `resume`, or a new one at iteration 0. `on_iteration`
-    receives a record and the state, which fully determines the rest of the
-    run, so callers can persist crash-safe state: first the iteration-0
-    record (`RefinementResult.initial`) of a new state, then each iteration's
+    `on_iteration` receives a record and the loop state: first the
+    iteration-0 record (`RefinementResult.initial`), then each iteration's
     trace record. The state changes in place after each callback returns, so
-    a caller that keeps it must copy it, through its record for example.
+    a caller that keeps any of it must copy it.
 
     `llm.complete`'s call number counts from 0 across the run, the start's
-    draft first; `LoopState.llm_calls` keeps it, so a resume continues it.
+    draft first, and `LoopState.llm_calls` keeps it. The loop always starts
+    at iteration 0: a run is resumed by replaying it with an `llm` that
+    answers the calls it has already taken (`runner.RunDirectory.complete`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -556,31 +546,24 @@ def refine(
     splits.embedded("dev")
 
     llm_calls = 0
-    if resume is not None:
-        current = resume.current
-    elif initial is not None:
+    if initial is not None:
         current = validate_definitions(initial, categories, where="initial definitions")
     else:
         current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
-    cur = splits.scored_start(current)
+    cur = best = splits.scored_start(current)
 
-    state = resume
-    initial_info: InitialRecord | None = None
-    if state is None:
-        phi = cur.phi_train
-        history = [HistoryEntry(dict(current), phi)]
-        sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
-        state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
-        initial_info = InitialRecord(0, phi, cur.dev.macro_f1, dict(current), definitions_hash(current))
-        if on_iteration is not None:
-            on_iteration(initial_info, state)
-    # The best set's scores, known whenever it has been the current set in this call.
-    best = cur if state.best == state.current else None
+    phi = cur.phi_train
+    history = [HistoryEntry(dict(current), phi)]
+    sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
+    state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
+    initial_info = InitialRecord(0, phi, cur.dev.macro_f1, dict(current), definitions_hash(current))
+    if on_iteration is not None:
+        on_iteration(initial_info, state)
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
     trace: list[TraceRecord] = []
 
-    for t in range(state.iteration + 1, t_max + 1):
+    for t in range(1, t_max + 1):
         feedback = _assemble_feedback(strategy, dataset, cur.train_confusion, state.history, state.sample_rng)
         prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
         proposal, calls = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
@@ -624,8 +607,6 @@ def refine(
         if on_iteration is not None:
             on_iteration(record, state)
 
-    if best is None:  # a resumed run's best, set before the resume and no longer current
-        best = splits.with_dev(splits.scored(state.best))
     test_metrics = None
     test_cm = None
     if split_view(dataset, "test"):

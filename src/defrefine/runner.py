@@ -247,11 +247,12 @@ def _check_out_dir(path: Path) -> None:
 
 @contextmanager
 def _disk_errors(where: Path) -> Iterator[None]:
-    """An OSError in the block (a full disk, say) is a ConfigError naming its file, else `where`."""
+    """An OSError in the block (a full disk, say) is a ConfigError naming its
+    file (a rename's target), else `where`."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"{exc.filename or where}: {exc.strerror or exc}") from None
+        raise ConfigError(f"{exc.filename2 or exc.filename or where}: {exc.strerror or exc}") from None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -341,21 +342,17 @@ def _read_records(path: Path, cls) -> list:
     return records
 
 
-def _resumable(path: Path, cls, upto: int | None = None, at_least: int = 0) -> list[tuple[bytes, object]]:
+def _resumable(path: Path, cls) -> list[tuple[bytes, object]]:
     """The lines of a JSONL file that a resume keeps, with their `cls`
-    records: each record, up to iteration `upto` if given. Only the lines
-    after the last record may hold none (a write a kill cut short), and they
-    are dropped; DataError naming the file and line of one that a record
-    follows, or if fewer than `at_least` records are kept."""
+    records. Only the lines after the last record may hold none (a write a
+    kill cut short), and they are dropped; DataError naming the file and
+    line of one that a record follows."""
     lines = list(_jsonl(path, cls))
     last = max((i for i, (_, r) in enumerate(lines) if isinstance(r, cls)), default=-1)
     for _, record in lines[:last]:
         if isinstance(record, DataError):
             raise DataError(f"unresumable corruption: {record}, and a record follows it")
-    kept = [(line, r) for line, r in lines[: last + 1] if upto is None or r.iteration <= upto]
-    if len(kept) < at_least:
-        raise DataError(f"unresumable corruption in {path}: {len(kept)} records < checkpoint {at_least}")
-    return kept
+    return lines[: last + 1]
 
 
 def _rewrite_jsonl(path: Path, kept: list[tuple[bytes, object]]) -> None:
@@ -384,18 +381,19 @@ class RunRecords(NamedTuple):
 class RunDirectory:
     """The files of one refinement run, their write order and their checks.
 
-    A run directory holds a config snapshot, an append-only iteration trace
-    (one JSON record per line, flushed and fsynced per record), a checkpoint
-    that is rewritten atomically after every iteration, a log of accepted
-    definition sets, and a journal of LLM replies, which `complete` answers
-    from. One writer thread writes each iteration's records in iteration
-    order, at most one iteration behind the loop, so the disk work overlaps
-    the next LLM call; the checkpoint is written after the journal and the
-    trace record it covers are fsynced. A kill can lose the last completed
-    iteration's records, which --resume redoes with the journal's replies; a
-    write error still stops the run. An interrupted run continued with
-    --resume reproduces the uninterrupted trace byte for byte when the
-    embedder is deterministic.
+    A run directory holds a config snapshot, a journal of LLM replies, which
+    `complete` answers from, an iteration trace (one JSON record per line,
+    flushed and fsynced per record), a log of accepted definition sets, and
+    a progress record (`state.json`: the iteration and the LLM call count)
+    that is rewritten atomically after every iteration. One writer thread
+    writes each iteration's records in iteration order, at most one
+    iteration behind the loop, so the disk work overlaps the next LLM call;
+    the progress record is written after the journal and the trace record it
+    covers are fsynced; a write error still stops the run. --resume replays
+    the run from iteration 0, its LLM calls answered from the journal, and
+    writes every run file but the config snapshot and the journal again, so
+    it reproduces the uninterrupted files byte for byte when the embedder is
+    deterministic or the store holds every vector the run embedded.
     One process at a time writes a run directory: `open` holds an exclusive
     flock on its `run.lock` from before the first write until `result.json`.
     """
@@ -417,7 +415,7 @@ class RunDirectory:
         return RunConfig.from_file(self._config)
 
     def refuse_checkpointed(self) -> None:
-        """A fresh run may not replace one that has checkpointed."""
+        """A fresh run may not replace one that has checkpointed (written `state.json`)."""
         if self._state.exists():
             raise ConfigError(f"run directory already exists: {self.path} (pass --resume or change --out)")
 
@@ -452,20 +450,17 @@ class RunDirectory:
                 )
 
     @contextmanager
-    def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[LoopState | None]:
-        """Make, lock and open the directory of cfg's run until the block ends;
-        yield the saved loop state of a resumed run that has one, else None.
-        ConfigError at once if a regular file blocks the directory's path or
-        another process holds `run.lock`, and before a resumed run's files
-        change if an input file it reads again has: the dataset, its
-        categories file or the initial definitions file. DataError, also
-        before they change, if a definition set of the saved state fails
-        `validate_definitions` or a line of the trace, the definitions log
-        or the journal fails `_resumable`. A fresh run empties the journal;
-        a resume keeps all of it, and its replies answer the calls they hold.
-        The run's input files go to `inputs.json` with the iteration-0 records,
-        and a resume rewrites it once the checks pass, so it pins what the
-        run goes on with.
+    def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[None]:
+        """Make, lock and open the directory of cfg's run until the block ends,
+        for a run from iteration 0: the trace and the definitions log start
+        empty. ConfigError at once if a regular file blocks the directory's
+        path or another process holds `run.lock`. A fresh run empties the
+        journal; a resume keeps it, and its replies answer the calls they
+        hold. Before a resume changes any file: ConfigError if the run has
+        checkpointed and an input file it reads again has changed (the
+        dataset, its categories file or the initial definitions file), and
+        DataError if a journal line fails `_resumable`. The run's input files
+        go to `inputs.json` with the iteration-0 records.
         At exit it waits for the pending records: a write error outranks the
         block's, it came first."""
         _make_dir(self.path)
@@ -478,45 +473,27 @@ class RunDirectory:
                 # Another run may have checkpointed here while this one set up.
                 self.refuse_checkpointed()
                 _write_json(self._config, cfg.to_snapshot())
-            saved, rewrites = None, {}
-            if resume and self._state.exists():
-                saved = _read_record(LoopState, self._state, "state file")
-                self._check_inputs(cfg, to_json(inputs.files))
-                self._check_saved_definitions(saved, inputs.splits.dataset.categories)
-                rewrites[self._trace] = _resumable(self._trace, TraceRecord, saved.iteration, saved.iteration)
-                rewrites[self._defs_log] = _resumable(self._defs_log, LogEntry, saved.iteration)
-            if resume:  # a torn last line goes before the journal is appended to
-                rewrites[self._journal] = _resumable(self._journal, ReplyRecord)
-            # Every check has passed: only now do the files change.
-            for path, kept in rewrites.items():
-                _rewrite_jsonl(path, kept)
-            if saved is not None:
-                _atomic_write_json(self._inputs, to_json(inputs.files))
-            self._replies = {r.call: r for _, r in rewrites.get(self._journal, [])}
+            kept = []
+            if resume:
+                if self._state.exists():  # else nothing was checkpointed: verify's copy, or a kill before it
+                    self._check_inputs(cfg, to_json(inputs.files))
+                    if not self._journal.exists():
+                        log.warning("%s has no llm_replies.jsonl: its LLM calls will be asked again", self.path)
+                kept = _resumable(self._journal, ReplyRecord)
+                _rewrite_jsonl(self._journal, kept)  # a torn last line goes before the journal is appended to
+            self._replies = {r.call: r for _, r in kept}
             self._llm = inputs.llm
-            # Without a saved state the run starts over, replacing what a run killed
-            # before its first state.json left behind.
-            mode = "a" if saved is not None else "w"
             self._inputs_json = to_json(inputs.files)
             with (
-                open(self._trace, mode, encoding="utf-8") as self._trace_out,
-                open(self._defs_log, mode, encoding="utf-8") as self._defs_out,
+                open(self._trace, "w", encoding="utf-8") as self._trace_out,
+                open(self._defs_log, "w", encoding="utf-8") as self._defs_out,
                 open(self._journal, "a" if resume else "w", encoding="utf-8") as self._journal_out,
                 ThreadPoolExecutor(max_workers=1, thread_name_prefix="run-writer") as self._writer,
             ):
                 try:
-                    yield saved
+                    yield
                 finally:
                     self._wait()
-
-    def _check_saved_definitions(self, saved: LoopState, categories: Sequence[str]) -> None:
-        """Put each definition set of the saved state through `validate_definitions`."""
-        where = f"state file {self._state} key"
-        saved.current = validate_definitions(saved.current, categories, DataError, f"{where} current")
-        saved.best = validate_definitions(saved.best, categories, DataError, f"{where} best")
-        for i, entry in enumerate(saved.history):
-            at = f"{where} history[{i}].definitions"
-            entry.definitions = validate_definitions(entry.definitions, categories, DataError, at)
 
     def complete(self, prompt: str, call: int) -> str:
         """The text that answers the run's LLM call: the journal's, once the
@@ -534,12 +511,12 @@ class RunDirectory:
         self._journal_out.flush()
         return text
 
-    def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, state: dict) -> None:
+    def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, progress: dict) -> None:
         """One iteration's records, in order: the fsynced journal, once the
         run has taken a reply, then inputs.json and initial.json (the
         record), or the fsynced trace line, the accepted set, then
         state.json, which counts no reply the journal could lose."""
-        if state["llm_calls"]:
+        if progress["llm_calls"]:
             os.fsync(self._journal_out.fileno())
         if record.iteration == 0:
             _atomic_write_json(self._inputs, self._inputs_json)
@@ -551,7 +528,7 @@ class RunDirectory:
         if entry is not None:
             self._defs_out.write(json.dumps(to_json(entry)) + "\n")
             self._defs_out.flush()
-        _atomic_write_json(self._state, state)
+        _atomic_write_json(self._state, progress)
 
     def _wait(self) -> None:
         """Wait for the pending iteration's records; re-raise its write error."""
@@ -561,14 +538,14 @@ class RunDirectory:
 
     def on_iteration(self, record: InitialRecord | TraceRecord, state: LoopState) -> None:
         """Hand one iteration's records to the writer once the previous iteration's are written."""
-        # The state changes in place once this returns: take its record now.
-        # The loop makes a new record, and new definition sets, each time and
-        # never changes them, so the writer serialises those.
+        # The state changes in place once this returns: take what is kept of it
+        # now. The loop makes a new record, and new definition sets, each time
+        # and never changes them, so the writer serialises those.
         t = state.iteration
         entry = LogEntry(t, state.phi_cur, state.current) if t == 0 or record.accepted else None
-        snapshot = to_json(state)
+        progress = {"iteration": t, "llm_calls": state.llm_calls}
         self._wait()
-        self._pending = self._writer.submit(self._persist, record, entry, snapshot)
+        self._pending = self._writer.submit(self._persist, record, entry, progress)
 
     def finish(self, result: RefinementResult, categories: Sequence[str]) -> None:
         """Write the evaluation of the best definitions after every iteration's records."""
@@ -691,7 +668,7 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
     # Everything that can reject the config runs before the run directory exists.
     with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
         check_dataset(inputs.splits.dataset, cfg.strategy)
-        with _disk_errors(run.path), run.open(cfg, resume, inputs) as saved:
+        with _disk_errors(run.path), run.open(cfg, resume, inputs):
             result = refine(
                 inputs.splits,
                 cfg.strategy,
@@ -704,7 +681,6 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
                 parse_retries=cfg.parse_retries,
                 sample_char_cap=cfg.sample_char_cap,
                 on_iteration=run.on_iteration,
-                resume=saved,
             )
             run.finish(result, inputs.splits.dataset.categories)
     test_phi = result.test_metrics.macro_f1 if result.test_metrics else float("nan")

@@ -14,6 +14,7 @@ import pytest
 from defrefine import errors
 from defrefine.corpus import Dataset, Document
 from defrefine.embeddings import EmbedderConfig, EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider, row_norms
+from defrefine.llm import ScriptedLlm
 
 TOY_CATEGORIES = ("alpha", "beta", "gamma")
 
@@ -70,6 +71,52 @@ def write_jsonl_dataset(path: Path, dataset: Dataset) -> Path:
                 json.dumps({"id": d.id, "text": d.text, "label": d.label, "split": d.split}) + "\n"
             )
     return path
+
+
+def write_config(base: Path, dataset: Dataset, script, t_max=6, seed=11, extra=None) -> Path:
+    """A refine config in base, with the dataset and the LLM script it names
+    beside it: a mock embedder, a scripted LLM, m3 with k = m = 2, and
+    `extra` over the top-level keys."""
+    write_jsonl_dataset(base / "data.jsonl", dataset)
+    (base / "script.json").write_text(json.dumps(script))
+    raw = {
+        "dataset": {"path": "data.jsonl", "format": "jsonl"},
+        "embedder": {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed"},
+        "llm": {"endpoint": "script:script.json", "model_id": "scripted"},
+        "strategy": {"name": "m3", "k": 2, "m": 2},
+        "seed": seed,
+        "t_max": t_max,
+        "out_dir": "runs",
+    }
+    if extra:
+        raw.update(extra)
+    path = base / "config.json"
+    path.write_text(json.dumps(raw, indent=2))
+    return path
+
+
+class Killed(BaseException):
+    """A kill, where a test stops a run."""
+
+
+def asked(monkeypatch, client=ScriptedLlm) -> dict[str, list]:
+    """Record, from now on, each call number that an LLM client of class
+    `client` is asked for ("calls") and each text that the mock embedding
+    provider embeds ("texts"); the caller may clear the lists."""
+    found = {"calls": [], "texts": []}
+    complete, embed_batch = client.complete, MockEmbeddingProvider.embed_batch
+
+    def recording_complete(self, prompt, call):
+        found["calls"].append(call)
+        return complete(self, prompt, call)
+
+    def recording_embed_batch(self, texts):
+        found["texts"].extend(texts)
+        return embed_batch(self, texts)
+
+    monkeypatch.setattr(client, "complete", recording_complete)
+    monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", recording_embed_batch)
+    return found
 
 
 class UnreadableFile(io.RawIOBase):

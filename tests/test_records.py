@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -16,9 +15,8 @@ from defrefine.embeddings import EmbedderConfig
 from defrefine.errors import ConfigError, DataError
 from defrefine.llm import LlmConfig, ScriptedLlm
 from defrefine.records import from_json, to_json
-from defrefine.refinement import AnnealingSchedule, HistoryEntry, InitialRecord, LoopState, StrategyConfig, TraceRecord
+from defrefine.refinement import AnnealingSchedule, InitialRecord, StrategyConfig, TraceRecord
 from defrefine.runner import DatasetConfig, InitConfig, LogEntry, ReplyRecord, ResultRecord, RunConfig
-from defrefine.seeding import make_rng
 
 DEFS = {"alpha": "About alpha.", "beta": "About beta."}
 
@@ -51,28 +49,6 @@ def test_round_trip_in_key_order(record):
     payload = json.loads(json.dumps(to_json(record)))
     assert list(payload) == [records.key(f) for f in dataclasses.fields(record)]
     assert from_json(type(record), payload, "record", DataError) == record
-
-
-def test_loop_state_round_trip():
-    history = [HistoryEntry(DEFS, 0.5), HistoryEntry({**DEFS, "beta": "Beta."}, 0.75)]
-    state = LoopState(3, DEFS, 0.75, DEFS, 0.75, history, make_rng(1, "a"), make_rng(1, "b"), 5)
-    state.sample_rng.random()
-    payload = json.loads(json.dumps(to_json(state)))
-    assert list(payload) == [
-        "iteration",
-        "current",
-        "phi_cur",
-        "best",
-        "phi_best",
-        "history",
-        "sample_rng_state",
-        "accept_rng_state",
-        "llm_calls",
-    ]
-    back = from_json(LoopState, payload, "state", DataError)
-    assert to_json(back) == to_json(state)
-    assert back.history == history
-    assert [back.sample_rng.random(), back.accept_rng.random()] == [state.sample_rng.random(), state.accept_rng.random()]
 
 
 @dataclass
@@ -175,11 +151,3 @@ def test_paths_resolve_against_the_base_directory(tmp_path):
     assert from_json(Sample, raw, "sample", DataError).where == Path("sub/file.txt")
     absolute = {**BASE, "where": "/abs/file.txt"}
     assert from_json(Sample, absolute, "sample", DataError, tmp_path).where == Path("/abs/file.txt")
-
-
-def test_rng_state_that_is_not_one_is_named():
-    state = LoopState(0, DEFS, 0.5, DEFS, 0.5, [], random.Random(1), random.Random(2), 0)
-    for damaged in ([3, [1], None], [3, [-1] * 625, None], "abc", None):
-        payload = {**to_json(state), "accept_rng_state": damaged}
-        with pytest.raises(DataError, match="^state key accept_rng_state "):
-            from_json(LoopState, payload, "state", DataError)

@@ -10,18 +10,17 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from defrefine import classifier
+from defrefine import classifier, runner
 from defrefine.corpus import Document
 from defrefine.embeddings import EmbeddingGateway
 from defrefine.errors import DataError, DefinitionParseError
 from defrefine.evaluation import confusion_matrix, macro_f1
-from defrefine.llm import HttpLlm, LlmConfig, ScriptedLlm
-from defrefine.records import from_json, to_json
+from defrefine.llm import HttpLlm, ScriptedLlm
+from defrefine.records import to_json
 from defrefine.refinement import (
     AnnealingSchedule,
     FeedbackBundle,
     HistoryEntry,
-    LoopState,
     Splits,
     StrategyConfig,
     accept,
@@ -36,11 +35,14 @@ from defrefine.refinement import (
 
 from conftest import (
     TOY_CATEGORIES,
+    Killed,
+    asked,
     ideal_definitions,
     junk_definitions,
     last_category_only_in_test,
     mock_gateway,
     separable_dataset,
+    write_config,
 )
 
 
@@ -396,6 +398,65 @@ def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=Non
     return result, llm
 
 
+# The run files a resume must reproduce byte for byte: the three that
+# `verify` checks, the progress record and the journal.
+RUN_FILES = ("trace.jsonl", "definitions_log.jsonl", "result.json", "state.json", "llm_replies.jsonl")
+
+
+def _finished_run(base, config):
+    """The run directory of an uncut `refine` of `config(base)`."""
+    base.mkdir()
+    cfg_path = config(base)
+    assert runner.main(["refine", "--config", str(cfg_path)]) == runner.EXIT_OK
+    return runner.run_dir_for(runner.RunConfig.from_file(cfg_path), "refine")
+
+
+def _killed_at(monkeypatch, iteration, argv):
+    """Run the command `argv`, killed as it hands over the records of `iteration`."""
+    on_iteration = runner.RunDirectory.on_iteration
+
+    def killed(run, record, state):
+        if record.iteration == iteration:
+            raise Killed
+        on_iteration(run, record, state)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(runner.RunDirectory, "on_iteration", killed)
+        with pytest.raises(Killed):
+            runner.main(argv)
+
+
+def _resumes_from_every_kill(tmp_path, monkeypatch, config, t_max, client=ScriptedLlm):
+    """Run `config(base)` uncut, then once per iteration t: killed at t, and
+    resumed. Each resumed run's files equal the uncut run's, and `verify`
+    passes on it. The kill and the resume together ask the LLM client (of
+    class `client`) each call once, in order, and the mock embedding
+    provider each text once, as the uncut run does: the resume asks for
+    nothing its journal or its store holds. The uncut run's directory and,
+    per t, the calls the killed run asked."""
+    found = asked(monkeypatch, client)
+    uncut = _finished_run(tmp_path / "uncut", config)
+    calls, texts = list(found["calls"]), sorted(found["texts"])
+    assert calls == list(range(len(calls)))
+    killed_calls = []
+    for t in range(t_max + 1):
+        base = tmp_path / f"killed-at-{t}"
+        base.mkdir()
+        cfg_path = config(base)
+        run_dir = runner.run_dir_for(runner.RunConfig.from_file(cfg_path), "refine")
+        found["calls"].clear()
+        found["texts"].clear()
+        _killed_at(monkeypatch, t, ["refine", "--config", str(cfg_path)])
+        killed_calls.append(list(found["calls"]))
+        assert runner.main(["refine", "--config", str(cfg_path), "--resume"]) == runner.EXIT_OK
+        assert found["calls"] == calls, t
+        assert sorted(found["texts"]) == texts, t
+        for name in RUN_FILES:
+            assert (run_dir / name).read_bytes() == (uncut / name).read_bytes(), (t, name)
+        assert runner.main(["verify", str(run_dir)]) == runner.EXIT_OK
+    return uncut, killed_calls
+
+
 def _running_best(result):
     best = result.initial.phi_train
     out = []
@@ -473,12 +534,12 @@ class TestRefineLoop:
         assert rows.count(n_train) == 1 + parsed
 
     @pytest.mark.parametrize("resume_after", [None, 2, 4])
-    def test_each_definition_set_is_embedded_once(self, monkeypatch, resume_after):
+    def test_each_definition_set_is_embedded_once(self, tmp_path, monkeypatch, resume_after):
         # m2 accepts every parsed proposal, so each is scored on train and on
         # dev, from one embedding, and the best set is kept with its scores:
-        # dev is scored for the start set and each accepted proposal. Only a
-        # resumed run whose best set predates the resume, and is no longer
-        # current, embeds and scores that set once more for dev and test.
+        # dev is scored for the start set and each accepted proposal. A run
+        # killed after iteration `resume_after` and resumed replays it, so the
+        # resume embeds and scores the same sets, each once.
         n_dev = 2 * len(TOY_CATEGORIES)  # apart from train's 9 rows and test's 3
         embedded, rows = [], []
         embed_definitions, classify = EmbeddingGateway.embed_definitions, classifier.classify
@@ -499,149 +560,80 @@ class TestRefineLoop:
             json.dumps(ideal_definitions()),
             json.dumps(junk_definitions(2)),
         ]
-        strategy = StrategyConfig("m2", k_confused=2, m_history=2)
-        checkpoints = {}
-
-        def keep(record, state):
-            # The state is live: keep a copy of it.
-            checkpoints.setdefault(record.iteration, from_json(LoopState, to_json(state), "state", ValueError))
-
-        def run(resume=None):
-            return refine(
-                Splits(separable_dataset(n_train=3, n_dev=2, n_test=1), mock_gateway()),
-                strategy,
-                AnnealingSchedule(),
-                ScriptedLlm(script),
-                seed=7,
-                t_max=len(script),
-                parse_retries=0,
-                on_iteration=keep,
-                resume=resume,
-            )
-
-        result = run()
-        assert result.trace[-1].accepted and result.best_definitions != json.loads(script[-1])
-        start = checkpoints[resume_after or 0].current  # a resume replaces it in the live state
+        dataset = separable_dataset(n_train=3, n_dev=2, n_test=1)
+        extra = {"strategy": {"name": "m2", "k": 2, "m": 2}, "parse_retries": 0}
+        cfg_path = write_config(tmp_path, dataset, script, t_max=len(script), seed=7, extra=extra)
+        argv = ["refine", "--config", str(cfg_path)]
         if resume_after is not None:
-            embedded.clear()
-            rows.clear()
-            result = run(checkpoints[resume_after])
-        proposals = [json.loads(reply) for reply in script[resume_after or 0 :] if reply != "not json"]
-        best_again = [result.best_definitions] if resume_after == len(script) else []
-        assert embedded[0] == start
-        assert embedded[1:] == proposals + best_again
+            _killed_at(monkeypatch, resume_after, argv)
+            argv.append("--resume")
+        embedded.clear()
+        rows.clear()
+        assert runner.main(argv) == runner.EXIT_OK
+        run_dir = runner.run_dir_for(runner.RunConfig.from_file(cfg_path), "refine")
+        trace = [json.loads(line) for line in (run_dir / "trace.jsonl").read_text().splitlines()]
+        best = json.loads((run_dir / "result.json").read_text())["best_definitions"]
+        assert trace[-1]["accepted"] and best != json.loads(script[-1])
+        proposals = [json.loads(reply) for reply in script if reply != "not json"]
+        assert embedded == [initial_definitions(TOY_CATEGORIES)[0]] + proposals
         assert rows.count(n_dev) == len(embedded)
 
     @pytest.mark.parametrize("name", ["m1", "m2", "m3"])
-    def test_resume_from_every_iteration_matches_uninterrupted(self, name):
-        # Each state handed to on_iteration goes through its JSON form and
-        # resumes the run in-process, as `refine --resume` does from state.json.
+    def test_resume_from_every_iteration_matches_uninterrupted(self, tmp_path, monkeypatch, name):
+        # The run is killed at each iteration in turn and resumed with
+        # `refine --resume`, which replays it from its reply journal.
         script = [json.dumps(junk_definitions(1)), "not json", json.dumps(ideal_definitions())]
         script += [json.dumps(junk_definitions(i)) for i in (4, 5, 6)]
         t_max = len(script)
-        saved = {}
+        extra = {"strategy": {"name": name, "k": 2, "m": 2}, "parse_retries": 0}
 
-        def save(record, state):
-            saved.setdefault(record.iteration, json.dumps(to_json(state)))
+        def config(base):
+            return write_config(base, separable_dataset(), script, t_max=t_max, seed=7, extra=extra)
 
-        def run(resume=None):
-            return refine(
-                Splits(separable_dataset(), mock_gateway()),
-                StrategyConfig(name, k_confused=2, m_history=2),
-                AnnealingSchedule(),
-                ScriptedLlm(script),
-                seed=7,
-                t_max=t_max,
-                parse_retries=0,
-                on_iteration=save,
-                resume=resume,
-            )
-
-        full = run()
-        assert sorted(saved) == list(range(t_max + 1))
-        assert [r.accepted for r in full.trace].count(False) == (1 if name != "m3" else 4)
-        for abort in range(t_max + 1):
-            state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
-            resumed = run(state)
-            assert resumed.trace == full.trace[abort:]
-            assert resumed.best_definitions == full.best_definitions
-            assert resumed.phi_best_train == full.phi_best_train
-            assert json.dumps(to_json(state)) == saved[t_max]
+        uncut, _ = _resumes_from_every_kill(tmp_path, monkeypatch, config, t_max)
+        trace = [json.loads(line) for line in (uncut / "trace.jsonl").read_text().splitlines()]
+        assert [r["accepted"] for r in trace].count(False) == (1 if name != "m3" else 4)
 
     @pytest.mark.parametrize("name", ["m1", "m3"])
-    def test_llm_generated_start_resumes_from_every_iteration(self, name):
+    def test_llm_generated_start_resumes_from_every_iteration(self, tmp_path, monkeypatch, name):
         # A client with nothing but `complete` drafts the start, with a parse
-        # retry, and is resumed in-process from every checkpoint: the state
-        # counts the draft's calls, and a resumed run asks for the calls after.
+        # retry, and the run is killed at every iteration and resumed: the
+        # run counts the draft's calls, and a resume asks only for the calls
+        # its journal lacks.
         drafted = {c: f"drafted definition of {c}" for c in TOY_CATEGORIES}
         script = ["not json", json.dumps(drafted), json.dumps(junk_definitions(1))]
         script += ["not json", json.dumps(ideal_definitions()), json.dumps(junk_definitions(4))]
         t_max = 3
-        saved = {}
+        monkeypatch.setattr(runner, "build_llm", lambda cfg: CallOnlyLlm(script, []))
+        extra = {"strategy": {"name": name, "k": 2, "m": 2}, "parse_retries": 1, "init": {"mode": "llm_generated"}}
 
-        def save(record, state):
-            saved.setdefault(record.iteration, json.dumps(to_json(state)))
+        def config(base):
+            return write_config(base, separable_dataset(), [], t_max=t_max, seed=7, extra=extra)
 
-        def run(calls, resume=None):
-            return refine(
-                Splits(separable_dataset(), mock_gateway()),
-                StrategyConfig(name, k_confused=2, m_history=2),
-                AnnealingSchedule(),
-                CallOnlyLlm(script, calls),
-                seed=7,
-                t_max=t_max,
-                init_mode="llm_generated",
-                parse_retries=1,
-                on_iteration=save,
-                resume=resume,
-            )
+        uncut, killed_calls = _resumes_from_every_kill(tmp_path, monkeypatch, config, t_max, CallOnlyLlm)
+        assert json.loads((uncut / "initial.json").read_text())["definitions"] == drafted
+        assert json.loads((uncut / "state.json").read_text())["llm_calls"] == len(script)
+        # The calls taken by the end of each iteration.
+        assert [len(calls) for calls in killed_calls] == [2, 3, 5, 6]
 
-        calls = []
-        full = run(calls)
-        assert calls == list(range(len(script)))
-        assert full.initial.definitions == drafted
-        assert [json.loads(saved[t])["llm_calls"] for t in range(t_max + 1)] == [2, 3, 5, 6]
-        for abort in range(t_max + 1):
-            state = from_json(LoopState, json.loads(saved[abort]), "state", ValueError)
-            calls = []
-            resumed = run(calls, state)
-            assert calls == list(range(json.loads(saved[abort])["llm_calls"], len(script)))
-            assert resumed.trace == full.trace[abort:]
-            assert resumed.best_definitions == full.best_definitions
-            assert resumed.phi_best_train == full.phi_best_train
-            assert json.dumps(to_json(state)) == saved[t_max]
-
-    def test_http_runs_write_equal_traces_and_resume_to_them(self, prompt_hash_chat):
+    def test_http_runs_write_equal_traces_and_resume_to_them(self, tmp_path, monkeypatch, prompt_hash_chat):
         # Every reply depends on its prompt alone, so two runs through the HTTP
-        # client, and a resume from each of their checkpoints, agree on every
-        # trace line's bytes: no wall-clock value enters a record.
+        # client, and a resume after a kill at each iteration, agree on every
+        # file's bytes: no wall-clock value enters a record.
         t_max = 6
-        saved = {}
+        llm = {"endpoint": prompt_hash_chat, "model_id": "stub", "retries": 0, "backoff_base": 0}
+        extra = {"llm": llm, "parse_retries": 1}
 
-        def save(record, state):
-            saved.setdefault(record.iteration, json.dumps(to_json(state)))
+        def config(base):
+            return write_config(base, separable_dataset(), [], t_max=t_max, seed=7, extra=extra)
 
-        def run(resume=None):
-            llm = HttpLlm(LlmConfig(prompt_hash_chat, "stub", retries=0, backoff_base=0), api_key="")
-            result = refine(
-                Splits(separable_dataset(), mock_gateway()),
-                StrategyConfig("m3", k_confused=2, m_history=2),
-                AnnealingSchedule(),
-                llm,
-                seed=7,
-                t_max=t_max,
-                parse_retries=1,
-                on_iteration=save,
-                resume=resume,
-            )
-            return [json.dumps(to_json(record)) for record in result.trace]
-
-        full = run()
+        uncut, _ = _resumes_from_every_kill(tmp_path, monkeypatch, config, t_max, HttpLlm)
+        trace = [json.loads(line) for line in (uncut / "trace.jsonl").read_text().splitlines()]
         # Accepted proposals, then Metropolis rejections.
-        assert [json.loads(line)["accepted"] for line in full] == [True] * 3 + [False] * 3
-        assert run() == full
-        for abort in range(t_max + 1):
-            assert run(from_json(LoopState, json.loads(saved[abort]), "state", ValueError)) == full[abort:]
+        assert [r["accepted"] for r in trace] == [True] * 3 + [False] * 3
+        again = _finished_run(tmp_path / "again", config)
+        for name in RUN_FILES:
+            assert (again / name).read_bytes() == (uncut / name).read_bytes(), name
 
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import socket
@@ -41,11 +42,14 @@ from defrefine.seeding import derive_seed
 
 from conftest import (
     TOY_CATEGORIES,
+    Killed,
+    asked,
     fail_input,
     ideal_definitions,
     junk_definitions,
     last_category_only_in_test,
     separable_dataset,
+    write_config,
     write_jsonl_dataset,
 )
 
@@ -60,25 +64,6 @@ def minimal_text_dataset() -> Dataset:
                 docs.append(Document(f"d{i}", f"A webpage about {c}.", c, split))
                 i += 1
     return Dataset("minimal", tuple(TOY_CATEGORIES), tuple(docs))
-
-
-def write_config(tmp_path: Path, dataset: Dataset, script, t_max=6, seed=11, extra=None) -> Path:
-    write_jsonl_dataset(tmp_path / "data.jsonl", dataset)
-    (tmp_path / "script.json").write_text(json.dumps(script))
-    raw = {
-        "dataset": {"path": "data.jsonl", "format": "jsonl"},
-        "embedder": {"endpoint": "mock:dim=32,seed=0", "model_id": "mock-embed"},
-        "llm": {"endpoint": "script:script.json", "model_id": "scripted"},
-        "strategy": {"name": "m3", "k": 2, "m": 2},
-        "seed": seed,
-        "t_max": t_max,
-        "out_dir": "runs",
-    }
-    if extra:
-        raw.update(extra)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw, indent=2))
-    return path
 
 
 def toy_script(t_max, ideal_at=None):
@@ -580,12 +565,13 @@ class TestConfigSnapshot:
 
 
 class TestStateSnapshot:
-    """state.json bytes are pinned: old run directories must still resume.
-    So are the bytes of the run's trace, definitions log and result."""
+    """The bytes of state.json, the progress record, are pinned: the
+    benchmark reads its llm_calls. So are the bytes of the run's trace,
+    definitions log and result."""
 
     GOLDEN_SHA256 = {
-        0: "73fa012709467dd9788d02a920fc69357b0834f7852919dd40caf473f44c9f80",
-        6: "9163aa7e07b94a259a8df427573ea646dbdea6b16033816940eaa847d0add8d1",
+        0: "c11750a09d1bc55e9408bedacac8e01636343f82cbfb1dfae2e89c2934bb99ef",
+        6: "a60bbe16fd4adf4c8d420914013b5ba5a9a3d49139362425256c0f8fa50bb788",
     }
     GOLDEN_FILES_SHA256 = {
         "trace.jsonl": "d002b086042a7406c97b325dbbf37ae1430ca1415ff106b2aba612938e7480a7",
@@ -617,10 +603,6 @@ class TestStateSnapshot:
         assert digests == self.GOLDEN_SHA256
         files = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in self.GOLDEN_FILES_SHA256}
         assert files == self.GOLDEN_FILES_SHA256
-
-
-class _Killed(BaseException):
-    """A kill, where a test stops a run."""
 
 
 def _syncs(fd: int, path: Path) -> bool:
@@ -793,28 +775,42 @@ class TestWriter:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    @pytest.mark.parametrize("name", ["trace.jsonl", "definitions_log.jsonl"])
-    def test_resume_stopped_while_it_rewrites_a_file_resumes_again(self, tmp_path, monkeypatch, name):
-        # A resume cuts the trace and the log back to the checkpoint. Stopped
-        # 10 bytes into that rewrite, as a kill would leave it, the file it
-        # rewrites must still hold every record the next resume needs.
+    @pytest.mark.parametrize("at", ["journal-rewrite", "replay"])
+    def test_resume_killed_during_its_replay_resumes_again(self, tmp_path, monkeypatch, at):
+        # A resume rewrites the journal without a torn last line, then replays
+        # the run from iteration 0 over a new trace and log. Killed 10 bytes
+        # into the journal's rewrite, or at iteration 2, before the replay
+        # has caught up with the checkpoint at iteration 3, it leaves every
+        # reply the next resume needs.
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
-        write_bytes = Path.write_bytes
+        write_bytes, on_iteration = Path.write_bytes, runner.RunDirectory.on_iteration
 
         def stopped(path, data):
-            if path.name.startswith(name):
+            if path.name.startswith("llm_replies.jsonl"):
                 write_bytes(path, data[:10])
-                raise _Killed
+                raise Killed
             return write_bytes(path, data)
 
+        def killed_at_2(run, record, state):
+            if record.iteration == 2:
+                raise Killed
+            on_iteration(run, record, state)
+
         with monkeypatch.context() as patched:
-            patched.setattr(Path, "write_bytes", stopped)
-            with pytest.raises(_Killed):
+            if at == "journal-rewrite":
+                patched.setattr(Path, "write_bytes", stopped)
+            else:
+                patched.setattr(runner.RunDirectory, "on_iteration", killed_at_2)
+            with pytest.raises(Killed):
                 main(["refine", "--config", str(cfg_path), "--resume"])
+        if at == "replay":
+            assert len((run_dir / "trace.jsonl").read_text().splitlines()) == 1
+            assert json.loads((run_dir / "state.json").read_text()) == {"iteration": 1, "llm_calls": 1}
+        assert [reply["call"] for reply in _journal(run_dir)] == [0, 1, 2]
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
-        for file in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+        for file in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
             assert (uncut / file).read_bytes() == (run_dir / file).read_bytes(), file
 
 
@@ -937,6 +933,27 @@ class TestBaseline:
         assert first == second
 
 
+def _loop_state(run_dir: Path) -> dict:
+    """The run's `state.json` as runs wrote it before it became a progress
+    record: the whole loop state at its iteration, its rng states included.
+    The sets and scores are the start's."""
+    progress = json.loads((run_dir / "state.json").read_text())
+    initial = json.loads((run_dir / "initial.json").read_text())
+    defs, phi = initial["definitions"], initial["phi_train"]
+    rng_state = [3, list(random.Random(0).getstate()[1]), None]
+    return {
+        "iteration": progress["iteration"],
+        "current": defs,
+        "phi_cur": phi,
+        "best": defs,
+        "phi_best": phi,
+        "history": [{"definitions": defs, "score": phi}],
+        "sample_rng_state": rng_state,
+        "accept_rng_state": rng_state,
+        "llm_calls": progress["llm_calls"],
+    }
+
+
 def _state_with(**changes):
     """A damage to state.json: the saved state with `changes` applied."""
     return lambda state: json.dumps({**state, **changes})
@@ -1026,17 +1043,17 @@ class TestRefineRuns:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (runs["surrogate"] / name).read_bytes() == (runs["not-json"] / name).read_bytes(), name
 
-    def test_resume_with_a_short_trace_is_data_error(self, tmp_path):
-        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
-        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
-        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+    def test_resume_with_a_short_trace_resumes_as_if_uncut(self, tmp_path):
+        uncut = _uncut_run(tmp_path, toy_script(6), t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, toy_script(6), t_max=6)
         trace = run_dir / "trace.jsonl"
         lines = trace.read_text().splitlines(keepends=True)
         assert len(lines) == 3
         # state.json says iteration 3, but only two records survive.
         trace.write_text("".join(lines[:2]))
-        (tmp_path / "script.json").write_text(json.dumps(toy_script(6)))
-        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     @pytest.mark.parametrize("resume", [False, True])
     def test_restart_before_first_checkpoint_starts_over(self, tmp_path, monkeypatch, resume):
@@ -1097,19 +1114,16 @@ class TestRefineRuns:
             pytest.param(_definitions_damaged("history", "gamma", " "), id="history-empty-definition"),
         ],
     )
-    def test_damaged_state_is_data_error(self, tmp_path, capsys, damage):
-        # The run directory is left as it was, so it can be repaired and resumed.
-        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(6)[:3], t_max=6)
-        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
-        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+    def test_damaged_state_resumes_as_if_uncut(self, tmp_path, damage):
+        # state.json is the run's progress record, which a resume never reads:
+        # it replays the run from its journal and writes the record again.
+        uncut = _uncut_run(tmp_path, toy_script(6), t_max=6)
+        cfg_path, run_dir = _cut_run(tmp_path, toy_script(6), t_max=6)
         state_path = run_dir / "state.json"
-        state_path.write_text(damage(json.loads(state_path.read_text())))
-        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        (tmp_path / "script.json").write_text(json.dumps(toy_script(6)))
-        capsys.readouterr()
-        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
-        assert str(state_path) in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        state_path.write_text(damage(_loop_state(run_dir)))
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "state.json"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "junk",
@@ -1126,73 +1140,49 @@ class TestRefineRuns:
         ],
         ids=lambda junk: junk[:20],
     )
-    def test_trace_line_that_is_not_a_record_is_skipped(self, tmp_path, capsys, junk):
+    def test_trace_line_that_is_not_a_record_resumes_as_if_uncut(self, tmp_path, junk):
+        # A resume writes the trace and the definitions log again from
+        # iteration 0, and never reads them: a bad line in place of a record,
+        # or after the last one, changes nothing.
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
-        cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=6)
-        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
-        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
-        trace = run_dir / "trace.jsonl"
-        lines = trace.read_text().splitlines(keepends=True)
-        (tmp_path / "script.json").write_text(json.dumps(script))
-
-        # In place of a record, the line leaves fewer records than state.json
-        # covers: exit 3, nothing changed.
-        trace.write_text("".join(lines[:1] + [junk + "\n"] + lines[2:]))
-        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        capsys.readouterr()
-        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
-        assert str(trace) in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-
-        # Beside every record, it is dropped and the run resumes as if uncut.
-        trace.write_text("".join(lines + [junk + "\n"]))
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        for name, number in (("trace.jsonl", 2), ("definitions_log.jsonl", 1)):
+            lines = (run_dir / name).read_text().splitlines(keepends=True)
+            (run_dir / name).write_text("".join(lines[: number - 1] + [junk + "\n"] + lines[number:] + [junk + "\n"]))
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    def test_trace_line_that_is_not_utf8_is_skipped(self, tmp_path, capsys):
+    def test_trace_line_that_is_not_utf8_resumes_as_if_uncut(self, tmp_path):
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
-        cfg_path = write_config(tmp_path, separable_dataset(), script[:3], t_max=6)
-        assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
-        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
         trace = run_dir / "trace.jsonl"
         lines = trace.read_bytes().splitlines(keepends=True)
         assert len(lines) == 3
-        (tmp_path / "script.json").write_text(json.dumps(script))
-
-        trace.write_bytes(b"".join(lines[:1] + [b"\xff\xfe\n"] + lines[2:]))
-        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        capsys.readouterr()
-        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
-        assert str(trace) in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-
-        trace.write_bytes(b"".join(lines + [b"\xff\xfe\n"]))
+        trace.write_bytes(b"".join(lines[:1] + [b"\xff\xfe\n"] + lines[2:] + [b"\xff\xfe\n"]))
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_line_that_a_record_follows_stops_the_resume(self, tmp_path, capsys):
-        # Before, the resume dropped both lines and exited 0: its log lost
-        # iteration 0's entry, and its journal lost call 1.
+        # Before, the resume dropped the line and exited 0: its journal lost
+        # call 1. The journal is the one run file a resume reads back.
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
-        originals = {}
-        for name, number in (("definitions_log.jsonl", 1), ("llm_replies.jsonl", 2)):
-            lines = (run_dir / name).read_bytes().splitlines(keepends=True)
-            originals[name] = b"".join(lines)
-            (run_dir / name).write_bytes(b"".join(lines[: number - 1] + [b"{not json}\n"] + lines[number:]))
-        for name, number in (("definitions_log.jsonl", 1), ("llm_replies.jsonl", 2)):
-            before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-            capsys.readouterr()
-            assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
-            error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
-            assert f"{run_dir / name} line {number}" in error, error
-            assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-            (run_dir / name).write_bytes(originals[name])
+        journal = run_dir / "llm_replies.jsonl"
+        original = journal.read_bytes()
+        lines = original.splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:1] + [b"{not json}\n"] + lines[2:]))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_DATA
+        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{journal} line 2" in error, error
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        journal.write_bytes(original)
 
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
@@ -1491,12 +1481,12 @@ class TestReplyJournal:
 
         def killed_at_3(run, record, state):
             if record.iteration == 3:
-                raise _Killed
+                raise Killed
             on_iteration(run, record, state)
 
         with monkeypatch.context() as patched:
             patched.setattr(runner.RunDirectory, "on_iteration", killed_at_3)
-            with pytest.raises(_Killed):
+            with pytest.raises(Killed):
                 main(["refine", "--config", str(cfg_path)])
         assert json.loads((run_dir / "state.json").read_text())["llm_calls"] == 2
         assert [reply["call"] for reply in _journal(run_dir)] == [0, 1, 2, 3]
@@ -1538,7 +1528,7 @@ class TestReplyJournal:
         assert str(run_dir / "llm_replies.jsonl") in error and "call 3" in error, error
         assert (run_dir / "state.json").read_bytes() == state
 
-    def test_directory_from_before_the_journal_resumes_and_reports(self, tmp_path, capsys, offline):
+    def test_directory_from_before_the_journal_resumes_and_reports(self, tmp_path, capsys, caplog, offline):
         script = toy_script(6, ideal_at=4)
         uncut = _uncut_run(tmp_path, script, t_max=6)
         cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
@@ -1549,21 +1539,63 @@ class TestReplyJournal:
         assert main(["report", str(run_dir)]) == EXIT_OK
         shutil.rmtree(run_dir / "reports")
 
+        caplog.clear()
         assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
-        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json"):
+        assert caplog.text.count("has no llm_replies.jsonl: its LLM calls will be asked again") == 1
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
         assert "llm_replies" not in json.loads((run_dir / "inputs.json").read_text())
-        # The journal holds the calls from the resume on: a replay needs them all.
-        assert [reply["call"] for reply in _journal(run_dir)] == [3, 4, 5]
+        # The replay asked every call again, so the journal holds them all.
+        assert [reply["call"] for reply in _journal(run_dir)] == [0, 1, 2, 3, 4, 5]
         capsys.readouterr()
-        assert main(["verify", str(run_dir)]) == EXIT_DATA
-        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
-        assert f"{run_dir / 'llm_replies.jsonl'} lacks call 0" in error, error
+        assert main(["verify", str(run_dir)]) == EXIT_OK
         assert main(["report", str(run_dir)]) == EXIT_OK
         (run_dir / "llm_replies.jsonl").unlink()
         assert main(["verify", str(run_dir)]) == EXIT_DATA
         error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
         assert f"{run_dir / 'llm_replies.jsonl'} not found" in error, error
+
+    def test_resume_of_a_finished_run_asks_nothing(self, tmp_path, monkeypatch):
+        # On an intact store, the replay takes every reply from the journal
+        # and every vector from the store, and writes the same files.
+        run_dir = _uncut_run(tmp_path, toy_script(6, ideal_at=4), t_max=6)
+        before = _digests(run_dir.parent)
+        assert run_dir.parent / "embedding_cache.bin" in before
+        found = asked(monkeypatch)
+        assert main(["refine", "--config", str(tmp_path / "uncut" / "config.json"), "--resume"]) == EXIT_OK
+        assert found == {"calls": [], "texts": []}
+        assert _digests(run_dir.parent) == before
+
+    def test_resume_after_the_store_is_lost_embeds_again(self, tmp_path, monkeypatch):
+        # The mock embedder is deterministic, so the replay's vectors, and
+        # with them its prompts and files, are those of the uncut run.
+        script = toy_script(6, ideal_at=4)
+        found = asked(monkeypatch)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        texts = sorted(found["texts"])
+        cfg_path, run_dir = _cut_run(tmp_path, script, t_max=6)
+        (run_dir.parent / "embedding_cache.bin").unlink()
+        found["calls"].clear()
+        found["texts"].clear()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        assert found["calls"] == [3, 4, 5]
+        assert sorted(found["texts"]) == texts
+        for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert main(["verify", str(run_dir)]) == EXIT_OK
+
+    def test_reply_to_another_prompt_leaves_the_journal_and_the_store(self, tmp_path, capsys):
+        run_dir = _uncut_run(tmp_path, toy_script(6, ideal_at=4), t_max=6)
+        journal, store = run_dir / "llm_replies.jsonl", run_dir.parent / "embedding_cache.bin"
+        replies = _journal(run_dir)
+        replies[2]["prompt_sha256"] = _sha256(b"another prompt")
+        journal.write_text("".join(json.dumps(reply) + "\n" for reply in replies))
+        before = {path: path.read_bytes() for path in (journal, store)}
+        capsys.readouterr()
+        assert main(["refine", "--config", str(tmp_path / "uncut" / "config.json"), "--resume"]) == EXIT_DATA
+        error = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+        assert f"{journal} holds call 2 for another prompt" in error, error
+        assert {path: path.read_bytes() for path in (journal, store)} == before
 
     def test_fresh_run_empties_the_journal(self, tmp_path):
         # A run killed before its first checkpoint starts over.
@@ -1607,13 +1639,16 @@ class TestVerify:
     and checks its trace, definitions log and result byte for byte."""
 
     @pytest.fixture(autouse=True)
-    def temp_dir(self, tmp_path, monkeypatch, offline):
-        """verify's temporary directories go here; each test checks it is left empty."""
+    def temp_dir(self, tmp_path, monkeypatch, offline, caplog):
+        """verify's temporary directories go here; each test checks it is
+        left empty, and that the runner logged no warning: the replay's copy
+        has no state.json, so its inputs are checked once, by verify."""
         temp = tmp_path / "temp"
         temp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temp))
         yield temp
         assert list(temp.iterdir()) == []
+        assert [r.getMessage() for r in caplog.get_records("call") if r.name == runner.__name__] == []
 
     @staticmethod
     def _run(tmp_path: Path, script=None, t_max=6, extra=None) -> Path:
@@ -2673,16 +2708,30 @@ class TestUnreadableInputs:
         ids=["report-trace", "resume-state"],
     )
     def test_run_file_that_is_a_directory_is_a_data_error(self, tmp_path, capsys, argv, name):
+        # report reads the trace, and stops before it writes anything. A
+        # resume never reads state.json; it replays the run and fails to
+        # write the progress record, a disk error (exit 1) that names it.
         cfg_path = write_config(tmp_path, separable_dataset(), toy_script(2), t_max=2)
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
         _a_directory(name)(run_dir)
         capsys.readouterr()
         before = _tree(run_dir)
-        assert main([arg.format(run=run_dir, config=cfg_path) for arg in argv]) == EXIT_DATA
-        line = _one_error_line(capsys.readouterr().err, EXIT_DATA)
-        assert f"{run_dir / name} cannot be read: Is a directory" in line
-        assert _tree(run_dir) == before
+        argv = [arg.format(run=run_dir, config=cfg_path) for arg in argv]
+        if name == "trace.jsonl":
+            assert main(argv) == EXIT_DATA
+            line = _one_error_line(capsys.readouterr().err, EXIT_DATA)
+            assert f"{run_dir / name} cannot be read: Is a directory" in line
+            assert _tree(run_dir) == before
+        else:
+            assert main(argv) == EXIT_USAGE
+            line = _one_error_line(capsys.readouterr().err, EXIT_USAGE)
+            assert f"{run_dir / name}: Is a directory" in line, line
+            (run_dir / name).rmdir()
+            assert main(argv) == EXIT_OK
+            uncut = _uncut_run(tmp_path, toy_script(2), t_max=2)
+            for file in ("trace.jsonl", "definitions_log.jsonl", "result.json", "state.json"):
+                assert (uncut / file).read_bytes() == (run_dir / file).read_bytes(), file
 
 
 class TestDatasetRules:
