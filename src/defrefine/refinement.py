@@ -125,7 +125,6 @@ class LoopState:
     iteration: int
     current: dict[str, str]
     phi_cur: float
-    best: dict[str, str]
     phi_best: float
     history: list[HistoryEntry]
     sample_rng: random.Random
@@ -174,13 +173,13 @@ class TraceRecord:
 
 @dataclass
 class RefinementResult:
-    best_definitions: dict[str, str]
-    phi_best_train: float
+    """What `refine` returns: the best definition set, scored on train and
+    dev, the iteration-0 record and the trace. The best set is not scored on
+    test here: `runner.cmd_refine` does that after the loop."""
+
+    best: ScoredSet
     trace: list[TraceRecord]
     initial: InitialRecord
-    dev_metrics: MetricsReport
-    test_metrics: MetricsReport | None
-    test_confusion: ConfusionMatrix | None
 
 
 def validate_definitions(raw, categories: Sequence[str], error=ValueError, where="definitions") -> dict[str, str]:
@@ -432,6 +431,12 @@ class Splits:
         self._embedded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._start: ScoredSet | None = None
 
+    def drop(self, *names: str) -> None:
+        """Forget the named splits' rows, so they are freed once no caller
+        holds them; `embedded` embeds a dropped split again."""
+        for name in names:
+            self._embedded.pop(name, None)
+
     def embedded(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         """The split's documents as unit rows, and their gold category indices."""
         found = self._embedded.get(split)
@@ -518,10 +523,10 @@ def refine(
     tracking. A proposal whose replies never parse is treated as rejected
     with no state change. Each definition set is embedded once and scored
     once per split: the current and the best set are kept as `ScoredSet`s,
-    and dev is scored only for accepted sets. The documents, their dataset
-    and the gateway come from `splits`; a split it already holds is not
-    embedded again, and a start set equal to the last one it scored is not
-    scored again.
+    and dev is scored only for accepted sets. Test is left to the caller:
+    the loop never reads it. The documents, their dataset and the gateway
+    come from `splits`; a split it already holds is not embedded again, and
+    a start set equal to the last one it scored is not scored again.
 
     `on_iteration` receives a record and the loop state: first the
     iteration-0 record (`RefinementResult.initial`), then each iteration's
@@ -555,7 +560,7 @@ def refine(
     phi = cur.phi_train
     history = [HistoryEntry(dict(current), phi)]
     sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
-    state = LoopState(0, current, phi, dict(current), phi, history, sample_rng, accept_rng, llm_calls)
+    state = LoopState(0, current, phi, phi, history, sample_rng, accept_rng, llm_calls)
     initial_info = InitialRecord(0, phi, cur.dev.macro_f1, dict(current), definitions_hash(current))
     if on_iteration is not None:
         on_iteration(initial_info, state)
@@ -584,7 +589,6 @@ def refine(
             # accepted proposal can raise the best.
             if state.phi_cur > state.phi_best:
                 state.phi_best = state.phi_cur
-                state.best = dict(state.current)
                 best = cur
             state.history.append(HistoryEntry(dict(state.current), state.phi_cur))
             del state.history[: max(0, len(state.history) - strategy.m_history)]
@@ -607,18 +611,5 @@ def refine(
         if on_iteration is not None:
             on_iteration(record, state)
 
-    test_metrics = None
-    test_cm = None
-    if split_view(dataset, "test"):
-        test_metrics, test_cm = splits.score(best.units, "test")
-
-    return RefinementResult(
-        best_definitions=dict(state.best),
-        phi_best_train=state.phi_best,
-        trace=trace,
-        initial=initial_info,
-        dev_metrics=best.dev,
-        test_metrics=test_metrics,
-        test_confusion=test_cm,
-    )
+    return RefinementResult(best, trace, initial_info)
 

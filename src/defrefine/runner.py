@@ -29,7 +29,7 @@ from .embeddings import (
     MockEmbeddingProvider,
 )
 from .errors import ConfigError, DataError, DefinitionParseError, DefRefineError, ProviderError, read_input
-from .evaluation import confusion_to_csv, metrics_to_dict
+from .evaluation import ConfusionMatrix, MetricsReport, confusion_to_csv, metrics_to_dict
 from .llm import HttpLlm, LlmConfig, ScriptedLlm
 from .records import RawText, from_json, to_json
 from .refinement import (
@@ -37,6 +37,7 @@ from .refinement import (
     InitialRecord,
     LoopState,
     RefinementResult,
+    ScoredSet,
     Splits,
     StrategyConfig,
     TraceRecord,
@@ -407,6 +408,8 @@ class RunDirectory:
         self._initial = path / "initial.json"
         self._inputs = path / "inputs.json"
         self._result = path / "result.json"
+        self._best = path / "best_definitions.json"
+        self._confusion = path / "confusion_test.csv"
         self._journal = path / "llm_replies.jsonl"
         self._pending: Future | None = None
 
@@ -453,8 +456,10 @@ class RunDirectory:
     def open(self, cfg: RunConfig, resume: bool, inputs: RunInputs) -> Iterator[None]:
         """Make, lock and open the directory of cfg's run until the block ends,
         for a run from iteration 0: the trace and the definitions log start
-        empty. ConfigError at once if a regular file blocks the directory's
-        path or another process holds `run.lock`. A fresh run empties the
+        empty, and the files `finish` writes are removed with them, so no
+        result stands beside a trace that a failed replay cut. ConfigError
+        at once if a regular file blocks the directory's path or another
+        process holds `run.lock`. A fresh run empties the
         journal; a resume keeps it, and its replies answer the calls they
         hold. Before a resume changes any file: ConfigError if the run has
         checkpointed and an input file it reads again has changed (the
@@ -484,6 +489,8 @@ class RunDirectory:
             self._replies = {r.call: r for _, r in kept}
             self._llm = inputs.llm
             self._inputs_json = to_json(inputs.files)
+            for path in (self._result, self._best, self._confusion):
+                path.unlink(missing_ok=True)
             with (
                 open(self._trace, "w", encoding="utf-8") as self._trace_out,
                 open(self._defs_log, "w", encoding="utf-8") as self._defs_out,
@@ -547,19 +554,22 @@ class RunDirectory:
         self._wait()
         self._pending = self._writer.submit(self._persist, record, entry, progress)
 
-    def finish(self, result: RefinementResult, categories: Sequence[str]) -> None:
-        """Write the evaluation of the best definitions after every iteration's records."""
+    def finish(
+        self, best: ScoredSet, test: tuple[MetricsReport, ConfusionMatrix] | None, categories: Sequence[str]
+    ) -> None:
+        """Write the evaluation of the best definitions, on dev and on test
+        (`test` is None without a test split), after every iteration's records."""
         self._wait()
-        _write_json(self.path / "best_definitions.json", result.best_definitions)
+        _write_json(self._best, best.definitions)
         summary = ResultRecord(
-            result.phi_best_train,
-            result.best_definitions,
-            metrics_to_dict(result.dev_metrics, categories),
-            metrics_to_dict(result.test_metrics, categories) if result.test_metrics else None,
+            best.phi_train,
+            best.definitions,
+            metrics_to_dict(best.dev, categories),
+            metrics_to_dict(test[0], categories) if test else None,
         )
         _write_json(self._result, to_json(summary))
-        if result.test_confusion is not None:
-            confusion_to_csv(result.test_confusion, self.path / "confusion_test.csv")
+        if test is not None:
+            confusion_to_csv(test[1], self._confusion)
 
     def read(self) -> RunRecords:
         """The run's records, dataset and best definition set (the result's, else
@@ -650,11 +660,13 @@ def cmd_baseline(cfg: RunConfig):
 
 
 def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = None) -> RefinementResult:
-    """Run (or continue) one refinement loop with crash-safe persistence.
+    """Run (or continue) one refinement loop with crash-safe persistence,
+    then score its best definitions on the test split.
 
     A run may be given `inputs` set up from cfg (a sweep's cells share them,
-    and `verify` sets up offline ones); otherwise it sets up its own and
-    closes the store it opened."""
+    and `verify` sets up offline ones); otherwise it sets up its own, frees
+    its train and dev rows before it embeds the test split, and closes the
+    store it opened."""
     if cfg.strategy is None:
         raise ConfigError("refine requires a strategy config")
     if cfg.llm is None:
@@ -665,12 +677,14 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
     else:
         run.refuse_checkpointed()
 
+    own = inputs is None
     # Everything that can reject the config runs before the run directory exists.
-    with _set_up(cfg) if inputs is None else nullcontext(inputs) as inputs:
-        check_dataset(inputs.splits.dataset, cfg.strategy)
+    with _set_up(cfg) if own else nullcontext(inputs) as inputs:
+        splits = inputs.splits
+        check_dataset(splits.dataset, cfg.strategy)
         with _disk_errors(run.path), run.open(cfg, resume, inputs):
             result = refine(
-                inputs.splits,
+                splits,
                 cfg.strategy,
                 cfg.schedule,
                 run,
@@ -682,10 +696,13 @@ def cmd_refine(cfg: RunConfig, resume: bool = False, inputs: RunInputs | None = 
                 sample_char_cap=cfg.sample_char_cap,
                 on_iteration=run.on_iteration,
             )
-            run.finish(result, inputs.splits.dataset.categories)
-    test_phi = result.test_metrics.macro_f1 if result.test_metrics else float("nan")
+            if own:  # no other run reads these rows
+                splits.drop("train", "dev")
+            test = splits.score(result.best.units, "test") if split_view(splits.dataset, "test") else None
+            run.finish(result.best, test, splits.dataset.categories)
+    test_phi = test[0].macro_f1 if test else float("nan")
     print(
-        f"refine done: best train macro-F1 {result.phi_best_train:.4f}, "
+        f"refine done: best train macro-F1 {result.best.phi_train:.4f}, "
         f"test macro-F1 {test_phi:.4f} ({run.path})"
     )
     return result
@@ -724,7 +741,7 @@ def cmd_sweep(cfg: RunConfig, k_values, m_values) -> dict:
             cell = {"k": cell_cfg.strategy.k_confused, "m": cell_cfg.strategy.m_history, "seed": cell_cfg.seed}
             try:
                 result = cmd_refine(cell_cfg, inputs=inputs)
-                cell["phi_best_train"] = result.phi_best_train
+                cell["phi_best_train"] = result.best.phi_train
                 cell["run_dir"] = run_dir_for(cell_cfg, "refine").name
             except (ProviderError, DefinitionParseError, DataError) as exc:
                 log.error("sweep cell k=%d m=%d failed: %s", cell["k"], cell["m"], exc)

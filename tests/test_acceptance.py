@@ -135,7 +135,7 @@ def test_criterion_5_loop_contract_under_scripted_mocks():
         # Best score is monotone non-decreasing and equals the trace maximum.
         running = _running_best(result.initial.phi_train, result.trace)
         assert all(a <= b for a, b in zip(running, running[1:]))
-        assert result.phi_best_train == running[-1]
+        assert result.best.phi_train == running[-1]
 
         # History stays bounded by m in every prompt the LLM saw.
         assert all(p.count("PREVIOUS DEFINITIONS (score=") <= 3 for p in probe.prompts)
@@ -190,8 +190,9 @@ def test_criterion_6_synthetic_end_to_end():
         script = [json.dumps(junk_definitions(i)) for i in range(1, 5)]
         script.append(json.dumps(ideal))
         script += [json.dumps(junk_definitions(i)) for i in range(5, t_max)]
+        splits = Splits(dataset, mock_gateway())
         result = refine(
-            Splits(dataset, mock_gateway()),
+            splits,
             StrategyConfig("m3", k_confused=2, m_history=2),
             AnnealingSchedule(),
             ScriptedLlm(script),
@@ -204,8 +205,10 @@ def test_criterion_6_synthetic_end_to_end():
         running = _running_best(result.initial.phi_train, result.trace)
         assert running[4] == 1.0, "best must reach 1.0 by iteration 5"
         assert all(v == 1.0 for v in running[4:]), "best must be retained through t_max"
-        assert result.phi_best_train == 1.0
-        assert result.test_metrics.macro_f1 == 1.0
+        assert result.best.phi_train == 1.0
+        # The test split is scored after the loop, as `runner.cmd_refine` does.
+        test_metrics, _ = splits.score(result.best.units, "test")
+        assert test_metrics.macro_f1 == 1.0
 
 
 def _write_cli_fixture(root: Path, t_max: int, delay_s: float) -> Path:

@@ -381,13 +381,13 @@ class TestAccept:
             accept(0.1, 0.0, random.Random(0))
 
 
-def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=None, llm=None):
-    dataset = dataset or separable_dataset()
+def _run(script, strategy=None, t_max=None, seed=7, parse_retries=0, dataset=None, llm=None, splits=None):
+    splits = splits or Splits(dataset or separable_dataset(), mock_gateway())
     strategy = strategy or StrategyConfig("m3", k_confused=2, m_history=2)
     t_max = t_max if t_max is not None else len(script)
     llm = llm or ScriptedLlm(script)
     result = refine(
-        Splits(dataset, mock_gateway()),
+        splits,
         strategy,
         AnnealingSchedule(),
         llm,
@@ -483,14 +483,14 @@ class TestRefineLoop:
         result, _ = _run(script)
         assert result.trace[2].accepted is True
         assert result.trace[2].phi_train_proposed == 1.0
-        assert result.phi_best_train == 1.0
-        assert result.best_definitions == ideal_definitions()
+        assert result.best.phi_train == 1.0
+        assert result.best.definitions == ideal_definitions()
 
     def test_phi_best_is_max_over_trace(self):
         script = [json.dumps(junk_definitions(i)) for i in range(8)]
         result, _ = _run(script)
         running = _running_best(result)
-        assert result.phi_best_train == running[-1]
+        assert result.best.phi_train == running[-1]
         assert all(a <= b for a, b in zip(running, running[1:]))
 
     def test_parse_failure_is_rejection_without_state_change(self):
@@ -638,7 +638,8 @@ class TestRefineLoop:
     @pytest.mark.parametrize("t_max", [1, 5])
     def test_each_document_split_is_normalised_once(self, monkeypatch, t_max):
         # train, dev and test are each embedded as unit rows once, however
-        # many iterations run, and every classify call gets one of those
+        # many iterations run (test by the caller, once the loop has
+        # ended), and every classify call gets one of those
         # arrays; each definition set is embedded as unit rows too, and
         # classify gets the gateway's array as it is. Train and dev come
         # before the first definition set, which keeps the peak RSS lower.
@@ -662,7 +663,10 @@ class TestRefineLoop:
         monkeypatch.setattr(classifier, "classify", recording_classify)
         script = [json.dumps(junk_definitions(i)) for i in range(1, t_max)]
         script.append(json.dumps(ideal_definitions()))
-        _run(script, t_max=t_max)
+        splits = Splits(separable_dataset(), mock_gateway())
+        result, _ = _run(script, t_max=t_max, splits=splits)
+        assert [role for role, _, _ in units].count("document") == 2  # the loop never reads test
+        splits.score(result.best.units, "test")  # after the loop, as `runner.cmd_refine` does
         documents = [(unit, arr) for role, unit, arr in units if role == "document"]
         assert [unit for unit, _ in documents] == [True] * 3
         assert [role for role, _, _ in units[:3]] == ["document", "document", "definition"]
@@ -732,7 +736,7 @@ class TestRefineLoop:
         assert result.trace[1].accepted is True
         assert result.trace[1].phi_train_current < 1.0
         # Best still retains the ideal set.
-        assert result.phi_best_train == 1.0
+        assert result.best.phi_train == 1.0
 
     def test_fixed_point_script_constant_trace(self):
         dataset = separable_dataset()
@@ -761,12 +765,16 @@ class TestRefineLoop:
         assert llm_a.prompts != llm_b.prompts
 
     def test_dev_and_test_metrics_under_best(self):
+        # The loop scores its best set on dev; the test split is scored
+        # after it, on the same splits, as `runner.cmd_refine` does.
         script = [json.dumps(ideal_definitions())]
-        result, _ = _run(script)
-        assert result.dev_metrics.macro_f1 == 1.0
-        assert result.test_metrics.macro_f1 == 1.0
-        assert result.test_confusion is not None
-        assert int(result.test_confusion.counts.sum()) == 6
+        splits = Splits(separable_dataset(), mock_gateway())
+        result, _ = _run(script, splits=splits)
+        test_metrics, test_confusion = splits.score(result.best.units, "test")
+        assert result.best.dev.macro_f1 == 1.0
+        assert test_metrics.macro_f1 == 1.0
+        assert test_confusion is not None
+        assert int(test_confusion.counts.sum()) == 6
 
     def test_requires_train_and_dev(self):
         dataset = separable_dataset(n_dev=0)
@@ -820,11 +828,11 @@ class TestRefineLoop:
             scored.append(embedded[0] == initial)  # else the first is a proposal
             assert result.initial == expected.initial
             assert result.trace == expected.trace
-            assert result.dev_metrics == expected.dev_metrics
+            assert result.best.dev == expected.best.dev
         assert scored == [True, False, True, True]
         assert alone[0].initial.phi_train == 1.0 > alone[2].initial.phi_train
 
     def test_zero_iterations_returns_initial_best(self):
         result, _ = _run([], t_max=0)
         assert result.trace == []
-        assert result.phi_best_train == result.initial.phi_train
+        assert result.best.phi_train == result.initial.phi_train

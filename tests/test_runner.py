@@ -17,6 +17,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -1266,6 +1267,64 @@ def _cut_run(tmp_path: Path, script, t_max, extra=None) -> tuple[Path, Path]:
     return cfg_path, run_dir_for(RunConfig.from_file(cfg_path), "refine")
 
 
+def _numbered_texts(dataset: Dataset) -> Dataset:
+    """The dataset with each document's number added to its text, so that
+    no two splits embed the same texts."""
+    docs = tuple(d._replace(text=f"{d.text} #{i}") for i, d in enumerate(dataset.documents))
+    return dataclasses.replace(dataset, documents=docs)
+
+
+class TestRowRelease:
+    """A `refine` that sets up its own inputs frees its train and dev rows
+    before it embeds the test split; sweep cells, which share theirs, keep
+    them for the next cell."""
+
+    @staticmethod
+    def _held_at_test(monkeypatch, dataset: Dataset) -> list[list[bool]]:
+        """From now on, each time the test texts reach `embed_texts`, whether
+        each train and dev array that `embed_texts` returned before is alive."""
+        test_texts = [d.text for d in dataset.documents if d.split == "test"]
+        rows, held = [], []
+        embed_texts = EmbeddingGateway.embed_texts
+
+        def recording(gateway, texts, role, **kwargs):
+            if list(texts) == test_texts:
+                held.append([row() is not None for row in rows])
+                return embed_texts(gateway, texts, role, **kwargs)
+            out = embed_texts(gateway, texts, role, **kwargs)
+            if role == "document":
+                rows.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(EmbeddingGateway, "embed_texts", recording)
+        return held
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_refine_frees_train_and_dev_before_test(self, tmp_path, monkeypatch, resume):
+        dataset = _numbered_texts(separable_dataset())
+        script = toy_script(6, ideal_at=4)
+        cfg_path = write_config(tmp_path, dataset, script[:3] if resume else script, t_max=6)
+        held = self._held_at_test(monkeypatch, dataset)
+        if resume:  # cut after 3 replies, then resumed with the whole script
+            assert main(["refine", "--config", str(cfg_path)]) == EXIT_PROVIDER
+            (tmp_path / "script.json").write_text(json.dumps(script))
+        argv = ["refine", "--config", str(cfg_path)] + (["--resume"] if resume else [])
+        assert main(argv) == EXIT_OK
+        assert held == [[False] * (4 if resume else 2)]
+
+    def test_sweep_cells_keep_their_rows_and_verify(self, tmp_path, monkeypatch):
+        # Every split is embedded once per sweep, so the test split is
+        # embedded once, with the rows the later cells read still held.
+        dataset = _numbered_texts(separable_dataset())
+        cfg_path = write_config(tmp_path, dataset, toy_script(2, ideal_at=1), t_max=2)
+        held = self._held_at_test(monkeypatch, dataset)
+        assert main(["sweep", "--config", str(cfg_path), "--k-values", "1,2", "--m-values", "1"]) == EXIT_OK
+        assert held == [[True, True]]
+        cells = json.loads((tmp_path / "runs" / "sweep_summary.json").read_text())["cells"]
+        for cell in cells:
+            assert main(["verify", str(tmp_path / "runs" / cell["run_dir"])]) == EXIT_OK
+
+
 class TestInputsRecord:
     """`inputs.json` pins the input files' bytes: a resume or a report over
     changed inputs stops and changes nothing."""
@@ -1452,6 +1511,10 @@ def _http_config(base: Path, url: str, t_max: int) -> Path:
     return write_config(base, separable_dataset(), [], t_max=t_max, extra=llm)
 
 
+# The files that `RunDirectory.finish` writes once the loop has ended.
+RESULT_FILES = ("result.json", "best_definitions.json", "confusion_test.csv")
+
+
 def _journal(run_dir: Path) -> list[dict]:
     return [json.loads(line) for line in (run_dir / "llm_replies.jsonl").read_text().splitlines()]
 
@@ -1583,6 +1646,31 @@ class TestReplyJournal:
         for name in ("trace.jsonl", "definitions_log.jsonl", "result.json", "llm_replies.jsonl"):
             assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
         assert main(["verify", str(run_dir)]) == EXIT_OK
+
+    def test_failed_replay_leaves_no_result_beside_its_cut_trace(self, tmp_path, monkeypatch, capsys):
+        # A resume empties the trace and the log as it opens, and removes the
+        # result files with them: until the replay is whole, no result
+        # describes a run that the trace does not hold.
+        script = toy_script(6, ideal_at=4)
+        uncut = _uncut_run(tmp_path, script, t_max=6)
+        cfg_path = write_config(tmp_path, separable_dataset(), script, t_max=6)
+        assert main(["refine", "--config", str(cfg_path)]) == EXIT_OK
+        run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
+        (run_dir.parent / "embedding_cache.bin").unlink()
+        embed_batch = MockEmbeddingProvider.embed_batch
+
+        def down(provider, texts):
+            raise ProviderError("provider down")
+
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", down)
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_PROVIDER
+        assert "provider error: provider down" in capsys.readouterr().err
+        assert [name for name in RESULT_FILES if (run_dir / name).exists()] == []
+        monkeypatch.setattr(MockEmbeddingProvider, "embed_batch", embed_batch)
+        assert main(["refine", "--config", str(cfg_path), "--resume"]) == EXIT_OK
+        for name in ("trace.jsonl", "definitions_log.jsonl") + RESULT_FILES:
+            assert (uncut / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_reply_to_another_prompt_leaves_the_journal_and_the_store(self, tmp_path, capsys):
         run_dir = _uncut_run(tmp_path, toy_script(6, ideal_at=4), t_max=6)
@@ -1829,9 +1917,8 @@ class TestSweep:
         # split is embedded once, and the provider gets each document text
         # once. The cells' one start set is embedded once and scored on the
         # train split once.
-        dataset = separable_dataset()
-        docs = tuple(d._replace(text=f"{d.text} #{i}") for i, d in enumerate(dataset.documents))
-        cfg_path = write_config(tmp_path, dataclasses.replace(dataset, documents=docs), toy_script(2), t_max=2)
+        dataset = _numbered_texts(separable_dataset())
+        cfg_path = write_config(tmp_path, dataset, toy_script(2), t_max=2)
         loads, opens, sent, embedded, starts, start_train_scores = [], [], [], [], [], []
         load_dataset, cache_init = runner.load_dataset, EmbeddingCache.__init__
         embed_batch, embed_texts = MockEmbeddingProvider.embed_batch, EmbeddingGateway.embed_texts
@@ -1873,7 +1960,7 @@ class TestSweep:
         assert len(loads) == 1 and len(opens) == 1
         assert embedded == [9, 6, 6]  # train, dev, test
         assert len(starts) == 1 and len(start_train_scores) == 1
-        texts = [d.text for d in docs]
+        texts = [d.text for d in dataset.documents]
         assert sorted(text for text in sent if text in texts) == sorted(texts)
 
     def _first_cell_fails_on(self, tmp_path, monkeypatch, fails):
