@@ -117,22 +117,6 @@ class FeedbackBundle:
 
 
 @dataclass
-class LoopState:
-    """Everything that determines the rest of the loop after `iteration`;
-    `refine` updates it in place. It is never saved: a run directory keeps
-    only its progress, and a resume replays the run from iteration 0."""
-
-    iteration: int
-    current: dict[str, str]
-    phi_cur: float
-    phi_best: float
-    history: list[HistoryEntry]
-    sample_rng: random.Random
-    accept_rng: random.Random
-    llm_calls: int
-
-
-@dataclass
 class InitialRecord:
     """`initial.json`: the starting definitions and their scores."""
 
@@ -512,7 +496,7 @@ def refine(
     initial: Mapping[str, str] | None = None,
     parse_retries: int = 3,
     sample_char_cap: int = DEFAULT_SAMPLE_CHAR_CAP,
-    on_iteration: Callable[[InitialRecord | TraceRecord, LoopState], None] | None = None,
+    on_iteration: Callable[[InitialRecord | TraceRecord, ScoredSet, int], None] | None = None,
 ) -> RefinementResult:
     """Run the refinement loop for up to t_max iterations.
 
@@ -528,15 +512,16 @@ def refine(
     come from `splits`; a split it already holds is not embedded again, and
     a start set equal to the last one it scored is not scored again.
 
-    `on_iteration` receives a record and the loop state: first the
+    `on_iteration(record, current, llm_calls)` receives first the
     iteration-0 record (`RefinementResult.initial`), then each iteration's
-    trace record. The state changes in place after each callback returns, so
-    a caller that keeps any of it must copy it.
+    trace record, with the current `ScoredSet` after the acceptance step and
+    the LLM calls taken so far. The loop never changes a record or a scored
+    set it has made, so a caller may keep either as it is.
 
     `llm.complete`'s call number counts from 0 across the run, the start's
-    draft first, and `LoopState.llm_calls` keeps it. The loop always starts
-    at iteration 0: a run is resumed by replaying it with an `llm` that
-    answers the calls it has already taken (`runner.RunDirectory.complete`).
+    draft first. The loop always starts at iteration 0: a run is resumed by
+    replaying it with an `llm` that answers the calls it has already taken
+    (`runner.RunDirectory.complete`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -552,27 +537,25 @@ def refine(
 
     llm_calls = 0
     if initial is not None:
-        current = validate_definitions(initial, categories, where="initial definitions")
+        start = validate_definitions(initial, categories, where="initial definitions")
     else:
-        current, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
-    cur = best = splits.scored_start(current)
+        start, llm_calls = initial_definitions(categories, init_mode, llm, parse_retries)
+    cur = best = splits.scored_start(start)
 
-    phi = cur.phi_train
-    history = [HistoryEntry(dict(current), phi)]
+    history = [HistoryEntry(dict(start), cur.phi_train)]
     sample_rng, accept_rng = make_rng(seed, "sampling"), make_rng(seed, "acceptance")
-    state = LoopState(0, current, phi, phi, history, sample_rng, accept_rng, llm_calls)
-    initial_info = InitialRecord(0, phi, cur.dev.macro_f1, dict(current), definitions_hash(current))
+    initial_info = InitialRecord(0, cur.phi_train, cur.dev.macro_f1, dict(start), definitions_hash(start))
     if on_iteration is not None:
-        on_iteration(initial_info, state)
+        on_iteration(initial_info, cur, llm_calls)
 
     metropolis = strategy.resolved_acceptance == ACCEPT_METROPOLIS
     trace: list[TraceRecord] = []
 
     for t in range(1, t_max + 1):
-        feedback = _assemble_feedback(strategy, dataset, cur.train_confusion, state.history, state.sample_rng)
-        prompt = build_prompt(strategy, categories, state.current, state.phi_cur, feedback, sample_char_cap)
-        proposal, calls = _propose(llm, prompt, categories, parse_retries, state.llm_calls)
-        state.llm_calls += calls
+        feedback = _assemble_feedback(strategy, dataset, cur.train_confusion, history, sample_rng)
+        prompt = build_prompt(strategy, categories, cur.definitions, cur.phi_train, feedback, sample_char_cap)
+        proposal, calls = _propose(llm, prompt, categories, parse_retries, llm_calls)
+        llm_calls += calls
         temp = temperature(t, schedule, t_max)
 
         prop: ScoredSet | None = None
@@ -580,19 +563,16 @@ def refine(
         accepted = False
         if proposal is not None:
             prop = splits.scored(proposal)
-            delta_e = energy_drop(state.phi_best, prop.phi_train)
-            accepted = accept(delta_e, temp, state.accept_rng) if metropolis else True
+            delta_e = energy_drop(best.phi_train, prop.phi_train)
+            accepted = accept(delta_e, temp, accept_rng) if metropolis else True
         if accepted:
             cur = splits.with_dev(prop)
-            state.current, state.phi_cur = proposal, cur.phi_train
-            # phi_cur <= phi_best holds between iterations, so only an
+            # cur's score <= best's holds between iterations, so only an
             # accepted proposal can raise the best.
-            if state.phi_cur > state.phi_best:
-                state.phi_best = state.phi_cur
+            if cur.phi_train > best.phi_train:
                 best = cur
-            state.history.append(HistoryEntry(dict(state.current), state.phi_cur))
-            del state.history[: max(0, len(state.history) - strategy.m_history)]
-        state.iteration = t
+            history.append(HistoryEntry(dict(cur.definitions), cur.phi_train))
+            del history[: max(0, len(history) - strategy.m_history)]
 
         record = TraceRecord(
             iteration=t,
@@ -600,16 +580,16 @@ def refine(
             k=strategy.k_confused,
             m=strategy.m_history,
             temperature=temp,
-            phi_train_current=state.phi_cur,
+            phi_train_current=cur.phi_train,
             phi_train_proposed=prop.phi_train if prop is not None else None,
             delta_e=delta_e,
             accepted=accepted,
             phi_dev=cur.dev.macro_f1,
-            definitions_hash=definitions_hash(state.current),
+            definitions_hash=definitions_hash(cur.definitions),
         )
         trace.append(record)
         if on_iteration is not None:
-            on_iteration(record, state)
+            on_iteration(record, cur, llm_calls)
 
     return RefinementResult(best, trace, initial_info)
 

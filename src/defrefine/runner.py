@@ -35,7 +35,6 @@ from .records import RawText, from_json, to_json
 from .refinement import (
     AnnealingSchedule,
     InitialRecord,
-    LoopState,
     RefinementResult,
     ScoredSet,
     Splits,
@@ -387,14 +386,15 @@ class RunDirectory:
     flushed and fsynced per record), a log of accepted definition sets, and
     a progress record (`state.json`: the iteration and the LLM call count)
     that is rewritten atomically after every iteration. One writer thread
-    writes each iteration's records in iteration order, at most one
-    iteration behind the loop, so the disk work overlaps the next LLM call;
-    the progress record is written after the journal and the trace record it
-    covers are fsynced; a write error still stops the run. --resume replays
-    the run from iteration 0, its LLM calls answered from the journal, and
-    writes every run file but the config snapshot and the journal again, so
-    it reproduces the uninterrupted files byte for byte when the embedder is
-    deterministic or the store holds every vector the run embedded.
+    writes each iteration's records, from values the loop never changes, in
+    iteration order, at most one iteration behind the loop, so the disk work
+    overlaps the next LLM call; the progress record is written after the
+    journal and the trace record it covers are fsynced; a write error still
+    stops the run. --resume replays the run from iteration 0, its LLM calls
+    answered from the journal, and writes every run file but the config
+    snapshot and the journal again, so it reproduces the uninterrupted files
+    byte for byte when the embedder is deterministic or the store holds
+    every vector the run embedded.
     One process at a time writes a run directory: `open` holds an exclusive
     flock on its `run.lock` from before the first write until `result.json`.
     """
@@ -518,12 +518,12 @@ class RunDirectory:
         self._journal_out.flush()
         return text
 
-    def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, progress: dict) -> None:
+    def _persist(self, record: InitialRecord | TraceRecord, entry: LogEntry | None, llm_calls: int) -> None:
         """One iteration's records, in order: the fsynced journal, once the
         run has taken a reply, then inputs.json and initial.json (the
         record), or the fsynced trace line, the accepted set, then
         state.json, which counts no reply the journal could lose."""
-        if progress["llm_calls"]:
+        if llm_calls:
             os.fsync(self._journal_out.fileno())
         if record.iteration == 0:
             _atomic_write_json(self._inputs, self._inputs_json)
@@ -535,7 +535,7 @@ class RunDirectory:
         if entry is not None:
             self._defs_out.write(json.dumps(to_json(entry)) + "\n")
             self._defs_out.flush()
-        _atomic_write_json(self._state, progress)
+        _atomic_write_json(self._state, {"iteration": record.iteration, "llm_calls": llm_calls})
 
     def _wait(self) -> None:
         """Wait for the pending iteration's records; re-raise its write error."""
@@ -543,16 +543,14 @@ class RunDirectory:
         if job is not None:
             job.result()
 
-    def on_iteration(self, record: InitialRecord | TraceRecord, state: LoopState) -> None:
-        """Hand one iteration's records to the writer once the previous iteration's are written."""
-        # The state changes in place once this returns: take what is kept of it
-        # now. The loop makes a new record, and new definition sets, each time
-        # and never changes them, so the writer serialises those.
-        t = state.iteration
-        entry = LogEntry(t, state.phi_cur, state.current) if t == 0 or record.accepted else None
-        progress = {"iteration": t, "llm_calls": state.llm_calls}
+    def on_iteration(self, record: InitialRecord | TraceRecord, current: ScoredSet, llm_calls: int) -> None:
+        """Hand one iteration's records to the writer once the previous
+        iteration's are written; the writer serialises them, as `refine`
+        never changes a record or a scored set it has made."""
+        t = record.iteration
+        entry = LogEntry(t, current.phi_train, current.definitions) if t == 0 or record.accepted else None
         self._wait()
-        self._pending = self._writer.submit(self._persist, record, entry, progress)
+        self._pending = self._writer.submit(self._persist, record, entry, llm_calls)
 
     def finish(
         self, best: ScoredSet, test: tuple[MetricsReport, ConfusionMatrix] | None, categories: Sequence[str]
@@ -919,8 +917,10 @@ def _config_from_args(args) -> RunConfig:
         section, _, leaf = key.rpartition(".")
         node = raw
         if section:
-            node = raw[section] = raw.get(section) or {}
-        if isinstance(node, dict):  # from_dict reports a section that is not an object
+            node = raw.get(section)
+            if node is None:  # an absent or null section; from_dict reports any other non-object
+                node = raw[section] = {}
+        if isinstance(node, dict):
             node[leaf] = value
     return RunConfig.from_dict(raw, path.parent.resolve())
 

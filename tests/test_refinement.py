@@ -25,6 +25,7 @@ from defrefine.refinement import (
     StrategyConfig,
     accept,
     build_prompt,
+    definitions_hash,
     energy_drop,
     initial_definitions,
     parse_definitions,
@@ -415,10 +416,10 @@ def _killed_at(monkeypatch, iteration, argv):
     """Run the command `argv`, killed as it hands over the records of `iteration`."""
     on_iteration = runner.RunDirectory.on_iteration
 
-    def killed(run, record, state):
+    def killed(run, record, *rest):
         if record.iteration == iteration:
             raise Killed
-        on_iteration(run, record, state)
+        on_iteration(run, record, *rest)
 
     with monkeypatch.context() as patched:
         patched.setattr(runner.RunDirectory, "on_iteration", killed)
@@ -506,6 +507,42 @@ class TestRefineLoop:
         assert bad.delta_e is None
         assert bad.definitions_hash == result.trace[0].definitions_hash
         assert bad.phi_train_current == result.trace[0].phi_train_current
+
+    def test_on_iteration_gets_values_that_never_change(self, monkeypatch):
+        # Each call gets the record, the current scored set and the LLM calls
+        # taken so far. The loop changes none of them afterwards, so an
+        # observer (the run writer) may keep them as they are.
+        found = asked(monkeypatch)
+        kept = []
+
+        def frozen(value):
+            return json.dumps(to_json(value), default=lambda array: array.tolist())
+
+        def observe(record, current, llm_calls):
+            kept.append((record, current, llm_calls, frozen(record), frozen(current), len(found["calls"])))
+
+        script = [json.dumps(junk_definitions(1)), "not json", json.dumps(junk_definitions(2))]
+        script += [json.dumps(ideal_definitions()), json.dumps(junk_definitions(3))]
+        result = refine(
+            Splits(separable_dataset(), mock_gateway()),
+            StrategyConfig("m3", k_confused=2, m_history=2),
+            AnnealingSchedule(),
+            ScriptedLlm(script),
+            seed=7,
+            t_max=4,
+            parse_retries=1,
+            on_iteration=observe,
+        )
+        assert [record.iteration for record, *_ in kept] == [0, 1, 2, 3, 4]
+        assert [record.accepted for record, *_ in kept[1:]].count(False) >= 1
+        for record, current, llm_calls, record_then, current_then, asked_then in kept:
+            assert frozen(record) == record_then and frozen(current) == current_then, record.iteration
+            assert definitions_hash(current.definitions) == record.definitions_hash
+            score = record.phi_train if record.iteration == 0 else record.phi_train_current
+            assert current.phi_train == score
+            assert llm_calls == asked_then
+        assert [llm_calls for _, _, llm_calls, *_ in kept] == [0, 1, 3, 4, 5]
+        assert result.best is kept[3][1] and result.best.phi_train == 1.0
 
     def test_each_definition_set_is_scored_once_on_train(self, monkeypatch):
         # The initial set and each parsed proposal are classified against the

@@ -322,6 +322,21 @@ class TestConfig:
         assert main(["refine", "--config", str(cfg_path)]) == EXIT_USAGE
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("section", [[], 0, "", False], ids=["list", "zero", "empty-string", "false"])
+    def test_override_keeps_a_falsy_section_for_its_error(self, tmp_path, capsys, section):
+        # An override makes a new section only where the config has none (or
+        # null), so a falsy section that is not an object is named as such.
+        cfg_path = write_config(tmp_path, separable_dataset(), toy_script(3), t_max=3, extra={"llm": section})
+
+        def error(*argv):
+            assert main([*argv, "--config", str(cfg_path)]) == EXIT_USAGE
+            return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+        plain = error("validate-config")
+        assert len(plain) == 1 and "config key llm must be a JSON object" in plain[0], plain
+        assert error("refine", "--llm-endpoint", f"script:{tmp_path / 'x.json'}") == plain
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize(
         "content, refused",
         [(b"hello", True), (b"[1]\n" * 4, True), (None, True), (b"", False), (STORE_MAGIC, False)],
@@ -794,10 +809,10 @@ class TestWriter:
                 raise Killed
             return write_bytes(path, data)
 
-        def killed_at_2(run, record, state):
+        def killed_at_2(run, record, *rest):
             if record.iteration == 2:
                 raise Killed
-            on_iteration(run, record, state)
+            on_iteration(run, record, *rest)
 
         with monkeypatch.context() as patched:
             if at == "journal-rewrite":
@@ -1542,10 +1557,10 @@ class TestReplyJournal:
         run_dir = run_dir_for(RunConfig.from_file(cfg_path), "refine")
         on_iteration = runner.RunDirectory.on_iteration
 
-        def killed_at_3(run, record, state):
+        def killed_at_3(run, record, *rest):
             if record.iteration == 3:
                 raise Killed
-            on_iteration(run, record, state)
+            on_iteration(run, record, *rest)
 
         with monkeypatch.context() as patched:
             patched.setattr(runner.RunDirectory, "on_iteration", killed_at_3)
